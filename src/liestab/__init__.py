@@ -5,7 +5,7 @@ from .algebra import (LieAlgebra, Subspace, IdealChain, DimensionMismatch,
                       derived_series, lower_central_series, derived_algebra,
                       is_solvable, is_nilpotent, bracket_constant,
                       algebra_from_dict, algebra_to_dict, load_algebra,
-                      heisenberg, upper_triangular6, abelian, sl2, catalog_algebras)
+                      heisenberg, upper_triangular6, abelian, sl2, nilpotent_upper, catalog_algebras)
 from .quotient import (QuotientContext, make_quotient, induced_map, quotient_algebra,
                        InvarianceViolation, AdaptedNorm, adapted_norm,
                        ChainProjections, bracket_word, central_word_residual,

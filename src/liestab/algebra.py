@@ -1,17 +1,19 @@
 """Finite-dimensional real Lie algebras given by structure constants.
 
-An algebra of dimension d is stored as a rank-3 tensor C with
-[e_i, e_j] = sum_k C[i, j, k] e_k.  Elements are coordinate vectors of
-length d.  Subspaces are column spans.  The module provides the bracket,
-span-of-brackets machinery, the derived and lower central series, the
-solvable/nilpotent predicates, and a bound mu with
-||[x, y]|| <= mu ||x|| ||y||.
+An algebra of dimension d is stored as a read-only rank-3 tensor C with
+[e_i, e_j] = sum_k C[i, j, k] e_k; every bracket goes through one kernel,
+``LieAlgebra.bracket_many`` (two matmuls against C as a (d, d*d) matrix, the
+first being ``ad_many``).  Elements are coordinate vectors of length d.
+Subspaces are column spans.  The module provides span-of-brackets machinery,
+the derived and lower central series, the solvable/nilpotent predicates
+(cached per algebra), and a bound mu with ||[x, y]|| <= mu ||x|| ||y||.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -150,11 +152,13 @@ class LieAlgebra:
 
     def __init__(self, structure_constants, labels: Optional[Sequence[str]] = None,
                  matrix_rep=None, name: str = ""):
-        C = np.asarray(structure_constants, dtype=float)
+        C = np.array(structure_constants, dtype=float)
         if C.ndim != 3 or C.shape[0] != C.shape[1] or C.shape[0] != C.shape[2]:
             raise InvalidAlgebra(f"structure constants must have shape (d, d, d), got {C.shape}")
         self.dim = C.shape[0]
+        C.flags.writeable = False
         self.C = C
+        self._C2 = C.reshape(self.dim, self.dim * self.dim)  # read-only view; row i is [e_i, .]
         self.labels = list(labels) if labels is not None else [f"e{i+1}" for i in range(self.dim)]
         if len(self.labels) != self.dim:
             raise InvalidAlgebra("label count does not match dimension")
@@ -185,11 +189,16 @@ class LieAlgebra:
 
     def jacobi_residual(self) -> float:
         """Max-norm residual of [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
-        C = self.C
-        # [[e_i, e_j], e_k]_m = sum_l C[i,j,l] C[l,k,m]
-        t1 = np.einsum("ijl,lkm->ijkm", C, C)
-        res = t1 + np.transpose(t1, (1, 2, 0, 3)) + np.transpose(t1, (2, 0, 1, 3))
-        return float(np.max(np.abs(res))) if res.size else 0.0
+        d, C = self.dim, self.C
+        step = max(1, (1 << 18) // max(1, d ** 3))  # blocks of i of at most 2^18 entries
+        worst = 0.0
+        for i in range(0, d, step):  # entries [i, j, k, m] of the three terms
+            Ci = C[:, i:i + step].transpose(1, 0, 2)  # [i, l, m] = C[l, i, m]
+            res = (self.ad_many(C[i:i + step]).swapaxes(-1, -2)  # [[e_i, e_j], e_k]
+                   + (C.reshape(d * d, d) @ Ci).reshape(-1, d, d, d)  # [[e_j, e_k], e_i]
+                   + self.ad_many(Ci.swapaxes(0, 1)).transpose(1, 3, 0, 2))  # [[e_k, e_i], e_j]
+            worst = max(worst, float(np.max(np.abs(res))))
+        return worst
 
     def rep_residual(self) -> float:
         rep = self.matrix_rep
@@ -199,16 +208,25 @@ class LieAlgebra:
 
     # -- basic operations ------------------------------------------------
 
+    def ad_many(self, X) -> np.ndarray:
+        """ad_X for each element of a coordinate stack; no input checks (row j of X C2 is [X, e_j])."""
+        X = np.asarray(X, dtype=float)
+        return (X @ self._C2).reshape(X.shape[:-1] + (self.dim, self.dim)).swapaxes(-1, -2)
+
+    def bracket_many(self, X, Y) -> np.ndarray:
+        """[X, Y] = ad_X Y row by row over broadcast leading axes; no input checks.
+
+        All pairs of two stacks: ``bracket_many(X[:, None], Y[None])``.
+        """
+        return (self.ad_many(X) @ np.asarray(Y, dtype=float)[..., None])[..., 0]
+
     def bracket(self, x, y) -> np.ndarray:
         """Lie bracket [x, y] in coordinates."""
-        x = _as_vector(x, self.dim)
-        y = _as_vector(y, self.dim)
-        return np.einsum("i,j,ijk->k", x, y, self.C)
+        return self.bracket_many(_as_vector(x, self.dim), _as_vector(y, self.dim))
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad_x : y -> [x, y]."""
-        x = _as_vector(x, self.dim)
-        return np.einsum("i,ijk->kj", x, self.C)
+        return self.ad_many(_as_vector(x, self.dim))
 
     def element(self, **coeffs: float) -> np.ndarray:
         """Element from label coefficients, e.g. alg.element(h1=3, h2=2, h3=-1)."""
@@ -238,6 +256,24 @@ class LieAlgebra:
     def full_subspace(self) -> Subspace:
         return Subspace.full(self.dim)
 
+    # -- invariants of the whole algebra, computed once -------------------
+
+    derived_chain = cached_property(lambda self: derived_series(self))
+    central_chain = cached_property(lambda self: lower_central_series(self))
+
+    @cached_property
+    def solvability(self) -> tuple:
+        """(solvable?, derived length), read through ``is_solvable``."""
+        chain = self.derived_chain
+        solvable = chain.terminated
+        # chain lists g_0 .. g_{v+1} = 0, so the derived length is len - 2
+        length = len(chain.ideals) - 2 if solvable else None
+        nil, _ = is_nilpotent(self, derived_algebra(self))
+        if nil != solvable:
+            raise RuntimeError("derived-series and derived-algebra-nilpotency checks disagree; "
+                               "this indicates a rank-tolerance failure")
+        return solvable, length
+
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"LieAlgebra(dim={self.dim}{tag})"
@@ -253,21 +289,24 @@ def subspace_bracket(alg: LieAlgebra, s1: Subspace, s2: Subspace) -> Subspace:
     if s1.dim == 0 or s2.dim == 0:
         return Subspace.zero(alg.dim)
     # bracket every pair of orthonormal basis vectors; rank-reveal the stack
-    prods = np.einsum("ia,jb,ijk->kab", s1.onb, s2.onb, alg.C).reshape(alg.dim, -1)
-    return Subspace(orthonormal_basis(prods), already_orthonormal=True)
+    prods = alg.bracket_many(s1.onb.T[:, None], s2.onb.T[None]).reshape(-1, alg.dim)
+    return Subspace(orthonormal_basis(prods.T), already_orthonormal=True)
+
+
+def _series(alg: LieAlgebra, start: Subspace, kind: str, max_steps: int) -> IdealChain:
+    """Brackets each term with itself (derived) or with ``start`` (lower central)."""
+    chain = [start]
+    while chain[-1].dim and len(chain) <= max_steps:
+        nxt = subspace_bracket(alg, chain[-1], chain[-1] if kind == "derived-series" else start)
+        if nxt.dim == chain[-1].dim:
+            break
+        chain.append(nxt)
+    return IdealChain(chain, kind, terminated=chain[-1].dim == 0)
 
 
 def derived_series(alg: LieAlgebra, max_steps: int = 64) -> IdealChain:
     """Chain g_0 = g, g_{i+1} = [g_i, g_i], down to 0 or stabilization."""
-    chain = [alg.full_subspace()]
-    for _ in range(max_steps):
-        nxt = subspace_bracket(alg, chain[-1], chain[-1])
-        if nxt.dim == chain[-1].dim:
-            return IdealChain(chain, "derived-series", terminated=(nxt.dim == 0))
-        chain.append(nxt)
-        if nxt.dim == 0:
-            return IdealChain(chain, "derived-series", terminated=True)
-    return IdealChain(chain, "derived-series", terminated=False)
+    return _series(alg, alg.full_subspace(), "derived-series", max_steps)
 
 
 def lower_central_series(alg: LieAlgebra, start: Optional[Subspace] = None,
@@ -278,36 +317,21 @@ def lower_central_series(alg: LieAlgebra, start: Optional[Subspace] = None,
     is taken within h itself, i.e. brackets are with h, not with g.
     """
     h = start if start is not None else alg.full_subspace()
-    chain = [h]
-    for _ in range(max_steps):
-        nxt = subspace_bracket(alg, chain[-1], h)
-        if nxt.dim == chain[-1].dim:
-            return IdealChain(chain, "lower-central-series", terminated=(nxt.dim == 0))
-        chain.append(nxt)
-        if nxt.dim == 0:
-            return IdealChain(chain, "lower-central-series", terminated=True)
-    return IdealChain(chain, "lower-central-series", terminated=False)
+    return _series(alg, h, "lower-central-series", max_steps)
 
 
 def derived_algebra(alg: LieAlgebra) -> Subspace:
-    return subspace_bracket(alg, alg.full_subspace(), alg.full_subspace())
+    """[g, g], read off the cached derived series (g itself when g is perfect)."""
+    return alg.derived_chain.ideals[min(1, len(alg.derived_chain) - 1)]
 
 
 def is_solvable(alg: LieAlgebra):
     """(solvable?, derived length).  Derived length is None when not solvable.
 
     Cross-checked against the equivalent criterion that the derived algebra
-    [g, g] is nilpotent.
+    [g, g] is nilpotent.  Computed once per algebra.
     """
-    chain = derived_series(alg)
-    solvable = chain.terminated
-    # chain lists g_0 .. g_{v+1} = 0, so the derived length is len - 2
-    length = len(chain.ideals) - 2 if solvable else None
-    nil, _ = is_nilpotent(alg, derived_algebra(alg))
-    if nil != solvable:
-        raise RuntimeError("derived-series and derived-algebra-nilpotency checks disagree; "
-                           "this indicates a rank-tolerance failure")
-    return solvable, length
+    return alg.solvability
 
 
 def is_nilpotent(alg: LieAlgebra, start: Optional[Subspace] = None):
@@ -315,13 +339,8 @@ def is_nilpotent(alg: LieAlgebra, start: Optional[Subspace] = None):
 
     A zero-dimensional start is nilpotent with nilindex 0 by convention.
     """
-    h = start if start is not None else alg.full_subspace()
-    if h.dim == 0:
-        return True, 0
-    chain = lower_central_series(alg, h)
-    if not chain.terminated:
-        return False, None
-    return True, len(chain.ideals) - 1
+    chain = alg.central_chain if start is None else lower_central_series(alg, start)
+    return (True, len(chain) - 1) if chain.terminated else (False, None)
 
 
 # -- bracket norm constant -------------------------------------------------
@@ -358,7 +377,9 @@ def bracket_constant(alg: LieAlgebra, kind: str = "numerically-estimated",
     ys = rng.standard_normal((samples, d))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
     ys /= np.linalg.norm(ys, axis=1, keepdims=True)
-    vals = np.linalg.norm(np.einsum("si,sj,ijk->sk", xs, ys, alg.C), axis=1)
+    rows = max(1, (1 << 20) // (d * d))  # chunks of at most 2^20 entries of X C2 (8 MB)
+    vals = np.concatenate([np.linalg.norm(alg.bracket_many(xs[i:i + rows], ys[i:i + rows]), axis=1)
+                           for i in range(0, samples, rows)])
     best = float(np.max(vals))
     x = xs[int(np.argmax(vals))].copy()
     y = ys[int(np.argmax(vals))].copy()
@@ -368,7 +389,7 @@ def bracket_constant(alg: LieAlgebra, kind: str = "numerically-estimated",
         mx = alg.ad(x)
         _, s, vt = np.linalg.svd(mx)
         y = vt[0]
-        ny = np.einsum("j,ijk->ki", y, alg.C)  # columns: [e_i, y]
+        ny = alg.bracket_many(np.eye(d), y).T  # columns: [e_i, y]
         _, s2, vt2 = np.linalg.svd(ny)
         x = vt2[0]
         cur = float(np.linalg.norm(alg.bracket(x, y)))
@@ -536,6 +557,17 @@ def sl2() -> LieAlgebra:
     rep[1, 1, 0] = 1.0
     rep[2] = np.diag([1.0, -1.0])
     return LieAlgebra(C, labels=labels, matrix_rep=rep, name="sl2")
+
+
+def nilpotent_upper(m: int) -> LieAlgebra:
+    """Strictly upper-triangular m x m matrices, basis E_ij (i < j) row by row: nilpotent
+    of dimension m (m - 1) / 2 and nilindex m - 1, constants read off the commutators."""
+    rows, cols = np.triu_indices(m, 1)
+    rep = np.zeros((rows.size, m, m))
+    rep[np.arange(rows.size), rows, cols] = 1.0
+    comm = rep[:, None] @ rep[None] - rep[None] @ rep[:, None]
+    return LieAlgebra(comm[..., rows, cols], labels=[f"E{i + 1}_{j + 1}" for i, j in zip(rows, cols)],
+                      matrix_rep=rep, name=f"nilpotent-upper-{m}")
 
 
 CATALOG = {

@@ -8,7 +8,7 @@ certificate for the scenario's route), simulate, reproduce (canonical run of
 a builtin), deadbeat (finite-time horizon plus verification).
 
 Exit codes: 0 pass, 1 hypothesis/certificate failure, 2 input error,
-3 numeric divergence.  Identical configuration and seed produce
+3 numeric divergence or overflow.  Identical configuration and seed produce
 byte-identical output files.  LIESTAB_THREADS caps internal batch
 parallelism (evaluation is vectorized in-process; values >= 1 are accepted).
 """
@@ -124,6 +124,11 @@ def cmd_certify(sc: Scenario, outdir: Path, seed: int, tols: dict, epsilon=None)
             cert = stability.certify_nilpotent(sc.system, sc.signal, M=sc.M, epsilon=epsilon)
             payload = cert.to_dict()
             verdict = "issued" if cert.consistent else "issued-with-warnings"
+            if not np.isfinite(cert.alpha_levels).all():
+                payload |= {"scenario": sc.name, "route": route, "verdict": "overflow"}
+                _write_json(outdir / f"certificate-{sc.name}.json", payload)
+                print(f"[FAIL] certificate envelope constant is not finite (alpha levels {cert.alpha_levels})")
+                return EXIT_DIVERGED
         else:
             rep = stability.certify_solvable(sc.system, sc.signal, horizon=sc.horizon, x0=sc.x0)
             payload = rep.to_dict()

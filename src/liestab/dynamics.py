@@ -167,7 +167,8 @@ class ExoSignal:
             return np.zeros(self.r * self.d)
         if self.kind == "samples":
             return self.samples[k % self.samples.shape[0]]
-        return (self.ratio ** k) * self.base
+        with np.errstate(over="ignore", invalid="ignore"):  # saturates to inf past the float range
+            return np.float64(self.ratio) ** k * self.base
 
     def slot_norm(self, vec: np.ndarray) -> float:
         return float(np.linalg.norm(vec.reshape(self.r, self.d), axis=1).sum())
@@ -277,14 +278,14 @@ class WordSeriesSystem:
             if not (1 <= f.out_slot <= self.n):
                 raise SystemSpecError("family out_slot out of range")
         ideal = invariance_ideal if invariance_ideal is not None else algebra.full_subspace()
-        nil, p = is_nilpotent(algebra, ideal)
-        if not nil:
+        chain = algebra.central_chain if ideal.dim == d else lower_central_series(algebra, ideal)
+        if not chain.terminated:
             raise SystemSpecError("invariance ideal must be nilpotent")
         if not ideal.contains(derived_algebra(algebra)):
             raise SystemSpecError("invariance ideal must contain the derived algebra [g, g]")
         self.ideal = ideal
-        self.nilindex = p
-        self.chain = lower_central_series(algebra, ideal)
+        self.nilindex = len(chain) - 1
+        self.chain = chain
         self.projections = ChainProjections(algebra, self.chain)
         self._mu = None
 
@@ -338,7 +339,7 @@ class WordSeriesSystem:
         for f in self.families:
             base = self._family_base_value(f, Xs, Ws)
             target = self._letter_value(f.target, Xs, Ws)
-            flow = scipy.linalg.expm(self.algebra.ad(base))
+            flow = scipy.linalg.expm(self.algebra.ad_many(base))
             out[f.out_slot - 1] += f.scale * (flow @ target - target)
         return out.reshape(-1)
 
@@ -362,19 +363,15 @@ class WordSeriesSystem:
             return Xs[:, j - 1, :] if kind == "X" else Ws[:, j - 1, :]
 
         for t in self.terms:
-            vals = [letter_vals(l) for l in t.word.letters]
-            w = vals[-1]
-            for v in vals[-2::-1]:
-                w = np.einsum("bi,bj,ijk->bk", v, w, self.algebra.C)
+            w = bracket_word(self.algebra, [letter_vals(l) for l in t.word.letters])
             out += t.coeff[np.newaxis, :, np.newaxis] * w[:, np.newaxis, :]
         for f in self.families:
             base = np.zeros((B, self.d))
             for letter, wgt in f.base.items():
                 base += wgt * letter_vals(letter)
-            ads = np.einsum("bi,ijk->bkj", base, self.algebra.C)
-            flows = _expm_batch(ads)
+            flows = _expm_batch(self.algebra.ad_many(base))
             target = letter_vals(f.target)
-            vals = f.scale * (np.einsum("bkj,bj->bk", flows, target) - target)
+            vals = f.scale * ((flows @ target[..., None])[..., 0] - target)
             out[:, f.out_slot - 1, :] += vals
         return out.reshape(B, -1)
 
@@ -388,8 +385,11 @@ class WordSeriesSystem:
         diverged = False
         first_bad = None
         for k in range(k_max):
-            nxt = self.evaluate(states[k], signal.value(k))
-            if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > overflow:
+            w = signal.value(k)
+            # a non-finite state or input is divergence, like a state past the overflow level
+            finite = np.all(np.isfinite(states[k])) and np.all(np.isfinite(w))
+            nxt = self.evaluate(states[k], w) if finite else None
+            if nxt is None or not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > overflow:
                 diverged = True
                 first_bad = k + 1
                 states = states[:k + 1]

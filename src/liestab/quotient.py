@@ -137,9 +137,8 @@ def quotient_algebra(ctx: QuotientContext, check_ideal: bool = True) -> LieAlgeb
     """
     if check_ideal and not is_ideal(ctx.algebra, ctx.ideal):
         raise ValueError("cannot form a quotient algebra: subspace is not an ideal")
-    q = ctx.quotient_dim
-    Cq = np.einsum("ai,bj,ijk,ck->abc", ctx.iota.T, ctx.iota.T, ctx.algebra.C, ctx.P)
-    labels = [f"q{i+1}" for i in range(q)]
+    Cq = ctx.algebra.bracket_many(ctx.iota.T[:, None], ctx.iota.T[None]) @ ctx.P.T
+    labels = [f"q{i+1}" for i in range(ctx.quotient_dim)]
     return LieAlgebra(Cq, labels=labels, name=f"{ctx.algebra.name}/V" if ctx.algebra.name else "")
 
 
@@ -264,13 +263,14 @@ class ChainProjections:
 
 
 def bracket_word(algebra: LieAlgebra, letters: Sequence[np.ndarray]) -> np.ndarray:
-    """Right-nested bracket [Y_1, [Y_2, [..., Y_m]...]] of concrete elements."""
+    """Right-nested bracket [Y_1, [Y_2, [..., Y_m]...]] of concrete elements, or of
+    stacks of them row by row (broadcast over leading axes); inputs are not checked."""
     letters = [np.asarray(y, dtype=float) for y in letters]
     if not letters:
         raise ValueError("a word needs at least one letter")
     w = letters[-1]
     for y in letters[-2::-1]:
-        w = algebra.bracket(y, w)
+        w = algebra.bracket_many(y, w)
     return w
 
 

@@ -20,6 +20,7 @@ import scipy.linalg
 
 from .algebra import LieAlgebra, heisenberg, is_nilpotent
 from .dynamics import ExoSignal, Term, Word, WordSeriesSystem
+from .quotient import bracket_word
 
 BCH_TABLE_ORDER = 6  # composition order kept exact on general algebras
 
@@ -233,11 +234,7 @@ def bch_compose(alg: LieAlgebra, X, Y, order: int, mu: Optional[float] = None) -
     table = bch_coefficient_table(effective)
     out = np.zeros(alg.dim)
     for word, coeff in table.items():
-        vals = [X if letter == 0 else Y for letter in word]
-        term = vals[-1]
-        for v in vals[-2::-1]:
-            term = alg.bracket(v, term)
-        out = out + float(coeff) * term
+        out = out + float(coeff) * bracket_word(alg, [X if letter == 0 else Y for letter in word])
     return out
 
 

@@ -151,15 +151,18 @@ def forcing_gain(sys: WordSeriesSystem, level: int, M: float, alpha_prev: float,
         raise RuntimeError("forcing-rate maximization not attained at (l, q) = (level, 1)")
     total = 0.0
     n, r = sys.n, sys.r
-    for l in range(2, level + 1):
-        cmax = max_by_len.get(l, 0.0)
-        if cmax == 0.0:
-            continue
-        inner = 0.0
-        for q in range(1, l + 1):
-            inner += math.comb(l, q) * n ** q * r ** (l - q) * alpha_prev ** q \
-                * M ** (q - 1) * beta ** (l - q)
-        total += cmax * mu ** (l - 1) * iota_norm ** l * inner
+    try:
+        for l in range(2, level + 1):
+            cmax = max_by_len.get(l, 0.0)
+            if cmax == 0.0:
+                continue
+            inner = 0.0
+            for q in range(1, l + 1):
+                inner += math.comb(l, q) * n ** q * r ** (l - q) * alpha_prev ** q \
+                    * M ** (q - 1) * beta ** (l - q)
+            total += cmax * mu ** (l - 1) * iota_norm ** l * inner
+    except OverflowError:  # a power past the float range: the gain saturates
+        return math.inf
     return total
 
 
@@ -226,7 +229,10 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
         and (not Lambda_levels or Lambda_levels[-1] < Lambda)
     if not ladder_ok:
         warnings_list.append("intermediate rates are not strictly increasing below Lambda")
-    consistent = lambda_levels[-1] < 1.0 and Lambda < 1.0 and ladder_ok
+    overflowed = [i for i, a in enumerate(alpha_levels, 1) if not math.isfinite(a)]
+    if overflowed:
+        warnings_list.append(f"level {overflowed[0]}: envelope constant alpha is not finite (M = {M:.6g})")
+    consistent = lambda_levels[-1] < 1.0 and Lambda < 1.0 and ladder_ok and not overflowed
     if lambda_levels[-1] >= 1.0:
         warnings_list.append(
             f"final rate lambda_p = {lambda_levels[-1]:.6g} >= 1 for epsilon = {epsilon:.6g}; "

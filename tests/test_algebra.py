@@ -1,14 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liestab.algebra as algebra_module
+import liestab.dynamics as dynamics_module
 from liestab.algebra import (AlgebraLoadError, DimensionMismatch, InvalidAlgebra,
-                             LieAlgebra, abelian, algebra_from_dict, algebra_to_dict,
+                             LieAlgebra, Subspace, abelian, algebra_from_dict, algebra_to_dict,
                              bracket_constant, catalog_algebras, derived_algebra,
                              derived_series, heisenberg, is_nilpotent, is_solvable,
-                             lower_central_series, sl2, subspace_bracket,
-                             upper_triangular6)
+                             lower_central_series, nilpotent_upper, orthonormal_basis, sl2,
+                             subspace_bracket, upper_triangular6)
+from liestab.dynamics import WordSeriesSystem
+from liestab.quotient import QuotientContext, quotient_algebra
 
 
 def span_equal(alg, sub, labels):
@@ -221,3 +227,100 @@ def test_json_roundtrip_and_errors():
                            "brackets": [{"i": "a", "j": "a", "coeffs": {"a": 1.0}}]})
     with pytest.raises(AlgebraLoadError):
         algebra_from_dict({"labels": ["a"]})
+
+
+def kernel_cases():
+    return list(catalog_algebras().values()) + [nilpotent_upper(5)]
+
+
+def test_bracket_many_matches_reference_einsum():
+    rng = np.random.default_rng(4)
+    for alg in kernel_cases():
+        def ref(x, y):
+            return np.einsum("...i,...j,ijk->...k", x, y, alg.C)
+        x, y = rng.standard_normal((2, alg.dim))
+        X, Y = rng.standard_normal((2, 7, alg.dim))
+        np.testing.assert_allclose(alg.bracket_many(x, y), ref(x, y), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(alg.bracket_many(X, Y), ref(X, Y), rtol=0, atol=1e-13)
+        pairs = alg.bracket_many(X[:, None], Y[None, :5])
+        assert pairs.shape == (7, 5, alg.dim)
+        np.testing.assert_allclose(pairs, ref(X[:, None], Y[None, :5]), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(alg.ad(x), np.einsum("i,ijk->kj", x, alg.C), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(alg.ad_many(X), np.einsum("bi,ijk->bkj", X, alg.C), rtol=0, atol=1e-13)
+
+
+def test_subspace_bracket_and_quotient_match_einsum_formulas():
+    rng = np.random.default_rng(5)
+    for alg in kernel_cases():
+        d = alg.dim
+        s1 = Subspace(rng.standard_normal((d, min(2, d))))
+        s2 = Subspace(rng.standard_normal((d, min(3, d))))
+        prods = np.einsum("ia,jb,ijk->kab", s1.onb, s2.onb, alg.C).reshape(d, -1)
+        old = Subspace(orthonormal_basis(prods), already_orthonormal=True)
+        new = subspace_bracket(alg, s1, s2)
+        assert new.dim == old.dim
+        np.testing.assert_allclose(new.projector(), old.projector(), rtol=0, atol=1e-13)
+        for ideal in derived_series(alg).ideals[1:] + lower_central_series(alg).ideals[1:]:
+            ctx = QuotientContext(alg, ideal)
+            old_C = np.einsum("ai,bj,ijk,ck->abc", ctx.iota.T, ctx.iota.T, alg.C, ctx.P)
+            np.testing.assert_allclose(quotient_algebra(ctx).C, old_C, rtol=0, atol=1e-13)
+
+
+def test_jacobi_residual_matches_einsum_formula():
+    rng = np.random.default_rng(6)
+    C = rng.standard_normal((5, 5, 5))
+    C = C - C.transpose(1, 0, 2)  # antisymmetric, but not a Lie algebra
+    t1 = np.einsum("ijl,lkm->ijkm", C, C)
+    ref = np.max(np.abs(t1 + np.transpose(t1, (1, 2, 0, 3)) + np.transpose(t1, (2, 0, 1, 3))))
+    with pytest.raises(InvalidAlgebra, match=re.escape(f"max residual {ref:.3e}")):
+        LieAlgebra(C)
+
+
+def test_nilpotent_upper_nilindex():
+    for m in range(3, 8):
+        alg = nilpotent_upper(m)
+        assert alg.dim == m * (m - 1) // 2
+        assert alg.rep_residual() == 0.0
+        assert is_nilpotent(alg) == (True, m - 1)
+        assert is_solvable(alg)[0]
+
+
+def test_invariants_computed_once(monkeypatch):
+    calls = {"subspace_bracket": 0, "lower_central_series": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(algebra_module, "subspace_bracket")
+    for module in (algebra_module, dynamics_module):
+        counting(module, "lower_central_series")
+    alg = nilpotent_upper(5)
+    first = (is_nilpotent(alg), is_solvable(alg), derived_algebra(alg))
+    done = calls["subspace_bracket"]
+    assert done > 0
+    again = (is_nilpotent(alg), is_solvable(alg), derived_algebra(alg))
+    assert calls["subspace_bracket"] == done
+    assert again[:2] == first[:2] and again[2] is first[2]
+    # building a system runs the lower central series once; the whole
+    # algebra's series is cached on it, so a second system reuses it
+    n4, ut = nilpotent_upper(4), upper_triangular6()
+    for alg, start, p in ((n4, None, 3), (ut, derived_algebra(ut), 2)):
+        calls["lower_central_series"] = 0
+        assert WordSeriesSystem(alg, 1, 1, 0.5 * np.eye(alg.dim), invariance_ideal=start).nilindex == p
+        assert calls["lower_central_series"] == 1
+    calls["lower_central_series"] = 0
+    WordSeriesSystem(n4, 1, 1, 0.5 * np.eye(n4.dim))
+    assert calls["lower_central_series"] == 0
+
+
+def test_structure_constants_read_only():
+    C = heisenberg().C.copy()
+    alg = LieAlgebra(C)
+    with pytest.raises(ValueError):
+        alg.C[0, 1, 2] = 5.0
+    C[0, 1, 2] = -1.0  # the caller's array stays writable: the algebra holds a copy

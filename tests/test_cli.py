@@ -93,6 +93,27 @@ def test_exit_codes(tmp_path):
     assert json.loads((out / "certificate-hot.json").read_text())["verdict"] == "rejected"
 
 
+def test_overflow_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    # the reference signal 2^k w0 of example-4.1 leaves the float range at k = 1024
+    assert run(["simulate", "--builtin", "example-4.1", "--horizon", "1200",
+                "--out", str(out)]) == 3
+    assert capsys.readouterr().out.strip() == "[FAIL] simulation diverged at step 1024"
+    traj = json.loads((out / "trajectory-example-4.1.json").read_text())
+    assert traj["diverged"] and traj["first_bad_index"] == 1024
+    # an envelope constant past the float range is a numeric overflow, not a certificate
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({
+        "name": "huge", "algebra": "heisenberg", "n": 1, "r": 1,
+        "A": (0.1 * np.eye(3)).tolist(), "terms": [{"letters": ["X1", "W1"], "coeff": [4.0]}],
+        "signal": {"kind": "geometric", "base": [1.0, 2.0, 3.0], "ratio": 1.0},
+        "x0": [1.0, 0.0, 0.0], "M": 1e308, "route": "nilpotent"}))
+    assert run(["certify", "--scenario", str(huge), "--out", str(out)]) == 3
+    cert = json.loads((out / "certificate-huge.json").read_text())
+    assert cert["verdict"] == "overflow" and not cert["consistent"]
+    assert cert["alpha"] == float("inf")
+
+
 def test_threads_env_validation(tmp_path, monkeypatch):
     monkeypatch.setenv("LIESTAB_THREADS", "zero")
     assert run(["check", "--builtin", "example-4.1", "--out", str(tmp_path)]) == 2

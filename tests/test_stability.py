@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from liestab.algebra import abelian, heisenberg
+from liestab.algebra import abelian, heisenberg, nilpotent_upper
 from liestab.dynamics import ExoSignal, Term, Trajectory, Word, WordSeriesSystem
 from liestab.sampling import heisenberg_tracking_system, tracking_signal, tracking_state
 from liestab.scenarios import (builtin_scenario, ex61_signal, ex61_system,
@@ -116,6 +116,26 @@ def test_certificate_rejections():
     # non-nilpotent algebra or a proper ideal is a hypothesis error
     with pytest.raises(HypothesisError):
         certify_nilpotent(ex61_system(), ex61_signal(10), M=1.0)
+
+
+def test_certificate_overflow_is_inconsistent_not_an_error():
+    # nilpotent_upper(4) with M = 1e200: M^2 in the level-3 gain leaves the float range
+    alg = nilpotent_upper(4)
+    terms = [Term(Word((("X", 1), ("W", 1))), np.array([0.1])),
+             Term(Word((("X", 1), ("X", 1), ("W", 1))), np.array([-0.05]))]
+    sys_ = WordSeriesSystem(alg, 1, 1, 0.5 * np.eye(alg.dim), terms=terms)
+    signal = ExoSignal("samples", 1, alg.dim, samples=0.05 * np.ones((4, alg.dim)))
+    assert forcing_gain(sys_, 3, M=1e200, alpha_prev=2.0, beta=0.1, s=1.0,
+                        lambda_prev=0.6) == math.inf
+    cert = certify_nilpotent(sys_, signal, M=1e200)
+    assert cert.alpha == math.inf and not cert.consistent
+    assert any("alpha is not finite" in w for w in cert.warnings)
+    # example-4.1 with M = 1e308: the level-2 product overflows to inf
+    sc = builtin_scenario("example-4.1")
+    cert = certify_nilpotent(sc.system, sc.signal, M=1e308)
+    assert cert.alpha == math.inf and math.isfinite(cert.alpha_levels[0])
+    assert not cert.consistent
+    assert any("level 2: envelope constant alpha is not finite" in w for w in cert.warnings)
 
 
 def test_epsilon_override_warns_when_ladder_breaks():

@@ -9,15 +9,13 @@ a builtin), deadbeat (finite-time horizon plus verification).
 
 Exit codes: 0 pass, 1 hypothesis/certificate failure, 2 input error,
 3 numeric divergence or overflow.  Identical configuration and seed produce
-byte-identical output files.  LIESTAB_THREADS caps internal batch
-parallelism (evaluation is vectorized in-process; values >= 1 are accepted).
+byte-identical output files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -198,15 +196,6 @@ def cmd_deadbeat(sc: Scenario, outdir: Path, seed: int, tols: dict) -> int:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("LIESTAB_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                print("LIESTAB_THREADS must be >= 1", file=sys.stderr)
-                return EXIT_INPUT
-        except ValueError:
-            print("LIESTAB_THREADS must be an integer", file=sys.stderr)
-            return EXIT_INPUT
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

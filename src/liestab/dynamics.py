@@ -181,7 +181,7 @@ class ExoSignal:
             return max(self.slot_norm(s) for s in self.samples), 1.0
         return self.slot_norm(self.base), max(self.ratio, 1.0)
 
-    def max_ideal_residual(self, ideal: Subspace, k_max: int = 0) -> float:
+    def max_ideal_residual(self, ideal: Subspace) -> float:
         """Largest distance of any sample slot from the ideal."""
         if self.kind == "zero":
             return 0.0
@@ -223,27 +223,32 @@ def stack_slots(slots: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.asarray(s, dtype=float).reshape(-1) for s in slots])
 
 
-def _expm_batch(mats: np.ndarray) -> np.ndarray:
-    """Exponentials of a (B, d, d) stack via scaling-squaring Taylor.
+def _expm1_batch(mats: np.ndarray) -> np.ndarray:
+    """e^M - I for each matrix of a (..., d, d) stack, by scaling and squaring.
 
-    Accuracy target ~1e-14 after scaling every matrix below norm 1/2; small d
-    only, used for vectorized evaluation over many states at once.
+    One scaling 2^-s brings the largest induced 1-norm theta of the stack to
+    at most 1/2; Taylor terms are added while the bound theta^(j+1)/(j+1)! on
+    the next one exceeds 2^-53 theta, which keeps every row's relative error
+    near rounding level, and E <- E (E + 2I) undoes the scaling.  A row that
+    is not finite or would need more than 60 squarings gives NaN and leaves
+    the scaling of the other rows alone.
     """
     mats = np.asarray(mats, dtype=float)
-    B, d, _ = mats.shape
-    norms = np.linalg.norm(mats, axis=(1, 2))
-    s = np.maximum(0, np.ceil(np.log2(np.maximum(norms, 1e-300) / 0.5))).astype(int)
-    s = np.minimum(s, 60)
-    scaled = mats / (2.0 ** s)[:, None, None]
-    out = np.broadcast_to(np.eye(d), (B, d, d)).copy()
-    term = np.broadcast_to(np.eye(d), (B, d, d)).copy()
-    for j in range(1, 18):
-        term = np.matmul(term, scaled) / j
-        out += term
-    smax = int(s.max(initial=0))
-    for step in range(smax):
-        active = s > step
-        out[active] = np.matmul(out[active], out[active])
+    norms = np.abs(mats).sum(axis=-2).max(axis=-1)
+    ok = norms <= 2.0 ** 59  # False for inf and NaN too
+    theta = float(norms.max(initial=0.0, where=ok))
+    s = math.ceil(math.log2(theta)) + 1 if theta > 0.5 else 0
+    scaled = np.where(ok[..., None, None], mats, np.nan) * 2.0 ** -s
+    theta *= 2.0 ** -s
+    term = out = scaled
+    j = 1
+    while theta ** j / math.factorial(j + 1) > 2.0 ** -53:
+        j += 1
+        term = term @ scaled / j
+        out = out + term
+    eye2 = 2.0 * np.eye(mats.shape[-1])
+    for _ in range(s):
+        out = out @ (out + eye2)
     return out
 
 
@@ -346,17 +351,17 @@ class WordSeriesSystem:
     def evaluate_batch(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Vectorized update map over a (B, n*d) batch of states.
 
-        W is either one stacked input shared by the batch or a (B, r*d)
-        stack.  Matches ``evaluate`` to floating-point accuracy ~1e-13.
+        W is either one stacked input shared by the batch, kept as a single
+        row so that flows whose base holds only input letters are computed
+        once, or a (B, r*d) stack.  Families with the same base share one
+        flow, taken as e^{ad_base} - I and applied to the target directly.
+        Matches ``evaluate`` to floating-point accuracy ~1e-13.
         """
         X = np.asarray(X, dtype=float)
         B = X.shape[0]
-        W = np.asarray(W, dtype=float)
-        if W.ndim == 1:
-            W = np.broadcast_to(W, (B, W.shape[0]))
         Xs = X.reshape(B, self.n, self.d)
-        Ws = W.reshape(B, self.r, self.d)
-        out = (X @ self.A.T).reshape(B, self.n, self.d).copy()
+        Ws = np.asarray(W, dtype=float).reshape(-1, self.r, self.d)
+        out = (X @ self.A.T).reshape(B, self.n, self.d)
 
         def letter_vals(letter: Letter) -> np.ndarray:
             kind, j = letter
@@ -365,14 +370,13 @@ class WordSeriesSystem:
         for t in self.terms:
             w = bracket_word(self.algebra, [letter_vals(l) for l in t.word.letters])
             out += t.coeff[np.newaxis, :, np.newaxis] * w[:, np.newaxis, :]
+        flows = {}
         for f in self.families:
-            base = np.zeros((B, self.d))
-            for letter, wgt in f.base.items():
-                base += wgt * letter_vals(letter)
-            flows = _expm_batch(self.algebra.ad_many(base))
-            target = letter_vals(f.target)
-            vals = f.scale * ((flows @ target[..., None])[..., 0] - target)
-            out[:, f.out_slot - 1, :] += vals
+            key = tuple(sorted(f.base.items()))
+            if key not in flows:
+                base = sum(wgt * letter_vals(letter) for letter, wgt in key)
+                flows[key] = _expm1_batch(self.algebra.ad_many(base))
+            out[:, f.out_slot - 1, :] += f.scale * (flows[key] @ letter_vals(f.target)[..., None])[..., 0]
         return out.reshape(B, -1)
 
     def simulate(self, X0, signal: ExoSignal, k_max: int,

@@ -114,16 +114,6 @@ def test_overflow_exits_3(tmp_path, capsys):
     assert cert["alpha"] == float("inf")
 
 
-def test_threads_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("LIESTAB_THREADS", "zero")
-    assert run(["check", "--builtin", "example-4.1", "--out", str(tmp_path)]) == 2
-    monkeypatch.setenv("LIESTAB_THREADS", "0")
-    assert run(["check", "--builtin", "example-4.1", "--out", str(tmp_path)]) == 2
-    monkeypatch.setenv("LIESTAB_THREADS", "2")
-    assert run(["simulate", "--builtin", "heisenberg-deadbeat",
-                "--out", str(tmp_path)]) == 0
-
-
 def test_scenario_file_roundtrip(tmp_path):
     scn = {
         "name": "custom",

@@ -1,10 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 
 from liestab.algebra import abelian, derived_algebra, heisenberg, upper_triangular6
 from liestab.dynamics import (AdjointFamily, CutoffTooSmall, ExoSignal,
                               SystemSpecError, Term, Word, WordSeriesSystem,
-                              parse_letter)
+                              _expm1_batch, parse_letter)
 from liestab.quotient import InvarianceViolation
 from liestab.sampling import (expm, heisenberg_tracking_system, tracking_signal,
                               tracking_state)
@@ -60,12 +61,64 @@ def test_eval_zero_state_and_linear():
 
 def test_eval_batch_matches_serial():
     rng = np.random.default_rng(2)
-    for sys_ in (heisenberg_tracking_system(), ex61_system()):
+    alg = upper_triangular6()
+    shared = WordSeriesSystem(alg, 2, 2, 0.1 * rng.standard_normal((12, 12)), families=[
+        AdjointFamily(1, 0.5, {"X1": 1.0, "W1": 2.0}, "X2"),
+        AdjointFamily(2, -0.3, {"W1": 2.0, "X1": 1.0}, "X1"),  # same base as the first
+        AdjointFamily(2, 0.4, {"X1": 1.0, "W1": -1.0}, "X2"),  # same letters, other weights
+        AdjointFamily(1, 0.7, {"W1": 1.0, "W2": -0.5}, "W2"),  # input letters only
+    ], invariance_ideal=derived_algebra(alg))
+    for sys_ in (heisenberg_tracking_system(), ex61_system(), heisenberg_deadbeat_system(),
+                 uptri_deadbeat_system(), shared):
         X = rng.standard_normal((9, sys_.state_dim))
         W = rng.standard_normal((9, sys_.r * sys_.d))
         batch = sys_.evaluate_batch(X, W)
+        one_input = sys_.evaluate_batch(X, W[0])
         for i in range(9):
             np.testing.assert_allclose(batch[i], sys_.evaluate(X[i], W[i]), atol=1e-12)
+            np.testing.assert_allclose(one_input[i], sys_.evaluate(X[i], W[0]), atol=1e-12)
+
+
+def _random_with_norms(rng, norms, d=6):
+    mats = rng.standard_normal((len(norms), d, d))
+    return mats * (np.asarray(norms) / np.abs(mats).sum(axis=1).max(axis=1))[:, None, None]
+
+
+def test_expm1_batch_matches_mpmath():
+    mats = _random_with_norms(np.random.default_rng(7), [1e-12, 1e-6, 0.3, 2.0, 40.0, 300.0])
+    for M, E in zip(mats, _expm1_batch(mats)):
+        with mpmath.workdps(50):
+            ref = np.array((mpmath.expm(mpmath.matrix(M.tolist())) - mpmath.eye(6)).tolist(),
+                           dtype=float)
+        # in the mixed batch the largest norm sets the degree; alone, the row's own norm does
+        for got in (E, _expm1_batch(M[None])[0]):
+            assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-13
+    mixed = np.concatenate([np.zeros((2, 6, 6)), mats])
+    assert np.all(_expm1_batch(mixed)[:2] == 0.0)
+    assert np.all(_expm1_batch(np.zeros((3, 4, 4))) == 0.0)
+    assert _expm1_batch(np.zeros((0, 6, 6))).shape == (0, 6, 6)
+
+
+def test_expm1_batch_nonfinite_rows():
+    # a row that cannot be scaled gives a non-finite flow and leaves the others alone
+    rng = np.random.default_rng(8)
+    mats = _random_with_norms(rng, [1e-9, 0.2, 3.0, 50.0])
+    sys61 = ex61_system()
+    X = rng.standard_normal((4, sys61.state_dim))
+    W = rng.standard_normal(sys61.r * sys61.d)
+    keep = [0, 1, 3]
+    for bad in (np.inf, -np.inf, np.nan, 1e300):
+        m = mats.copy()
+        m[2, 1, 4] = bad
+        out = _expm1_batch(m)
+        assert not np.isfinite(out[2]).any()
+        np.testing.assert_array_equal(out[keep], _expm1_batch(m[keep]))
+        x = X.copy()
+        x[2, 3] = bad
+        with np.errstate(invalid="ignore"):  # the linear part A x meets inf * 0
+            fx = sys61.evaluate_batch(x, W)
+        assert not np.isfinite(fx[2]).all()
+        np.testing.assert_array_equal(fx[keep], sys61.evaluate_batch(x[keep], W))
 
 
 def test_eval_multilinearity():

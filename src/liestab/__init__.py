@@ -6,7 +6,7 @@ from .algebra import (LieAlgebra, Subspace, IdealChain, DimensionMismatch,
                       is_solvable, is_nilpotent, bracket_constant,
                       algebra_from_dict, algebra_to_dict, load_algebra,
                       heisenberg, upper_triangular6, abelian, sl2, nilpotent_upper, catalog_algebras)
-from .quotient import (QuotientContext, make_quotient, induced_map, quotient_algebra,
+from .quotient import (QuotientContext, induced_map, quotient_algebra,
                        InvarianceViolation, AdaptedNorm, adapted_norm,
                        ChainProjections, bracket_word, central_word_residual,
                        layered_word_residual, collapse_identity_residual, is_ideal)
@@ -18,7 +18,7 @@ from .stability import (NilpotentCertificate, DeadbeatCertificate, EnvelopeFit,
                         certify_nilpotent, certify_solvable, deadbeat_horizon,
                         deadbeat_verified, deadbeat_envelope, fit_envelope,
                         forcing_gain, forcing_norms, spectral_radius,
-                        convergence_radius, roottest_radius, limsup_root_of_masses,
+                        roottest_radius, limsup_root_of_masses,
                         power_envelope_constant, probe_amplitude)
 from .sampling import (expm, logm, GroupElement, PrincipalLogUndefined,
                        step_invariant, bch_compose, bch_coefficient_table,

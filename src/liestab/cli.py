@@ -23,7 +23,6 @@ import numpy as np
 
 from . import stability
 from .algebra import is_nilpotent, is_solvable
-from .dynamics import ExoSignal
 from .scenarios import (BUILTINS, Scenario, ScenarioError, builtin_scenario,
                         load_scenario, write_trajectory_csv, write_trajectory_json)
 

@@ -9,23 +9,27 @@ W_j, plus optional adjoint-flow families contributing the bracket part of
 scale * e^{ad_base}(target).  The linear part of a family (its l = 0 term)
 belongs in A, not in the family.
 
+There is one update map, ``evaluate`` being a batch of one of
+``evaluate_batch``: each family flow is e^{ad_base} - I from ``_expm1_batch``,
+applied to the target directly, and the single-row flows of a call share one
+kernel call.  Maps act on stacked vectors slot by slot (``_slotwise``).
+
 The default norm on stacked states is the sum of per-slot Euclidean norms;
-``norm_mode="flat"`` switches to the Euclidean norm of the full stack.
+``state_norm(X, mode="flat")`` is the Euclidean norm of the full stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import (LieAlgebra, Subspace, IdealChain, derived_algebra,
-                      is_nilpotent, lower_central_series, bracket_constant)
+from .algebra import (LieAlgebra, Subspace, derived_algebra, is_nilpotent,
+                      lower_central_series, bracket_constant)
 from .quotient import (ChainProjections, InvarianceViolation, QuotientContext,
-                       bracket_word, induced_map, quotient_algebra)
+                       bracket_word, quotient_algebra)
 
 Letter = tuple  # ("X", j) or ("W", j), 1-based slots
 
@@ -130,19 +134,16 @@ class ExoSignal:
     """Exogenous input sequence W[k] stacked into R^{r d}.
 
     kinds: "zero"; "samples" (explicit list, repeated cyclically past the
-    end); "geometric" (W[k] = ratio^k * base).  ``ideal_flag`` asserts that
-    every sample lies in h^r for the system's invariance ideal; it is
-    verified, not trusted, by consumers.
+    end); "geometric" (W[k] = ratio^k * base).
     """
 
     def __init__(self, kind: str, r: int, d: int, samples=None, base=None,
-                 ratio: float = 1.0, ideal_flag: bool = False):
+                 ratio: float = 1.0):
         if kind not in ("zero", "samples", "geometric"):
             raise SystemSpecError(f"unknown signal kind {kind!r}")
         self.kind = kind
         self.r = r
         self.d = d
-        self.ideal_flag = ideal_flag
         self.ratio = float(ratio)
         if kind == "samples":
             arr = np.asarray(samples, dtype=float)
@@ -160,7 +161,7 @@ class ExoSignal:
 
     @classmethod
     def zero(cls, r: int, d: int) -> "ExoSignal":
-        return cls("zero", r, d, ideal_flag=True)
+        return cls("zero", r, d)
 
     def value(self, k: int) -> np.ndarray:
         if self.kind == "zero":
@@ -185,25 +186,20 @@ class ExoSignal:
         """Largest distance of any sample slot from the ideal."""
         if self.kind == "zero":
             return 0.0
-        if self.kind == "samples":
-            vals = self.samples
-        else:
-            vals = self.base[np.newaxis, :]
+        vals = self.samples if self.kind == "samples" else self.base[np.newaxis, :]
         worst = 0.0
-        for v in vals:
-            for slot in v.reshape(self.r, self.d):
-                worst = max(worst, ideal.distance(slot))
+        for slot in vals.reshape(len(vals) * self.r, self.d):
+            worst = max(worst, ideal.distance(slot))
         return worst
 
     def projected(self, P: np.ndarray) -> "ExoSignal":
-        lift = np.kron(np.eye(self.r), P)
         if self.kind == "zero":
             return ExoSignal.zero(self.r, P.shape[0])
         if self.kind == "samples":
             return ExoSignal("samples", self.r, P.shape[0],
-                             samples=self.samples @ lift.T, ideal_flag=False)
-        return ExoSignal("geometric", self.r, P.shape[0], base=lift @ self.base,
-                         ratio=self.ratio, ideal_flag=False)
+                             samples=_slotwise(P, self.samples, self.r))
+        return ExoSignal("geometric", self.r, P.shape[0],
+                         base=_slotwise(P, self.base, self.r), ratio=self.ratio)
 
 
 @dataclass
@@ -223,6 +219,21 @@ def stack_slots(slots: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.asarray(s, dtype=float).reshape(-1) for s in slots])
 
 
+def _slotwise(M: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
+    """M on each of the k slots of the last axis of X, i.e. X @ kron(I_k, M).T.
+
+    kron(I, M) @ Y is ``_slotwise(M, Y.T, k).T``; Y @ kron(I, M) is ``_slotwise(M.T, Y, k)``.
+    """
+    X = np.asarray(X, dtype=float)
+    lead = X.shape[:-1]
+    return (X.reshape(*lead, k, M.shape[1]) @ M.T).reshape(*lead, k * M.shape[0])
+
+
+def _min_singular(M: np.ndarray) -> float:
+    """Smallest singular value of a square matrix; inf for a 0 x 0 matrix."""
+    return float(np.linalg.svd(M, compute_uv=False).min(initial=np.inf))
+
+
 def _expm1_batch(mats: np.ndarray) -> np.ndarray:
     """e^M - I for each matrix of a (..., d, d) stack, by scaling and squaring.
 
@@ -234,7 +245,7 @@ def _expm1_batch(mats: np.ndarray) -> np.ndarray:
     the scaling of the other rows alone.
     """
     mats = np.asarray(mats, dtype=float)
-    norms = np.abs(mats).sum(axis=-2).max(axis=-1)
+    norms = np.abs(mats).sum(axis=-2).max(axis=-1, initial=0.0)
     ok = norms <= 2.0 ** 59  # False for inf and NaN too
     theta = float(norms.max(initial=0.0, where=ok))
     s = math.ceil(math.log2(theta)) + 1 if theta > 0.5 else 0
@@ -321,46 +332,31 @@ class WordSeriesSystem:
         kind, j = letter
         return Xs[j - 1] if kind == "X" else Ws[j - 1]
 
-    def _family_base_value(self, fam: AdjointFamily, Xs, Ws) -> np.ndarray:
-        out = np.zeros(self.d)
-        for letter, w in fam.base.items():
-            out += w * self._letter_value(letter, Xs, Ws)
-        return out
-
     # -- evaluation and simulation ------------------------------------------
 
     def evaluate(self, X, W) -> np.ndarray:
-        """One step of the update map."""
+        """One step of the update map: the batch of one of ``evaluate_batch``."""
         X = np.asarray(X, dtype=float).reshape(-1)
         W = np.asarray(W, dtype=float).reshape(-1)
         if X.shape != (self.state_dim,) or W.shape != (self.r * self.d,):
             raise SystemSpecError("state/input stack has wrong length")
-        Xs = X.reshape(self.n, self.d)
-        Ws = W.reshape(self.r, self.d)
-        out = (self.A @ X).reshape(self.n, self.d).copy()
-        for t in self.terms:
-            vals = [self._letter_value(l, Xs, Ws) for l in t.word.letters]
-            out += np.outer(t.coeff, bracket_word(self.algebra, vals))
-        for f in self.families:
-            base = self._family_base_value(f, Xs, Ws)
-            target = self._letter_value(f.target, Xs, Ws)
-            flow = scipy.linalg.expm(self.algebra.ad_many(base))
-            out[f.out_slot - 1] += f.scale * (flow @ target - target)
-        return out.reshape(-1)
+        return self._update(X[None], W)[0]
 
     def evaluate_batch(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Vectorized update map over a (B, n*d) batch of states.
+        """The update map over a (B, n*d) batch of states.
 
         W is either one stacked input shared by the batch, kept as a single
         row so that flows whose base holds only input letters are computed
         once, or a (B, r*d) stack.  Families with the same base share one
-        flow, taken as e^{ad_base} - I and applied to the target directly.
-        Matches ``evaluate`` to floating-point accuracy ~1e-13.
+        flow, taken as e^{ad_base} - I and applied to the target directly;
+        the single-row flows of a call share one kernel call.
         """
-        X = np.asarray(X, dtype=float)
+        return self._update(np.asarray(X, dtype=float), np.asarray(W, dtype=float))
+
+    def _update(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
         B = X.shape[0]
         Xs = X.reshape(B, self.n, self.d)
-        Ws = np.asarray(W, dtype=float).reshape(-1, self.r, self.d)
+        Ws = W.reshape(W.shape[0] if W.ndim > 1 else 1, self.r, self.d)
         out = (X @ self.A.T).reshape(B, self.n, self.d)
 
         def letter_vals(letter: Letter) -> np.ndarray:
@@ -370,12 +366,19 @@ class WordSeriesSystem:
         for t in self.terms:
             w = bracket_word(self.algebra, [letter_vals(l) for l in t.word.letters])
             out += t.coeff[np.newaxis, :, np.newaxis] * w[:, np.newaxis, :]
-        flows = {}
-        for f in self.families:
-            key = tuple(sorted(f.base.items()))
-            if key not in flows:
-                base = sum(wgt * letter_vals(letter) for letter, wgt in key)
-                flows[key] = _expm1_batch(self.algebra.ad_many(base))
+        keys = [tuple(sorted(f.base.items())) for f in self.families]
+        ads = {key: self.algebra.ad_many(sum(wgt * letter_vals(l) for l, wgt in key))
+               for key in dict.fromkeys(keys)}
+        # On one row the kernel cost is nearly all Python overhead, so the single-row
+        # flows (every flow of a scalar step, the input-only flows under a shared W)
+        # share one call.  A multi-row flow keeps its own: stacked with another base
+        # its rows would take the Taylor degree of the larger norm (the tiny X2 rows
+        # behind the O(1) X1 + W1 rows of the example-6.1 equilibrium search).
+        single = [key for key, ad in ads.items() if ad.shape[0] == 1]
+        flows = {key: _expm1_batch(ad) for key, ad in ads.items() if ad.shape[0] != 1}
+        if single:
+            flows.update(zip(single, _expm1_batch(np.concatenate([ads[k] for k in single]))[:, None]))
+        for f, key in zip(self.families, keys):
             out[:, f.out_slot - 1, :] += f.scale * (flows[key] @ letter_vals(f.target)[..., None])[..., 0]
         return out.reshape(B, -1)
 
@@ -383,30 +386,24 @@ class WordSeriesSystem:
                  overflow: float = 1e100) -> Trajectory:
         if k_max < 0:
             raise SystemSpecError("horizon must be nonnegative")
-        X0 = np.asarray(X0, dtype=float).reshape(-1)
         states = np.zeros((k_max + 1, self.state_dim))
-        states[0] = X0
-        diverged = False
+        states[0] = np.asarray(X0, dtype=float).reshape(-1)
         first_bad = None
         for k in range(k_max):
             w = signal.value(k)
             # a non-finite state or input is divergence, like a state past the overflow level
             finite = np.all(np.isfinite(states[k])) and np.all(np.isfinite(w))
             nxt = self.evaluate(states[k], w) if finite else None
-            if nxt is None or not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > overflow:
-                diverged = True
+            if nxt is None or not np.all(np.isfinite(nxt)) or np.abs(nxt).max(initial=0.0) > overflow:
                 first_bad = k + 1
                 states = states[:k + 1]
                 break
             states[k + 1] = nxt
-        norms = np.array([self.state_norm(x) for x in states])
-        qnorms = np.zeros((states.shape[0], len(self.projections)))
-        for i, ctx in enumerate(self.projections.contexts):
-            lift = np.kron(np.eye(self.n), ctx.P)
-            proj = states @ lift.T
-            qnorms[:, i] = [float(np.linalg.norm(row.reshape(self.n, -1), axis=1).sum())
-                            for row in proj]
-        return Trajectory(states, norms, qnorms, diverged=diverged, first_bad_index=first_bad)
+        slots = states.reshape(states.shape[0], self.n, self.d)
+        norms = np.linalg.norm(slots, axis=2).sum(axis=1)
+        qnorms = np.stack([np.linalg.norm(slots @ ctx.P.T, axis=2).sum(axis=1)
+                           for ctx in self.projections.contexts], axis=1)
+        return Trajectory(states, norms, qnorms, diverged=first_bad is not None, first_bad_index=first_bad)
 
     # -- family expansion and the convergence majorant -----------------------
 
@@ -498,6 +495,18 @@ class WordSeriesSystem:
 
     # -- structural and numerical checks -------------------------------------
 
+    def _off_ideal(self, sub: Subspace, Y: np.ndarray) -> np.ndarray:
+        """Stacked vectors (last axis) minus their slot-wise projection onto sub."""
+        return Y - _slotwise(sub.onb, _slotwise(sub.onb.T, Y, self.n), self.n)
+
+    def _linear_invariance_residual(self, sub: Subspace) -> float:
+        """|| A B - B B^T A B || with B = kron(I_n, onb): how far A moves sub^n off itself."""
+        return float(np.linalg.norm(self._off_ideal(sub, _slotwise(sub.onb.T, self.A, self.n).T)))
+
+    def _quotient_linear_part(self, ctx: QuotientContext) -> np.ndarray:
+        """kron(I_n, P) A kron(I_n, iota): the linear part induced on ctx's quotient."""
+        return _slotwise(ctx.P, _slotwise(ctx.iota.T, self.A, self.n).T, self.n).T
+
     def structural_state_letter_ok(self) -> bool:
         """Every stored word and every family word contains a state letter."""
         return (all(t.word.state_letter_count >= 1 for t in self.terms)
@@ -515,15 +524,13 @@ class WordSeriesSystem:
                 levels.append({"level": idx + 1, "dim": 0, "linear_residual": 0.0,
                                "nonlinear_residual": 0.0})
                 continue
-            B = np.kron(np.eye(self.n), sub.onb)
-            img = self.A @ B
-            lin = float(np.linalg.norm(img - B @ (B.T @ img)))
+            lin = self._linear_invariance_residual(sub)
             nl = 0.0
             for _ in range(nonlinear_samples):
-                x = B @ rng.standard_normal(B.shape[1])
+                x = _slotwise(sub.onb, rng.standard_normal(self.n * sub.dim), self.n)
                 w = rng.standard_normal(self.r * self.d)
                 y = self.evaluate(x, w)
-                nl = max(nl, float(np.linalg.norm(y - B @ (B.T @ y))) / max(1.0, float(np.linalg.norm(y))))
+                nl = max(nl, float(np.linalg.norm(self._off_ideal(sub, y))) / max(1.0, float(np.linalg.norm(y))))
             levels.append({"level": idx + 1, "dim": sub.dim, "linear_residual": lin,
                            "nonlinear_residual": nl})
             ok = ok and lin < tol * scale and nl < max(tol, 1e-9)
@@ -541,16 +548,9 @@ class WordSeriesSystem:
         """
         rng = np.random.default_rng(seed)
         structural = self.structural_state_letter_ok()
-        eye = np.eye(self.state_dim)
-        lin_margin = float(np.linalg.svd(eye - self.A, compute_uv=False)[-1])
-        ctx0 = self.projections[0]
-        P0 = np.kron(np.eye(self.n), ctx0.P)
-        iota0 = np.kron(np.eye(self.n), ctx0.iota)
-        A0 = P0 @ self.A @ iota0
-        if A0.shape[0]:
-            q_margin = float(np.linalg.svd(np.eye(A0.shape[0]) - A0, compute_uv=False)[-1])
-        else:
-            q_margin = float("inf")
+        lin_margin = _min_singular(np.eye(self.state_dim) - self.A)
+        A0 = self._quotient_linear_part(self.projections[0])
+        q_margin = _min_singular(np.eye(A0.shape[0]) - A0)
         if w_samples is None:
             w_samples = [np.zeros(self.r * self.d),
                          rng.standard_normal(self.r * self.d) * 0.5]
@@ -561,7 +561,7 @@ class WordSeriesSystem:
             alive = np.ones(starts, dtype=bool)
             for _ in range(iters):
                 fx = self.evaluate_batch(pts[alive], w)
-                good = np.all(np.isfinite(fx), axis=1) & (np.max(np.abs(fx), axis=1) < 1e30)
+                good = np.all(np.isfinite(fx), axis=1) & (np.abs(fx).max(axis=1, initial=0.0) < 1e30)
                 idx = np.flatnonzero(alive)
                 pts[idx[good]] += damping * (fx[good] - pts[idx[good]])
                 alive[idx[~good]] = False
@@ -638,16 +638,11 @@ class WordSeriesSystem:
         """
         ctx = self.projections[level]
         sub = self.chain.ideals[level]
-        if sub.dim:
-            B = np.kron(np.eye(self.n), sub.onb)
-            img = self.A @ B
-            resid = float(np.linalg.norm(img - B @ (B.T @ img)))
-            if resid > tol * max(1.0, float(np.linalg.norm(self.A))):
-                raise InvarianceViolation(resid)
+        resid = self._linear_invariance_residual(sub)  # 0 for the zero ideal
+        if resid > tol * max(1.0, float(np.linalg.norm(self.A))):
+            raise InvarianceViolation(resid)
         qalg = quotient_algebra(ctx, check_ideal=False)
-        lift_p = np.kron(np.eye(self.n), ctx.P)
-        lift_i = np.kron(np.eye(self.n), ctx.iota)
-        Abar = lift_p @ self.A @ lift_i
+        Abar = self._quotient_linear_part(ctx)
         proj_ideal = Subspace(ctx.P @ self.ideal.onb) if self.ideal.dim else Subspace.zero(ctx.quotient_dim)
         terms = [Term(t.word, t.coeff.copy()) for t in self.terms]
         fams = [AdjointFamily(f.out_slot, f.scale,
@@ -662,15 +657,13 @@ class WordSeriesSystem:
                                   seed: int = 0, scale: float = 1.0) -> float:
         """Residual of project-then-step versus step-then-project."""
         qsys = self.quotient_system(level)
-        ctx = self.projections[level]
-        lift_px = np.kron(np.eye(self.n), ctx.P)
-        lift_pw = np.kron(np.eye(self.r), ctx.P)
+        P = self.projections[level].P
         rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(samples):
             x = rng.standard_normal(self.state_dim) * scale
             w = rng.standard_normal(self.r * self.d) * scale
-            lhs = lift_px @ self.evaluate(x, w)
-            rhs = qsys.evaluate(lift_px @ x, lift_pw @ w)
+            lhs = _slotwise(P, self.evaluate(x, w), self.n)
+            rhs = qsys.evaluate(_slotwise(P, x, self.n), _slotwise(P, w, self.r))
             worst = max(worst, float(np.linalg.norm(lhs - rhs)))
         return worst

@@ -106,10 +106,6 @@ class QuotientContext:
         return f"QuotientContext(dim {self.algebra.dim} -> {self.quotient_dim})"
 
 
-def make_quotient(algebra: LieAlgebra, ideal: Subspace) -> QuotientContext:
-    return QuotientContext(algebra, ideal)
-
-
 def induced_map(ctx: QuotientContext, A: np.ndarray, tol: float = INVARIANCE_TOL) -> np.ndarray:
     """Unique map on the quotient with Abar @ P = P @ A, for V-invariant A."""
     A = np.asarray(A, dtype=float)

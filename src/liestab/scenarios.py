@@ -17,9 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (AlgebraLoadError, LieAlgebra, Subspace, algebra_from_dict,
-                      algebra_to_dict, catalog_algebras, derived_algebra,
-                      heisenberg, upper_triangular6)
+from .algebra import (AlgebraLoadError, algebra_from_dict, catalog_algebras,
+                      derived_algebra, heisenberg, upper_triangular6)
 from .dynamics import (AdjointFamily, ExoSignal, SystemSpecError, Term, Trajectory,
                        Word, WordSeriesSystem, parse_letter)
 from . import sampling
@@ -104,7 +103,7 @@ def ex61_signal(horizon: int) -> ExoSignal:
         c2 = (2.0 - k ** 2 * 1.1 ** (-2.0 * k)) * np.cos(20.0 * k)
         samples[k + 1, 0:6] = c1 * EX61_W0
         samples[k + 1, 6:12] = c2 * EX61_W0
-    return ExoSignal("samples", r=2, d=6, samples=samples, ideal_flag=True)
+    return ExoSignal("samples", r=2, d=6, samples=samples)
 
 
 def _example_61(seed: int = 0, horizon: Optional[int] = None) -> Scenario:
@@ -155,7 +154,7 @@ def ideal_valued_samples(sys: WordSeriesSystem, count: int,
     for k in range(count):
         for j in range(sys.r):
             samples[k, j * sys.d:(j + 1) * sys.d] = B @ rng.standard_normal(B.shape[1]) * scale
-    return ExoSignal("samples", sys.r, sys.d, samples=samples, ideal_flag=True)
+    return ExoSignal("samples", sys.r, sys.d, samples=samples)
 
 
 def _heisenberg_deadbeat(seed: int = 0, horizon: Optional[int] = None) -> Scenario:
@@ -265,11 +264,9 @@ def scenario_from_dict(data: dict, seed: int = 0) -> Scenario:
             signal = ExoSignal.zero(r, d)
         elif kind == "geometric":
             signal = ExoSignal("geometric", r, d, base=sig_spec["base"],
-                               ratio=float(sig_spec.get("ratio", 1.0)),
-                               ideal_flag=bool(sig_spec.get("ideal", False)))
+                               ratio=float(sig_spec.get("ratio", 1.0)))
         elif kind == "samples":
-            signal = ExoSignal("samples", r, d, samples=np.asarray(sig_spec["samples"], dtype=float),
-                               ideal_flag=bool(sig_spec.get("ideal", False)))
+            signal = ExoSignal("samples", r, d, samples=np.asarray(sig_spec["samples"], dtype=float))
         else:
             raise ScenarioError(f"signal: unknown kind {kind!r}")
     except (KeyError, SystemSpecError) as exc:

@@ -369,10 +369,8 @@ def _scaled_signal(signal: ExoSignal, c: float) -> ExoSignal:
     if signal.kind == "zero":
         return signal
     if signal.kind == "samples":
-        return ExoSignal("samples", signal.r, signal.d, samples=c * signal.samples,
-                         ideal_flag=signal.ideal_flag)
-    return ExoSignal("geometric", signal.r, signal.d, base=c * signal.base,
-                     ratio=signal.ratio, ideal_flag=signal.ideal_flag)
+        return ExoSignal("samples", signal.r, signal.d, samples=c * signal.samples)
+    return ExoSignal("geometric", signal.r, signal.d, base=c * signal.base, ratio=signal.ratio)
 
 
 # -- deadbeat -------------------------------------------------------------------
@@ -584,16 +582,3 @@ def limsup_root_of_masses(masses: Sequence[float], exact_tail: bool = True) -> d
         return {"limsup_root": max(roots, default=0.0), "conservative": True}
     tail = roots[len(roots) // 2:]
     return {"limsup_root": max(tail), "conservative": False}
-
-
-def convergence_radius(sys: WordSeriesSystem, mu: Optional[float] = None) -> dict:
-    """Root-test convergence radius of the system's word series.
-
-    Stored term lists are finite and family coefficient masses decay
-    factorially, so the limsup contribution is exactly zero and the radius is
-    limited only by the quadratic chain construction.
-    """
-    mu = sys.mu() if mu is None else mu
-    out = roottest_radius(0.0, mu, iota0_norm=1.0)
-    out["warning"] = None
-    return out

@@ -15,9 +15,9 @@ from liestab.algebra import (abelian, bracket_constant, catalog_algebras,
                              lower_central_series, subspace_bracket,
                              upper_triangular6)
 from liestab.dynamics import Term, Word, WordSeriesSystem
-from liestab.quotient import (ChainProjections, adapted_norm, central_word_residual,
-                              collapse_identity_residual, induced_map,
-                              layered_word_residual, make_quotient)
+from liestab.quotient import (ChainProjections, QuotientContext, adapted_norm,
+                              central_word_residual, collapse_identity_residual,
+                              induced_map, layered_word_residual)
 from liestab.sampling import (GroupElement, bch_compose, expm, logm,
                               heisenberg_tracking_system, tracking_group_step,
                               tracking_signal, tracking_state)
@@ -87,7 +87,7 @@ def test_criterion_3_quotient_machinery():
     rng = np.random.default_rng(1)
     # induced-map commuting square on invariant maps
     heis = heisenberg()
-    ctx = make_quotient(heis, heis.span_labels(["h3"]))
+    ctx = QuotientContext(heis, heis.span_labels(["h3"]))
     pi = ctx.ideal.projector()
     co = np.eye(3) - pi
     for _ in range(50):

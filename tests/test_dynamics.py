@@ -1,15 +1,16 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from liestab.algebra import abelian, derived_algebra, heisenberg, upper_triangular6
 from liestab.dynamics import (AdjointFamily, CutoffTooSmall, ExoSignal,
                               SystemSpecError, Term, Word, WordSeriesSystem,
-                              _expm1_batch, parse_letter)
-from liestab.quotient import InvarianceViolation
+                              _expm1_batch, _slotwise, parse_letter)
+from liestab.quotient import InvarianceViolation, bracket_word
 from liestab.sampling import (expm, heisenberg_tracking_system, tracking_signal,
                               tracking_state)
-from liestab.scenarios import (EX61_X0, ex61_signal, ex61_system,
+from liestab.scenarios import (EX61_X0, builtin_scenario, ex61_signal, ex61_system,
                                heisenberg_deadbeat_system, uptri_deadbeat_system)
 
 
@@ -22,6 +23,26 @@ def tracking_error_step(e, w):
         -0.25 * e1 + 0.25 * e2,
         0.01 * e3 - 0.125 * (e1 ** 2 + e2 ** 2) + 1.875 * (e2 - e1) * w,
     ])
+
+
+def reference_step(sys_, X, W):
+    """F(X, W) one term at a time: ``bracket_word`` per word, scipy ``expm`` per family."""
+    Xs = X.reshape(sys_.n, sys_.d)
+    Ws = W.reshape(sys_.r, sys_.d)
+
+    def value(letter):
+        kind, j = letter
+        return Xs[j - 1] if kind == "X" else Ws[j - 1]
+
+    out = (sys_.A @ X).reshape(sys_.n, sys_.d).copy()
+    for t in sys_.terms:
+        out += np.outer(t.coeff, bracket_word(sys_.algebra, [value(l) for l in t.word.letters]))
+    for f in sys_.families:
+        base = sum(w * value(letter) for letter, w in f.base.items())
+        target = value(f.target)
+        flow = scipy.linalg.expm(sys_.algebra.ad_many(base))
+        out[f.out_slot - 1] += f.scale * (flow @ target - target)
+    return out.reshape(-1)
 
 
 def test_letter_parsing():
@@ -68,15 +89,26 @@ def test_eval_batch_matches_serial():
         AdjointFamily(2, 0.4, {"X1": 1.0, "W1": -1.0}, "X2"),  # same letters, other weights
         AdjointFamily(1, 0.7, {"W1": 1.0, "W2": -0.5}, "W2"),  # input letters only
     ], invariance_ideal=derived_algebra(alg))
+    # single-row flows share one kernel call: in a step, and for the input
+    # bases under a shared W, flows of norm ~1e-11 sit next to norm ~30
+    # (Heisenberg: e^{ad} - I = ad, so the big flow stays O(100))
+    mixed = WordSeriesSystem(heisenberg(), 2, 2, 0.1 * rng.standard_normal((6, 6)), families=[
+        AdjointFamily(1, 0.5, {"X1": 1e-11}, "X2"),
+        AdjointFamily(2, 1.0, {"W1": 30.0}, "X1"),
+        AdjointFamily(1, -2.0, {"W2": 1e-11}, "X1"),
+        AdjointFamily(2, 0.3, {"W1": 30.0}, "W2"),
+    ])
     for sys_ in (heisenberg_tracking_system(), ex61_system(), heisenberg_deadbeat_system(),
-                 uptri_deadbeat_system(), shared):
+                 uptri_deadbeat_system(), shared, mixed):
         X = rng.standard_normal((9, sys_.state_dim))
         W = rng.standard_normal((9, sys_.r * sys_.d))
         batch = sys_.evaluate_batch(X, W)
         one_input = sys_.evaluate_batch(X, W[0])
         for i in range(9):
-            np.testing.assert_allclose(batch[i], sys_.evaluate(X[i], W[i]), atol=1e-12)
-            np.testing.assert_allclose(one_input[i], sys_.evaluate(X[i], W[0]), atol=1e-12)
+            for w, got in ((W[i], batch[i]), (W[0], one_input[i])):
+                ref = reference_step(sys_, X[i], w)
+                np.testing.assert_allclose(got, ref, atol=1e-12)
+                np.testing.assert_allclose(sys_.evaluate(X[i], w), ref, atol=1e-12)
 
 
 def _random_with_norms(rng, norms, d=6):
@@ -97,6 +129,7 @@ def test_expm1_batch_matches_mpmath():
     assert np.all(_expm1_batch(mixed)[:2] == 0.0)
     assert np.all(_expm1_batch(np.zeros((3, 4, 4))) == 0.0)
     assert _expm1_batch(np.zeros((0, 6, 6))).shape == (0, 6, 6)
+    assert _expm1_batch(np.zeros((2, 0, 0))).shape == (2, 0, 0)
 
 
 def test_expm1_batch_nonfinite_rows():
@@ -135,6 +168,24 @@ def test_eval_multilinearity():
                                    c * base_word, atol=1e-12)
         np.testing.assert_allclose(sys_.evaluate(x, c * w) - sys_.A @ x,
                                    c * base_word, atol=1e-12)
+
+
+def test_zero_dimensional_system():
+    # example-4.1 modulo its whole (nilpotent) ideal: quotient dimension 0
+    sc = builtin_scenario("example-4.1")
+    q = sc.system.quotient_system(0)
+    assert q.d == 0 and q.state_dim == 0
+    assert q.evaluate(np.zeros(0), np.zeros(0)).shape == (0,)
+    assert q.evaluate_batch(np.zeros((4, 0)), np.zeros(0)).shape == (4, 0)
+    assert q.evaluate_batch(np.zeros((4, 0)), np.zeros((4, 0))).shape == (4, 0)
+    traj = q.simulate(np.zeros(0), sc.signal.projected(sc.system.projections[0].P), 5)
+    assert not traj.diverged and traj.states.shape == (6, 0)
+    assert np.all(traj.norms == 0.0) and traj.quotient_norms.shape == (6, len(q.projections))
+    eq = q.equilibrium_report(starts=5, iters=3)
+    assert eq["ok"] and eq["linear_margin"] == np.inf and eq["quotient_linear_margin"] == np.inf
+    assert q.invariance_report()["ok"]
+    assert q.jacobian_report()["exact"]
+    assert sc.system.commuting_square_residual(0, samples=5) == 0.0
 
 
 def test_expand_family_basic():
@@ -362,6 +413,31 @@ def test_quotient_simulation_matches_projection():
         lift = np.kron(np.eye(sys61.n), ctx.P)
         qtraj = qsys.simulate(lift @ EX61_X0, qsig, 40)
         np.testing.assert_allclose(qtraj.states, traj.states @ lift.T, atol=1e-8)
+        # per-row, per-level loop as the reference for the vectorized norms
+        ref = [np.linalg.norm((lift @ x).reshape(sys61.n, -1), axis=1).sum() for x in traj.states]
+        np.testing.assert_allclose(traj.quotient_norms[:, level], ref, rtol=1e-14)
+    np.testing.assert_allclose(traj.norms, [sys61.state_norm(x) for x in traj.states], rtol=1e-14)
+
+
+def test_slotwise_matches_kron_lifts():
+    sys61 = ex61_system()
+    n, d = sys61.n, sys61.d
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((3, 4, n * d))
+    for level in range(len(sys61.projections)):
+        ctx = sys61.projections[level]
+        lift_p, lift_i = np.kron(np.eye(n), ctx.P), np.kron(np.eye(n), ctx.iota)
+        np.testing.assert_allclose(_slotwise(ctx.P, X, n), X @ lift_p.T, atol=1e-14)
+        np.testing.assert_allclose(sys61._quotient_linear_part(ctx), lift_p @ sys61.A @ lift_i,
+                                   atol=1e-14)
+    rot = WordSeriesSystem(heisenberg(), 2, 1, np.kron(np.eye(2), [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+                                                                   [-1.0, 0.0, 0.0]]))
+    for sys_ in (sys61, rot):  # rot moves the centre of the Heisenberg algebra off itself
+        for sub in sys_.chain.ideals:
+            B = np.kron(np.eye(sys_.n), sub.onb)
+            img = sys_.A @ B
+            assert sys_._linear_invariance_residual(sub) == pytest.approx(
+                np.linalg.norm(img - B @ (B.T @ img)), abs=1e-14)
 
 
 def test_invariance_violation_blocks_quotient():

@@ -4,9 +4,10 @@ import pytest
 from liestab.algebra import (derived_algebra, heisenberg, lower_central_series,
                              upper_triangular6)
 from liestab.quotient import (AdaptedNorm, ChainProjections, InvarianceViolation,
-                              adapted_norm, bracket_word, central_word_residual,
-                              collapse_identity_residual, induced_map, is_ideal,
-                              layered_word_residual, make_quotient, quotient_algebra)
+                              QuotientContext, adapted_norm, bracket_word,
+                              central_word_residual, collapse_identity_residual,
+                              induced_map, is_ideal, layered_word_residual,
+                              quotient_algebra)
 from liestab.sampling import TRACKING_A
 
 HEIS = heisenberg()
@@ -14,7 +15,7 @@ UT = upper_triangular6()
 
 
 def heis_ctx():
-    return make_quotient(HEIS, HEIS.span_labels(["h3"]))
+    return QuotientContext(HEIS, HEIS.span_labels(["h3"]))
 
 
 def test_projection_coordinates_and_kernel():
@@ -22,14 +23,14 @@ def test_projection_coordinates_and_kernel():
     x = HEIS.element(h1=3, h2=2, h3=-1)
     np.testing.assert_allclose(ctx.project(x), [3.0, 2.0], atol=1e-14)
     np.testing.assert_allclose(ctx.project(HEIS.element(h3=7.5)), [0.0, 0.0], atol=1e-14)
-    ut_ctx = make_quotient(UT, derived_algebra(UT))
+    ut_ctx = QuotientContext(UT, derived_algebra(UT))
     assert ut_ctx.quotient_dim == 3
 
 
 def test_projection_right_inverse_and_kernel_image():
     rng = np.random.default_rng(0)
-    for ctx in (heis_ctx(), make_quotient(UT, derived_algebra(UT)),
-                make_quotient(UT, UT.span_labels(["t6"]))):
+    for ctx in (heis_ctx(), QuotientContext(UT, derived_algebra(UT)),
+                QuotientContext(UT, UT.span_labels(["t6"]))):
         q = ctx.quotient_dim
         np.testing.assert_allclose(ctx.P @ ctx.iota, np.eye(q), atol=1e-12)
         for _ in range(50):
@@ -45,7 +46,7 @@ def test_quotient_norm_values_and_monotonicity():
     x = HEIS.element(h1=3, h2=2, h3=-1)
     assert ctx.quotient_norm(x) == pytest.approx(np.sqrt(13), abs=1e-12)
     assert ctx.quotient_norm(HEIS.element(h3=4)) == 0.0
-    trivial = make_quotient(HEIS, HEIS.span([]))
+    trivial = QuotientContext(HEIS, HEIS.span([]))
     assert trivial.quotient_norm(x) == pytest.approx(np.linalg.norm(x))
     # norms weakly decrease when the factored ideal grows
     chain = lower_central_series(UT, derived_algebra(UT))
@@ -61,7 +62,7 @@ def test_quotient_norm_values_and_monotonicity():
 
 def test_projection_has_unit_norm():
     rng = np.random.default_rng(2)
-    for ctx in (heis_ctx(), make_quotient(UT, derived_algebra(UT))):
+    for ctx in (heis_ctx(), QuotientContext(UT, derived_algebra(UT))):
         samples = rng.standard_normal((500, ctx.algebra.dim))
         samples /= np.linalg.norm(samples, axis=1, keepdims=True)
         vals = [ctx.quotient_norm(s) for s in samples]
@@ -104,7 +105,7 @@ def test_solvable_pair_induced_block():
     # factoring the derived algebra out of the coupled-pair linear part
     M2 = np.array([[-0.5, 0.5], [0.5, 0.25]])
     A = np.kron(M2, np.eye(6))
-    ctx = make_quotient(UT, derived_algebra(UT))
+    ctx = QuotientContext(UT, derived_algebra(UT))
     lift_p = np.kron(np.eye(2), ctx.P)
     lift_i = np.kron(np.eye(2), ctx.iota)
     bar = lift_p @ A @ lift_i
@@ -114,13 +115,13 @@ def test_solvable_pair_induced_block():
 
 
 def test_quotient_algebra_structure():
-    ctx = make_quotient(UT, derived_algebra(UT))
+    ctx = QuotientContext(UT, derived_algebra(UT))
     assert is_ideal(UT, ctx.ideal)
     qa = quotient_algebra(ctx)
     assert qa.dim == 3
     assert np.max(np.abs(qa.C)) < 1e-14  # the quotient by the derived algebra is abelian
     with pytest.raises(ValueError):
-        quotient_algebra(make_quotient(UT, UT.span_labels(["t1"])))  # not an ideal
+        quotient_algebra(QuotientContext(UT, UT.span_labels(["t1"])))  # not an ideal
 
 
 def test_adapted_norm_examples():

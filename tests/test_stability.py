@@ -10,8 +10,7 @@ from liestab.scenarios import (builtin_scenario, ex61_signal, ex61_system,
                                heisenberg_deadbeat_system, ideal_valued_samples,
                                uptri_deadbeat_system)
 from liestab.stability import (CertificateRejected, HypothesisError,
-                               certify_nilpotent, certify_solvable,
-                               convergence_radius, deadbeat_envelope,
+                               certify_nilpotent, certify_solvable, deadbeat_envelope,
                                deadbeat_horizon, deadbeat_verified, fit_envelope,
                                forcing_gain, forcing_norms, limsup_root_of_masses,
                                power_envelope_constant, roottest_radius,
@@ -278,9 +277,6 @@ def test_roottest_radius_chain():
     assert est["limsup_root"] < 0.2 and not est["conservative"]
     est = limsup_root_of_masses([3.0], exact_tail=False)
     assert est["conservative"]
-    sys41 = heisenberg_tracking_system()
-    out = convergence_radius(sys41)
-    assert out["radius"] == pytest.approx(0.9801)
 
 
 def test_forcing_norm_levels():

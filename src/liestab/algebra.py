@@ -167,6 +167,8 @@ class LieAlgebra:
             rep = np.asarray(matrix_rep, dtype=float)
             if rep.ndim != 3 or rep.shape[0] != self.dim or rep.shape[1] != rep.shape[2]:
                 raise InvalidAlgebra("matrix_rep must be d square matrices")
+            if not np.isfinite(rep).all():
+                raise InvalidAlgebra("matrix_rep must be finite")
             self.matrix_rep = rep
         else:
             self.matrix_rep = None
@@ -176,6 +178,8 @@ class LieAlgebra:
 
     def _validate(self) -> None:
         C = self.C
+        if not np.isfinite(C).all():
+            raise InvalidAlgebra("structure constants must be finite")
         anti = np.max(np.abs(C + np.transpose(C, (1, 0, 2)))) if self.dim else 0.0
         if anti > JACOBI_TOL:
             raise InvalidAlgebra(f"structure constants not antisymmetric (max violation {anti:.3e})")

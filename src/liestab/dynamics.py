@@ -215,10 +215,6 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
-def stack_slots(slots: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.asarray(s, dtype=float).reshape(-1) for s in slots])
-
-
 def _slotwise(M: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     """M on each of the k slots of the last axis of X, i.e. X @ kron(I_k, M).T.
 

@@ -35,24 +35,23 @@ def _fmt17(mat: np.ndarray) -> list:
 def _complement_basis(ideal: Subspace, d: int, m: int) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the ideal.
 
-    Built greedily from the standard basis (with repeated Gram-Schmidt for
-    stability) so that axis-aligned ideals get natural, readably ordered
-    complement coordinates; falls back to the SVD when the greedy pass runs
-    out of well-conditioned directions.
+    Built greedily from the standard basis so that axis-aligned ideals get
+    natural, readably ordered complement coordinates: each axis is projected
+    off the ideal and off all accepted columns as two batched products, twice
+    for stability.  Falls back to the SVD when no well-conditioned axis is left.
     """
-    cols = []
-    for i in range(d):
-        v = np.zeros(d)
-        v[i] = 1.0
+    Q = np.zeros((d, d - m))
+    q = 0
+    for v in np.eye(d):
         for _ in range(2):
-            v = v - ideal.project(v)
-            for q in cols:
-                v = v - (q @ v) * q
+            v -= ideal.project(v)
+            v -= Q @ (Q.T @ v)
         nrm = np.linalg.norm(v)
         if nrm > 1e-8:
-            cols.append(v / nrm)
-            if len(cols) == d - m:
-                return np.column_stack(cols)
+            Q[:, q] = v / nrm
+            q += 1
+            if q == d - m:
+                return Q
     u, _, _ = np.linalg.svd(ideal.onb, full_matrices=True)
     return u[:, m:]
 

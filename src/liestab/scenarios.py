@@ -202,6 +202,20 @@ def _require(data: dict, key: str, kind=None):
     return val
 
 
+def _finite(key: str, value, scalar: bool = False):
+    """``value`` as a float array (a float when ``scalar``); a ScenarioError naming
+    the field unless it is numeric and finite (``json`` accepts NaN and Infinity)."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"scenario field {key!r} must be numeric") from None
+    if scalar and arr.ndim:
+        raise ScenarioError(f"scenario field {key!r} must be a number")
+    if not np.isfinite(arr).all():
+        raise ScenarioError(f"scenario field {key!r} must be finite")
+    return float(arr) if scalar else arr
+
+
 def scenario_from_dict(data: dict, seed: int = 0) -> Scenario:
     alg_spec = _require(data, "algebra")
     if isinstance(alg_spec, str):
@@ -220,7 +234,7 @@ def scenario_from_dict(data: dict, seed: int = 0) -> Scenario:
     n = _require(data, "n", int)
     r = _require(data, "r", int)
     d = alg.dim
-    A = np.asarray(_require(data, "A", list), dtype=float)
+    A = _finite("A", _require(data, "A", list))
     if A.shape != (n * d, n * d):
         raise ScenarioError(f"'A' must be {n * d}x{n * d} row-major")
     terms = []
@@ -231,6 +245,7 @@ def scenario_from_dict(data: dict, seed: int = 0) -> Scenario:
             terms.append(Term(Word(letters), coeff))
         except (KeyError, SystemSpecError, ValueError) as exc:
             raise ScenarioError(f"terms[{idx}]: {exc}") from exc
+        _finite(f"terms[{idx}].coeff", terms[-1].coeff)
     fams = []
     for idx, f in enumerate(data.get("families", [])):
         try:
@@ -239,6 +254,8 @@ def scenario_from_dict(data: dict, seed: int = 0) -> Scenario:
                                       f.get("cutoff"), f.get("tol", 1e-12)))
         except (KeyError, SystemSpecError, ValueError) as exc:
             raise ScenarioError(f"families[{idx}]: {exc}") from exc
+        _finite(f"families[{idx}].scale", fams[-1].scale)
+        _finite(f"families[{idx}].base", list(fams[-1].base.values()))
     ideal_spec = data.get("ideal", "full")
     if ideal_spec == "full":
         ideal = alg.full_subspace()
@@ -253,7 +270,7 @@ def scenario_from_dict(data: dict, seed: int = 0) -> Scenario:
         raise ScenarioError("'ideal' must be 'full', 'derived', or {'labels': [...]}")
     try:
         system = WordSeriesSystem(alg, n, r, A, terms, fams, invariance_ideal=ideal,
-                                  radius=float(data.get("radius", 1.0)),
+                                  radius=_finite("radius", data.get("radius", 1.0), scalar=True),
                                   name=data.get("name", ""))
     except SystemSpecError as exc:
         raise ScenarioError(str(exc)) from exc
@@ -263,22 +280,24 @@ def scenario_from_dict(data: dict, seed: int = 0) -> Scenario:
         if kind == "zero":
             signal = ExoSignal.zero(r, d)
         elif kind == "geometric":
-            signal = ExoSignal("geometric", r, d, base=sig_spec["base"],
-                               ratio=float(sig_spec.get("ratio", 1.0)))
+            signal = ExoSignal("geometric", r, d,
+                               base=_finite("signal.base", sig_spec["base"]),
+                               ratio=_finite("signal.ratio", sig_spec.get("ratio", 1.0), scalar=True))
         elif kind == "samples":
-            signal = ExoSignal("samples", r, d, samples=np.asarray(sig_spec["samples"], dtype=float))
+            signal = ExoSignal("samples", r, d,
+                               samples=_finite("signal.samples", sig_spec["samples"]))
         else:
             raise ScenarioError(f"signal: unknown kind {kind!r}")
     except (KeyError, SystemSpecError) as exc:
         raise ScenarioError(f"signal: {exc}") from exc
-    x0 = np.asarray(data.get("x0", np.zeros(n * d)), dtype=float)
+    x0 = _finite("x0", data.get("x0", np.zeros(n * d)))
     if x0.shape != (n * d,):
         raise ScenarioError(f"'x0' must have length {n * d}")
     horizon = int(data.get("horizon", 50))
     if horizon < 0:
         raise ScenarioError("'horizon' must be nonnegative")
-    return Scenario(data.get("name", "scenario"), system, signal, x0, horizon,
-                    M=float(data.get("M", max(1.0, float(np.linalg.norm(x0))))),
+    M = _finite("M", data.get("M", max(1.0, float(np.linalg.norm(x0)))), scalar=True)
+    return Scenario(data.get("name", "scenario"), system, signal, x0, horizon, M=M,
                     route=data.get("route", "auto"))
 
 

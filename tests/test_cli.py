@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,55 @@ def test_scenario_validation_errors():
         data = dict(base) | breakage
         with pytest.raises(ScenarioError):
             scenario_from_dict(data)
+
+
+NONFINITE_BASE = {"name": "nf", "algebra": "heisenberg", "n": 1, "r": 1,
+                  "A": (0.5 * np.eye(3)).tolist(), "x0": [1.0, 0.0, 0.0],
+                  "terms": [{"letters": ["X1", "W1"], "coeff": [0.25]}],
+                  "signal": {"kind": "geometric", "base": [0.1, 0.0, 0.0], "ratio": 1.0},
+                  "route": "nilpotent"}
+
+
+@pytest.mark.parametrize("command", ["check", "certify", "simulate"])
+@pytest.mark.parametrize("field,breakage", [
+    ("x0", {"x0": [float("nan"), 0.0, 0.0]}),
+    ("A", {"A": [[float("inf"), 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]}),
+    ("terms[0].coeff", {"terms": [{"letters": ["X1", "W1"], "coeff": [float("nan")]}]}),
+])
+def test_nonfinite_scenario_exits_2(tmp_path, capsys, command, field, breakage):
+    # json reads NaN and Infinity; before this check these certified or raised a traceback
+    path = tmp_path / "nf.json"
+    path.write_text(json.dumps(NONFINITE_BASE | breakage))
+    assert run([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: scenario field {field!r} must be finite\n"
+
+
+def test_nonfinite_scenario_fields_are_named():
+    nan, inf = float("nan"), float("inf")
+    fam = {"out_slot": 1, "scale": 0.5, "base": {"W1": 1.0}, "target": "X1"}
+    for field, breakage in [
+        ("A", {"A": [[0.5, 0.0, 0.0], [0.0, nan, 0.0], [0.0, 0.0, 0.5]]}),
+        ("x0", {"x0": [0.0, -inf, 0.0]}),
+        ("terms[0].coeff", {"terms": [{"letters": ["X1", "W1"], "coeff": [inf]}]}),
+        ("families[0].scale", {"families": [fam | {"scale": nan}]}),
+        ("families[0].base", {"families": [fam | {"base": {"W1": inf}}]}),
+        ("signal.base", {"signal": {"kind": "geometric", "base": [nan, 0.0, 0.0]}}),
+        ("signal.ratio", {"signal": {"kind": "geometric", "base": [1.0, 0.0, 0.0], "ratio": nan}}),
+        ("signal.samples", {"signal": {"kind": "samples", "samples": [[0.0, inf, 0.0]]}}),
+        ("M", {"M": inf}),
+        ("radius", {"radius": nan}),
+    ]:
+        with pytest.raises(ScenarioError, match=re.escape(f"{field!r} must be finite")):
+            scenario_from_dict(NONFINITE_BASE | breakage)
+    with pytest.raises(ScenarioError, match="'A' must be numeric"):
+        scenario_from_dict(NONFINITE_BASE | {"A": [[1.0, 0.0], [0.0]]})
+    with pytest.raises(ScenarioError, match="'M' must be a number"):
+        scenario_from_dict(NONFINITE_BASE | {"M": [1.0, 2.0]})
+    inline = {"dim": 3, "labels": ["a", "b", "c"],
+              "brackets": [{"i": "a", "j": "b", "coeffs": {"c": nan}}]}
+    with pytest.raises(ScenarioError, match="structure constants must be finite"):
+        scenario_from_dict(NONFINITE_BASE | {"algebra": inline})
 
 
 def test_builtin_unknown():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from liestab.algebra import (derived_algebra, heisenberg, lower_central_series,
+from liestab.algebra import (Subspace, catalog_algebras, derived_algebra, derived_series,
+                             heisenberg, lower_central_series, nilpotent_upper,
                              upper_triangular6)
 from liestab.quotient import (AdaptedNorm, ChainProjections, InvarianceViolation,
-                              QuotientContext, adapted_norm, bracket_word,
+                              QuotientContext, _complement_basis, adapted_norm, bracket_word,
                               central_word_residual, collapse_identity_residual,
                               induced_map, is_ideal, layered_word_residual,
                               quotient_algebra)
@@ -25,6 +26,53 @@ def test_projection_coordinates_and_kernel():
     np.testing.assert_allclose(ctx.project(HEIS.element(h3=7.5)), [0.0, 0.0], atol=1e-14)
     ut_ctx = QuotientContext(UT, derived_algebra(UT))
     assert ut_ctx.quotient_dim == 3
+
+
+def reference_complement_basis(ideal, d, m):
+    """The greedy pass one accepted column at a time (the loop ``_complement_basis`` batches)."""
+    cols = []
+    for i in range(d):
+        v = np.zeros(d)
+        v[i] = 1.0
+        for _ in range(2):
+            v = v - ideal.project(v)
+            for q in cols:
+                v = v - (q @ v) * q
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-8:
+            cols.append(v / nrm)
+            if len(cols) == d - m:
+                return np.column_stack(cols)
+    u, _, _ = np.linalg.svd(ideal.onb, full_matrices=True)
+    return u[:, m:]
+
+
+def proper_chain_ideals():
+    algebras = list(catalog_algebras().values()) + [nilpotent_upper(5)]
+    for alg in algebras:
+        chains = [derived_series(alg), lower_central_series(alg),
+                  lower_central_series(alg, derived_algebra(alg))]
+        for chain in chains:
+            yield from (s for s in chain.ideals if 0 < s.dim < alg.dim)
+    rng = np.random.default_rng(11)
+    rotation, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+    yield Subspace(rotation[:, :3])  # not axis-aligned
+    tilted = rng.standard_normal((6, 2))
+    tilted[0, 0] = 1.0
+    tilted[1:, 0] = 1e-7 * rng.standard_normal(5)
+    yield Subspace(tilted)  # within 1e-7 of e_1: one projection pass loses orthogonality
+
+
+def test_complement_basis_matches_reference_loop():
+    ideals = list(proper_chain_ideals())
+    assert len(ideals) >= 10
+    for ideal in ideals:
+        d, m = ideal.ambient_dim, ideal.dim
+        Q = _complement_basis(ideal, d, m)
+        assert Q.shape == (d, d - m)
+        np.testing.assert_allclose(Q, reference_complement_basis(ideal, d, m), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(Q.T @ Q, np.eye(d - m), rtol=0, atol=1e-14)
+        assert np.abs(ideal.onb.T @ Q).max() <= 1e-14
 
 
 def test_projection_right_inverse_and_kernel_image():

@@ -9,9 +9,10 @@ from liestab.sampling import heisenberg_tracking_system, tracking_signal, tracki
 from liestab.scenarios import (builtin_scenario, ex61_signal, ex61_system,
                                heisenberg_deadbeat_system, ideal_valued_samples,
                                uptri_deadbeat_system)
-from liestab.stability import (CertificateRejected, HypothesisError,
-                               certify_nilpotent, certify_solvable, deadbeat_envelope,
-                               deadbeat_horizon, deadbeat_verified, fit_envelope,
+from liestab.quotient import adapted_norm
+from liestab.stability import (ENVELOPE_POWERS, CertificateRejected, HypothesisError,
+                               block_sum_norm, certify_nilpotent, certify_solvable,
+                               deadbeat_envelope, deadbeat_horizon, deadbeat_verified, fit_envelope,
                                forcing_gain, forcing_norms, limsup_root_of_masses,
                                power_envelope_constant, roottest_radius,
                                spectral_radius)
@@ -22,18 +23,100 @@ def traj_from_norms(norms):
     return Trajectory(np.zeros((n.shape[0], 1)), n, np.zeros((n.shape[0], 1)))
 
 
+def reference_block_sum_norm(M, block):
+    """max_j sum_i ||M_ij||_2 one tile at a time (the loop ``block_sum_norm`` batches)."""
+    nb = M.shape[0] // block
+    worst = 0.0
+    for j in range(nb):
+        col = 0.0
+        for i in range(nb):
+            col += float(np.linalg.norm(M[i * block:(i + 1) * block, j * block:(j + 1) * block], 2))
+        worst = max(worst, col)
+    return worst
+
+
+def reference_power_envelope(A, rate, block):
+    """``power_envelope_constant`` one power and one block norm at a time."""
+    rho = spectral_radius(A)
+    sigma = 1.0
+    P = np.eye(A.shape[0])
+    ratio_last = 1.0
+    for k in range(1, ENVELOPE_POWERS + 1):
+        P = P @ A
+        ratio_last = reference_block_sum_norm(P, block) / rate ** k
+        sigma = max(sigma, ratio_last)
+    nb = A.shape[0] // block
+    kappa = adapted_norm(A, rate - rho).condition()
+    return max(sigma, ratio_last * math.sqrt(nb) * kappa)
+
+
+def test_block_sum_norm_on_a_stack():
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((7, 12, 12))
+    for block in (1, 2, 3, 4, 6, 12):
+        per = [block_sum_norm(M, block) for M in stack]
+        assert block_sum_norm(stack, block).tolist() == per
+        assert per == [reference_block_sum_norm(M, block) for M in stack]
+    assert block_sum_norm(stack.reshape(7, 1, 12, 12), 3).shape == (7, 1)
+
+
+def test_power_envelope_constant_matches_reference_loop(monkeypatch):
+    cases = []
+
+    def record(A, rate, block):  # the level matrices of the example-4.1 certificate
+        cases.append((A, rate, block))
+        return 1.0
+
+    monkeypatch.setattr("liestab.stability.power_envelope_constant", record)
+    sc = builtin_scenario("example-4.1")
+    certify_nilpotent(sc.system, sc.signal, M=sc.M)
+    monkeypatch.undo()
+    assert len(cases) == 2
+    rng = np.random.default_rng(5)
+    for slots, block in [(2, 1), (2, 3), (3, 2), (3, 3)]:
+        A = rng.standard_normal((slots * block, slots * block))
+        A *= 0.9 / spectral_radius(A)
+        cases.append((A, 0.95, block))
+    nil = 0.7 * np.diag(np.ones(5), 1)  # A^6 = 0 exactly
+    slow = np.array([[0.99, 1.0], [0.0, 0.99]])  # the tail bound past the 500th power decides
+    cases += [(nil, 0.5, 6), (nil, 0.5, 2), (slow, 0.995, 1), (slow, 0.995, 2)]
+    for A, rate, block in cases:
+        assert power_envelope_constant(A, rate, block) == reference_power_envelope(A, rate, block)
+
+
+def test_power_envelope_constant_past_an_underflowed_rate():
+    # 0.04^k underflows to 0 near k = 230, long after nil^6 = 0
+    nil = 0.7 * np.diag(np.ones(5), 1)
+    rate = 0.04
+    expected = max(reference_block_sum_norm(np.linalg.matrix_power(nil, k), 2) / rate ** k
+                   for k in range(1, 6))
+    assert power_envelope_constant(nil, rate, 2) == expected
+    # a geometric signal of ratio 4 puts the level rates of this nilpotent A there
+    sys_ = WordSeriesSystem(heisenberg(), 1, 1, np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0],
+                                                          [0.25, -0.5, 0.0]]),
+                            terms=[Term(Word((("X", 1), ("W", 1))), np.array([0.25]))])
+    signal = ExoSignal("geometric", 1, 3, base=[0.1, 0.0, 0.0], ratio=4.0)
+    cert = certify_nilpotent(sys_, signal, M=1.0)
+    assert cert.consistent and cert.sigma_levels == [12.0, 18.0]
+
+
 def test_power_envelope_constant_is_sound():
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        n = rng.integers(2, 7)
-        A = rng.standard_normal((n, n))
-        A *= 0.8 / spectral_radius(A)
-        rate = spectral_radius(A) + 0.05
-        sigma = power_envelope_constant(A, rate, block=n)
-        P = np.eye(n)
-        for k in range(1, 700):
-            P = P @ A
-            assert np.linalg.norm(P, 2) <= sigma * rate ** k * (1 + 1e-9)
+    for slots in (1, 2, 3):
+        for _ in range(10):
+            block = int(rng.integers(1, 4)) if slots > 1 else int(rng.integers(2, 7))
+            n = slots * block
+            A = rng.standard_normal((n, n))
+            A *= 0.8 / spectral_radius(A)
+            rate = spectral_radius(A) + 0.05
+            sigma = power_envelope_constant(A, rate, block)
+            powers = [np.eye(n)]
+            for _ in range(1, 700):
+                powers.append(powers[-1] @ A)
+            # the slot-sum bound of every power, past the 500 powers taken
+            bounds = block_sum_norm(np.array(powers[1:]), block)
+            k = np.arange(1, 700)
+            assert np.all(bounds <= sigma * rate ** k * (1 + 1e-9))
 
 
 def test_certificate_for_tracking_example():

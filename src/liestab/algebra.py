@@ -11,7 +11,6 @@ the derived and lower central series, the solvable/nilpotent predicates
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -107,9 +106,6 @@ class Subspace:
             return True
         resid = other.onb - self.project(other.onb)
         return float(np.linalg.norm(resid)) < tol
-
-    def contains_vector(self, x: np.ndarray, tol: float = RANK_TOL) -> bool:
-        return self.distance(x) < tol * max(1.0, float(np.linalg.norm(x)))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -478,15 +474,6 @@ def algebra_to_dict(alg: LieAlgebra) -> dict:
     if alg.matrix_rep is not None:
         out["matrix_rep"] = alg.matrix_rep.tolist()
     return out
-
-
-def load_algebra(path) -> LieAlgebra:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AlgebraLoadError(f"invalid JSON in {path}: {exc}") from exc
-    return algebra_from_dict(data)
 
 
 # -- built-in catalog --------------------------------------------------------

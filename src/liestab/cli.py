@@ -199,6 +199,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         tols = _parse_tols(args.tol)
+        if args.epsilon is not None and not np.isfinite(args.epsilon):
+            raise ScenarioError(f"--epsilon must be finite, got {args.epsilon}")
         sc = _load(args)
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)

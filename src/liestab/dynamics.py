@@ -324,10 +324,6 @@ class WordSeriesSystem:
     def coordinate_names(self) -> list:
         return [f"X{s+1}_{lab}" for s in range(self.n) for lab in self.algebra.labels]
 
-    def _letter_value(self, letter: Letter, Xs: np.ndarray, Ws: np.ndarray) -> np.ndarray:
-        kind, j = letter
-        return Xs[j - 1] if kind == "X" else Ws[j - 1]
-
     # -- evaluation and simulation ------------------------------------------
 
     def evaluate(self, X, W) -> np.ndarray:
@@ -521,12 +517,12 @@ class WordSeriesSystem:
                                "nonlinear_residual": 0.0})
                 continue
             lin = self._linear_invariance_residual(sub)
-            nl = 0.0
-            for _ in range(nonlinear_samples):
-                x = _slotwise(sub.onb, rng.standard_normal(self.n * sub.dim), self.n)
-                w = rng.standard_normal(self.r * self.d)
-                y = self.evaluate(x, w)
-                nl = max(nl, float(np.linalg.norm(self._off_ideal(sub, y))) / max(1.0, float(np.linalg.norm(y))))
+            # one draw per sample, its state coordinates first: the draws of a per-sample loop
+            draws = rng.standard_normal((nonlinear_samples, self.n * sub.dim + self.r * self.d))
+            y = self._update(_slotwise(sub.onb, draws[:, :self.n * sub.dim], self.n),
+                             draws[:, self.n * sub.dim:])
+            off = np.linalg.norm(self._off_ideal(sub, y), axis=1)
+            nl = float((off / np.maximum(1.0, np.linalg.norm(y, axis=1))).max(initial=0.0))
             levels.append({"level": idx + 1, "dim": sub.dim, "linear_residual": lin,
                            "nonlinear_residual": nl})
             ok = ok and lin < tol * scale and nl < max(tol, 1e-9)
@@ -563,11 +559,12 @@ class WordSeriesSystem:
                 alive[idx[~good]] = False
                 if not alive.any():
                     break
-            for x in pts[alive]:
-                resid = float(np.linalg.norm(self.evaluate(x, w) - x))
-                nrm = self.state_norm(x)
+            xs = pts[alive]
+            resids = np.linalg.norm(self._update(xs, w) - xs, axis=1)
+            norms = np.linalg.norm(xs.reshape(len(xs), self.n, self.d), axis=2).sum(axis=1)
+            for x, resid, nrm in zip(xs, resids, norms):
                 if resid < 1e-8 and nrm > 1e-4:
-                    violations.append({"norm": nrm, "residual": resid, "point": x.tolist()})
+                    violations.append({"norm": float(nrm), "residual": float(resid), "point": x.tolist()})
         return {"structural_ok": structural,
                 "linear_margin": lin_margin,
                 "quotient_linear_margin": q_margin,
@@ -587,29 +584,19 @@ class WordSeriesSystem:
         """
         h_steps = sorted(h_steps, reverse=True)
         nd, rd = self.state_dim, self.r * self.d
-        x_err, w_err = [], []
-        for h in h_steps:
-            JX = np.zeros((nd, nd))
-            for i in range(nd):
-                e = np.zeros(nd)
-                e[i] = h
-                JX[:, i] = (self.evaluate(e, np.zeros(rd)) - self.evaluate(-e, np.zeros(rd))) / (2 * h)
-            x_err.append(float(np.linalg.norm(JX - self.A)))
-            JW = np.zeros((nd, rd))
-            for i in range(rd):
-                e = np.zeros(rd)
-                e[i] = h
-                JW[:, i] = (self.evaluate(np.zeros(nd), e) - self.evaluate(np.zeros(nd), -e)) / (2 * h)
-            w_err.append(float(np.linalg.norm(JW)))
         rng = np.random.default_rng(seed)
-        dirs = [(rng.standard_normal(nd), rng.standard_normal(rd)) for _ in range(directions)]
-        dir_err = []
+        dirs = rng.standard_normal((directions, nd + rd))  # row i: (v_i, w_i)
+        # probes +h and -h times: every state axis, every input axis, every direction
+        probes = np.concatenate([np.eye(nd + rd), dirs])
+        lin = dirs[:, :nd] @ self.A.T
+        x_err, w_err, dir_err = [], [], []
         for h in h_steps:
-            worst = 0.0
-            for v, w in dirs:
-                diff = (self.evaluate(h * v, h * w) - self.evaluate(-h * v, -h * w)) / (2 * h)
-                worst = max(worst, float(np.linalg.norm(diff - self.A @ v)))
-            dir_err.append(worst)
+            X = np.concatenate([h * probes, -h * probes])
+            F = self._update(X[:, :nd], X[:, nd:])
+            D = (F[:len(probes)] - F[len(probes):]) / (2 * h)
+            x_err.append(float(np.linalg.norm(D[:nd].T - self.A)))
+            w_err.append(float(np.linalg.norm(D[nd:nd + rd])))
+            dir_err.append(float(np.linalg.norm(D[nd + rd:] - lin, axis=1).max(initial=0.0)))
         axes_ok = max(x_err) < 1e-12 and max(w_err) < 1e-12
         exact = all(e < 1e-12 for e in dir_err)
         order = None
@@ -655,11 +642,8 @@ class WordSeriesSystem:
         qsys = self.quotient_system(level)
         P = self.projections[level].P
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(samples):
-            x = rng.standard_normal(self.state_dim) * scale
-            w = rng.standard_normal(self.r * self.d) * scale
-            lhs = _slotwise(P, self.evaluate(x, w), self.n)
-            rhs = qsys.evaluate(_slotwise(P, x, self.n), _slotwise(P, w, self.r))
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-        return worst
+        draws = rng.standard_normal((samples, self.state_dim + self.r * self.d)) * scale
+        X, W = draws[:, :self.state_dim], draws[:, self.state_dim:]
+        lhs = _slotwise(P, self._update(X, W), self.n)
+        rhs = qsys._update(_slotwise(P, X, self.n), _slotwise(P, W, self.r))
+        return float(np.linalg.norm(lhs - rhs, axis=1).max(initial=0.0))

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import LieAlgebra, heisenberg, is_nilpotent
-from .dynamics import ExoSignal, Term, Word, WordSeriesSystem
+from .dynamics import ExoSignal, Term, Word, WordSeriesSystem, _expm1_batch
 from .quotient import bracket_word
 
 BCH_TABLE_ORDER = 6  # composition order kept exact on general algebras
@@ -97,9 +97,6 @@ class GroupElement:
         det = np.linalg.det(self.matrix)
         if abs(det) < 1e-300:
             raise ValueError("group element must be invertible")
-
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.matrix @ other.matrix, self.algebra or other.algebra)
 
     def log_coords(self) -> np.ndarray:
         """Coordinates of the principal log in the linked algebra basis."""
@@ -241,27 +238,11 @@ def bch_compose(alg: LieAlgebra, X, Y, order: int, mu: Optional[float] = None) -
 # -- adjoint flow --------------------------------------------------------------
 
 
-def adjoint_flow_step(alg: LieAlgebra, A, T: float, X, tol: float = 1e-12,
-                      mu: float = 2.0) -> np.ndarray:
-    """One sampled step X -> e^{ad_{T A}} X of the flow X' = [A, X].
-
-    Summed term by term with an explicit factorial tail bound; terminates at
-    the nilindex on nilpotent algebras, where the series is exact.
-    """
-    A = T * np.asarray(A, dtype=float).reshape(-1)
+def adjoint_flow_step(alg: LieAlgebra, A, T: float, X) -> np.ndarray:
+    """One sampled step X -> e^{ad_{T A}} X of the flow X' = [A, X], through the
+    update map's flow kernel e^{ad} - I (exact on nilpotent algebras)."""
     X = np.asarray(X, dtype=float).reshape(-1)
-    nil, p = is_nilpotent(alg)
-    cap = p if nil else 200
-    acc = X.copy()
-    term = X.copy()
-    a = mu * float(np.linalg.norm(A))
-    for l in range(1, cap + 1):
-        term = alg.bracket(A, term) / l
-        acc = acc + term
-        tail = (a ** (l + 1)) / math.factorial(l + 1) * float(np.linalg.norm(X)) * math.exp(a)
-        if not nil and tail < tol:
-            break
-    return acc
+    return X + _expm1_batch(alg.ad(T * np.asarray(A, dtype=float).reshape(-1))[None])[0] @ X
 
 
 # -- bundled Heisenberg tracking example ---------------------------------------

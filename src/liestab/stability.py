@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import is_nilpotent, is_solvable
 from .dynamics import ExoSignal, Trajectory, WordSeriesSystem
-from .quotient import adapted_norm, bracket_word
+from .quotient import InvarianceViolation, adapted_norm, bracket_word
 
 
 class HypothesisError(ValueError):
@@ -62,6 +62,14 @@ def block_sum_norm(M: np.ndarray, block: int):
 ENVELOPE_POWERS = 500
 
 
+def _pow(x: float, k) -> float:
+    """x ** k in Python floats, inf where the power leaves the float range."""
+    try:
+        return float(x) ** k
+    except OverflowError:
+        return math.inf
+
+
 def power_envelope_constant(A: np.ndarray, rate: float, block: int) -> float:
     """Smallest observed sigma with ||A^k|| <= sigma * rate^k, closed soundly.
 
@@ -81,7 +89,7 @@ def power_envelope_constant(A: np.ndarray, rate: float, block: int) -> float:
     for k in range(ENVELOPE_POWERS):
         P = np.matmul(P, A, out=powers[k])
     norms = block_sum_norm(powers, block)
-    rates = np.array([rate ** k for k in range(1, ENVELOPE_POWERS + 1)])
+    rates = np.array([_pow(rate, k) for k in range(1, ENVELOPE_POWERS + 1)])
     with np.errstate(divide="ignore"):  # rate^k may underflow to 0: a vanished power has ratio 0
         ratios = np.divide(norms, rates, out=np.zeros_like(norms), where=norms != 0)
     sigma = max(1.0, float(ratios.max()))
@@ -149,9 +157,11 @@ def forcing_gain(sys: WordSeriesSystem, level: int, M: float, alpha_prev: float,
     best = 0.0
     for l in range(2, level + 1):
         for q in range(1, l + 1):
-            best = max(best, lambda_prev ** q * s ** (l - q))
-    if best > lambda_prev * s ** (level - 1) * (1 + 1e-12):
-        raise RuntimeError("forcing-rate maximization not attained at (l, q) = (level, 1)")
+            best = max(best, _pow(lambda_prev, q) * _pow(s, l - q))
+    attained = lambda_prev * _pow(s, level - 1)
+    if best > attained * (1 + 1e-12):
+        raise CertificateRejected(f"level {level}: forcing-rate maximum not attained at (l, q) = (level, 1)",
+                                  margin=best - attained)
     total = 0.0
     n, r = sys.n, sys.r
     try:
@@ -195,18 +205,20 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
     warnings_list = []
     if epsilon is None:
         epsilon = 0.5 * min(1.0 - rho_A, threshold - rho_A)
-    if epsilon <= 0:
-        raise HypothesisError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise HypothesisError("epsilon must be positive and finite")
     Lambda = rho_A + epsilon
     # quotient levels: level i factors the (i+1)-th chain ideal
     Lambda_levels, lambda_levels, sigma_levels = [], [], []
     gamma_levels, alpha_levels = [], []
-    rho_levels = []
     lam = Lambda
     for i in range(1, p + 1):
-        qsys = sys.quotient_system(i)
+        try:
+            qsys = sys.quotient_system(i)
+        except InvarianceViolation as exc:
+            raise HypothesisError(f"A does not preserve chain level {i + 1} "
+                                  f"(residual {exc.residual:.3e})") from None
         rho_i = spectral_radius(qsys.A)
-        rho_levels.append(rho_i)
         Lam_i = rho_i + (i / (p + 1.0)) * epsilon
         Lambda_levels.append(Lam_i)
         lam = Lambda if i == 1 else lam * s ** (i - 1)
@@ -257,20 +269,17 @@ def forcing_norms(sys: WordSeriesSystem, states: np.ndarray, signal: ExoSignal,
     through iota_{level-1} P_{level-1}, projected by P_level, weighted by the
     word coefficients; the per-step norm is the sum of slot norms.
     """
-    proj = sys.projections
-    ctx = proj[level]
-    filt = proj.embed_project(level - 1)
-    terms = [t for t in sys.all_terms() if t.word.length <= level]
-    out = np.zeros(states.shape[0])
-    for k in range(states.shape[0]):
-        Xs = states[k].reshape(sys.n, sys.d)
-        Ws = signal.value(k).reshape(sys.r, sys.d)
-        acc = np.zeros((sys.n, ctx.quotient_dim))
-        for t in terms:
-            vals = [filt @ sys._letter_value(l, Xs, Ws) for l in t.word.letters]
-            acc += np.outer(t.coeff, ctx.project(bracket_word(sys.algebra, vals)))
-        out[k] = float(np.linalg.norm(acc, axis=1).sum())
-    return out
+    ctx = sys.projections[level]
+    filt = sys.projections.embed_project(level - 1)
+    K = states.shape[0]
+    slots = {"X": states.reshape(K, sys.n, sys.d),
+             "W": np.stack([signal.value(k) for k in range(K)]).reshape(K, sys.r, sys.d)}
+    acc = np.zeros((K, sys.n, ctx.quotient_dim))
+    for t in sys.all_terms():
+        if t.word.length <= level:
+            vals = [slots[kind][:, j - 1] @ filt.T for kind, j in t.word.letters]
+            acc += t.coeff[:, None] * (bracket_word(sys.algebra, vals) @ ctx.P.T)[:, None]
+    return np.linalg.norm(acc, axis=2).sum(axis=1)
 
 
 # -- solvable certificate ------------------------------------------------------
@@ -342,38 +351,6 @@ def certify_solvable(sys: WordSeriesSystem, signal: ExoSignal, horizon: int = 20
                           ideal_residual_max=res_max, ideal_residual_tail=tail,
                           signal_bound=beta, verdict=verdict, notes=notes,
                           evidence=evidence)
-
-
-def probe_amplitude(sys: WordSeriesSystem, signal: ExoSignal, x0, horizon: int = 300,
-                    c_max: float = 64.0, iters: int = 20) -> float:
-    """Empirical bisection for the largest signal scaling that still converges.
-
-    Purely experimental; reported alongside the conditional certificate to
-    give the missing amplitude bound an observed order of magnitude.
-    """
-    def converges(c: float) -> bool:
-        scaled = _scaled_signal(signal, c)
-        traj = sys.simulate(x0, scaled, horizon)
-        return (not traj.diverged) and traj.norms[-1] <= 1e-6 * max(1.0, traj.norms[0])
-
-    lo, hi = 0.0, c_max
-    if converges(hi):
-        return hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if converges(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _scaled_signal(signal: ExoSignal, c: float) -> ExoSignal:
-    if signal.kind == "zero":
-        return signal
-    if signal.kind == "samples":
-        return ExoSignal("samples", signal.r, signal.d, samples=c * signal.samples)
-    return ExoSignal("geometric", signal.r, signal.d, base=c * signal.base, ratio=signal.ratio)
 
 
 # -- deadbeat -------------------------------------------------------------------

@@ -115,6 +115,38 @@ def test_overflow_exits_3(tmp_path, capsys):
     assert cert["alpha"] == float("inf")
 
 
+def test_certify_non_invariant_A_is_a_hypothesis_error(tmp_path, capsys):
+    # A moves the centre h3 off itself, so the level-2 quotient does not exist
+    path = tmp_path / "noninv.json"
+    path.write_text(json.dumps({
+        "name": "noninv", "algebra": "heisenberg", "n": 1, "r": 1,
+        "A": [[0.3, 0.0, 0.2], [0.0, 0.3, 0.0], [0.0, 0.0, 0.3]],
+        "terms": [{"letters": ["X1", "W1"], "coeff": [0.25]}],
+        "signal": {"kind": "geometric", "base": [0.1, 0.0, 0.0], "ratio": 1.0},
+        "x0": [1.0, 0.0, 0.0]}))
+    out = tmp_path / "out"
+    assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ("[FAIL] hypothesis error: A does not preserve chain level 2 "
+                                       "(residual 2.000e-01)\n")
+    assert json.loads((out / "certificate-noninv.json").read_text())["verdict"] == "hypothesis-error"
+
+
+@pytest.mark.parametrize("epsilon,code,line", [
+    ("3", 1, "[FAIL] certificate rejected: level 2: forcing-rate maximum not attained"),
+    ("10", 1, "[FAIL] certificate rejected: level 2: forcing-rate maximum not attained"),
+    ("1e300", 1, "[FAIL] certificate rejected: level 2: forcing-rate maximum not attained"),
+    ("nan", 2, "input error: --epsilon must be finite, got nan"),
+    ("inf", 2, "input error: --epsilon must be finite, got inf"),
+])
+def test_certify_epsilon_ends_in_one_line(tmp_path, capsys, epsilon, code, line):
+    # before: RuntimeError (3), OverflowError from Python float powers (10, 1e300), LinAlgError (nan)
+    assert run(["certify", "--builtin", "example-4.1", f"--epsilon={epsilon}",
+                "--out", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert len(lines) == 1 and lines[0].startswith(line)
+
+
 def test_scenario_file_roundtrip(tmp_path):
     scn = {
         "name": "custom",

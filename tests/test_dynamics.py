@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from liestab.algebra import abelian, derived_algebra, heisenberg, upper_triangular6
+from liestab.algebra import (abelian, derived_algebra, heisenberg, nilpotent_upper,
+                             upper_triangular6)
 from liestab.dynamics import (AdjointFamily, CutoffTooSmall, ExoSignal,
                               SystemSpecError, Term, Word, WordSeriesSystem,
                               _expm1_batch, _slotwise, parse_letter)
@@ -43,6 +44,108 @@ def reference_step(sys_, X, W):
         flow = scipy.linalg.expm(sys_.algebra.ad_many(base))
         out[f.out_slot - 1] += f.scale * (flow @ target - target)
     return out.reshape(-1)
+
+
+def reference_jacobian_report(sys_, h_steps=(1e-2, 1e-3, 1e-4), directions=8, seed=0):
+    """``jacobian_report`` one probe per ``evaluate`` call (the loops the batch replaced)."""
+    h_steps = sorted(h_steps, reverse=True)
+    nd, rd = sys_.state_dim, sys_.r * sys_.d
+    x_err, w_err = [], []
+    for h in h_steps:
+        JX = np.zeros((nd, nd))
+        for i in range(nd):
+            e = np.zeros(nd)
+            e[i] = h
+            JX[:, i] = (sys_.evaluate(e, np.zeros(rd)) - sys_.evaluate(-e, np.zeros(rd))) / (2 * h)
+        x_err.append(float(np.linalg.norm(JX - sys_.A)))
+        JW = np.zeros((nd, rd))
+        for i in range(rd):
+            e = np.zeros(rd)
+            e[i] = h
+            JW[:, i] = (sys_.evaluate(np.zeros(nd), e) - sys_.evaluate(np.zeros(nd), -e)) / (2 * h)
+        w_err.append(float(np.linalg.norm(JW)))
+    rng = np.random.default_rng(seed)
+    dirs = [(rng.standard_normal(nd), rng.standard_normal(rd)) for _ in range(directions)]
+    dir_err = []
+    for h in h_steps:
+        worst = 0.0
+        for v, w in dirs:
+            diff = (sys_.evaluate(h * v, h * w) - sys_.evaluate(-h * v, -h * w)) / (2 * h)
+            worst = max(worst, float(np.linalg.norm(diff - sys_.A @ v)))
+        dir_err.append(worst)
+    axes_ok = max(x_err) < 1e-12 and max(w_err) < 1e-12
+    exact = all(e < 1e-12 for e in dir_err)
+    order = None
+    if not exact:
+        order = float(np.polyfit(np.log(h_steps), np.log(np.maximum(dir_err, 1e-300)), 1)[0])
+    ok = axes_ok and (exact or (order is not None and order >= 1.9))
+    return {"h_steps": list(h_steps), "state_errors": x_err, "input_errors": w_err,
+            "directional_errors": dir_err, "observed_order": order,
+            "exact": exact, "ok": ok}
+
+
+def reference_invariance_report(sys_, seed=0, nonlinear_samples=20, tol=1e-10):
+    """``invariance_report`` one sample per ``evaluate`` call."""
+    rng = np.random.default_rng(seed)
+    scale = max(1.0, float(np.linalg.norm(sys_.A)))
+    levels = []
+    ok = True
+    for idx, sub in enumerate(sys_.chain.ideals):
+        if sub.dim == 0:
+            levels.append({"level": idx + 1, "dim": 0, "linear_residual": 0.0,
+                           "nonlinear_residual": 0.0})
+            continue
+        lin = sys_._linear_invariance_residual(sub)
+        nl = 0.0
+        for _ in range(nonlinear_samples):
+            x = _slotwise(sub.onb, rng.standard_normal(sys_.n * sub.dim), sys_.n)
+            w = rng.standard_normal(sys_.r * sys_.d)
+            y = sys_.evaluate(x, w)
+            nl = max(nl, float(np.linalg.norm(sys_._off_ideal(sub, y))) / max(1.0, float(np.linalg.norm(y))))
+        levels.append({"level": idx + 1, "dim": sub.dim, "linear_residual": lin,
+                       "nonlinear_residual": nl})
+        ok = ok and lin < tol * scale and nl < max(tol, 1e-9)
+    return {"ok": ok, "levels": levels}
+
+
+def reference_commuting_square_residual(sys_, level, samples=100, seed=0, scale=1.0):
+    """``commuting_square_residual`` one sample per ``evaluate`` call on each side."""
+    qsys = sys_.quotient_system(level)
+    P = sys_.projections[level].P
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        x = rng.standard_normal(sys_.state_dim) * scale
+        w = rng.standard_normal(sys_.r * sys_.d) * scale
+        lhs = _slotwise(P, sys_.evaluate(x, w), sys_.n)
+        rhs = qsys.evaluate(_slotwise(P, x, sys_.n), _slotwise(P, w, sys_.r))
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+def sweep_system(m):
+    """The term-only system on nilpotent_upper(m) that the dimension sweep uses."""
+    alg = nilpotent_upper(m)
+    terms = [Term(Word((("X", 1), ("W", 1))), np.array([0.1])),
+             Term(Word((("X", 1), ("X", 1), ("W", 1))), np.array([-0.05]))]
+    return WordSeriesSystem(alg, 1, 1, 0.5 * np.eye(alg.dim), terms=terms)
+
+
+def assert_same_report(got, ref):
+    """Equal verdicts, keys and shapes; every number within 1e-12 relative or 1e-14 absolute."""
+    if isinstance(ref, dict):
+        assert sorted(got) == sorted(ref)
+        for key in ref:
+            assert_same_report(got[key], ref[key])
+    elif isinstance(ref, list):
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert_same_report(g, r)
+    elif isinstance(ref, (bool, type(None))):
+        assert got is ref
+    else:
+        assert type(got) is type(ref)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
 def test_letter_parsing():
@@ -461,3 +564,18 @@ def test_system_spec_validation():
     with pytest.raises(SystemSpecError):
         # ideal must contain the derived algebra
         WordSeriesSystem(ut, 1, 1, np.eye(6), invariance_ideal=ut.span_labels(["t6"]))
+
+
+@pytest.mark.parametrize("name", ["example-4.1", "example-6.1", "heisenberg-deadbeat",
+                                  "uptri-deadbeat", "sweep-d15"])
+def test_batched_reports_match_per_probe_loops(name):
+    sys_ = sweep_system(6) if name == "sweep-d15" else builtin_scenario(name).system
+    for seed in (0, 3):
+        assert_same_report(sys_.jacobian_report(seed=seed), reference_jacobian_report(sys_, seed=seed))
+        assert_same_report(sys_.invariance_report(seed=seed), reference_invariance_report(sys_, seed=seed))
+        # a commuting-square residual is rounding noise (up to ~1e-13 on example-6.1),
+        # and its last digits follow the flow kernel's scaling, which a batch shares
+        for level in range(len(sys_.projections)):
+            got = sys_.commuting_square_residual(level, seed=seed)
+            assert got == pytest.approx(reference_commuting_square_residual(sys_, level, seed=seed),
+                                        rel=1e-12, abs=1e-13)

@@ -6,7 +6,7 @@ from liestab.sampling import (BCHTruncationWarning, GroupElement,
                               PrincipalLogUndefined, TRACKING_A, adjoint_flow_step,
                               bch_coefficient_table, bch_compose, bch_tail_bound,
                               expm, heisenberg_tracking_system, logm, step_invariant,
-                              tracking_group_step, tracking_signal, tracking_state)
+                              tracking_bch_step, tracking_group_step, tracking_signal, tracking_state)
 
 
 def test_expm_logm_basics():
@@ -220,3 +220,16 @@ def test_tracking_group_vs_word_system():
         a = sys41.evaluate(tracking_state(e), w * np.array([1.0, 2.0, 3.0]))[:3]
         g = tracking_group_step(e, w)
         assert np.linalg.norm(a - g) < 1e-9
+
+
+def test_tracking_bch_step_matches_group_and_word_system():
+    # the sampled-data claim: the order-2 BCH composition is the exact error step
+    sys41 = heisenberg_tracking_system()
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        e = rng.standard_normal(3) * 2
+        w = rng.standard_normal()
+        bch = tracking_bch_step(e, w)
+        for other in (tracking_group_step(e, w),
+                      sys41.evaluate(tracking_state(e), w * np.array([1.0, 2.0, 3.0]))[:3]):
+            assert np.linalg.norm(bch - other) <= 1e-12 * np.linalg.norm(other)

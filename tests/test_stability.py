@@ -9,7 +9,7 @@ from liestab.sampling import heisenberg_tracking_system, tracking_signal, tracki
 from liestab.scenarios import (builtin_scenario, ex61_signal, ex61_system,
                                heisenberg_deadbeat_system, ideal_valued_samples,
                                uptri_deadbeat_system)
-from liestab.quotient import adapted_norm
+from liestab.quotient import adapted_norm, bracket_word
 from liestab.stability import (ENVELOPE_POWERS, CertificateRejected, HypothesisError,
                                block_sum_norm, certify_nilpotent, certify_solvable,
                                deadbeat_envelope, deadbeat_horizon, deadbeat_verified, fit_envelope,
@@ -117,6 +117,40 @@ def test_power_envelope_constant_is_sound():
             bounds = block_sum_norm(np.array(powers[1:]), block)
             k = np.arange(1, 700)
             assert np.all(bounds <= sigma * rate ** k * (1 + 1e-9))
+
+
+def test_power_envelope_constant_saturates_past_the_float_range():
+    # 7^k leaves the float range at k = 365: the ratios past it are 0, not an OverflowError
+    A = np.array([[0.5, 50.0], [0.0, 0.5]])
+    P, expected = np.eye(2), 1.0
+    for k in range(1, 365):
+        P = P @ A
+        expected = max(expected, reference_block_sum_norm(P, 1) / 7.0 ** k)
+    assert power_envelope_constant(A, 7.0, 1) == expected > 7.0
+
+
+def reference_forcing_norms(sys_, states, signal, level):
+    """``forcing_norms`` one step and one word at a time."""
+    ctx = sys_.projections[level]
+    filt = sys_.projections.embed_project(level - 1)
+    out = np.zeros(states.shape[0])
+    for k in range(states.shape[0]):
+        slots = {"X": states[k].reshape(sys_.n, sys_.d), "W": signal.value(k).reshape(sys_.r, sys_.d)}
+        acc = np.zeros((sys_.n, ctx.quotient_dim))
+        for t in sys_.all_terms():
+            if t.word.length <= level:
+                vals = [filt @ slots[kind][j - 1] for kind, j in t.word.letters]
+                acc += np.outer(t.coeff, ctx.project(bracket_word(sys_.algebra, vals)))
+        out[k] = float(np.linalg.norm(acc, axis=1).sum())
+    return out
+
+
+def test_forcing_norms_match_the_per_step_loop():
+    sc = builtin_scenario("example-4.1")
+    traj = sc.system.simulate(sc.x0, sc.signal, 50)
+    for level in (1, 2):
+        got = forcing_norms(sc.system, traj.states, sc.signal, level)
+        assert np.array_equal(got, reference_forcing_norms(sc.system, traj.states, sc.signal, level))
 
 
 def test_certificate_for_tracking_example():

@@ -7,9 +7,9 @@ Commands: check (structural/convergence checks), certify (stability
 certificate for the scenario's route), simulate, reproduce (canonical run of
 a builtin), deadbeat (finite-time horizon plus verification).
 
-Exit codes: 0 pass, 1 hypothesis/certificate failure, 2 input error,
-3 numeric divergence or overflow.  Identical configuration and seed produce
-byte-identical output files.
+Exit codes: 0 pass, 1 hypothesis/certificate failure (an inconsistent
+certificate included), 2 input error, 3 numeric divergence or overflow.
+Identical configuration and seed produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _load(args) -> Scenario:
     if args.builtin:
         sc = builtin_scenario(args.builtin, seed=args.seed, horizon=args.horizon)
     else:
-        sc = load_scenario(args.scenario, seed=args.seed)
+        sc = load_scenario(args.scenario)
         sc = sc.with_horizon(args.horizon)
     return sc
 
@@ -120,7 +120,7 @@ def cmd_certify(sc: Scenario, outdir: Path, seed: int, tols: dict, epsilon=None)
         if route == "nilpotent":
             cert = stability.certify_nilpotent(sc.system, sc.signal, M=sc.M, epsilon=epsilon)
             payload = cert.to_dict()
-            verdict = "issued" if cert.consistent else "issued-with-warnings"
+            verdict = "issued" if cert.consistent else "inconsistent"
             if not np.isfinite(cert.alpha_levels).all():
                 payload |= {"scenario": sc.name, "route": route, "verdict": "overflow"}
                 _write_json(outdir / f"certificate-{sc.name}.json", payload)
@@ -143,12 +143,14 @@ def cmd_certify(sc: Scenario, outdir: Path, seed: int, tols: dict, epsilon=None)
     payload["scenario"] = sc.name
     payload["route"] = route
     _write_json(outdir / f"certificate-{sc.name}.json", payload)
+    if verdict == "inconsistent":  # finite constants, but a ladder or decay condition fails
+        print(f"[FAIL] nilpotent certificate is not consistent: {cert.warnings[0]}")
+        return EXIT_HYPOTHESIS
     print(f"[PASS] {route} certificate: {verdict}")
     for key in ("rho_A", "threshold", "decay", "alpha", "schur_margin"):
         if key in payload:
             print(f"       {key} = {payload[key]:.6g}")
-    bad = verdict not in ("issued", "issued-with-warnings", "conditional-pass",
-                          "conditional-pass-no-evidence")
+    bad = verdict not in ("issued", "conditional-pass", "conditional-pass-no-evidence")
     return EXIT_HYPOTHESIS if bad else EXIT_PASS
 
 

@@ -14,8 +14,7 @@ There is one update map, ``evaluate`` being a batch of one of
 applied to the target directly, and the single-row flows of a call share one
 kernel call.  Maps act on stacked vectors slot by slot (``_slotwise``).
 
-The default norm on stacked states is the sum of per-slot Euclidean norms;
-``state_norm(X, mode="flat")`` is the Euclidean norm of the full stack.
+The norm on stacked states is the sum of per-slot Euclidean norms.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ import numpy as np
 
 from .algebra import (LieAlgebra, Subspace, derived_algebra, is_nilpotent,
                       lower_central_series, bracket_constant)
-from .quotient import (ChainProjections, InvarianceViolation, QuotientContext,
-                       bracket_word, quotient_algebra)
+from .quotient import (INVARIANCE_TOL, ChainProjections, InvarianceViolation,
+                       QuotientContext, bracket_word, quotient_algebra)
 
 Letter = tuple  # ("X", j) or ("W", j), 1-based slots
 
@@ -311,10 +310,9 @@ class WordSeriesSystem:
     def state_dim(self) -> int:
         return self.n * self.d
 
-    def state_norm(self, X: np.ndarray, mode: str = "sum") -> float:
+    def state_norm(self, X: np.ndarray) -> float:
         X = np.asarray(X, dtype=float).reshape(self.n, self.d)
-        slot_norms = np.linalg.norm(X, axis=1)
-        return float(slot_norms.sum() if mode == "sum" else np.linalg.norm(X))
+        return float(np.linalg.norm(X, axis=1).sum())
 
     def mu(self) -> float:
         if self._mu is None:
@@ -374,8 +372,7 @@ class WordSeriesSystem:
             out[:, f.out_slot - 1, :] += f.scale * (flows[key] @ letter_vals(f.target)[..., None])[..., 0]
         return out.reshape(B, -1)
 
-    def simulate(self, X0, signal: ExoSignal, k_max: int,
-                 overflow: float = 1e100) -> Trajectory:
+    def simulate(self, X0, signal: ExoSignal, k_max: int) -> Trajectory:
         if k_max < 0:
             raise SystemSpecError("horizon must be nonnegative")
         states = np.zeros((k_max + 1, self.state_dim))
@@ -383,10 +380,10 @@ class WordSeriesSystem:
         first_bad = None
         for k in range(k_max):
             w = signal.value(k)
-            # a non-finite state or input is divergence, like a state past the overflow level
+            # a non-finite state or input is divergence, like a state entry past 1e100
             finite = np.all(np.isfinite(states[k])) and np.all(np.isfinite(w))
             nxt = self.evaluate(states[k], w) if finite else None
-            if nxt is None or not np.all(np.isfinite(nxt)) or np.abs(nxt).max(initial=0.0) > overflow:
+            if nxt is None or not np.all(np.isfinite(nxt)) or np.abs(nxt).max(initial=0.0) > 1e100:
                 first_bad = k + 1
                 states = states[:k + 1]
                 break
@@ -425,21 +422,20 @@ class WordSeriesSystem:
         return L if exact is None else min(L, exact)
 
     def expand_family(self, fam: AdjointFamily, radius: Optional[float] = None,
-                      cutoff: Optional[int] = None, tol: Optional[float] = None,
-                      hard_cap: int = 30) -> list:
+                      cutoff: Optional[int] = None, tol: Optional[float] = None) -> list:
         """Multilinear expansion of a family into explicit Terms.
 
         Words of length l + 1 arise from (1/l!) ad_base^l(target) for
         l = 1..L.  On a nilpotent algebra the expansion is exact once l + 1
         exceeds the nilindex.  An explicitly requested cutoff is honored as a
         deliberate truncation; asking for a cutoff and a tail tolerance it
-        cannot meet is refused with the required order.
+        cannot meet is refused with the required order, as is a default cutoff past 30.
         """
         L = cutoff if cutoff is not None else fam.cutoff
         if L is None:
             needed = self.required_cutoff(fam, radius, tol)
-            if needed > hard_cap:
-                raise CutoffTooSmall(needed, hard_cap)
+            if needed > 30:
+                raise CutoffTooSmall(needed, 30)
             L = needed
         elif tol is not None:
             needed = self.required_cutoff(fam, radius, tol)
@@ -461,14 +457,14 @@ class WordSeriesSystem:
                 out.append(Term(Word(seq + (fam.target,)), scalar * coeff_dirs))
         return out
 
-    def all_terms(self, radius: Optional[float] = None) -> list:
+    def all_terms(self) -> list:
         """Explicit terms plus every family expanded at its default cutoff."""
         out = list(self.terms)
         for f in self.families:
-            out.extend(self.expand_family(f, radius))
+            out.extend(self.expand_family(f))
         return out
 
-    def series_majorant(self, radius: float, mu: Optional[float] = None) -> float:
+    def series_majorant(self, radius: float) -> float:
         """sum_w mu^{|w|-1} ||c_w|| radius^{|w|}, families summed in closed form.
 
         A finite value certifies strong absolute convergence of the word
@@ -476,7 +472,7 @@ class WordSeriesSystem:
         """
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        mu = self.mu() if mu is None else mu
+        mu = self.mu()
         total = 0.0
         for t in self.terms:
             total += mu ** (t.word.length - 1) * float(np.linalg.norm(t.coeff)) * radius ** t.word.length
@@ -499,14 +495,21 @@ class WordSeriesSystem:
         """kron(I_n, P) A kron(I_n, iota): the linear part induced on ctx's quotient."""
         return _slotwise(ctx.P, _slotwise(ctx.iota.T, self.A, self.n).T, self.n).T
 
+    def level_linear_part(self, level: int) -> np.ndarray:
+        """Linear part induced on the quotient modulo chain ideal ``level`` + 1, without
+        building the quotient system; InvarianceViolation if A does not preserve the ideal."""
+        resid = self._linear_invariance_residual(self.chain.ideals[level])  # 0 for the zero ideal
+        if resid > INVARIANCE_TOL * max(1.0, float(np.linalg.norm(self.A))):
+            raise InvarianceViolation(resid)
+        return self._quotient_linear_part(self.projections[level])
+
     def structural_state_letter_ok(self) -> bool:
         """Every stored word and every family word contains a state letter."""
         return (all(t.word.state_letter_count >= 1 for t in self.terms)
                 and all(f.has_state_words_only() for f in self.families))
 
-    def invariance_report(self, seed: int = 0, nonlinear_samples: int = 20,
-                          tol: float = 1e-10) -> dict:
-        """Invariance of every chain level under A and under the full map."""
+    def invariance_report(self, seed: int = 0, tol: float = 1e-10) -> dict:
+        """Invariance of every chain level under A and under the full map (20 samples a level)."""
         rng = np.random.default_rng(seed)
         scale = max(1.0, float(np.linalg.norm(self.A)))
         levels = []
@@ -518,7 +521,7 @@ class WordSeriesSystem:
                 continue
             lin = self._linear_invariance_residual(sub)
             # one draw per sample, its state coordinates first: the draws of a per-sample loop
-            draws = rng.standard_normal((nonlinear_samples, self.n * sub.dim + self.r * self.d))
+            draws = rng.standard_normal((20, self.n * sub.dim + self.r * self.d))
             y = self._update(_slotwise(sub.onb, draws[:, :self.n * sub.dim], self.n),
                              draws[:, self.n * sub.dim:])
             off = np.linalg.norm(self._off_ideal(sub, y), axis=1)
@@ -529,33 +532,28 @@ class WordSeriesSystem:
         return {"ok": ok, "levels": levels}
 
     def equilibrium_report(self, seed: int = 0, starts: int = 100,
-                           iters: int = 300, damping: float = 0.5,
-                           w_samples: Optional[list] = None) -> dict:
+                           iters: int = 300) -> dict:
         """Falsification search for nonzero fixed points, plus structural facts.
 
         Cannot prove uniqueness; reports structural state-letter coverage,
         invertibility margins of I - A (full and on the top quotient, where
-        the dynamics are linear), and any damped-iteration fixed point with
-        small residual and non-small norm.
+        the dynamics are linear), and any fixed point of the 1/2-damped
+        iteration under a zero and a random input with small residual and non-small norm.
         """
         rng = np.random.default_rng(seed)
         structural = self.structural_state_letter_ok()
         lin_margin = _min_singular(np.eye(self.state_dim) - self.A)
         A0 = self._quotient_linear_part(self.projections[0])
         q_margin = _min_singular(np.eye(A0.shape[0]) - A0)
-        if w_samples is None:
-            w_samples = [np.zeros(self.r * self.d),
-                         rng.standard_normal(self.r * self.d) * 0.5]
         violations = []
-        for w in w_samples:
-            w = np.asarray(w, dtype=float).reshape(-1)
+        for w in [np.zeros(self.r * self.d), rng.standard_normal(self.r * self.d) * 0.5]:
             pts = rng.standard_normal((starts, self.state_dim)) * max(self.radius, 1.0)
             alive = np.ones(starts, dtype=bool)
             for _ in range(iters):
                 fx = self.evaluate_batch(pts[alive], w)
                 good = np.all(np.isfinite(fx), axis=1) & (np.abs(fx).max(axis=1, initial=0.0) < 1e30)
                 idx = np.flatnonzero(alive)
-                pts[idx[good]] += damping * (fx[good] - pts[idx[good]])
+                pts[idx[good]] += 0.5 * (fx[good] - pts[idx[good]])
                 alive[idx[~good]] = False
                 if not alive.any():
                     break
@@ -572,20 +570,20 @@ class WordSeriesSystem:
                 "ok": structural and not violations}
 
     def jacobian_report(self, h_steps: Sequence[float] = (1e-2, 1e-3, 1e-4),
-                        directions: int = 8, seed: int = 0) -> dict:
+                        seed: int = 0) -> dict:
         """Central finite-difference linearization at the origin versus A.
 
         Coordinate-axis differences recover the Jacobian itself (for slot
         words they are exact: a bracket word needs two active letters and an
         axis perturbation activates one).  The quadratic convergence rate of
-        the remainder is measured along random joint state/input directions,
+        the remainder is measured along 8 random joint state/input directions,
         where words of length >= 3 contribute; systems whose series stops at
         quadratic words are exact there too and report no order.
         """
         h_steps = sorted(h_steps, reverse=True)
         nd, rd = self.state_dim, self.r * self.d
         rng = np.random.default_rng(seed)
-        dirs = rng.standard_normal((directions, nd + rd))  # row i: (v_i, w_i)
+        dirs = rng.standard_normal((8, nd + rd))  # row i: (v_i, w_i)
         # probes +h and -h times: every state axis, every input axis, every direction
         probes = np.concatenate([np.eye(nd + rd), dirs])
         lin = dirs[:, :nd] @ self.A.T
@@ -611,38 +609,28 @@ class WordSeriesSystem:
 
     # -- quotient dynamics ----------------------------------------------------
 
-    def quotient_system(self, level: int, tol: float = 1e-10) -> "WordSeriesSystem":
+    def quotient_system(self, level: int) -> "WordSeriesSystem":
         """Induced system on the quotient modulo chain ideal ``level`` + 1.
 
-        Words keep their letters and coefficients; only the algebra, the
-        linear part, and the invariance chain are pushed through the
-        projection.  Raises InvarianceViolation if A does not preserve the
+        Words and families are shared; only the algebra, the linear part
+        (``level_linear_part``), and the invariance chain are pushed through
+        the projection.  Raises InvarianceViolation if A does not preserve the
         factored subspace.
         """
+        Abar = self.level_linear_part(level)
         ctx = self.projections[level]
-        sub = self.chain.ideals[level]
-        resid = self._linear_invariance_residual(sub)  # 0 for the zero ideal
-        if resid > tol * max(1.0, float(np.linalg.norm(self.A))):
-            raise InvarianceViolation(resid)
-        qalg = quotient_algebra(ctx, check_ideal=False)
-        Abar = self._quotient_linear_part(ctx)
         proj_ideal = Subspace(ctx.P @ self.ideal.onb) if self.ideal.dim else Subspace.zero(ctx.quotient_dim)
-        terms = [Term(t.word, t.coeff.copy()) for t in self.terms]
-        fams = [AdjointFamily(f.out_slot, f.scale,
-                              {format_letter(k): v for k, v in f.base.items()},
-                              format_letter(f.target), f.cutoff, f.tol)
-                for f in self.families]
-        return WordSeriesSystem(qalg, self.n, self.r, Abar, terms, fams,
+        return WordSeriesSystem(quotient_algebra(ctx), self.n, self.r, Abar, self.terms, self.families,
                                 invariance_ideal=proj_ideal, radius=self.radius,
                                 name=f"{self.name}/level{level}" if self.name else "")
 
     def commuting_square_residual(self, level: int, samples: int = 100,
-                                  seed: int = 0, scale: float = 1.0) -> float:
+                                  seed: int = 0) -> float:
         """Residual of project-then-step versus step-then-project."""
         qsys = self.quotient_system(level)
         P = self.projections[level].P
         rng = np.random.default_rng(seed)
-        draws = rng.standard_normal((samples, self.state_dim + self.r * self.d)) * scale
+        draws = rng.standard_normal((samples, self.state_dim + self.r * self.d))
         X, W = draws[:, :self.state_dim], draws[:, self.state_dim:]
         lhs = _slotwise(P, self._update(X, W), self.n)
         rhs = qsys._update(_slotwise(P, X, self.n), _slotwise(P, W, self.r))

@@ -105,7 +105,7 @@ class QuotientContext:
         return f"QuotientContext(dim {self.algebra.dim} -> {self.quotient_dim})"
 
 
-def induced_map(ctx: QuotientContext, A: np.ndarray, tol: float = INVARIANCE_TOL) -> np.ndarray:
+def induced_map(ctx: QuotientContext, A: np.ndarray) -> np.ndarray:
     """Unique map on the quotient with Abar @ P = P @ A, for V-invariant A."""
     A = np.asarray(A, dtype=float)
     d = ctx.algebra.dim
@@ -114,23 +114,23 @@ def induced_map(ctx: QuotientContext, A: np.ndarray, tol: float = INVARIANCE_TOL
     if ctx.ideal.dim:
         img = A @ ctx.ideal.onb
         resid = float(np.linalg.norm(img - ctx.ideal.project(img)))
-        if resid > tol * max(1.0, float(np.linalg.norm(A))):
+        if resid > INVARIANCE_TOL * max(1.0, float(np.linalg.norm(A))):
             raise InvarianceViolation(resid)
     return ctx.P @ A @ ctx.iota
 
 
-def is_ideal(algebra: LieAlgebra, sub: Subspace, tol: float = INVARIANCE_TOL) -> bool:
-    return sub.contains(subspace_bracket(algebra, algebra.full_subspace(), sub), tol)
+def is_ideal(algebra: LieAlgebra, sub: Subspace) -> bool:
+    return sub.contains(subspace_bracket(algebra, algebra.full_subspace(), sub), INVARIANCE_TOL)
 
 
-def quotient_algebra(ctx: QuotientContext, check_ideal: bool = True) -> LieAlgebra:
+def quotient_algebra(ctx: QuotientContext) -> LieAlgebra:
     """Lie algebra structure on the quotient modulo an ideal.
 
     The bracket of cosets is computed through representatives:
     [u, v]_quot = P [iota u, iota v]; well-defined exactly when the factored
     subspace is an ideal.
     """
-    if check_ideal and not is_ideal(ctx.algebra, ctx.ideal):
+    if not is_ideal(ctx.algebra, ctx.ideal):
         raise ValueError("cannot form a quotient algebra: subspace is not an ideal")
     Cq = ctx.algebra.bracket_many(ctx.iota.T[:, None], ctx.iota.T[None]) @ ctx.P.T
     labels = [f"q{i+1}" for i in range(ctx.quotient_dim)]
@@ -173,7 +173,8 @@ def adapted_norm(A: np.ndarray, epsilon: float) -> AdaptedNorm:
     Real Schur form, 2x2 complex-pair blocks balanced to rotation-scaling
     shape, then geometric damping of the off-diagonal blocks by diag(delta^b)
     with b the block index.  Jordan form is avoided on purpose; the Schur
-    route is numerically stable and always succeeds for finite epsilon.
+    route is numerically stable; it fails (RuntimeError) only when the damping
+    that epsilon needs would leave the scaled matrix non-finite.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
@@ -210,17 +211,21 @@ def adapted_norm(A: np.ndarray, epsilon: float) -> AdaptedNorm:
     base_inv = Sinv @ Q.T
 
     blocks_arr = np.array(blocks, dtype=float)
+    balanced = base_inv @ A @ base
     delta = 1.0
     for _ in range(2000):
         D = delta ** blocks_arr
-        Tinv_A_T = (base_inv @ A @ base) * np.outer(1.0 / D, D)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            Tinv_A_T = balanced * np.outer(1.0 / D, D)
+        if not np.isfinite(Tinv_A_T).all():
+            break  # delta ** b under- or overflows from here on
         nrm = float(np.linalg.norm(Tinv_A_T, 2))
         if nrm < rho + epsilon:
             T = base * D[np.newaxis, :]
             Tinv = base_inv / D[:, np.newaxis]
             return AdaptedNorm(T, Tinv, float(epsilon), A, rho, nrm)
         delta *= 0.5
-    raise RuntimeError("adapted-norm scaling did not converge")  # unreachable for finite input
+    raise RuntimeError("adapted-norm scaling did not converge")
 
 
 # -- chains of projections along a lower central series ----------------------

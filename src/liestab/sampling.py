@@ -206,12 +206,13 @@ def bch_tail_bound(mu: float, norm_x: float, norm_y: float, order: int) -> float
     return tail / max(mu, 1e-300)
 
 
-def bch_compose(alg: LieAlgebra, X, Y, order: int, mu: Optional[float] = None) -> np.ndarray:
+def bch_compose(alg: LieAlgebra, X, Y, order: int) -> np.ndarray:
     """Truncated log(exp(X) exp(Y)) as an algebra element.
 
     Exact whenever the algebra is nilpotent with nilindex <= order; otherwise
     the composition is truncated (at most at order 6) and a warning carrying
-    a tail estimate is emitted for higher requested orders.
+    a tail estimate (with the generic bracket constant mu = 2) is emitted for
+    higher requested orders.
     """
     X = np.asarray(X, dtype=float).reshape(-1)
     Y = np.asarray(Y, dtype=float).reshape(-1)
@@ -220,9 +221,7 @@ def bch_compose(alg: LieAlgebra, X, Y, order: int, mu: Optional[float] = None) -
         effective = min(order, p)
     elif order > BCH_TABLE_ORDER:
         effective = BCH_TABLE_ORDER
-        if mu is None:
-            mu = 2.0
-        bound = bch_tail_bound(mu, float(np.linalg.norm(X)), float(np.linalg.norm(Y)), effective)
+        bound = bch_tail_bound(2.0, float(np.linalg.norm(X)), float(np.linalg.norm(Y)), effective)
         warnings.warn(BCHTruncationWarning(
             f"composition truncated at order {effective}; tail estimate {bound:.3e}"))
     else:

@@ -147,13 +147,13 @@ def uptri_deadbeat_system() -> WordSeriesSystem:
 
 
 def ideal_valued_samples(sys: WordSeriesSystem, count: int,
-                         rng: np.random.Generator, scale: float = 1.0) -> ExoSignal:
+                         rng: np.random.Generator) -> ExoSignal:
     """Bounded random signal with every slot inside the invariance ideal."""
     B = sys.ideal.onb
     samples = np.zeros((count, sys.r * sys.d))
     for k in range(count):
         for j in range(sys.r):
-            samples[k, j * sys.d:(j + 1) * sys.d] = B @ rng.standard_normal(B.shape[1]) * scale
+            samples[k, j * sys.d:(j + 1) * sys.d] = B @ rng.standard_normal(B.shape[1])
     return ExoSignal("samples", sys.r, sys.d, samples=samples)
 
 
@@ -216,7 +216,7 @@ def _finite(key: str, value, scalar: bool = False):
     return float(arr) if scalar else arr
 
 
-def scenario_from_dict(data: dict, seed: int = 0) -> Scenario:
+def scenario_from_dict(data: dict) -> Scenario:
     alg_spec = _require(data, "algebra")
     if isinstance(alg_spec, str):
         cat = catalog_algebras()
@@ -301,7 +301,7 @@ def scenario_from_dict(data: dict, seed: int = 0) -> Scenario:
                     route=data.get("route", "auto"))
 
 
-def load_scenario(path, seed: int = 0) -> Scenario:
+def load_scenario(path) -> Scenario:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -311,7 +311,7 @@ def load_scenario(path, seed: int = 0) -> Scenario:
         raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("scenario file must contain a JSON object")
-    return scenario_from_dict(data, seed=seed)
+    return scenario_from_dict(data)
 
 
 # -- trajectory export ----------------------------------------------------------

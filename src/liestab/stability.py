@@ -136,18 +136,17 @@ class NilpotentCertificate:
 
 
 def forcing_gain(sys: WordSeriesSystem, level: int, M: float, alpha_prev: float,
-                 beta: float, s: float, lambda_prev: float,
-                 iota_norm: float = 1.0, mu: Optional[float] = None) -> float:
+                 beta: float, s: float, lambda_prev: float) -> float:
     """Explicit gain gamma_i bounding the level-i forcing by gamma_i lambda_i^k ||Xbar_i[0]||.
 
     gamma_i sums, over word lengths l = 2..i, the largest coefficient norm at
     that length times mu^{l-1} ||iota||^l times the letter-count combinatorics
-    sum_q C(l, q) n^q r^{l-q} alpha_{i-1}^q M^{q-1} beta^{l-q}.  Level 1 has
-    no forcing.
+    sum_q C(l, q) n^q r^{l-q} alpha_{i-1}^q M^{q-1} beta^{l-q}; ||iota|| = 1
+    because the embeddings have orthonormal columns.  Level 1 has no forcing.
     """
     if level < 2:
         return 0.0
-    mu = sys.mu() if mu is None else mu
+    mu = sys.mu()
     terms = sys.all_terms()
     max_by_len = {}
     for t in terms:
@@ -173,7 +172,7 @@ def forcing_gain(sys: WordSeriesSystem, level: int, M: float, alpha_prev: float,
             for q in range(1, l + 1):
                 inner += math.comb(l, q) * n ** q * r ** (l - q) * alpha_prev ** q \
                     * M ** (q - 1) * beta ** (l - q)
-            total += cmax * mu ** (l - 1) * iota_norm ** l * inner
+            total += cmax * mu ** (l - 1) * inner
     except OverflowError:  # a power past the float range: the gain saturates
         return math.inf
     return total
@@ -214,11 +213,11 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
     lam = Lambda
     for i in range(1, p + 1):
         try:
-            qsys = sys.quotient_system(i)
+            Abar = sys.level_linear_part(i)
         except InvarianceViolation as exc:
             raise HypothesisError(f"A does not preserve chain level {i + 1} "
                                   f"(residual {exc.residual:.3e})") from None
-        rho_i = spectral_radius(qsys.A)
+        rho_i = spectral_radius(Abar)
         Lam_i = rho_i + (i / (p + 1.0)) * epsilon
         Lambda_levels.append(Lam_i)
         lam = Lambda if i == 1 else lam * s ** (i - 1)
@@ -226,7 +225,10 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
         if abs(lam - closed) > 1e-12 * max(1.0, closed):
             raise RuntimeError("rate ladder recursion disagrees with its closed form")
         lambda_levels.append(lam)
-        sigma_i = power_envelope_constant(qsys.A, Lam_i, qsys.d)
+        try:
+            sigma_i = power_envelope_constant(Abar, Lam_i, sys.projections[i].quotient_dim)
+        except RuntimeError as exc:  # the adapted norm needs a scaling past the float range
+            raise CertificateRejected(f"level {i}: {exc}", margin=math.inf) from None
         sigma_levels.append(sigma_i)
         if i == 1:
             gamma_levels.append(0.0)
@@ -370,15 +372,15 @@ class DeadbeatCertificate:
                 "n": self.n, "algebra_dim": self.algebra_dim}
 
 
-def deadbeat_horizon(sys: WordSeriesSystem, tol: float = 1e-10) -> DeadbeatCertificate:
+def deadbeat_horizon(sys: WordSeriesSystem) -> DeadbeatCertificate:
     """Finite-time convergence horizon for a nilpotent linear part.
 
-    Requires rho(A) = 0 (to tolerance) and expects ideal-valued inputs.  The
+    Requires rho(A) <= 1e-10 and expects ideal-valued inputs.  The
     level-i horizon is n (i dim g - sum_{j<=i} dim h^(j)); with one state slot
     this is the plain dimension count i dim g - sum dim h^(j).
     """
     rho = spectral_radius(sys.A)
-    if rho > tol:
+    if rho > 1e-10:
         raise HypothesisError(f"deadbeat requires rho(A) = 0; got {rho:.3e}")
     d = sys.algebra.dim
     dims = sys.chain.dims
@@ -395,14 +397,13 @@ def deadbeat_horizon(sys: WordSeriesSystem, tol: float = 1e-10) -> DeadbeatCerti
 
 def deadbeat_verified(sys: WordSeriesSystem, cert: DeadbeatCertificate,
                       signal_factory: Callable[[np.random.Generator], ExoSignal],
-                      runs: int = 100, seed: int = 0, tol: float = 1e-9,
-                      scale: float = 1.0) -> dict:
+                      runs: int = 100, seed: int = 0, tol: float = 1e-9) -> dict:
     """Simulation companion: final and per-level states vanish at their horizons."""
     rng = np.random.default_rng(seed)
     worst_final = 0.0
     worst_levels = [0.0] * len(cert.per_level)
     for _ in range(runs):
-        x0 = rng.standard_normal(sys.state_dim) * scale
+        x0 = rng.standard_normal(sys.state_dim)
         sig = signal_factory(rng)
         traj = sys.simulate(x0, sig, cert.horizon + 2)
         worst_final = max(worst_final, float(traj.norms[cert.horizon:].max()))
@@ -427,7 +428,7 @@ class EnvelopeFit:
                 "satisfied": self.satisfied, "details": self.details}
 
 
-def fit_envelope(bundle: Sequence[Trajectory], bisect_iters: int = 100) -> EnvelopeFit:
+def fit_envelope(bundle: Sequence[Trajectory]) -> EnvelopeFit:
     """Tightest exponential envelope ||X[k]|| <= alpha decay^k ||X[0]|| over a bundle.
 
     "Smallest rate admitting a finite constant" is operationalized on finite
@@ -475,7 +476,7 @@ def fit_envelope(bundle: Sequence[Trajectory], bisect_iters: int = 100) -> Envel
     while not interior(hi):
         hi *= 2.0
     lo = 0.0
-    for _ in range(bisect_iters):
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
         if mid <= 0 or not interior(mid):
             lo = mid
@@ -530,19 +531,18 @@ def deadbeat_envelope(sys: WordSeriesSystem, cert: DeadbeatCertificate,
 # -- convergence radius from the root test ---------------------------------------
 
 
-def roottest_radius(limsup_root: float, mu: float, iota0_norm: float = 1.0,
-                    safety: float = 0.99) -> dict:
+def roottest_radius(limsup_root: float, mu: float) -> dict:
     """Radius chain from the root test on per-length coefficient masses.
 
     Given L = limsup_l (sum_{|w| = l} ||c_w||)^{1/l}, the first radius is
-    rho1 = min(1, 1/(mu L)), the second rho2 = safety * rho1 / ||iota_0||,
-    and the certified ball radius is rho2^2 (the square absorbs the
-    exponent shift |w| - 1 -> |w| in the compared series).
+    rho1 = min(1, 1/(mu L)), the second rho2 = 0.99 rho1 / ||iota_0|| = 0.99 rho1
+    (orthonormal embedding columns), and the certified ball radius is rho2^2
+    (the square absorbs the exponent shift |w| - 1 -> |w| in the compared series).
     """
     if limsup_root < 0 or mu < 0:
         raise ValueError("limsup and mu must be nonnegative")
     rho1 = 1.0 if mu * limsup_root == 0 else min(1.0, 1.0 / (mu * limsup_root))
-    rho2 = safety * rho1 / max(iota0_norm, 1e-300)
+    rho2 = 0.99 * rho1
     return {"limsup_root": limsup_root, "rho1": rho1, "rho2": rho2,
             "radius": rho2 ** 2}
 

@@ -137,6 +137,7 @@ def test_certify_non_invariant_A_is_a_hypothesis_error(tmp_path, capsys):
     ("1e300", 1, "[FAIL] certificate rejected: level 2: forcing-rate maximum not attained"),
     ("nan", 2, "input error: --epsilon must be finite, got nan"),
     ("inf", 2, "input error: --epsilon must be finite, got inf"),
+    ("1", 1, "[FAIL] "),
 ])
 def test_certify_epsilon_ends_in_one_line(tmp_path, capsys, epsilon, code, line):
     # before: RuntimeError (3), OverflowError from Python float powers (10, 1e300), LinAlgError (nan)
@@ -145,6 +146,22 @@ def test_certify_epsilon_ends_in_one_line(tmp_path, capsys, epsilon, code, line)
     captured = capsys.readouterr()
     lines = (captured.out + captured.err).splitlines()
     assert len(lines) == 1 and lines[0].startswith(line)
+
+
+def test_certify_dense_map_past_the_adapted_norm_range_is_rejected(tmp_path, capsys):
+    # no adapted norm of this 54 x 54 map fits the float range; it used to end in a LinAlgError
+    A = np.random.default_rng(0).standard_normal((54, 54))
+    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"name": "dense", "algebra": "abelian-3", "n": 18, "r": 1,
+                                "A": A.tolist(), "signal": {"kind": "zero"}, "M": 1.0}))
+    out = tmp_path / "out"
+    assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == ("[FAIL] certificate rejected: level 1: adapted-norm scaling did not converge "
+                            "(margin +inf)\n")
+    assert json.loads((out / "certificate-dense.json").read_text())["verdict"] == "rejected"
 
 
 def test_scenario_file_roundtrip(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,17 @@ def test_adapted_norm_random_matrices():
         for _ in range(20):
             x = rng.standard_normal(n)
             assert an.vector_norm(A @ x) <= an.certified_norm * an.vector_norm(x) * (1 + 1e-10)
+
+
+def test_adapted_norm_past_the_float_range_is_a_named_error():
+    # a dense 54 x 54 map needs a damping delta ** b past the float range: the
+    # scaled matrix used to turn inf/NaN, and the SVD died with "SVD did not converge"
+    A = np.random.default_rng(0).standard_normal((54, 54))
+    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeError, match="adapted-norm scaling did not converge"):
+            adapted_norm(A, 0.025)
 
 
 def test_word_identity_nilpotent_chain():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from liestab.algebra import abelian, heisenberg, nilpotent_upper
+from liestab.algebra import LieAlgebra, abelian, heisenberg, nilpotent_upper
 from liestab.dynamics import ExoSignal, Term, Trajectory, Word, WordSeriesSystem
 from liestab.sampling import heisenberg_tracking_system, tracking_signal, tracking_state
 from liestab.scenarios import (builtin_scenario, ex61_signal, ex61_system,
@@ -173,6 +173,51 @@ def test_certificate_for_tracking_example():
     for i in range(1, cert.nilindex + 1):
         q = sc.system.quotient_system(i)
         assert spectral_radius(q.A) <= cert.rho_A + 1e-12
+
+
+def sweep_system(m):
+    """``nilpotent_upper(m)`` with A = I/2, the two sweep terms and a 64-sample signal."""
+    alg = nilpotent_upper(m)
+    terms = [Term(Word((("X", 1), ("W", 1))), np.array([0.1])),
+             Term(Word((("X", 1), ("X", 1), ("W", 1))), np.array([-0.05]))]
+    sys_ = WordSeriesSystem(alg, 1, 1, 0.5 * np.eye(alg.dim), terms=terms)
+    rng = np.random.default_rng(0)
+    return sys_, ExoSignal("samples", 1, alg.dim, samples=0.05 * rng.uniform(-1.0, 1.0, (64, alg.dim)))
+
+
+def certificate_cases():
+    sc = builtin_scenario("example-4.1")
+    return [(sc.system, sc.signal, sc.M)] + [sweep_system(m) + (1.0,) for m in (4, 5, 6)]
+
+
+def test_level_linear_parts_match_the_quotient_systems():
+    # the quotient systems the certificate used to build are the reference
+    for sys_, signal, M in certificate_cases():
+        cert = certify_nilpotent(sys_, signal, M=M)
+        p = cert.nilindex
+        Lambda_levels, sigma_levels = [], []
+        for i in range(1, p + 1):
+            q = sys_.quotient_system(i)
+            assert np.array_equal(sys_.level_linear_part(i), q.A)
+            Lambda_levels.append(spectral_radius(q.A) + (i / (p + 1.0)) * cert.epsilon)
+            sigma_levels.append(power_envelope_constant(q.A, Lambda_levels[-1], q.d))
+        assert cert.Lambda_levels == Lambda_levels
+        assert cert.sigma_levels == sigma_levels
+
+
+def test_certificate_builds_no_algebra_and_no_system(monkeypatch):
+    cases = certificate_cases()
+    built = []
+    for cls in (LieAlgebra, WordSeriesSystem):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    for sys_, signal, M in cases:
+        certify_nilpotent(sys_, signal, M=M)
+    assert built == []
+    cases[0][0].quotient_system(1)  # the counter does see a rebuild
+    assert built == ["LieAlgebra", "WordSeriesSystem"]
 
 
 def test_certificate_envelope_constants_hold():

@@ -344,29 +344,14 @@ def is_nilpotent(alg: LieAlgebra, start: Optional[Subspace] = None):
 
 # -- bracket norm constant -------------------------------------------------
 
-MU_KINDS = ("frobenius-rep", "generic", "numerically-estimated")
 
+def bracket_constant(alg: LieAlgebra) -> float:
+    """Constant mu with ||[x, y]|| <= mu ||x|| ||y|| in coordinate Euclidean norm.
 
-def bracket_constant(alg: LieAlgebra, kind: str = "numerically-estimated") -> float:
-    """Constant mu with ||[x, y]|| <= mu ||x|| ||y||.
-
-    kind:
-      * "frobenius-rep": sqrt(2); valid for the Frobenius norm of any matrix
-        realization.  Requires matrix_rep.
-      * "generic": the a-priori bound 2 from submultiplicativity.
-      * "numerically-estimated": supremum of ||[x, y]|| / (||x|| ||y||) in
-        coordinate Euclidean norm over 2000 seeded random unit pairs, sharpened
-        by up to 60 steps of alternating singular-vector ascent, then inflated by 5%.
+    The supremum of ||[x, y]|| / (||x|| ||y||) over 2000 seeded random unit
+    pairs, sharpened by up to 60 steps of alternating singular-vector ascent,
+    then inflated by 5%: a numerical estimate, not a proven bound.
     """
-    if kind == "frobenius-rep":
-        if alg.matrix_rep is None:
-            raise ValueError("frobenius-rep bound requires a matrix representation")
-        return float(np.sqrt(2.0))
-    if kind == "generic":
-        return 2.0
-    if kind != "numerically-estimated":
-        raise ValueError(f"unknown norm kind {kind!r}; expected one of {MU_KINDS}")
-
     d = alg.dim
     if d == 0 or np.max(np.abs(alg.C)) == 0.0:
         return 0.0

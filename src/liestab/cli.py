@@ -1,7 +1,7 @@
 """Command-line front end.
 
-    liestab <command> [--scenario FILE | --builtin NAME] --horizon K --seed S
-            --out DIR [--tol NAME=VALUE ...]
+    liestab <command> [--scenario FILE | --builtin NAME] [--horizon K] [--seed S]
+            [--out DIR] [--epsilon E]
 
 Commands: check (structural/convergence checks), certify (stability
 certificate for the scenario's route), simulate, reproduce (canonical run of
@@ -9,6 +9,7 @@ a builtin), deadbeat (finite-time horizon plus verification).
 
 Exit codes: 0 pass, 1 hypothesis/certificate failure (an inconsistent
 certificate included), 2 input error, 3 numeric divergence or overflow.
+A certificate that does not exit 0 prints one [FAIL] line.
 Identical configuration and seed produce byte-identical output files.
 """
 
@@ -31,18 +32,10 @@ EXIT_HYPOTHESIS = 1
 EXIT_INPUT = 2
 EXIT_DIVERGED = 3
 
-
-def _parse_tols(pairs) -> dict:
-    out = {}
-    for p in pairs or []:
-        if "=" not in p:
-            raise ScenarioError(f"--tol expects NAME=VALUE, got {p!r}")
-        k, v = p.split("=", 1)
-        try:
-            out[k] = float(v)
-        except ValueError:
-            raise ScenarioError(f"--tol value for {k!r} is not a number") from None
-    return out
+# exit code of every verdict a completed certificate can carry
+VERDICT_EXIT = {"issued": EXIT_PASS, "conditional-pass": EXIT_PASS,
+                "conditional-pass-no-evidence": EXIT_PASS, "inconsistent": EXIT_HYPOTHESIS,
+                "hypothesis-warning": EXIT_HYPOTHESIS, "overflow": EXIT_DIVERGED}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--horizon", type=int, default=None, help="override the scenario horizon")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="liestab_out", help="output directory")
-    ap.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                    help="tolerance override (invariance, equilibrium-residual, jacobian-order)")
     ap.add_argument("--epsilon", type=float, default=None,
                     help="gap parameter for the nilpotent certificate")
     return ap
@@ -77,11 +68,11 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def cmd_check(sc: Scenario, outdir: Path, seed: int, tols: dict) -> int:
+def cmd_check(sc: Scenario, outdir: Path, seed: int) -> int:
     sys_ = sc.system
     majorant = sys_.series_majorant(max(sc.M, sys_.radius))
     eq = sys_.equilibrium_report(seed=seed)
-    inv = sys_.invariance_report(seed=seed, tol=tols.get("invariance", 1e-10))
+    inv = sys_.invariance_report(seed=seed)
     jac = sys_.jacobian_report()
     ok = bool(np.isfinite(majorant)) and eq["ok"] and inv["ok"] and jac["ok"]
     report = {"scenario": sc.name, "seed": seed, "ok": ok,
@@ -112,24 +103,24 @@ def _route(sc: Scenario) -> str:
     raise stability.HypothesisError("algebra is neither nilpotent-with-full-ideal nor solvable")
 
 
-def cmd_certify(sc: Scenario, outdir: Path, seed: int, tols: dict, epsilon=None) -> int:
+def cmd_certify(sc: Scenario, outdir: Path, seed: int, epsilon=None) -> int:
     try:
         route = _route(sc)
         if route == "deadbeat":
-            return cmd_deadbeat(sc, outdir, seed, tols)
+            return cmd_deadbeat(sc, outdir, seed)
         if route == "nilpotent":
             cert = stability.certify_nilpotent(sc.system, sc.signal, M=sc.M, epsilon=epsilon)
             payload = cert.to_dict()
-            verdict = "issued" if cert.consistent else "inconsistent"
+            verdict, why = "issued", None
             if not np.isfinite(cert.alpha_levels).all():
-                payload |= {"scenario": sc.name, "route": route, "verdict": "overflow"}
-                _write_json(outdir / f"certificate-{sc.name}.json", payload)
-                print(f"[FAIL] certificate envelope constant is not finite (alpha levels {cert.alpha_levels})")
-                return EXIT_DIVERGED
+                verdict = payload["verdict"] = "overflow"
+                why = f"envelope constant is not finite (alpha levels {cert.alpha_levels})"
+            elif not cert.consistent:  # finite constants, but a ladder or decay condition fails
+                verdict, why = "inconsistent", cert.warnings[0]
         else:
             rep = stability.certify_solvable(sc.system, sc.signal, horizon=sc.horizon, x0=sc.x0)
             payload = rep.to_dict()
-            verdict = rep.verdict
+            verdict, why = rep.verdict, rep.notes[-1]
     except stability.CertificateRejected as exc:
         payload = {"verdict": "rejected", "reason": exc.reason, "margin": exc.margin}
         _write_json(outdir / f"certificate-{sc.name}.json", payload)
@@ -143,15 +134,14 @@ def cmd_certify(sc: Scenario, outdir: Path, seed: int, tols: dict, epsilon=None)
     payload["scenario"] = sc.name
     payload["route"] = route
     _write_json(outdir / f"certificate-{sc.name}.json", payload)
-    if verdict == "inconsistent":  # finite constants, but a ladder or decay condition fails
-        print(f"[FAIL] nilpotent certificate is not consistent: {cert.warnings[0]}")
-        return EXIT_HYPOTHESIS
+    if VERDICT_EXIT[verdict] != EXIT_PASS:
+        print(f"[FAIL] {route} certificate: {verdict}: {why}")
+        return VERDICT_EXIT[verdict]
     print(f"[PASS] {route} certificate: {verdict}")
     for key in ("rho_A", "threshold", "decay", "alpha", "schur_margin"):
         if key in payload:
             print(f"       {key} = {payload[key]:.6g}")
-    bad = verdict not in ("issued", "conditional-pass", "conditional-pass-no-evidence")
-    return EXIT_HYPOTHESIS if bad else EXIT_PASS
+    return EXIT_PASS
 
 
 def _run_and_write(sc: Scenario, outdir: Path, seed: int, tag: str) -> int:
@@ -175,7 +165,7 @@ def cmd_reproduce(sc: Scenario, outdir: Path, seed: int) -> int:
     return _run_and_write(sc, outdir, seed, "reproduce")
 
 
-def cmd_deadbeat(sc: Scenario, outdir: Path, seed: int, tols: dict) -> int:
+def cmd_deadbeat(sc: Scenario, outdir: Path, seed: int) -> int:
     try:
         cert = stability.deadbeat_horizon(sc.system)
     except stability.HypothesisError as exc:
@@ -187,7 +177,7 @@ def cmd_deadbeat(sc: Scenario, outdir: Path, seed: int, tols: dict) -> int:
     verify = stability.deadbeat_verified(
         sc.system, cert,
         lambda rng: ideal_valued_samples(sc.system, cert.horizon + 3, rng),
-        runs=100, seed=seed, tol=tols.get("deadbeat", 1e-9))
+        runs=100, seed=seed)
     payload = cert.to_dict() | {"verified": verify, "scenario": sc.name}
     _write_json(outdir / f"deadbeat-{sc.name}.json", payload)
     status = "PASS" if verify["ok"] else "FAIL"
@@ -200,7 +190,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        tols = _parse_tols(args.tol)
         if args.epsilon is not None and not np.isfinite(args.epsilon):
             raise ScenarioError(f"--epsilon must be finite, got {args.epsilon}")
         sc = _load(args)
@@ -210,9 +199,9 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.command == "check":
-        return cmd_check(sc, outdir, args.seed, tols)
+        return cmd_check(sc, outdir, args.seed)
     if args.command == "certify":
-        return cmd_certify(sc, outdir, args.seed, tols, epsilon=args.epsilon)
+        return cmd_certify(sc, outdir, args.seed, epsilon=args.epsilon)
     if args.command == "simulate":
         return cmd_simulate(sc, outdir, args.seed)
     if args.command == "reproduce":
@@ -220,7 +209,7 @@ def main(argv=None) -> int:
             print("input error: reproduce needs --builtin", file=sys.stderr)
             return EXIT_INPUT
         return cmd_reproduce(sc, outdir, args.seed)
-    return cmd_deadbeat(sc, outdir, args.seed, tols)
+    return cmd_deadbeat(sc, outdir, args.seed)
 
 
 if __name__ == "__main__":

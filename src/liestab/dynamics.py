@@ -316,7 +316,7 @@ class WordSeriesSystem:
 
     def mu(self) -> float:
         if self._mu is None:
-            self._mu = bracket_constant(self.algebra, "numerically-estimated")
+            self._mu = bracket_constant(self.algebra)
         return self._mu
 
     def coordinate_names(self) -> list:
@@ -508,7 +508,7 @@ class WordSeriesSystem:
         return (all(t.word.state_letter_count >= 1 for t in self.terms)
                 and all(f.has_state_words_only() for f in self.families))
 
-    def invariance_report(self, seed: int = 0, tol: float = 1e-10) -> dict:
+    def invariance_report(self, seed: int = 0) -> dict:
         """Invariance of every chain level under A and under the full map (20 samples a level)."""
         rng = np.random.default_rng(seed)
         scale = max(1.0, float(np.linalg.norm(self.A)))
@@ -528,7 +528,7 @@ class WordSeriesSystem:
             nl = float((off / np.maximum(1.0, np.linalg.norm(y, axis=1))).max(initial=0.0))
             levels.append({"level": idx + 1, "dim": sub.dim, "linear_residual": lin,
                            "nonlinear_residual": nl})
-            ok = ok and lin < tol * scale and nl < max(tol, 1e-9)
+            ok = ok and lin < INVARIANCE_TOL * scale and nl < 1e-9
         return {"ok": ok, "levels": levels}
 
     def equilibrium_report(self, seed: int = 0, starts: int = 100,

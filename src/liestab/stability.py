@@ -11,7 +11,7 @@ yields finite-time (deadbeat) convergence with an explicit horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -122,17 +122,7 @@ class NilpotentCertificate:
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"kind": "nilpotent-semiglobal-exponential",
-                "nilindex": self.nilindex, "beta": self.beta, "s": self.s,
-                "rho_A": self.rho_A, "threshold": self.threshold,
-                "epsilon": self.epsilon, "Lambda": self.Lambda,
-                "Lambda_levels": self.Lambda_levels,
-                "lambda_levels": self.lambda_levels,
-                "sigma_levels": self.sigma_levels,
-                "gamma_levels": self.gamma_levels,
-                "alpha_levels": self.alpha_levels,
-                "M": self.M, "alpha": self.alpha, "decay": self.decay,
-                "consistent": self.consistent, "warnings": self.warnings}
+        return {"kind": "nilpotent-semiglobal-exponential", **asdict(self)}
 
 
 def forcing_gain(sys: WordSeriesSystem, level: int, M: float, alpha_prev: float,
@@ -143,24 +133,23 @@ def forcing_gain(sys: WordSeriesSystem, level: int, M: float, alpha_prev: float,
     that length times mu^{l-1} ||iota||^l times the letter-count combinatorics
     sum_q C(l, q) n^q r^{l-q} alpha_{i-1}^q M^{q-1} beta^{l-q}; ||iota|| = 1
     because the embeddings have orthonormal columns.  Level 1 has no forcing.
+    The rate lambda_{i-1} s^{i-1} must be the largest lambda_{i-1}^q s^{l-q} over
+    l <= i, q <= l; with s >= 1 each term is monotone in q, so the one rival is
+    lambda_{i-1}^i, and CertificateRejected carries its excess when it wins.
     """
     if level < 2:
         return 0.0
     mu = sys.mu()
-    terms = sys.all_terms()
     max_by_len = {}
-    for t in terms:
+    for t in sys.all_terms():
         l = t.word.length
         max_by_len[l] = max(max_by_len.get(l, 0.0), float(np.linalg.norm(t.coeff)))
     # the rate maximization over (l, q) must be solved by l = level, q = 1
-    best = 0.0
-    for l in range(2, level + 1):
-        for q in range(1, l + 1):
-            best = max(best, _pow(lambda_prev, q) * _pow(s, l - q))
     attained = lambda_prev * _pow(s, level - 1)
-    if best > attained * (1 + 1e-12):
+    rival = _pow(lambda_prev, level)
+    if rival > attained * (1 + 1e-12):
         raise CertificateRejected(f"level {level}: forcing-rate maximum not attained at (l, q) = (level, 1)",
-                                  margin=best - attained)
+                                  margin=rival - attained)
     total = 0.0
     n, r = sys.n, sys.r
     try:
@@ -193,6 +182,8 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
         raise HypothesisError("algebra is not nilpotent")
     if sys.ideal.dim != sys.algebra.dim:
         raise HypothesisError("nilpotent certificate requires the invariance ideal to be the whole algebra")
+    if not sys.structural_state_letter_ok():  # else the origin is no equilibrium; the gains miss words
+        raise HypothesisError("nilpotent certificate requires a state letter in every word")
     beta, s = signal.envelope()
     s = max(s, 1.0)
     rho_A = spectral_radius(sys.A)
@@ -210,7 +201,6 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
     # quotient levels: level i factors the (i+1)-th chain ideal
     Lambda_levels, lambda_levels, sigma_levels = [], [], []
     gamma_levels, alpha_levels = [], []
-    lam = Lambda
     for i in range(1, p + 1):
         try:
             Abar = sys.level_linear_part(i)
@@ -220,10 +210,7 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
         rho_i = spectral_radius(Abar)
         Lam_i = rho_i + (i / (p + 1.0)) * epsilon
         Lambda_levels.append(Lam_i)
-        lam = Lambda if i == 1 else lam * s ** (i - 1)
-        closed = Lambda * s ** (i * (i - 1) / 2.0)
-        if abs(lam - closed) > 1e-12 * max(1.0, closed):
-            raise RuntimeError("rate ladder recursion disagrees with its closed form")
+        lam = Lambda if i == 1 else lam * s ** (i - 1)  # lambda_i = Lambda s^(i(i-1)/2)
         lambda_levels.append(lam)
         try:
             sigma_i = power_envelope_constant(Abar, Lam_i, sys.projections[i].quotient_dim)
@@ -299,12 +286,7 @@ class SolvableReport:
     evidence: dict
 
     def to_dict(self) -> dict:
-        return {"kind": "solvable-attractivity", "rho_A": self.rho_A,
-                "schur_margin": self.schur_margin,
-                "ideal_residual_max": self.ideal_residual_max,
-                "ideal_residual_tail": self.ideal_residual_tail,
-                "signal_bound": self.signal_bound, "verdict": self.verdict,
-                "notes": self.notes, "evidence": self.evidence}
+        return {"kind": "solvable-attractivity", **asdict(self)}
 
 
 def certify_solvable(sys: WordSeriesSystem, signal: ExoSignal, horizon: int = 200,
@@ -367,9 +349,7 @@ class DeadbeatCertificate:
     algebra_dim: int
 
     def to_dict(self) -> dict:
-        return {"kind": "deadbeat", "horizon": self.horizon,
-                "per_level": self.per_level, "chain_dims": self.chain_dims,
-                "n": self.n, "algebra_dim": self.algebra_dim}
+        return {"kind": "deadbeat", **asdict(self)}
 
 
 def deadbeat_horizon(sys: WordSeriesSystem) -> DeadbeatCertificate:
@@ -384,13 +364,8 @@ def deadbeat_horizon(sys: WordSeriesSystem) -> DeadbeatCertificate:
         raise HypothesisError(f"deadbeat requires rho(A) = 0; got {rho:.3e}")
     d = sys.algebra.dim
     dims = sys.chain.dims
-    p = len(dims) - 1  # chain = h^(1) .. h^(p+1) = 0
-    per_level = []
-    for i in range(1, p + 2):
-        used = sum(dims[j] for j in range(min(i, len(dims))))
-        per_level.append(sys.n * (i * d - used))
-    if any(b < a for a, b in zip(per_level, per_level[1:])):
-        raise RuntimeError("per-level horizons must be nondecreasing")
+    # chain = h^(1) .. h^(p+1) = 0; each level adds n (d - dim h^(i)) >= 0 steps
+    per_level = [sys.n * (i * d - sum(dims[:i])) for i in range(1, len(dims) + 1)]
     return DeadbeatCertificate(horizon=per_level[-1], per_level=per_level,
                                chain_dims=dims, n=sys.n, algebra_dim=d)
 
@@ -424,21 +399,21 @@ class EnvelopeFit:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "decay": self.decay,
-                "satisfied": self.satisfied, "details": self.details}
+        return asdict(self)
 
 
 def fit_envelope(bundle: Sequence[Trajectory]) -> EnvelopeFit:
     """Tightest exponential envelope ||X[k]|| <= alpha decay^k ||X[0]|| over a bundle.
 
-    "Smallest rate admitting a finite constant" is operationalized on finite
-    data as the smallest decay whose envelope-defining maximum of
-    ratio / decay^k sits strictly before the final sample of every
-    trajectory: pushing decay below that moves the active constraint to the
-    window edge, i.e. the constant would grow without bound on a longer run.
-    A pure geometric trajectory lambda^k X[0] reports exactly (1, lambda); a
-    constant trajectory reports (1, 1) with the certificate flag off; early
-    transients only enlarge alpha, not the rate.
+    decay is the smallest rate at which the maximum of r_k / decay^k
+    (r_k = ||X[k]|| / ||X[0]||) sits before the last nonzero sample K of every
+    trajectory; below it the maximum moves to the window edge, i.e. the constant
+    would grow without bound on a longer run.  r_K / decay^K beats every earlier
+    r_k / decay^k exactly when decay^(K-k) < r_K / r_k, so in closed form
+    decay = max over trajectories of min_{k < K, r_k > 0} (r_K / r_k)^(1/(K-k)),
+    and alpha = max_k r_k / decay^k.  A pure geometric trajectory lambda^k X[0]
+    reports (1, lambda); a constant one (1, 1) with the certificate flag off;
+    early transients only enlarge alpha, not the rate.
     """
     ratios = []
     for traj in bundle:
@@ -451,43 +426,17 @@ def fit_envelope(bundle: Sequence[Trajectory]) -> EnvelopeFit:
     if all(float(r[1:].max(initial=0.0)) == 0.0 for r in ratios):
         return EnvelopeFit(alpha=1.0, decay=0.0, satisfied=True,
                            details={"overshoot": overshoot, "note": "zero past k = 0"})
-
-    def alpha_of(lam: float) -> float:
-        worst = 0.0
-        for r in ratios:
-            k = np.arange(r.shape[0], dtype=float)
-            with np.errstate(divide="ignore", over="ignore"):
-                worst = max(worst, float(np.nanmax(r / lam ** k)))
-        return worst
-
-    def interior(lam: float) -> bool:
-        for r in ratios:
-            last = int(np.max(np.flatnonzero(r > 0)))
-            if last < 1:
-                continue
-            k = np.arange(last + 1, dtype=float)
-            with np.errstate(divide="ignore", over="ignore"):
-                vals = r[:last + 1] / lam ** k
-            if int(np.argmax(vals)) == last:
-                return False
-        return True
-
-    hi = 2.0
-    while not interior(hi):
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid <= 0 or not interior(mid):
-            lo = mid
-        else:
-            hi = mid
-    decay = hi
-    alpha = alpha_of(decay)
-    # the bisection lands within float noise of the transition rate, so the
-    # decay verdict carries a small guard band
-    return EnvelopeFit(alpha=float(alpha), decay=float(decay),
-                       satisfied=decay < 1.0 - 1e-9,
+    decay = 0.0
+    for r in ratios:
+        last = int(np.flatnonzero(r > 0).max())
+        if last:  # a trajectory that vanishes past k = 0 binds no rate
+            k = np.flatnonzero(r[:last] > 0)
+            decay = max(decay, float(np.min((r[last] / r[k]) ** (1.0 / (last - k)))))
+    with np.errstate(divide="ignore", over="ignore"):  # decay^k may underflow to 0
+        alpha = max(float(np.nanmax(r / decay ** np.arange(r.shape[0], dtype=float)))
+                    for r in ratios)
+    # the root carries rounding noise, so the decay verdict carries a small guard band
+    return EnvelopeFit(alpha=alpha, decay=decay, satisfied=decay < 1.0 - 1e-9,
                        details={"overshoot": overshoot, "trajectories": len(ratios)})
 
 

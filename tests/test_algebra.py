@@ -154,21 +154,13 @@ def test_strong_centrality_of_lower_central_series():
 
 
 def test_bracket_constant_kinds():
-    alg = heisenberg()
-    assert bracket_constant(alg, "frobenius-rep") == pytest.approx(np.sqrt(2))
-    assert bracket_constant(alg, "generic") == 2.0
-    assert bracket_constant(abelian(3), "numerically-estimated") == 0.0
-    no_rep = LieAlgebra(alg.C, labels=alg.labels)
-    with pytest.raises(ValueError):
-        bracket_constant(no_rep, "frobenius-rep")
-    with pytest.raises(ValueError):
-        bracket_constant(alg, "spectral")
+    assert bracket_constant(abelian(3)) == 0.0
 
 
 def test_bracket_constant_bounds_hold():
     rng = np.random.default_rng(2)
     for name, alg in catalog_algebras().items():
-        mu = bracket_constant(alg, "numerically-estimated")
+        mu = bracket_constant(alg)
         d = alg.dim
         x = rng.standard_normal((10_000, d))
         y = rng.standard_normal((10_000, d))

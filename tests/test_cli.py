@@ -1,9 +1,11 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from liestab import cli
 from liestab.cli import main
 from liestab.scenarios import load_scenario, scenario_from_dict, ScenarioError
 
@@ -131,6 +133,41 @@ def test_certify_non_invariant_A_is_a_hypothesis_error(tmp_path, capsys):
     assert json.loads((out / "certificate-noninv.json").read_text())["verdict"] == "hypothesis-error"
 
 
+def test_certify_without_a_state_letter_is_a_hypothesis_error(tmp_path, capsys):
+    # [W1, W2] moves the state off the origin: from x0 = 0 it reaches norm 1.311, so no envelope
+    # alpha decay^k ||X[0]|| holds, whatever a gain over the state-letter words alone would claim
+    path = tmp_path / "noletter.json"
+    path.write_text(json.dumps({
+        "name": "noletter", "algebra": "heisenberg", "n": 1, "r": 2,
+        "A": (0.5 * np.eye(3)).tolist(), "terms": [{"letters": ["W1", "W2"], "coeff": [1.0]}],
+        "signal": {"kind": "geometric", "base": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0], "ratio": 0.9},
+        "x0": [0.0, 0.0, 0.0], "M": 1.0}))
+    sc = load_scenario(path)
+    assert sc.system.simulate(sc.x0, sc.signal, 10).norms.max() > 1.0
+    out = tmp_path / "out"
+    assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("[FAIL] hypothesis error:")
+    assert json.loads((out / "certificate-noletter.json").read_text())["verdict"] == "hypothesis-error"
+
+
+def test_certify_solvable_hypothesis_warning_fails(tmp_path, capsys):
+    # a constant input outside the derived ideal: the solvable verdict is a hypothesis warning
+    path = tmp_path / "warn.json"
+    path.write_text(json.dumps({
+        "name": "warn", "algebra": "upper-triangular-6", "n": 1, "r": 1,
+        "A": (0.5 * np.eye(6)).tolist(), "ideal": "derived", "route": "solvable",
+        "signal": {"kind": "samples", "samples": [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]},
+        "x0": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]}))
+    out = tmp_path / "out"
+    assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 1
+    stdout = capsys.readouterr().out
+    assert "[PASS]" not in stdout
+    assert stdout.splitlines() == [stdout.strip()]
+    assert stdout.startswith("[FAIL] solvable certificate: hypothesis-warning")
+    assert json.loads((out / "certificate-warn.json").read_text())["verdict"] == "hypothesis-warning"
+
+
 @pytest.mark.parametrize("epsilon,code,line", [
     ("3", 1, "[FAIL] certificate rejected: level 2: forcing-rate maximum not attained"),
     ("10", 1, "[FAIL] certificate rejected: level 2: forcing-rate maximum not attained"),
@@ -256,3 +293,17 @@ def test_nonfinite_scenario_fields_are_named():
 def test_builtin_unknown():
     with pytest.raises(SystemExit):
         main(["check", "--builtin", "mystery"])
+
+
+def test_docs_list_exactly_the_parser_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    synopsis = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    parser = cli.build_parser()
+    options = {o for a in parser._actions for o in a.option_strings
+               if o.startswith("--") and o != "--help"}
+    for where, text in [("README synopsis", synopsis), ("cli docstring", cli.__doc__)]:
+        assert set(re.findall(r"--[a-z][a-z-]*", text)) == options, where
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    for command in commands:
+        assert f"`{command}`" in section, command

@@ -262,6 +262,36 @@ def test_forcing_gain_structure():
     assert got == pytest.approx(expected)
 
 
+def reference_rate_maximum(lambda_prev, s, level):
+    """max of lambda_prev^q s^(l-q) over 2 <= l <= level, 1 <= q <= l, by the double loop
+    ``forcing_gain`` used before its closed-form rate check."""
+    best = 0.0
+    for l in range(2, level + 1):
+        for q in range(1, l + 1):
+            best = max(best, lambda_prev ** q * s ** (l - q))
+    return best
+
+
+def test_forcing_rate_check_matches_the_reference_maximum():
+    sys_ = builtin_scenario("example-4.1").system
+    outcomes = set()
+    for lambda_prev in (0.3, 0.9, 1.0, 1.5, 7.0):
+        for s in (1.0, 1.5, 2.0, 4.0):
+            for level in range(2, 9):
+                best = reference_rate_maximum(lambda_prev, s, level)
+                attained = lambda_prev * s ** (level - 1)
+                rejects = best > attained * (1 + 1e-12)
+                outcomes.add(rejects)
+                try:
+                    forcing_gain(sys_, level, M=1.0, alpha_prev=1.0, beta=1.0, s=s,
+                                 lambda_prev=lambda_prev)
+                except CertificateRejected as exc:
+                    assert rejects and exc.margin == best - attained, (lambda_prev, s, level)
+                else:
+                    assert not rejects, (lambda_prev, s, level)
+    assert outcomes == {True, False}
+
+
 def test_certificate_rejections():
     alg = heisenberg()
     hot = WordSeriesSystem(alg, 1, 1, 0.6 * np.eye(3))
@@ -404,6 +434,16 @@ def test_fit_envelope_shapes():
     assert not fit.satisfied
     fit = fit_envelope([traj_from_norms([2.0, 0.0, 0.0])])
     assert (fit.alpha, fit.decay) == (1.0, 0.0)
+    # growth by 3 per step: the rate lies above the bracket [0, 2] a search would start from
+    fit = fit_envelope([traj_from_norms(3.0 ** np.arange(21))])
+    assert fit.decay == pytest.approx(3.0, rel=1e-12) and not fit.satisfied
+    assert fit.alpha == pytest.approx(1.0, rel=1e-12)
+    # the binding rate 0.8 comes from the trajectory with the smaller overshoot (1 against 4)
+    fit = fit_envelope([traj_from_norms([1.0, 4.0, 2.0, 1.0, 0.5, 0.25]),
+                        traj_from_norms(0.8 ** np.arange(6))])
+    assert fit.decay == pytest.approx(0.8, rel=1e-12) and fit.satisfied
+    assert fit.alpha == pytest.approx(4.0 / 0.8, rel=1e-12)
+    assert fit.details == {"overshoot": 4.0, "trajectories": 2}
     with pytest.raises(ValueError):
         fit_envelope([traj_from_norms([0.0, 1.0])])
     with pytest.raises(ValueError):
@@ -423,6 +463,43 @@ def test_fit_envelope_on_tracking_bundle():
     for traj in bundle:
         ks = np.arange(traj.norms.shape[0])
         assert np.all(traj.norms <= fit.alpha * fit.decay ** ks * traj.norms[0] * (1 + 1e-9))
+
+
+def reference_fit_envelope(bundle):
+    """(alpha, decay) by the bisection ``fit_envelope`` used before its closed form: the
+    smallest decay at which no trajectory's maximum of r_k / decay^k is its last nonzero sample."""
+    ratios = [t.norms / t.norms[0] for t in bundle]
+
+    def interior(lam):
+        for r in ratios:
+            last = int(np.max(np.flatnonzero(r > 0)))
+            if last >= 1 and int(np.argmax(r[:last + 1] / lam ** np.arange(last + 1.0))) == last:
+                return False
+        return True
+
+    lo, hi = 0.0, 2.0
+    while not interior(hi):
+        hi *= 2.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if not interior(mid) else (lo, mid)
+    with np.errstate(divide="ignore", over="ignore"):
+        return max(float(np.nanmax(r / hi ** np.arange(r.shape[0], dtype=float))) for r in ratios), hi
+
+
+def test_fit_envelope_matches_the_reference_bisection():
+    sc = builtin_scenario("example-4.1")
+    rng = np.random.default_rng(9)
+    bundles = [[traj_from_norms(3.0 ** np.arange(21))],
+               [traj_from_norms([1.0, 4.0, 2.0, 1.0, 0.5, 0.25]), traj_from_norms(0.8 ** np.arange(6))]]
+    for count, horizon in [(5, 200), (6, 50), (10, 50)]:
+        bundles.append([sc.system.simulate(tracking_state(rng.standard_normal(3) * rng.uniform(1.0, 5.0)),
+                                           tracking_signal(1.0), horizon) for _ in range(count)])
+    for bundle in bundles:
+        fit = fit_envelope(bundle)
+        alpha, decay = reference_fit_envelope(bundle)
+        assert fit.decay == pytest.approx(decay, rel=1e-15, abs=0)
+        assert fit.alpha == pytest.approx(alpha, rel=1e-12, abs=0)
 
 
 def test_roottest_radius_chain():

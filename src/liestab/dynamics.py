@@ -37,14 +37,6 @@ class SystemSpecError(ValueError):
     pass
 
 
-class CutoffTooSmall(ValueError):
-    def __init__(self, required: int, requested: int):
-        super().__init__(f"family cutoff {requested} too small; need L >= {required} "
-                         f"for the requested tail tolerance")
-        self.required = required
-        self.requested = requested
-
-
 def parse_letter(s) -> Letter:
     if isinstance(s, tuple) and len(s) == 2:
         kind, j = s
@@ -110,8 +102,6 @@ class AdjointFamily:
     scale: float
     base: dict
     target: Letter
-    cutoff: Optional[int] = None
-    tol: float = 1e-12
 
     def __post_init__(self):
         self.base = {parse_letter(k): float(v) for k, v in self.base.items()}
@@ -281,13 +271,15 @@ class WordSeriesSystem:
         for t in self.terms:
             if t.coeff.shape != (self.n,):
                 raise SystemSpecError("term coefficient vectors must have length n")
-            for kind, j in t.word.letters:
-                limit = self.n if kind == "X" else self.r
-                if j > limit:
-                    raise SystemSpecError(f"letter {kind}{j} out of range")
-        for f in self.families:
+        for i, f in enumerate(self.families):
             if not (1 <= f.out_slot <= self.n):
-                raise SystemSpecError("family out_slot out of range")
+                raise SystemSpecError(f"families[{i}]: out_slot out of range")
+        named = [(f"terms[{i}]", t.word.letters) for i, t in enumerate(self.terms)]
+        named += [(f"families[{i}]", (*f.base, f.target)) for i, f in enumerate(self.families)]
+        for where, letters in named:
+            for kind, j in letters:
+                if j > (self.n if kind == "X" else self.r):
+                    raise SystemSpecError(f"{where}: letter {kind}{j} out of range")
         ideal = invariance_ideal if invariance_ideal is not None else algebra.full_subspace()
         chain = algebra.central_chain if ideal.dim == d else lower_central_series(algebra, ideal)
         if not chain.terminated:
@@ -396,57 +388,24 @@ class WordSeriesSystem:
 
     # -- family expansion and the convergence majorant -----------------------
 
-    def family_tail_bound(self, fam: AdjointFamily, L: int, radius: Optional[float] = None) -> float:
-        """Bound on the neglected series terms past l = L at the given radius."""
-        r = self.radius if radius is None else radius
-        b = self.mu() * fam.base_weight_l1() * r
-        return abs(fam.scale) * (b ** L) / math.factorial(L) * r * math.exp(b)
+    def expand_family(self, fam: AdjointFamily) -> list:
+        """Exact multilinear expansion of a family into explicit Terms.
 
-    def required_cutoff(self, fam: AdjointFamily, radius: Optional[float] = None,
-                        tol: Optional[float] = None) -> int:
-        tol = fam.tol if tol is None else tol
-        nil, p = is_nilpotent(self.algebra)
-        if nil:
-            # a word of length l + 1 sits in the (l + 1)-th central ideal, so
-            # the expansion is exact once l reaches p - 1 (empty for abelian)
-            exact = p - 1
-        else:
-            exact = None
-        L = 1
-        while self.family_tail_bound(fam, L, radius) >= tol:
-            L += 1
-            if exact is not None and L >= exact:
-                return exact
-            if L > 500:
-                raise SystemSpecError("family tail does not meet tolerance at any sane cutoff")
-        return L if exact is None else min(L, exact)
-
-    def expand_family(self, fam: AdjointFamily, radius: Optional[float] = None,
-                      cutoff: Optional[int] = None, tol: Optional[float] = None) -> list:
-        """Multilinear expansion of a family into explicit Terms.
-
-        Words of length l + 1 arise from (1/l!) ad_base^l(target) for
-        l = 1..L.  On a nilpotent algebra the expansion is exact once l + 1
-        exceeds the nilindex.  An explicitly requested cutoff is honored as a
-        deliberate truncation; asking for a cutoff and a tail tolerance it
-        cannot meet is refused with the required order, as is a default cutoff past 30.
+        Words of length l + 1 arise from (1/l!) ad_base^l(target).  On a
+        nilpotent algebra of nilindex p such a word lies in the (l + 1)-th
+        central ideal, so l = 1..p - 1 is the whole series (none for an
+        abelian algebra).  On any other algebra the series is infinite and the
+        expansion is refused with SystemSpecError rather than truncated.
         """
-        L = cutoff if cutoff is not None else fam.cutoff
-        if L is None:
-            needed = self.required_cutoff(fam, radius, tol)
-            if needed > 30:
-                raise CutoffTooSmall(needed, 30)
-            L = needed
-        elif tol is not None:
-            needed = self.required_cutoff(fam, radius, tol)
-            if L < needed:
-                raise CutoffTooSmall(needed, L)
+        nil, p = is_nilpotent(self.algebra)
+        if not nil:
+            raise SystemSpecError("a family series is finite only on a nilpotent algebra")
         base_letters = list(fam.base.items())
         out = []
         coeff_dirs = np.zeros(self.n)
         coeff_dirs[fam.out_slot - 1] = 1.0
         stack = [((), 1.0)]
-        for level in range(1, L + 1):
+        for level in range(1, p):
             stack = [(seq + (letter,), w * weight)
                      for seq, w in stack for letter, weight in base_letters]
             fact = math.factorial(level)
@@ -458,7 +417,7 @@ class WordSeriesSystem:
         return out
 
     def all_terms(self) -> list:
-        """Explicit terms plus every family expanded at its default cutoff."""
+        """Explicit terms plus every family's exact expansion (nilpotent algebras only)."""
         out = list(self.terms)
         for f in self.families:
             out.extend(self.expand_family(f))

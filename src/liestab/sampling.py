@@ -1,15 +1,15 @@
 """Bridges between continuous-time group flows and discrete-time algebra maps.
 
 Covers the matrix exponential and principal logarithm, the zero-order-hold
-step-invariant transform for input-affine invariant flows, truncated
-Baker-Campbell-Hausdorff composition in a structure-constant algebra, the
+step-invariant transform for input-affine invariant flows,
+Baker-Campbell-Hausdorff composition in a nilpotent structure-constant
+algebra (exact; refused elsewhere, where the series is infinite), the
 closed-form adjoint flow, and the bundled Heisenberg tracking-error system.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,14 +22,7 @@ from .algebra import LieAlgebra, heisenberg, is_nilpotent
 from .dynamics import ExoSignal, Term, Word, WordSeriesSystem, _expm1_batch
 from .quotient import bracket_word
 
-BCH_TABLE_ORDER = 6  # composition order kept exact on general algebras
-
-
 class PrincipalLogUndefined(ValueError):
-    pass
-
-
-class BCHTruncationWarning(UserWarning):
     pass
 
 
@@ -169,64 +162,20 @@ def bch_coefficient_table(order: int):
     return {w: c / len(w) for w, c in log_series.items() if c != 0}
 
 
-@lru_cache(maxsize=1)
-def _bch_majorant_coeffs(order: int = 40):
-    """Taylor coefficients of -log(2 - e^t), the scalar BCH majorant."""
-    # u = e^t - 1, g = -log(1 - u) = sum u^m / m, composed exactly over Q
-    u = [Fraction(0)] + [Fraction(1, math.factorial(j)) for j in range(1, order + 1)]
-    g = [Fraction(0)] * (order + 1)
-    upow = [Fraction(1)] + [Fraction(0)] * order
-    for m in range(1, order + 1):
-        nxt = [Fraction(0)] * (order + 1)
-        for i, ci in enumerate(upow):
-            if ci == 0:
-                continue
-            for j in range(1, order + 1 - i):
-                nxt[i + j] += ci * u[j]
-        upow = nxt
-        for idx in range(order + 1):
-            g[idx] += upow[idx] / m
-    return [float(c) for c in g]
-
-
-def bch_tail_bound(mu: float, norm_x: float, norm_y: float, order: int) -> float:
-    """Bound on the discarded BCH terms past the given order.
-
-    Uses the classical scalar majorant -log(2 - e^t) at t = mu (||X|| + ||Y||);
-    infinite outside its convergence region t < log 2.
-    """
-    t = mu * (norm_x + norm_y)
-    if t >= math.log(2.0):
-        return math.inf
-    coeffs = _bch_majorant_coeffs()
-    tail = sum(c * t ** l for l, c in enumerate(coeffs) if l > order)
-    # geometric closure for degrees past the tabulated majorant coefficients
-    ratio = t / math.log(2.0)
-    tail += coeffs[-1] * t ** len(coeffs) / max(1e-300, (1 - ratio))
-    return tail / max(mu, 1e-300)
-
-
 def bch_compose(alg: LieAlgebra, X, Y, order: int) -> np.ndarray:
-    """Truncated log(exp(X) exp(Y)) as an algebra element.
+    """log(exp(X) exp(Y)) as an algebra element, on a nilpotent algebra.
 
-    Exact whenever the algebra is nilpotent with nilindex <= order; otherwise
-    the composition is truncated (at most at order 6) and a warning carrying
-    a tail estimate (with the generic bracket constant mu = 2) is emitted for
-    higher requested orders.
+    The series is finite there: words longer than the nilindex p vanish, so
+    composing through degree min(order, p) is exact once order >= p.  On any
+    other algebra the series is infinite and the composition is refused with
+    ValueError rather than truncated.
     """
     X = np.asarray(X, dtype=float).reshape(-1)
     Y = np.asarray(Y, dtype=float).reshape(-1)
     nil, p = is_nilpotent(alg)
-    if nil:
-        effective = min(order, p)
-    elif order > BCH_TABLE_ORDER:
-        effective = BCH_TABLE_ORDER
-        bound = bch_tail_bound(2.0, float(np.linalg.norm(X)), float(np.linalg.norm(Y)), effective)
-        warnings.warn(BCHTruncationWarning(
-            f"composition truncated at order {effective}; tail estimate {bound:.3e}"))
-    else:
-        effective = order
-    effective = max(effective, 1)
+    if not nil:
+        raise ValueError("BCH composition is finite only on a nilpotent algebra")
+    effective = max(min(order, p), 1)
     table = bch_coefficient_table(effective)
     out = np.zeros(alg.dim)
     for word, coeff in table.items():

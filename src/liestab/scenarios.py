@@ -249,9 +249,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     fams = []
     for idx, f in enumerate(data.get("families", [])):
         try:
-            fams.append(AdjointFamily(int(f["out_slot"]), float(f["scale"]),
-                                      f["base"], f["target"],
-                                      f.get("cutoff"), f.get("tol", 1e-12)))
+            fams.append(AdjointFamily(int(f["out_slot"]), float(f["scale"]), f["base"], f["target"]))
         except (KeyError, SystemSpecError, ValueError) as exc:
             raise ScenarioError(f"families[{idx}]: {exc}") from exc
         _finite(f"families[{idx}].scale", fams[-1].scale)

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liestab import cli
+from liestab.algebra import algebra_to_dict, nilpotent_upper
 from liestab.cli import main
 from liestab.scenarios import load_scenario, scenario_from_dict, ScenarioError
 
@@ -288,6 +294,84 @@ def test_nonfinite_scenario_fields_are_named():
               "brackets": [{"i": "a", "j": "b", "coeffs": {"c": nan}}]}
     with pytest.raises(ScenarioError, match="structure constants must be finite"):
         scenario_from_dict(NONFINITE_BASE | {"algebra": inline})
+
+
+@pytest.mark.parametrize("command", ["check", "certify", "simulate"])
+@pytest.mark.parametrize("breakage,letter", [
+    ({"base": {"X3": 1.0}}, "X3"),  # n = 1
+    ({"target": "W2"}, "W2"),       # r = 1
+])
+def test_family_letter_out_of_range_exits_2(tmp_path, capsys, command, breakage, letter):
+    # before this check: an IndexError traceback from check and simulate, and an issued certificate
+    fam = {"out_slot": 1, "scale": 0.5, "base": {"W1": 1.0}, "target": "X1"}
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(NONFINITE_BASE | {"families": [fam | breakage]}))
+    assert run([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: families[0]: letter {letter} out of range\n"
+
+
+def cutoff_scenario(**family_keys) -> dict:
+    """nilpotent_upper(4) with one adjoint family; its exact series has words up to length 3."""
+    alg = nilpotent_upper(4)
+    samples = 0.5 * np.random.default_rng(0).uniform(-1.0, 1.0, (64, alg.dim))
+    fam = {"out_slot": 1, "scale": 0.8, "base": {"W1": 1}, "target": "X1"} | family_keys
+    return {"name": "cut", "algebra": algebra_to_dict(alg), "n": 1, "r": 1,
+            "A": (0.5 * np.eye(alg.dim)).tolist(), "families": [fam],
+            "signal": {"kind": "samples", "samples": samples.tolist()},
+            "x0": [0.0] * alg.dim, "M": 1.0}
+
+
+def test_family_cutoff_key_cannot_shorten_the_certified_words(tmp_path):
+    # "cutoff": 1 once dropped the length-3 words and issued gamma_3 = 467, alpha = 7473
+    certs = []
+    for keys in ({}, {"cutoff": 1}, {"tol": 10.0}):
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps(cutoff_scenario(**keys)))
+        assert run(["certify", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        certs.append(json.loads((tmp_path / "out" / "certificate-cut.json").read_text()))
+    exact = certs[0]
+    assert exact["gamma_levels"][2] == pytest.approx(6265.86, rel=1e-5)
+    assert exact["alpha"] == pytest.approx(1.0025e5, rel=1e-4)
+    for cert in certs[1:]:
+        assert cert["gamma_levels"] == exact["gamma_levels"] and cert["alpha"] == exact["alpha"]
+
+
+LETTERS = st.sampled_from(["X1", "X2", "X3", "W1", "W2", "W3"])
+
+
+@st.composite
+def heisenberg_scenarios(draw):
+    n, r = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    coeff = st.floats(-1.0, 1.0)
+    terms = draw(st.lists(st.fixed_dictionaries({
+        "letters": st.lists(LETTERS, min_size=2, max_size=3),
+        "coeff": st.lists(coeff, min_size=n, max_size=n)}), max_size=3))
+    families = draw(st.lists(st.fixed_dictionaries({
+        "out_slot": st.integers(1, 2), "scale": coeff,
+        "base": st.dictionaries(LETTERS, coeff, min_size=1, max_size=2),
+        "target": LETTERS}), max_size=2))
+    return {"name": "prop", "algebra": "heisenberg", "n": n, "r": r,
+            "A": (draw(st.sampled_from([0.0, 0.5, 0.9])) * np.eye(3 * n)).tolist(),
+            "terms": terms, "families": families, "horizon": 20,
+            "signal": {"kind": "geometric", "ratio": draw(st.sampled_from([0.5, 1.0])),
+                       "base": draw(st.lists(coeff, min_size=3 * r, max_size=3 * r))},
+            "x0": draw(st.lists(coeff, min_size=3 * n, max_size=3 * n))}
+
+
+@settings(max_examples=50, deadline=None)
+@given(heisenberg_scenarios())
+def test_random_heisenberg_scenarios_end_in_an_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prop.json"
+        path.write_text(json.dumps(data))
+        for command in ("check", "simulate", "certify"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([command, "--scenario", str(path), "--out", str(Path(tmp) / "out")])
+            assert code in (0, 1, 2, 3), command
+            assert "Traceback" not in out.getvalue() + err.getvalue(), command
 
 
 def test_builtin_unknown():

@@ -5,7 +5,7 @@ import scipy.linalg
 
 from liestab.algebra import (abelian, derived_algebra, heisenberg, nilpotent_upper,
                              upper_triangular6)
-from liestab.dynamics import (AdjointFamily, CutoffTooSmall, ExoSignal,
+from liestab.dynamics import (AdjointFamily, ExoSignal,
                               SystemSpecError, Term, Word, WordSeriesSystem,
                               _expm1_batch, _slotwise, parse_letter)
 from liestab.quotient import InvarianceViolation, bracket_word
@@ -292,12 +292,12 @@ def test_zero_dimensional_system():
 
 
 def test_expand_family_basic():
-    sys61 = ex61_system()
-    fam = AdjointFamily(1, 0.5, {"W1": 1.0}, "X1")
-    terms = sys61.expand_family(fam, cutoff=1)
+    # nilindex 2: the whole series is the one word [W1, X1]
+    heis = WordSeriesSystem(heisenberg(), 1, 1, np.zeros((3, 3)))
+    terms = heis.expand_family(AdjointFamily(1, 0.5, {"W1": 1.0}, "X1"))
     assert len(terms) == 1
     assert terms[0].word.letters == (("W", 1), ("X", 1))
-    np.testing.assert_allclose(terms[0].coeff, [0.5, 0.0])
+    np.testing.assert_allclose(terms[0].coeff, [0.5])
 
     flat = WordSeriesSystem(abelian(3), 1, 1, np.zeros((3, 3)),
                             families=[AdjointFamily(1, 1.0, {"W1": 1.0}, "X1")])
@@ -332,36 +332,32 @@ def _word_value(sys_, term, x, w):
     return bracket_word(sys_.algebra, vals)
 
 
-def test_expand_family_matches_flow_on_solvable():
-    sys61 = ex61_system()
-    fam = AdjointFamily(2, 0.25, {"X1": 1.0, "W1": 1.0}, "X2", tol=1e-6)
-    radius = 0.4
-    terms = sys61.expand_family(fam, radius=radius)
+def test_expand_family_matches_flow_exactly():
+    # nilindex 4: the words up to length 4 are the whole flow, at any point, not only near 0
+    alg = nilpotent_upper(5)
+    d = alg.dim
+    fam = AdjointFamily(2, 0.25, {"X1": 1.0, "W1": 1.0}, "X2")
+    only_fam = WordSeriesSystem(alg, 2, 1, np.zeros((2 * d, 2 * d)), families=[fam])
+    terms = only_fam.expand_family(fam)
+    assert max(t.word.length for t in terms) == 4
     rng = np.random.default_rng(5)
     for _ in range(5):
-        x = rng.standard_normal(12)
-        x *= radius / max(np.linalg.norm(x.reshape(2, 6), axis=1))
-        w = rng.standard_normal(12)
-        w *= radius / max(np.linalg.norm(w.reshape(2, 6), axis=1))
-        only_fam = WordSeriesSystem(sys61.algebra, 2, 2, np.zeros((12, 12)),
-                                    families=[fam], invariance_ideal=sys61.ideal)
+        x = rng.standard_normal(2 * d)
+        w = rng.standard_normal(d)
         direct = only_fam.evaluate(x, w)
-        acc = np.zeros((2, 6))
+        acc = np.zeros((2, d))
         for t in terms:
-            acc += np.outer(t.coeff, _word_value(sys61, t, x, w))
-        assert np.linalg.norm(direct - acc.reshape(-1)) < 1e-6
+            acc += np.outer(t.coeff, _word_value(only_fam, t, x, w))
+        np.testing.assert_allclose(direct, acc.reshape(-1), rtol=0, atol=1e-12)
 
 
-def test_expand_family_refuses_small_cutoff():
+def test_expand_family_refuses_non_nilpotent():
+    # upper-triangular-6 is solvable, not nilpotent: its family series never ends
     sys61 = ex61_system()
-    fam = AdjointFamily(1, 1.0, {"X1": 1.0}, "X2")
-    with pytest.raises(CutoffTooSmall) as exc:
-        sys61.expand_family(fam, radius=1.0, cutoff=2, tol=1e-12)
-    assert exc.value.required > 2
-    # an unreachable tolerance is refused at the hard cap as well
-    with pytest.raises(CutoffTooSmall):
-        sys61.expand_family(AdjointFamily(1, 1.0, {"X1": 1.0}, "X2", tol=1e-12),
-                            radius=8.0)
+    with pytest.raises(SystemSpecError, match="nilpotent"):
+        sys61.expand_family(sys61.families[0])
+    with pytest.raises(SystemSpecError):
+        sys61.all_terms()
 
 
 def test_series_majorant():

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from liestab.algebra import LieAlgebra, abelian, heisenberg, upper_triangular6
-from liestab.sampling import (BCHTruncationWarning, GroupElement,
-                              PrincipalLogUndefined, TRACKING_A, adjoint_flow_step,
-                              bch_coefficient_table, bch_compose, bch_tail_bound,
+from liestab.sampling import (GroupElement, PrincipalLogUndefined, TRACKING_A, adjoint_flow_step,
+                              bch_coefficient_table, bch_compose,
                               expm, heisenberg_tracking_system, logm, step_invariant,
                               tracking_bch_step, tracking_group_step, tracking_signal, tracking_state)
 
@@ -143,17 +142,13 @@ def test_bch_matches_matrix_log_oracle():
         assert worst < 1e-9, alg.name
 
 
-def test_bch_truncation_warning_and_bound():
-    ut = upper_triangular6()
+def test_bch_refuses_non_nilpotent():
+    # the BCH series of a solvable, non-nilpotent algebra never ends; it is not truncated
     x = 0.05 * np.ones(6)
     y = 0.04 * np.ones(6)
-    with pytest.warns(BCHTruncationWarning):
-        bch_compose(ut, x, y, 9)
-    mu = 2.0
-    b6 = bch_tail_bound(mu, 0.05, 0.05, 6)
-    b4 = bch_tail_bound(mu, 0.05, 0.05, 4)
-    assert 0 < b6 < b4
-    assert bch_tail_bound(mu, 1.0, 1.0, 6) == np.inf  # outside the majorant domain
+    for order in (2, 6, 9):
+        with pytest.raises(ValueError, match="nilpotent"):
+            bch_compose(upper_triangular6(), x, y, order)
 
 
 def test_adjoint_flow_step():

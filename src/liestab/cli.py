@@ -55,11 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> Scenario:
     if args.builtin:
-        sc = builtin_scenario(args.builtin, seed=args.seed, horizon=args.horizon)
-    else:
-        sc = load_scenario(args.scenario)
-        sc = sc.with_horizon(args.horizon)
-    return sc
+        return builtin_scenario(args.builtin, seed=args.seed, horizon=args.horizon)
+    return load_scenario(args.scenario).with_horizon(args.horizon)
 
 
 def _write_json(path: Path, payload: dict) -> None:

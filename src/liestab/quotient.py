@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import LieAlgebra, Subspace, IdealChain, subspace_bracket
 
@@ -170,11 +169,11 @@ class AdaptedNorm:
 def adapted_norm(A: np.ndarray, epsilon: float) -> AdaptedNorm:
     """Build a vector norm in which the operator norm of A is < rho(A) + epsilon.
 
-    Real Schur form, 2x2 complex-pair blocks balanced to rotation-scaling
-    shape, then geometric damping of the off-diagonal blocks by diag(delta^b)
-    with b the block index.  Jordan form is avoided on purpose; the Schur
-    route is numerically stable; it fails (RuntimeError) only when the damping
-    that epsilon needs would leave the scaled matrix non-finite.
+    Real Schur form (scipy.linalg.schur, imported here rather than at module load),
+    2x2 complex-pair blocks balanced to rotation-scaling shape, then geometric damping
+    of the off-diagonal blocks by diag(delta^b) with b the block index.  Jordan form is
+    avoided on purpose; the Schur route is numerically stable; it fails (RuntimeError)
+    only when the damping that epsilon needs would leave the scaled matrix non-finite.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
@@ -184,6 +183,7 @@ def adapted_norm(A: np.ndarray, epsilon: float) -> AdaptedNorm:
         eye = np.zeros((0, 0))
         return AdaptedNorm(eye, eye, epsilon, A, 0.0, 0.0)
     rho = float(np.max(np.abs(np.linalg.eigvals(A)))) if n else 0.0
+    import scipy.linalg  # numpy has no real Schur form
     T_schur, Q = scipy.linalg.schur(A, output="real")
 
     # per-block balance: standardized 2x2 blocks have equal diagonal and

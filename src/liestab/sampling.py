@@ -1,10 +1,10 @@
 """Bridges between continuous-time group flows and discrete-time algebra maps.
 
-Covers the matrix exponential and principal logarithm, the zero-order-hold
-step-invariant transform for input-affine invariant flows,
-Baker-Campbell-Hausdorff composition in a nilpotent structure-constant
-algebra (exact; refused elsewhere, where the series is infinite), the
-closed-form adjoint flow, and the bundled Heisenberg tracking-error system.
+Covers the matrix exponential and principal logarithm (exact series on triangular
+input; scipy, imported on first use, otherwise), the zero-order-hold step-invariant
+transform for input-affine invariant flows, Baker-Campbell-Hausdorff composition in a
+nilpotent structure-constant algebra (exact; refused elsewhere, where the series is
+infinite), the closed-form adjoint flow, and the bundled Heisenberg tracking-error system.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import LieAlgebra, heisenberg, is_nilpotent
 from .dynamics import ExoSignal, Term, Word, WordSeriesSystem, _expm1_batch
@@ -31,7 +30,7 @@ def _strictly_triangular(M: np.ndarray) -> bool:
 
 
 def expm(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential; exact finite series for strictly triangular input."""
+    """Matrix exponential; exact finite series for strictly triangular input, else scipy's."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expm needs a square matrix")
@@ -43,6 +42,7 @@ def expm(M: np.ndarray) -> np.ndarray:
             term = term @ M / j
             out = out + term
         return out
+    import scipy.linalg  # here, not at module load: importing it costs more than liestab
     return scipy.linalg.expm(M)
 
 
@@ -51,7 +51,7 @@ def logm(G: np.ndarray) -> np.ndarray:
 
     Raises PrincipalLogUndefined when an eigenvalue lies on the closed
     negative real axis (including 0), where the principal branch does not
-    exist.  Unipotent matrices use the exact finite Mercator series.
+    exist.  Unipotent matrices use the exact finite Mercator series, others scipy's.
     """
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
@@ -70,6 +70,7 @@ def logm(G: np.ndarray) -> np.ndarray:
             term = term @ N
             out = out + ((-1) ** (j + 1)) * term / j
         return out
+    import scipy.linalg
     L = scipy.linalg.logm(G)
     if np.iscomplexobj(L):
         if np.max(np.abs(L.imag)) > 1e-9:

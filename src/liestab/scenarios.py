@@ -12,7 +12,7 @@ algebra, solvable route), "heisenberg-deadbeat" and "uptri-deadbeat"
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -22,6 +22,8 @@ from .algebra import (AlgebraLoadError, algebra_from_dict, catalog_algebras,
 from .dynamics import (AdjointFamily, ExoSignal, SystemSpecError, Term, Trajectory,
                        Word, WordSeriesSystem, parse_letter)
 from . import sampling
+
+ROUTES = ("auto", "nilpotent", "solvable", "deadbeat")
 
 
 class ScenarioError(ValueError):
@@ -36,14 +38,11 @@ class Scenario:
     x0: np.ndarray
     horizon: int
     M: float
-    route: str = "auto"  # auto | nilpotent | solvable | deadbeat
+    route: str = "auto"  # one of ROUTES
     notes: list = field(default_factory=list)
 
     def with_horizon(self, horizon: Optional[int]) -> "Scenario":
-        if horizon is None or horizon == self.horizon:
-            return self
-        return Scenario(self.name, self.system, self.signal, self.x0, horizon,
-                        self.M, self.route, self.notes)
+        return self if horizon is None else replace(self, horizon=horizon)
 
 
 # -- builtins -----------------------------------------------------------------
@@ -192,12 +191,16 @@ def builtin_scenario(name: str, seed: int = 0, horizon: Optional[int] = None) ->
 # -- scenario files ------------------------------------------------------------
 
 
-def _require(data: dict, key: str, kind=None):
-    if key not in data:
-        raise ScenarioError(f"scenario field {key!r} is missing")
-    val = data[key]
-    if kind is not None and not isinstance(val, kind):
-        raise ScenarioError(f"scenario field {key!r} has wrong type "
+def _require(data, key: str, kind=None, default=None, where: str = ""):
+    """``data[key]``, or ``default`` (when given) for an absent key; a ScenarioError naming
+    the field ``where + key`` unless ``data`` is an object and the value has JSON type ``kind``."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"scenario field {where.rstrip('.')!r} must be an object")
+    if key not in data and default is None:
+        raise ScenarioError(f"scenario field {where + key!r} is missing")
+    val = data.get(key, default)
+    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):  # JSON true is no int
+        raise ScenarioError(f"scenario field {where + key!r} has wrong type "
                             f"({type(val).__name__})")
     return val
 
@@ -238,32 +241,34 @@ def scenario_from_dict(data: dict) -> Scenario:
     if A.shape != (n * d, n * d):
         raise ScenarioError(f"'A' must be {n * d}x{n * d} row-major")
     terms = []
-    for idx, t in enumerate(data.get("terms", [])):
+    for idx, t in enumerate(_require(data, "terms", list, [])):
+        where = f"terms[{idx}]."
         try:
-            letters = tuple(parse_letter(l) for l in t["letters"])
-            coeff = np.asarray(t["coeff"], dtype=float)
-            terms.append(Term(Word(letters), coeff))
-        except (KeyError, SystemSpecError, ValueError) as exc:
+            letters = tuple(parse_letter(l) for l in _require(t, "letters", list, where=where))
+            terms.append(Term(Word(letters), _finite(where + "coeff", _require(t, "coeff", where=where))))
+        except SystemSpecError as exc:
             raise ScenarioError(f"terms[{idx}]: {exc}") from exc
-        _finite(f"terms[{idx}].coeff", terms[-1].coeff)
     fams = []
-    for idx, f in enumerate(data.get("families", [])):
+    for idx, f in enumerate(_require(data, "families", list, [])):
+        where = f"families[{idx}]."
+        base = _require(f, "base", dict, where=where)
         try:
-            fams.append(AdjointFamily(int(f["out_slot"]), float(f["scale"]), f["base"], f["target"]))
-        except (KeyError, SystemSpecError, ValueError) as exc:
+            fams.append(AdjointFamily(_require(f, "out_slot", int, where=where),
+                                      _finite(where + "scale", _require(f, "scale", where=where), scalar=True),
+                                      {k: _finite(where + "base", v, scalar=True) for k, v in base.items()},
+                                      _require(f, "target", str, where=where)))
+        except SystemSpecError as exc:
             raise ScenarioError(f"families[{idx}]: {exc}") from exc
-        _finite(f"families[{idx}].scale", fams[-1].scale)
-        _finite(f"families[{idx}].base", list(fams[-1].base.values()))
-    ideal_spec = data.get("ideal", "full")
+    ideal_spec = _require(data, "ideal", (str, dict), "full")
     if ideal_spec == "full":
         ideal = alg.full_subspace()
     elif ideal_spec == "derived":
         ideal = derived_algebra(alg)
-    elif isinstance(ideal_spec, dict) and "labels" in ideal_spec:
-        try:
-            ideal = alg.span_labels(ideal_spec["labels"])
-        except KeyError as exc:
-            raise ScenarioError(f"ideal: {exc}") from exc
+    elif isinstance(ideal_spec, dict):
+        labels = _require(ideal_spec, "labels", list, where="ideal.")
+        if any(l not in alg.labels for l in labels):
+            raise ScenarioError(f"scenario field 'ideal.labels' must list labels of {alg.labels}")
+        ideal = alg.span_labels(labels)
     else:
         raise ScenarioError("'ideal' must be 'full', 'derived', or {'labels': [...]}")
     try:
@@ -272,7 +277,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                                   name=data.get("name", ""))
     except SystemSpecError as exc:
         raise ScenarioError(str(exc)) from exc
-    sig_spec = data.get("signal", {"kind": "zero"})
+    sig_spec = _require(data, "signal", dict, {"kind": "zero"})
     kind = sig_spec.get("kind", "zero")
     try:
         if kind == "zero":
@@ -291,12 +296,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     x0 = _finite("x0", data.get("x0", np.zeros(n * d)))
     if x0.shape != (n * d,):
         raise ScenarioError(f"'x0' must have length {n * d}")
-    horizon = int(data.get("horizon", 50))
+    horizon = _require(data, "horizon", int, 50)
     if horizon < 0:
         raise ScenarioError("'horizon' must be nonnegative")
     M = _finite("M", data.get("M", max(1.0, float(np.linalg.norm(x0)))), scalar=True)
-    return Scenario(data.get("name", "scenario"), system, signal, x0, horizon, M=M,
-                    route=data.get("route", "auto"))
+    route = _require(data, "route", str, "auto")
+    if route not in ROUTES:
+        raise ScenarioError(f"scenario field 'route' must be one of {', '.join(ROUTES)}")
+    return Scenario(data.get("name", "scenario"), system, signal, x0, horizon, M=M, route=route)
 
 
 def load_scenario(path) -> Scenario:

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -312,6 +315,62 @@ def test_family_letter_out_of_range_exits_2(tmp_path, capsys, command, breakage,
     assert captured.err == f"input error: families[0]: letter {letter} out of range\n"
 
 
+@pytest.mark.parametrize("breakage,message", [
+    ({"families": [{"out_slot": 1, "scale": 1, "base": ["W1"], "target": "X1"}]},
+     "'families[0].base' has wrong type (list)"),
+    ({"families": "abc"}, "'families' has wrong type (str)"),
+    ({"terms": "abc"}, "'terms' has wrong type (str)"),
+    ({"terms": [{"letters": 5, "coeff": [0.25]}]}, "'terms[0].letters' has wrong type (int)"),
+    ({"terms": [5]}, "'terms[0]' must be an object"),
+    ({"ideal": {"labels": 5}}, "'ideal.labels' has wrong type (int)"),
+    ({"ideal": {"labels": [5]}}, "'ideal.labels' must list labels of ['h1', 'h2', 'h3']"),
+    ({"signal": [1, 2]}, "'signal' has wrong type (list)"),
+    ({"horizon": "x"}, "'horizon' has wrong type (str)"),
+    ({"route": 5}, "'route' has wrong type (int)"),
+    ({"r": True}, "'r' has wrong type (bool)"),  # once a TypeError in the certificate's signal norm
+])
+def test_wrong_json_type_exits_2(tmp_path, capsys, breakage, message):
+    # before these checks each ended in an AttributeError, TypeError or ValueError traceback
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(NONFINITE_BASE | breakage))
+    assert run(["check", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: scenario field {message}\n"
+
+
+def test_unknown_route_exits_2(tmp_path, capsys):
+    # an unknown route once ran the solvable certificate and wrote a file with route "bogus"
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps(NONFINITE_BASE | {"route": "bogus"}))
+    out = tmp_path / "out"
+    assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("input error: scenario field 'route' must be one of "
+                                       "auto, nilpotent, solvable, deadbeat\n")
+    assert not (out / "certificate-nf.json").exists()
+
+
+def test_scipy_is_loaded_only_by_the_adapted_norm(tmp_path):
+    # scipy's import costs more than the rest of a CLI process; only the nilpotent
+    # certificate's real Schur form needs it
+    probe = """
+import contextlib, io, sys
+from liestab import cli
+print("import", "scipy" in sys.modules)
+for argv in (["check", "--builtin", "example-4.1"], ["simulate", "--builtin", "example-4.1"],
+             ["deadbeat", "--builtin", "heisenberg-deadbeat"], ["certify", "--builtin", "example-4.1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv + ["--out", sys.argv[1]])
+    print(argv[0], code, "scipy" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ["import False", "check 0 False", "simulate 0 False",
+                                        "deadbeat 0 False", "certify 0 True"]
+
+
 def cutoff_scenario(**family_keys) -> dict:
     """nilpotent_upper(4) with one adjoint family; its exact series has words up to length 3."""
     alg = nilpotent_upper(4)
@@ -360,8 +419,28 @@ def heisenberg_scenarios(draw):
             "x0": draw(st.lists(coeff, min_size=3 * n, max_size=3 * n))}
 
 
-@settings(max_examples=50, deadline=None)
-@given(heisenberg_scenarios())
+WRONG_JSON = st.sampled_from([None, True, 7, 0.5, "abc", [1, 2], {"a": 1}])
+
+
+@st.composite
+def malformed_heisenberg_scenarios(draw):
+    """A Heisenberg scenario with one field, at the top level or one level into a
+    term, family or the signal, swapped for a value of another JSON type."""
+    data = draw(heisenberg_scenarios())
+    paths = [(key,) for key in [*data, "ideal", "route", "M", "radius"]]
+    paths += [(key, i, f) for key in ("terms", "families") for i, item in enumerate(data[key])
+              for f in item]
+    paths += [("signal", f) for f in data["signal"]]
+    *parents, last = draw(st.sampled_from(paths))
+    holder = data
+    for key in parents:
+        holder = holder[key]
+    holder[last] = draw(WRONG_JSON.filter(lambda v: type(v) is not type(holder.get(last))))
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(heisenberg_scenarios(), malformed_heisenberg_scenarios()))
 def test_random_heisenberg_scenarios_end_in_an_exit_code(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "prop.json"

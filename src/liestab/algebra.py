@@ -160,7 +160,10 @@ class LieAlgebra:
             raise InvalidAlgebra("label count does not match dimension")
         self.name = name
         if matrix_rep is not None:
-            rep = np.asarray(matrix_rep, dtype=float)
+            try:
+                rep = np.asarray(matrix_rep, dtype=float)
+            except (TypeError, ValueError):  # ragged or non-numeric nested lists
+                raise InvalidAlgebra("matrix_rep must be d square matrices") from None
             if rep.ndim != 3 or rep.shape[0] != self.dim or rep.shape[1] != rep.shape[2]:
                 raise InvalidAlgebra("matrix_rep must be d square matrices")
             if not np.isfinite(rep).all():
@@ -386,46 +389,55 @@ def bracket_constant(alg: LieAlgebra) -> float:
 # -- JSON interchange -------------------------------------------------------
 
 
+def json_field(data, key: str, kind=None, default=None, where="", error=AlgebraLoadError, noun="field"):
+    """``data[key]`` of a JSON object, or ``default`` (when given) for an absent key; an
+    ``error`` naming the ``noun`` ``where + key`` unless ``data`` is an object and the value has
+    JSON type ``kind``."""
+    if not isinstance(data, dict):
+        raise error(f"{noun} {where.rstrip('.')!r} must be an object")
+    if key not in data and default is None:
+        raise error(f"{noun} {where + key!r} is missing")
+    val = data.get(key, default)
+    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):  # JSON true is no int
+        raise error(f"{noun} {where + key!r} has wrong type ({type(val).__name__})")
+    return val
+
+
 def algebra_from_dict(data: dict, name: str = "") -> LieAlgebra:
     """Build an algebra from its JSON definition.
 
     Format: {"dim": d, "labels": [...], "brackets": [{"i": li, "j": lj,
-    "coeffs": {lk: c}}], "matrix_rep": optional}.  Unlisted pairs default to
-    zero and the antisymmetric mirror is filled in automatically; listing a
-    pair and its mirror with inconsistent coefficients is a load error.
+    "coeffs": {lk: c}}], "matrix_rep": optional, "name": optional}, a null field
+    being an absent one.  Unlisted pairs default to zero and the antisymmetric
+    mirror is filled in automatically; listing a pair and its mirror with
+    inconsistent coefficients is a load error, and so is a field of the wrong JSON type.
     """
-    try:
-        d = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise AlgebraLoadError("algebra definition must contain an integer 'dim'") from exc
+    d = json_field(data, "dim", int)
+    data = {key: val for key, val in data.items() if val is not None}
     if d <= 0:
         raise AlgebraLoadError("'dim' must be positive")
-    labels = data.get("labels", [f"e{i+1}" for i in range(d)])
-    if len(labels) != d or len(set(labels)) != d:
-        raise AlgebraLoadError("'labels' must be distinct and match 'dim'")
+    labels = json_field(data, "labels", list, [f"e{i+1}" for i in range(d)])
+    if len(labels) != d or len(set(labels)) != d or not all(isinstance(l, str) for l in labels):
+        raise AlgebraLoadError("'labels' must be distinct strings and match 'dim'")
     index = {lab: i for i, lab in enumerate(labels)}
 
-    def resolve(key) -> int:
-        if isinstance(key, str):
-            if key not in index:
-                raise AlgebraLoadError(f"unknown basis label {key!r}")
-            return index[key]
-        raise AlgebraLoadError(f"basis references must be labels, got {key!r}")
+    def resolve(key, field: str) -> int:
+        if key not in index:
+            raise AlgebraLoadError(f"field {field!r} names unknown basis label {key!r}")
+        return index[key]
 
     C = np.zeros((d, d, d))
     seen = set()
-    for entry in data.get("brackets", []):
-        try:
-            i = resolve(entry["i"])
-            j = resolve(entry["j"])
-            coeffs = entry["coeffs"]
-        except (KeyError, TypeError) as exc:
-            raise AlgebraLoadError(f"malformed bracket entry {entry!r}") from exc
+    for idx, entry in enumerate(json_field(data, "brackets", list, [])):
+        where = f"brackets[{idx}]."
+        i = resolve(json_field(entry, "i", str, where=where), where + "i")
+        j = resolve(json_field(entry, "j", str, where=where), where + "j")
+        coeffs = json_field(entry, "coeffs", dict, where=where)
         if i == j:
             raise AlgebraLoadError(f"bracket of {labels[i]!r} with itself must be omitted (it is zero)")
         vec = np.zeros(d)
-        for lk, c in coeffs.items():
-            vec[resolve(lk)] = float(c)
+        for lk in coeffs:
+            vec[resolve(lk, where + "coeffs")] = json_field(coeffs, lk, (int, float), where=where + "coeffs.")
         if (j, i) in seen:
             if not np.allclose(C[j, i], -vec, atol=1e-15):
                 raise AlgebraLoadError(
@@ -436,9 +448,9 @@ def algebra_from_dict(data: dict, name: str = "") -> LieAlgebra:
         seen.add((i, j))
         C[i, j] = vec
         C[j, i] = -vec
-    rep = data.get("matrix_rep")
+    rep = json_field(data, "matrix_rep", list) if "matrix_rep" in data else None
     try:
-        return LieAlgebra(C, labels=labels, matrix_rep=rep, name=name or data.get("name", ""))
+        return LieAlgebra(C, labels=labels, matrix_rep=rep, name=name or json_field(data, "name", str, ""))
     except InvalidAlgebra as exc:
         raise AlgebraLoadError(str(exc)) from exc
 

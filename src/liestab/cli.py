@@ -16,7 +16,6 @@ Identical configuration and seed produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 from . import stability
 from .algebra import is_nilpotent, is_solvable
 from .scenarios import (BUILTINS, Scenario, ScenarioError, builtin_scenario,
-                        load_scenario, write_trajectory_csv, write_trajectory_json)
+                        load_scenario, write_json, write_trajectory_csv, write_trajectory_json)
 
 EXIT_PASS = 0
 EXIT_HYPOTHESIS = 1
@@ -59,12 +58,6 @@ def _load(args) -> Scenario:
     return load_scenario(args.scenario).with_horizon(args.horizon)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def cmd_check(sc: Scenario, outdir: Path, seed: int) -> int:
     sys_ = sc.system
     majorant = sys_.series_majorant(max(sc.M, sys_.radius))
@@ -78,7 +71,7 @@ def cmd_check(sc: Scenario, outdir: Path, seed: int) -> int:
               "equilibrium": {k: v for k, v in eq.items() if k != "violations"}
               | {"violation_count": len(eq["violations"])},
               "invariance": inv, "jacobian": jac}
-    _write_json(outdir / f"check-{sc.name}.json", report)
+    write_json(outdir / f"check-{sc.name}.json", report)
     for label, good in [("series majorant finite", np.isfinite(majorant)),
                         ("unique equilibrium (structural + search)", eq["ok"]),
                         ("chain invariance", inv["ok"]),
@@ -120,17 +113,17 @@ def cmd_certify(sc: Scenario, outdir: Path, seed: int, epsilon=None) -> int:
             verdict, why = rep.verdict, rep.notes[-1]
     except stability.CertificateRejected as exc:
         payload = {"verdict": "rejected", "reason": exc.reason, "margin": exc.margin}
-        _write_json(outdir / f"certificate-{sc.name}.json", payload)
+        write_json(outdir / f"certificate-{sc.name}.json", payload)
         print(f"[FAIL] certificate rejected: {exc.reason} (margin {exc.margin:+.6g})")
         return EXIT_HYPOTHESIS
     except stability.HypothesisError as exc:
         payload = {"verdict": "hypothesis-error", "reason": str(exc)}
-        _write_json(outdir / f"certificate-{sc.name}.json", payload)
+        write_json(outdir / f"certificate-{sc.name}.json", payload)
         print(f"[FAIL] hypothesis error: {exc}")
         return EXIT_HYPOTHESIS
     payload["scenario"] = sc.name
     payload["route"] = route
-    _write_json(outdir / f"certificate-{sc.name}.json", payload)
+    write_json(outdir / f"certificate-{sc.name}.json", payload)
     if VERDICT_EXIT[verdict] != EXIT_PASS:
         print(f"[FAIL] {route} certificate: {verdict}: {why}")
         return VERDICT_EXIT[verdict]
@@ -166,7 +159,7 @@ def cmd_deadbeat(sc: Scenario, outdir: Path, seed: int) -> int:
     try:
         cert = stability.deadbeat_horizon(sc.system)
     except stability.HypothesisError as exc:
-        _write_json(outdir / f"deadbeat-{sc.name}.json",
+        write_json(outdir / f"deadbeat-{sc.name}.json",
                     {"verdict": "hypothesis-error", "reason": str(exc)})
         print(f"[FAIL] {exc}")
         return EXIT_HYPOTHESIS
@@ -176,7 +169,7 @@ def cmd_deadbeat(sc: Scenario, outdir: Path, seed: int) -> int:
         lambda rng: ideal_valued_samples(sc.system, cert.horizon + 3, rng),
         runs=100, seed=seed)
     payload = cert.to_dict() | {"verified": verify, "scenario": sc.name}
-    _write_json(outdir / f"deadbeat-{sc.name}.json", payload)
+    write_json(outdir / f"deadbeat-{sc.name}.json", payload)
     status = "PASS" if verify["ok"] else "FAIL"
     print(f"[{status}] deadbeat horizon {cert.horizon} "
           f"(per level: {cert.per_level}); worst residual {verify['worst_final']:.3e}")

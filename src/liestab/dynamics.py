@@ -152,13 +152,15 @@ class ExoSignal:
     def zero(cls, r: int, d: int) -> "ExoSignal":
         return cls("zero", r, d)
 
-    def value(self, k: int) -> np.ndarray:
+    def values(self, K: int) -> np.ndarray:
+        """W[0], ..., W[K-1] as a (K, r*d) array."""
         if self.kind == "zero":
-            return np.zeros(self.r * self.d)
+            return np.zeros((K, self.r * self.d))
         if self.kind == "samples":
-            return self.samples[k % self.samples.shape[0]]
+            return self.samples[np.arange(K) % self.samples.shape[0]]
+        # scalar powers: numpy's array power can differ from them in the last bit
         with np.errstate(over="ignore", invalid="ignore"):  # saturates to inf past the float range
-            return np.float64(self.ratio) ** k * self.base
+            return np.array([np.float64(self.ratio) ** k for k in range(K)])[:, None] * self.base
 
     def slot_norm(self, vec: np.ndarray) -> float:
         return float(np.linalg.norm(vec.reshape(self.r, self.d), axis=1).sum())
@@ -176,10 +178,7 @@ class ExoSignal:
         if self.kind == "zero":
             return 0.0
         vals = self.samples if self.kind == "samples" else self.base[np.newaxis, :]
-        worst = 0.0
-        for slot in vals.reshape(len(vals) * self.r, self.d):
-            worst = max(worst, ideal.distance(slot))
-        return worst
+        return max([0.0] + [ideal.distance(slot) for slot in vals.reshape(-1, self.d)])
 
     def projected(self, P: np.ndarray) -> "ExoSignal":
         if self.kind == "zero":
@@ -365,26 +364,53 @@ class WordSeriesSystem:
         return out.reshape(B, -1)
 
     def simulate(self, X0, signal: ExoSignal, k_max: int) -> Trajectory:
+        """``k_max`` steps from X0 under ``signal``: the batch of one of ``simulate_batch``."""
+        return self.simulate_batch(np.asarray(X0, dtype=float).reshape(1, -1), [signal], k_max)[0]
+
+    def simulate_batch(self, X0s, signals: Sequence[ExoSignal], k_max: int) -> list:
+        """Run b from row b of a (B, n*d) stack under ``signals[b]``, one ``_update`` call a step.
+
+        A run stops at its first non-finite input or state, or at a state entry past 1e100:
+        it ends at the last good state, ``first_bad_index`` being the index of the bad one, and
+        the other runs go on.  With adjoint families a run can differ from its batch of one in
+        the last bits, since the rows of a flow share one scaling of the flow kernel.
+        """
         if k_max < 0:
             raise SystemSpecError("horizon must be nonnegative")
-        states = np.zeros((k_max + 1, self.state_dim))
-        states[0] = np.asarray(X0, dtype=float).reshape(-1)
-        first_bad = None
+        X0s = np.asarray(X0s, dtype=float)
+        B = len(signals)
+        if X0s.shape != (B, self.state_dim) or any(s.r * s.d != self.r * self.d for s in signals):
+            raise SystemSpecError("state/input stack has wrong length")
+        W = np.array([s.values(k_max) for s in signals]).reshape(B, k_max, self.r * self.d)
+        # a run stops before the first step that would read a non-finite X0 or input
+        go = np.isfinite(W).all(axis=2) & np.isfinite(X0s).all(axis=1)[:, None]
+        ends = np.concatenate([go, np.zeros((B, 1), bool)], axis=1).argmin(axis=1)
+        cuts = set(ends[ends < k_max].tolist())
+        states = np.zeros((B, k_max + 1, self.state_dim))
+        states[:, 0] = X = X0s
+        rows, live = np.arange(B), slice(None)  # live indexes the running rows: no copy until one stops
         for k in range(k_max):
-            w = signal.value(k)
-            # a non-finite state or input is divergence, like a state entry past 1e100
-            finite = np.all(np.isfinite(states[k])) and np.all(np.isfinite(w))
-            nxt = self.evaluate(states[k], w) if finite else None
-            if nxt is None or not np.all(np.isfinite(nxt)) or np.abs(nxt).max(initial=0.0) > 1e100:
-                first_bad = k + 1
-                states = states[:k + 1]
+            if k in cuts:
+                keep = ends[rows] > k
+                rows = live = rows[keep]
+                X = X[keep]
+            if not rows.size:
                 break
-            states[k + 1] = nxt
-        slots = states.reshape(states.shape[0], self.n, self.d)
-        norms = np.linalg.norm(slots, axis=2).sum(axis=1)
-        qnorms = np.stack([np.linalg.norm(slots @ ctx.P.T, axis=2).sum(axis=1)
-                           for ctx in self.projections.contexts], axis=1)
-        return Trajectory(states, norms, qnorms, diverged=first_bad is not None, first_bad_index=first_bad)
+            nxt = self._update(X, W[live, k])
+            good = np.abs(nxt) <= 1e100  # False for inf and NaN too
+            if not good.all():
+                good = good.all(axis=1)
+                ends[rows[~good]] = k
+                rows = live = rows[good]
+                nxt = nxt[good]
+            states[live, k + 1] = X = nxt
+        slots = states.reshape(B, k_max + 1, self.n, self.d)
+        norms = np.linalg.norm(slots, axis=3).sum(axis=2)
+        qnorms = np.stack([np.linalg.norm(slots @ ctx.P.T, axis=3).sum(axis=2)
+                           for ctx in self.projections.contexts], axis=2)
+        return [Trajectory(states[b, :e + 1], norms[b, :e + 1], qnorms[b, :e + 1], diverged=e < k_max,
+                           first_bad_index=e + 1 if e < k_max else None)
+                for b, e in enumerate(ends.tolist())]
 
     # -- family expansion and the convergence majorant -----------------------
 

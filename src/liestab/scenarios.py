@@ -12,13 +12,15 @@ algebra, solvable route), "heisenberg-deadbeat" and "uptri-deadbeat"
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .algebra import (AlgebraLoadError, algebra_from_dict, catalog_algebras,
-                      derived_algebra, heisenberg, upper_triangular6)
+                      derived_algebra, heisenberg, json_field, upper_triangular6)
 from .dynamics import (AdjointFamily, ExoSignal, SystemSpecError, Term, Trajectory,
                        Word, WordSeriesSystem, parse_letter)
 from . import sampling
@@ -191,18 +193,7 @@ def builtin_scenario(name: str, seed: int = 0, horizon: Optional[int] = None) ->
 # -- scenario files ------------------------------------------------------------
 
 
-def _require(data, key: str, kind=None, default=None, where: str = ""):
-    """``data[key]``, or ``default`` (when given) for an absent key; a ScenarioError naming
-    the field ``where + key`` unless ``data`` is an object and the value has JSON type ``kind``."""
-    if not isinstance(data, dict):
-        raise ScenarioError(f"scenario field {where.rstrip('.')!r} must be an object")
-    if key not in data and default is None:
-        raise ScenarioError(f"scenario field {where + key!r} is missing")
-    val = data.get(key, default)
-    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):  # JSON true is no int
-        raise ScenarioError(f"scenario field {where + key!r} has wrong type "
-                            f"({type(val).__name__})")
-    return val
+_require = partial(json_field, error=ScenarioError, noun="scenario field")
 
 
 def _finite(key: str, value, scalar: bool = False):
@@ -220,6 +211,11 @@ def _finite(key: str, value, scalar: bool = False):
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    # the name becomes part of every output file name
+    name = _require(data, "name", str, "scenario")
+    if not re.fullmatch(r"[\w.-]{1,200}", name, re.ASCII):
+        raise ScenarioError("scenario field 'name' must be a plain file stem: "
+                            "1 to 200 ASCII letters, digits, '_', '-' or '.'")
     alg_spec = _require(data, "algebra")
     if isinstance(alg_spec, str):
         cat = catalog_algebras()
@@ -303,7 +299,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     route = _require(data, "route", str, "auto")
     if route not in ROUTES:
         raise ScenarioError(f"scenario field 'route' must be one of {', '.join(ROUTES)}")
-    return Scenario(data.get("name", "scenario"), system, signal, x0, horizon, M=M, route=route)
+    return Scenario(name, system, signal, x0, horizon, M=M, route=route)
 
 
 def load_scenario(path) -> Scenario:
@@ -323,9 +319,7 @@ def load_scenario(path) -> Scenario:
 
 
 def trajectory_columns(sys: WordSeriesSystem) -> list:
-    cols = ["k"] + sys.coordinate_names() + ["norm"]
-    cols += [f"qnorm{i}" for i in range(len(sys.projections))]
-    return cols
+    return ["k", *sys.coordinate_names(), "norm"] + [f"qnorm{i}" for i in range(len(sys.projections))]
 
 
 def _fmt(v: float) -> str:
@@ -347,7 +341,7 @@ def write_trajectory_csv(path, scenario: Scenario, traj: Trajectory, seed: int) 
 
 
 def write_trajectory_json(path, scenario: Scenario, traj: Trajectory, seed: int) -> None:
-    payload = {
+    write_json(path, {
         "scenario": scenario.name,
         "seed": seed,
         "horizon": traj.horizon,
@@ -357,7 +351,10 @@ def write_trajectory_json(path, scenario: Scenario, traj: Trajectory, seed: int)
         "rows": [[k] + [float(v) for v in traj.states[k]] + [float(traj.norms[k])]
                  + [float(v) for v in traj.quotient_norms[k]]
                  for k in range(traj.states.shape[0])],
-    }
+    })
+
+
+def write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -262,7 +262,7 @@ def forcing_norms(sys: WordSeriesSystem, states: np.ndarray, signal: ExoSignal,
     filt = sys.projections.embed_project(level - 1)
     K = states.shape[0]
     slots = {"X": states.reshape(K, sys.n, sys.d),
-             "W": np.stack([signal.value(k) for k in range(K)]).reshape(K, sys.r, sys.d)}
+             "W": signal.values(K).reshape(K, sys.r, sys.d)}
     acc = np.zeros((K, sys.n, ctx.quotient_dim))
     for t in sys.all_terms():
         if t.word.length <= level:
@@ -310,8 +310,7 @@ def certify_solvable(sys: WordSeriesSystem, signal: ExoSignal, horizon: int = 20
              "for the admissible bound; verdict is conditional on it"]
     ctx0 = sys.projections[0]
     resid = np.zeros(horizon + 1)
-    for k in range(horizon + 1):
-        Ws = signal.value(k).reshape(sys.r, sys.d)
+    for k, Ws in enumerate(signal.values(horizon + 1).reshape(horizon + 1, sys.r, sys.d)):
         resid[k] = sum(ctx0.quotient_norm(w) for w in Ws)
     res_max = float(resid.max())
     tail = float(resid[int(0.75 * horizon):].max()) if horizon else res_max
@@ -373,14 +372,17 @@ def deadbeat_horizon(sys: WordSeriesSystem) -> DeadbeatCertificate:
 def deadbeat_verified(sys: WordSeriesSystem, cert: DeadbeatCertificate,
                       signal_factory: Callable[[np.random.Generator], ExoSignal],
                       runs: int = 100, seed: int = 0, tol: float = 1e-9) -> dict:
-    """Simulation companion: final and per-level states vanish at their horizons."""
+    """Simulation companion: final and per-level states vanish at their horizons.
+
+    Each of the ``runs`` runs draws its initial state and then its signal from
+    one generator; the runs are simulated together as one batch.
+    """
     rng = np.random.default_rng(seed)
+    draws = [(rng.standard_normal(sys.state_dim), signal_factory(rng)) for _ in range(runs)]
+    X0s = np.reshape([x0 for x0, _ in draws], (runs, sys.state_dim))
     worst_final = 0.0
     worst_levels = [0.0] * len(cert.per_level)
-    for _ in range(runs):
-        x0 = rng.standard_normal(sys.state_dim)
-        sig = signal_factory(rng)
-        traj = sys.simulate(x0, sig, cert.horizon + 2)
+    for traj in sys.simulate_batch(X0s, [signal for _, signal in draws], cert.horizon + 2):
         worst_final = max(worst_final, float(traj.norms[cert.horizon:].max()))
         for i, ki in enumerate(cert.per_level):
             worst_levels[i] = max(worst_levels[i], float(traj.quotient_norms[ki:, i].max()))
@@ -448,23 +450,27 @@ def deadbeat_envelope(sys: WordSeriesSystem, cert: DeadbeatCertificate,
 
     alpha is the max of ||X[k]|| / (decay^k ||X[0]||) over sampled runs with
     ||X[0]|| <= M and k below the horizon, floored at 1, then re-verified on
-    fresh samples (slack 1e-9).
+    fresh samples (slack 1e-9).  Each sample draws its initial direction, its
+    scale in [0.1, 1] and its signal in that order; the samples of each set are
+    simulated together as one batch.
     """
     if not (0.0 <= decay < 1.0):
         raise ValueError("decay must lie in [0, 1)")
     rng = np.random.default_rng(seed)
 
     def sample_alpha(count: int) -> float:
-        worst = 0.0
+        x0s, signals = [], []
         for _ in range(count):
             x0 = rng.standard_normal(sys.state_dim)
             nrm = sys.state_norm(x0)
             if nrm == 0:
                 continue
-            x0 *= rng.uniform(0.1, 1.0) * M / nrm
-            traj = sys.simulate(x0, signal_factory(rng), cert.horizon)
-            k = np.arange(traj.norms.shape[0], dtype=float)
-            with np.errstate(divide="ignore"):
+            x0s.append(x0 * (rng.uniform(0.1, 1.0) * M / nrm))
+            signals.append(signal_factory(rng))
+        worst = 0.0
+        with np.errstate(divide="ignore"):
+            for traj in sys.simulate_batch(np.reshape(x0s, (-1, sys.state_dim)), signals, cert.horizon):
+                k = np.arange(traj.norms.shape[0], dtype=float)
                 worst = max(worst, float(np.max(traj.norms / (decay ** k * traj.norms[0]))))
         return worst
 
@@ -475,39 +481,3 @@ def deadbeat_envelope(sys: WordSeriesSystem, cert: DeadbeatCertificate,
         alpha = max(alpha, fresh)
     return EnvelopeFit(alpha=float(alpha), decay=float(decay), satisfied=True,
                        details={"verified_on_fresh_samples": bool(ok), "M": M})
-
-
-# -- convergence radius from the root test ---------------------------------------
-
-
-def roottest_radius(limsup_root: float, mu: float) -> dict:
-    """Radius chain from the root test on per-length coefficient masses.
-
-    Given L = limsup_l (sum_{|w| = l} ||c_w||)^{1/l}, the first radius is
-    rho1 = min(1, 1/(mu L)), the second rho2 = 0.99 rho1 / ||iota_0|| = 0.99 rho1
-    (orthonormal embedding columns), and the certified ball radius is rho2^2
-    (the square absorbs the exponent shift |w| - 1 -> |w| in the compared series).
-    """
-    if limsup_root < 0 or mu < 0:
-        raise ValueError("limsup and mu must be nonnegative")
-    rho1 = 1.0 if mu * limsup_root == 0 else min(1.0, 1.0 / (mu * limsup_root))
-    rho2 = 0.99 * rho1
-    return {"limsup_root": limsup_root, "rho1": rho1, "rho2": rho2,
-            "radius": rho2 ** 2}
-
-
-def limsup_root_of_masses(masses: Sequence[float], exact_tail: bool = True) -> dict:
-    """limsup of (mass_l)^{1/l} from per-length masses starting at length 2.
-
-    With ``exact_tail`` the sequence is known to be complete (a finite word
-    series), so the limsup is 0.  Otherwise the tail is unknown; fewer than
-    three populated lengths make the estimate a guess, flagged conservative,
-    and the max of the observed roots is returned as an upper surrogate.
-    """
-    roots = [m ** (1.0 / (l + 2)) for l, m in enumerate(masses) if m > 0]
-    if exact_tail:
-        return {"limsup_root": 0.0, "conservative": False}
-    if len(roots) < 3:
-        return {"limsup_root": max(roots, default=0.0), "conservative": True}
-    tail = roots[len(roots) // 2:]
-    return {"limsup_root": max(tail), "conservative": False}

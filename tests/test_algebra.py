@@ -219,6 +219,12 @@ def test_json_roundtrip_and_errors():
                            "brackets": [{"i": "a", "j": "a", "coeffs": {"a": 1.0}}]})
     with pytest.raises(AlgebraLoadError):
         algebra_from_dict({"labels": ["a"]})
+    # a null optional field is an absent one, as it was when the loader read fields by data.get
+    plain = algebra_from_dict(data | {"matrix_rep": None, "name": None})
+    assert plain.matrix_rep is None and plain.name == ""
+    assert algebra_from_dict({"dim": 2, "labels": None, "brackets": None}).labels == ["e1", "e2"]
+    with pytest.raises(AlgebraLoadError, match=r"^field 'dim' has wrong type \(NoneType\)$"):
+        algebra_from_dict({"dim": None})
 
 
 def kernel_cases():

@@ -339,6 +339,39 @@ def test_wrong_json_type_exits_2(tmp_path, capsys, breakage, message):
     assert captured.err == f"input error: scenario field {message}\n"
 
 
+@pytest.mark.parametrize("algebra,message", [
+    ({"dim": 3, "labels": 5}, "field 'labels' has wrong type (int)"),  # once a TypeError traceback
+    ({"dim": 3, "labels": ["h1", "h2", "h3"],
+      "brackets": [{"i": "h1", "j": "h2", "coeffs": [1.0]}]},         # once an AttributeError traceback
+     "field 'brackets[0].coeffs' has wrong type (list)"),
+    ({"dim": "3"}, "field 'dim' has wrong type (str)"),
+    ({"dim": 3, "brackets": [{"i": "e1", "j": "e2", "coeffs": {"e3": "1"}}]},
+     "field 'brackets[0].coeffs.e3' has wrong type (str)"),
+    ({"dim": 3, "brackets": [{"i": 1, "j": "e2", "coeffs": {}}]},
+     "field 'brackets[0].i' has wrong type (int)"),
+    ({"dim": 1, "matrix_rep": [[[0.0]], [1.0]]}, "matrix_rep must be d square matrices"),
+])
+def test_wrong_algebra_json_type_exits_2(tmp_path, capsys, algebra, message):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(NONFINITE_BASE | {"algebra": algebra}))
+    assert run(["check", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: algebra: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["a/b", "../up", "", "a" * 201, "tab\tname", 5])
+def test_scenario_name_must_be_a_file_stem(tmp_path, capsys, name):
+    # "a/b" once ended simulate in a FileNotFoundError traceback
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(NONFINITE_BASE | {"name": name}))
+    out = tmp_path / "out"
+    assert run(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'name'" in captured.err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unknown_route_exits_2(tmp_path, capsys):
     # an unknown route once ran the solvable certificate and wrote a file with route "bogus"
     path = tmp_path / "bogus.json"

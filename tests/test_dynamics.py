@@ -392,14 +392,108 @@ def test_simulate_divergence_flag():
     assert traj.states.shape[0] == traj.first_bad_index
 
 
+def reference_signal_value(signal, k):
+    """W[k] of one step: the scalar signal read that ``ExoSignal.values`` replaced."""
+    if signal.kind == "zero":
+        return np.zeros(signal.r * signal.d)
+    if signal.kind == "samples":
+        return signal.samples[k % signal.samples.shape[0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.float64(signal.ratio) ** k * signal.base
+
+
+def reference_simulate(sys_, X0, signal, k_max):
+    """``simulate`` one ``evaluate`` call and one signal read per step."""
+    states = np.zeros((k_max + 1, sys_.state_dim))
+    states[0] = np.asarray(X0, dtype=float).reshape(-1)
+    first_bad = None
+    for k in range(k_max):
+        w = reference_signal_value(signal, k)
+        finite = np.all(np.isfinite(states[k])) and np.all(np.isfinite(w))
+        nxt = sys_.evaluate(states[k], w) if finite else None
+        if nxt is None or not np.all(np.isfinite(nxt)) or np.abs(nxt).max(initial=0.0) > 1e100:
+            first_bad = k + 1
+            states = states[:k + 1]
+            break
+        states[k + 1] = nxt
+    slots = states.reshape(states.shape[0], sys_.n, sys_.d)
+    norms = np.linalg.norm(slots, axis=2).sum(axis=1)
+    qnorms = np.stack([np.linalg.norm(slots @ ctx.P.T, axis=2).sum(axis=1)
+                       for ctx in sys_.projections.contexts], axis=1)
+    return states, norms, qnorms, first_bad is not None, first_bad
+
+
+def trajectory_fields(traj):
+    return traj.states, traj.norms, traj.quotient_norms, traj.diverged, traj.first_bad_index
+
+
+def assert_same_run(got, want):
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b, equal_nan=True), (a, b)
+    assert got[3:] == want[3:]
+
+
+def test_simulate_batch_matches_single_runs_and_the_step_loop():
+    # X+ = X / 2 + [W1, X1] on the upper-triangular algebra: ad_{t1} has eigenvalue 1
+    ut = upper_triangular6()
+    sys_ = WordSeriesSystem(ut, 1, 1, 0.5 * np.eye(6),
+                            terms=[Term(Word((("W", 1), ("X", 1))), np.array([1.0]))],
+                            invariance_ideal=derived_algebra(ut))
+    t1 = np.eye(6)[0]
+    rng = np.random.default_rng(2)
+    runs = [(rng.standard_normal(6), ExoSignal.zero(1, 6)),                         # decays
+            (rng.standard_normal(6), ExoSignal("geometric", 1, 6, base=3.0 * t1)),  # 3.5^k, past 1e100
+            (np.zeros(6), ExoSignal("geometric", 1, 6, base=t1, ratio=1e100)),     # W[4] = inf
+            (np.full(6, np.nan), ExoSignal.zero(1, 6)),
+            (rng.standard_normal(6), ExoSignal("samples", 1, 6, samples=0.1 * rng.standard_normal((7, 6))))]
+    X0s = np.array([x0 for x0, _ in runs])
+    signals = [sig for _, sig in runs]
+    for k_max in (0, 1, 4, 250):
+        batch = sys_.simulate_batch(X0s, signals, k_max)
+        for traj, (x0, sig) in zip(batch, runs):
+            assert_same_run(trajectory_fields(traj), trajectory_fields(sys_.simulate(x0, sig, k_max)))
+            assert_same_run(trajectory_fields(traj), reference_simulate(sys_, x0, sig, k_max))
+    finite, grown, cut, nan, sampled = batch
+    assert not finite.diverged and not sampled.diverged and finite.horizon == 250
+    assert grown.diverged and 4 < grown.horizon < 250 and np.abs(grown.states).max() <= 1e100
+    assert (cut.diverged, cut.first_bad_index, cut.horizon) == (True, 5, 4)
+    assert (nan.diverged, nan.first_bad_index, nan.horizon) == (True, 1, 0)
+    assert sys_.simulate_batch(np.zeros((0, 6)), [], 5) == []
+    with pytest.raises(SystemSpecError):
+        sys_.simulate_batch(X0s[:2], signals, 5)
+    # with adjoint families the rows of a flow share one scaling of the flow kernel, so a run
+    # agrees with its batch of one to rounding, not bit for bit
+    fam = ex61_system()
+    X0s = np.array([s * EX61_X0 for s in (1e-3, 0.3, 1.0, 2.0)])
+    signals = [ex61_signal(80), ExoSignal.zero(2, 6), ex61_signal(80), ex61_signal(3)]
+    for traj, x0, sig in zip(fam.simulate_batch(X0s, signals, 80), X0s, signals):
+        single = fam.simulate(x0, sig, 80)
+        assert (traj.diverged, traj.first_bad_index) == (single.diverged, single.first_bad_index)
+        np.testing.assert_allclose(traj.states, single.states, rtol=1e-12, atol=1e-12 * abs(x0).max())
+        np.testing.assert_allclose(traj.quotient_norms, single.quotient_norms, rtol=1e-12,
+                                   atol=1e-12 * abs(x0).max())
+
+
+def test_simulate_matches_the_step_loop_on_the_builtins():
+    for name in ("example-4.1", "example-6.1", "heisenberg-deadbeat", "uptri-deadbeat"):
+        sc = builtin_scenario(name)
+        assert_same_run(trajectory_fields(sc.system.simulate(sc.x0, sc.signal, sc.horizon)),
+                        reference_simulate(sc.system, sc.x0, sc.signal, sc.horizon))
+
+
 def test_exo_signal_kinds():
     sig = ExoSignal("samples", 1, 2, samples=np.array([[1.0, 0.0], [0.0, 2.0]]))
-    np.testing.assert_allclose(sig.value(0), [1.0, 0.0])
-    np.testing.assert_allclose(sig.value(5), [0.0, 2.0])  # wraps around
+    np.testing.assert_allclose(sig.values(6)[[0, 5]], [[1.0, 0.0], [0.0, 2.0]])  # wraps around
     beta, s = sig.envelope()
     assert (beta, s) == (2.0, 1.0)
     geo = ExoSignal("geometric", 1, 2, base=[3.0, 4.0], ratio=2.0)
-    np.testing.assert_allclose(geo.value(3), [24.0, 32.0])
+    np.testing.assert_allclose(geo.values(4)[3], [24.0, 32.0])
+    # the same floats as one read per step, past the float range (inf, and inf * 0 = nan) too
+    for signal in (sig, geo, ExoSignal.zero(2, 3), ExoSignal("geometric", 1, 2, base=[0.0, 1.0], ratio=1.37),
+                   ExoSignal("geometric", 1, 2, base=[1.0, 2.0], ratio=0.0)):
+        want = np.array([reference_signal_value(signal, k) for k in range(2300)])
+        assert np.array_equal(signal.values(2300), want, equal_nan=True)
+        assert signal.values(0).shape == (0, signal.r * signal.d)
     assert geo.envelope() == (5.0, 2.0)
     assert ExoSignal.zero(2, 3).envelope() == (0.0, 1.0)
     ut = upper_triangular6()

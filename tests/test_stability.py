@@ -13,8 +13,7 @@ from liestab.quotient import adapted_norm, bracket_word
 from liestab.stability import (ENVELOPE_POWERS, CertificateRejected, HypothesisError,
                                block_sum_norm, certify_nilpotent, certify_solvable,
                                deadbeat_envelope, deadbeat_horizon, deadbeat_verified, fit_envelope,
-                               forcing_gain, forcing_norms, limsup_root_of_masses,
-                               power_envelope_constant, roottest_radius,
+                               forcing_gain, forcing_norms, power_envelope_constant,
                                spectral_radius)
 
 
@@ -134,8 +133,9 @@ def reference_forcing_norms(sys_, states, signal, level):
     ctx = sys_.projections[level]
     filt = sys_.projections.embed_project(level - 1)
     out = np.zeros(states.shape[0])
+    W = signal.values(states.shape[0])
     for k in range(states.shape[0]):
-        slots = {"X": states[k].reshape(sys_.n, sys_.d), "W": signal.value(k).reshape(sys_.r, sys_.d)}
+        slots = {"X": states[k].reshape(sys_.n, sys_.d), "W": W[k].reshape(sys_.r, sys_.d)}
         acc = np.zeros((sys_.n, ctx.quotient_dim))
         for t in sys_.all_terms():
             if t.word.length <= level:
@@ -396,6 +396,60 @@ def test_deadbeat_simulation_verification():
         assert res["worst_final"] < 1e-9
 
 
+def reference_deadbeat_verified(sys_, cert, signal_factory, runs=100, seed=0, tol=1e-9):
+    """``deadbeat_verified`` one ``simulate`` call per run."""
+    rng = np.random.default_rng(seed)
+    worst_final = 0.0
+    worst_levels = [0.0] * len(cert.per_level)
+    for _ in range(runs):
+        x0 = rng.standard_normal(sys_.state_dim)
+        sig = signal_factory(rng)
+        traj = sys_.simulate(x0, sig, cert.horizon + 2)
+        worst_final = max(worst_final, float(traj.norms[cert.horizon:].max()))
+        for i, ki in enumerate(cert.per_level):
+            worst_levels[i] = max(worst_levels[i], float(traj.quotient_norms[ki:, i].max()))
+    return {"ok": worst_final < tol and all(v < tol for v in worst_levels),
+            "worst_final": worst_final, "worst_levels": worst_levels}
+
+
+def reference_deadbeat_envelope(sys_, cert, signal_factory, M, decay, runs=50, seed=1,
+                                fresh_runs=100):
+    """``deadbeat_envelope`` one ``simulate`` call per run; returns (alpha, verified)."""
+    rng = np.random.default_rng(seed)
+
+    def sample_alpha(count):
+        worst = 0.0
+        for _ in range(count):
+            x0 = rng.standard_normal(sys_.state_dim)
+            nrm = sys_.state_norm(x0)
+            if nrm == 0:
+                continue
+            x0 *= rng.uniform(0.1, 1.0) * M / nrm
+            traj = sys_.simulate(x0, signal_factory(rng), cert.horizon)
+            k = np.arange(traj.norms.shape[0], dtype=float)
+            with np.errstate(divide="ignore"):
+                worst = max(worst, float(np.max(traj.norms / (decay ** k * traj.norms[0]))))
+        return worst
+
+    alpha = max(1.0, sample_alpha(runs))
+    fresh = sample_alpha(fresh_runs)
+    ok = fresh <= alpha * (1 + 1e-9)
+    return max(alpha, fresh), ok
+
+
+@pytest.mark.parametrize("make", [heisenberg_deadbeat_system, uptri_deadbeat_system])
+def test_batched_deadbeat_runs_match_the_per_run_loops(make):
+    sys_ = make()
+    cert = deadbeat_horizon(sys_)
+    factory = lambda rng: ideal_valued_samples(sys_, cert.horizon + 3, rng)
+    for seed in (0, 4, 17):
+        assert deadbeat_verified(sys_, cert, factory, seed=seed) == \
+            reference_deadbeat_verified(sys_, cert, factory, seed=seed)
+        env = deadbeat_envelope(sys_, cert, factory, M=5.0, decay=0.5, seed=seed)
+        alpha, ok = reference_deadbeat_envelope(sys_, cert, factory, M=5.0, decay=0.5, seed=seed)
+        assert (env.alpha, env.details["verified_on_fresh_samples"]) == (alpha, ok)
+
+
 def test_deadbeat_envelope():
     sys_ = heisenberg_deadbeat_system()
     cert = deadbeat_horizon(sys_)
@@ -500,22 +554,6 @@ def test_fit_envelope_matches_the_reference_bisection():
         alpha, decay = reference_fit_envelope(bundle)
         assert fit.decay == pytest.approx(decay, rel=1e-15, abs=0)
         assert fit.alpha == pytest.approx(alpha, rel=1e-12, abs=0)
-
-
-def test_roottest_radius_chain():
-    out = roottest_radius(0.0, mu=1.5)
-    assert out["rho1"] == 1.0 and out["radius"] == pytest.approx(0.99 ** 2)
-    # geometric masses c^l: the second radius scales like 1/(mu c)
-    for c in (2.0, 4.0):
-        res = roottest_radius(c, mu=1.0)
-        assert res["rho2"] == pytest.approx(0.99 / c)
-        assert res["radius"] == pytest.approx((0.99 / c) ** 2)
-    # factorial family masses: per-length roots vanish, radius capped by the chain
-    masses = [1.0 / math.factorial(l) for l in range(2, 40)]
-    est = limsup_root_of_masses(masses, exact_tail=False)
-    assert est["limsup_root"] < 0.2 and not est["conservative"]
-    est = limsup_root_of_masses([3.0], exact_tail=False)
-    assert est["conservative"]
 
 
 def test_forcing_norm_levels():

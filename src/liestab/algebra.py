@@ -7,6 +7,8 @@ first being ``ad_many``).  Elements are coordinate vectors of length d.
 Subspaces are column spans.  The module provides span-of-brackets machinery,
 the derived and lower central series, the solvable/nilpotent predicates
 (cached per algebra), and a bound mu with ||[x, y]|| <= mu ||x|| ||y||.
+Each catalog algebra is a matrix realization whose constants are read off
+its commutators (``realized_algebra``), so no bracket is stated twice.
 """
 
 from __future__ import annotations
@@ -90,11 +92,6 @@ class Subspace:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return self.onb @ (self.onb.T @ x)
-
-    def distance(self, x: np.ndarray) -> float:
-        """Euclidean distance from x to the subspace."""
-        x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(x - self.project(x)))
 
     def contains(self, other: "Subspace", tol: float = RANK_TOL) -> bool:
         """Whether ``other`` is contained in this subspace.
@@ -474,18 +471,30 @@ def algebra_to_dict(alg: LieAlgebra) -> dict:
 # -- built-in catalog --------------------------------------------------------
 
 
+def realized_algebra(rep, labels: Sequence[str], name: str) -> LieAlgebra:
+    """The algebra spanned by a Frobenius-orthogonal basis of real matrices R_i, its
+    constants read off the commutators: C[i, j, k] = <[R_i, R_j], R_k> / <R_k, R_k>.
+    The matrix_rep check in LieAlgebra refuses a basis whose commutators leave its span."""
+    rep = np.asarray(rep, dtype=float)
+    flat = rep.reshape(len(rep), -1)
+    comm = (rep[:, None] @ rep[None] - rep[None] @ rep[:, None]).reshape(len(rep), *flat.shape)
+    return LieAlgebra(comm @ flat.T / (flat * flat).sum(axis=1), labels=labels, matrix_rep=rep, name=name)
+
+
+def _units(m: int, *pairs) -> np.ndarray:
+    """The m x m matrix units E_ab, one per 0-based pair (a, b)."""
+    rep = np.zeros((len(pairs), m, m))
+    for i, (a, b) in enumerate(pairs):
+        rep[i, a, b] = 1.0
+    return rep
+
+
 def heisenberg() -> LieAlgebra:
-    """3-dimensional Heisenberg algebra with [h1, h2] = -h3."""
-    C = np.zeros((3, 3, 3))
-    C[0, 1, 2] = -1.0
-    C[1, 0, 2] = 1.0
-    # realization by strictly upper-triangular 3x3 matrices (h3 = -E13 so
-    # that the commutator [h1, h2] equals -h3)
-    rep = np.zeros((3, 3, 3))
-    rep[0, 0, 1] = 1.0
-    rep[1, 1, 2] = 1.0
+    """3-dimensional Heisenberg algebra with [h1, h2] = -h3, realized by strictly
+    upper-triangular 3x3 matrices h1 = E12, h2 = E23, h3 = -E13."""
+    rep = _units(3, (0, 1), (1, 2), (0, 2))
     rep[2, 0, 2] = -1.0
-    return LieAlgebra(C, labels=["h1", "h2", "h3"], matrix_rep=rep, name="heisenberg")
+    return realized_algebra(rep, ["h1", "h2", "h3"], "heisenberg")
 
 
 def upper_triangular6() -> LieAlgebra:
@@ -495,65 +504,31 @@ def upper_triangular6() -> LieAlgebra:
     nonvanishing brackets [t1,t4] = t4, [t1,t6] = t6, [t2,t4] = -t4,
     [t2,t5] = t5, [t3,t5] = -t5, [t3,t6] = -t6, [t4,t5] = t6.
     """
-    labels = ["t1", "t2", "t3", "t4", "t5", "t6"]
-    C = np.zeros((6, 6, 6))
-
-    def setb(i, j, k, c):
-        C[i, j, k] = c
-        C[j, i, k] = -c
-
-    setb(0, 3, 3, 1.0)   # [t1, t4] = t4
-    setb(0, 5, 5, 1.0)   # [t1, t6] = t6
-    setb(1, 3, 3, -1.0)  # [t2, t4] = -t4
-    setb(1, 4, 4, 1.0)   # [t2, t5] = t5
-    setb(2, 4, 4, -1.0)  # [t3, t5] = -t5
-    setb(2, 5, 5, -1.0)  # [t3, t6] = -t6
-    setb(3, 4, 5, 1.0)   # [t4, t5] = t6
-    rep = np.zeros((6, 3, 3))
-    rep[0, 0, 0] = 1.0
-    rep[1, 1, 1] = 1.0
-    rep[2, 2, 2] = 1.0
-    rep[3, 0, 1] = 1.0
-    rep[4, 1, 2] = 1.0
-    rep[5, 0, 2] = 1.0
-    return LieAlgebra(C, labels=labels, matrix_rep=rep, name="upper-triangular-6")
+    rep = _units(3, (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
+    return realized_algebra(rep, ["t1", "t2", "t3", "t4", "t5", "t6"], "upper-triangular-6")
 
 
 def abelian(n: int) -> LieAlgebra:
-    """Commutative algebra of dimension n (all brackets vanish)."""
-    rep = np.zeros((n, n + 1, n + 1))
-    for i in range(n):
-        rep[i, i, n] = 1.0  # commuting strictly-upper generators
-    return LieAlgebra(np.zeros((n, n, n)), labels=[f"a{i+1}" for i in range(n)],
-                      matrix_rep=rep, name=f"abelian-{n}")
+    """Commutative algebra of dimension n (all brackets vanish), realized by the
+    commuting strictly upper-triangular (n+1) x (n+1) units E_{i,n+1}."""
+    return realized_algebra(_units(n + 1, *[(i, n) for i in range(n)]),
+                            [f"a{i+1}" for i in range(n)], f"abelian-{n}")
 
 
 def sl2() -> LieAlgebra:
-    """Non-solvable control case: [e,f] = h, [h,e] = 2e, [h,f] = -2f."""
-    labels = ["e", "f", "h"]
-    C = np.zeros((3, 3, 3))
-    C[0, 1, 2] = 1.0
-    C[1, 0, 2] = -1.0
-    C[2, 0, 0] = 2.0
-    C[0, 2, 0] = -2.0
-    C[2, 1, 1] = -2.0
-    C[1, 2, 1] = 2.0
-    rep = np.zeros((3, 2, 2))
-    rep[0, 0, 1] = 1.0
-    rep[1, 1, 0] = 1.0
-    rep[2] = np.diag([1.0, -1.0])
-    return LieAlgebra(C, labels=labels, matrix_rep=rep, name="sl2")
+    """Non-solvable control case: [e,f] = h, [h,e] = 2e, [h,f] = -2f, realized by
+    e = E12, f = E21, h = diag(1, -1)."""
+    rep = _units(2, (0, 1), (1, 0), (0, 0))
+    rep[2, 1, 1] = -1.0
+    return realized_algebra(rep, ["e", "f", "h"], "sl2")
 
 
 def nilpotent_upper(m: int) -> LieAlgebra:
     """Strictly upper-triangular m x m matrices, basis E_ij (i < j) row by row: nilpotent
-    of dimension m (m - 1) / 2 and nilindex m - 1, constants read off the commutators."""
+    of dimension m (m - 1) / 2 and nilindex m - 1."""
     rows, cols = np.triu_indices(m, 1)
-    rep = np.zeros((rows.size, m, m))
-    rep[np.arange(rows.size), rows, cols] = 1.0
-    comm = rep[:, None] @ rep[None] - rep[None] @ rep[:, None]
-    return LieAlgebra(comm[..., rows, cols], labels=[f"E{i + 1}_{j + 1}" for i, j in zip(rows, cols)],
-                      matrix_rep=rep, name=f"nilpotent-upper-{m}")
+    return realized_algebra(_units(m, *zip(rows, cols)), [f"E{i + 1}_{j + 1}" for i, j in zip(rows, cols)],
+                            f"nilpotent-upper-{m}")
 
 
 CATALOG = {

@@ -12,7 +12,9 @@ belongs in A, not in the family.
 There is one update map, ``evaluate`` being a batch of one of
 ``evaluate_batch``: each family flow is e^{ad_base} - I from ``_expm1_batch``,
 applied to the target directly, and the single-row flows of a call share one
-kernel call.  Maps act on stacked vectors slot by slot (``_slotwise``).
+kernel call.  Maps act on stacked vectors slot by slot (``quotient._slotwise``),
+and the linear part induced on a quotient is ``quotient.induced_map``, which
+also decides whether A preserves a chain ideal.
 
 The norm on stacked states is the sum of per-slot Euclidean norms.
 """
@@ -27,8 +29,8 @@ import numpy as np
 
 from .algebra import (LieAlgebra, Subspace, derived_algebra, is_nilpotent,
                       lower_central_series, bracket_constant)
-from .quotient import (INVARIANCE_TOL, ChainProjections, InvarianceViolation,
-                       QuotientContext, bracket_word, quotient_algebra)
+from .quotient import (ChainProjections, InvarianceViolation, _slotwise, bracket_word,
+                       induced_map, invariance_residual, off_ideal_part, quotient_algebra)
 
 Letter = tuple  # ("X", j) or ("W", j), 1-based slots
 
@@ -173,13 +175,6 @@ class ExoSignal:
             return max(self.slot_norm(s) for s in self.samples), 1.0
         return self.slot_norm(self.base), max(self.ratio, 1.0)
 
-    def max_ideal_residual(self, ideal: Subspace) -> float:
-        """Largest distance of any sample slot from the ideal."""
-        if self.kind == "zero":
-            return 0.0
-        vals = self.samples if self.kind == "samples" else self.base[np.newaxis, :]
-        return max([0.0] + [ideal.distance(slot) for slot in vals.reshape(-1, self.d)])
-
     def projected(self, P: np.ndarray) -> "ExoSignal":
         if self.kind == "zero":
             return ExoSignal.zero(self.r, P.shape[0])
@@ -201,16 +196,6 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return self.states.shape[0] - 1
-
-
-def _slotwise(M: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
-    """M on each of the k slots of the last axis of X, i.e. X @ kron(I_k, M).T.
-
-    kron(I, M) @ Y is ``_slotwise(M, Y.T, k).T``; Y @ kron(I, M) is ``_slotwise(M.T, Y, k)``.
-    """
-    X = np.asarray(X, dtype=float)
-    lead = X.shape[:-1]
-    return (X.reshape(*lead, k, M.shape[1]) @ M.T).reshape(*lead, k * M.shape[0])
 
 
 def _min_singular(M: np.ndarray) -> float:
@@ -468,26 +453,6 @@ class WordSeriesSystem:
 
     # -- structural and numerical checks -------------------------------------
 
-    def _off_ideal(self, sub: Subspace, Y: np.ndarray) -> np.ndarray:
-        """Stacked vectors (last axis) minus their slot-wise projection onto sub."""
-        return Y - _slotwise(sub.onb, _slotwise(sub.onb.T, Y, self.n), self.n)
-
-    def _linear_invariance_residual(self, sub: Subspace) -> float:
-        """|| A B - B B^T A B || with B = kron(I_n, onb): how far A moves sub^n off itself."""
-        return float(np.linalg.norm(self._off_ideal(sub, _slotwise(sub.onb.T, self.A, self.n).T)))
-
-    def _quotient_linear_part(self, ctx: QuotientContext) -> np.ndarray:
-        """kron(I_n, P) A kron(I_n, iota): the linear part induced on ctx's quotient."""
-        return _slotwise(ctx.P, _slotwise(ctx.iota.T, self.A, self.n).T, self.n).T
-
-    def level_linear_part(self, level: int) -> np.ndarray:
-        """Linear part induced on the quotient modulo chain ideal ``level`` + 1, without
-        building the quotient system; InvarianceViolation if A does not preserve the ideal."""
-        resid = self._linear_invariance_residual(self.chain.ideals[level])  # 0 for the zero ideal
-        if resid > INVARIANCE_TOL * max(1.0, float(np.linalg.norm(self.A))):
-            raise InvarianceViolation(resid)
-        return self._quotient_linear_part(self.projections[level])
-
     def structural_state_letter_ok(self) -> bool:
         """Every stored word and every family word contains a state letter."""
         return (all(t.word.state_letter_count >= 1 for t in self.terms)
@@ -496,24 +461,28 @@ class WordSeriesSystem:
     def invariance_report(self, seed: int = 0) -> dict:
         """Invariance of every chain level under A and under the full map (20 samples a level)."""
         rng = np.random.default_rng(seed)
-        scale = max(1.0, float(np.linalg.norm(self.A)))
         levels = []
         ok = True
-        for idx, sub in enumerate(self.chain.ideals):
+        for idx, ctx in enumerate(self.projections.contexts):
+            sub = ctx.ideal
             if sub.dim == 0:
                 levels.append({"level": idx + 1, "dim": 0, "linear_residual": 0.0,
                                "nonlinear_residual": 0.0})
                 continue
-            lin = self._linear_invariance_residual(sub)
+            try:
+                induced_map(ctx, self.A)
+            except InvarianceViolation:
+                ok = False
+            lin = invariance_residual(sub, self.A)
             # one draw per sample, its state coordinates first: the draws of a per-sample loop
             draws = rng.standard_normal((20, self.n * sub.dim + self.r * self.d))
             y = self._update(_slotwise(sub.onb, draws[:, :self.n * sub.dim], self.n),
                              draws[:, self.n * sub.dim:])
-            off = np.linalg.norm(self._off_ideal(sub, y), axis=1)
+            off = np.linalg.norm(off_ideal_part(sub, y, self.n), axis=1)
             nl = float((off / np.maximum(1.0, np.linalg.norm(y, axis=1))).max(initial=0.0))
             levels.append({"level": idx + 1, "dim": sub.dim, "linear_residual": lin,
                            "nonlinear_residual": nl})
-            ok = ok and lin < INVARIANCE_TOL * scale and nl < 1e-9
+            ok = ok and nl < 1e-9
         return {"ok": ok, "levels": levels}
 
     def equilibrium_report(self, seed: int = 0, starts: int = 100,
@@ -528,7 +497,8 @@ class WordSeriesSystem:
         rng = np.random.default_rng(seed)
         structural = self.structural_state_letter_ok()
         lin_margin = _min_singular(np.eye(self.state_dim) - self.A)
-        A0 = self._quotient_linear_part(self.projections[0])
+        ctx0 = self.projections[0]  # unchecked: invariance_report judges the ideal
+        A0 = _slotwise(ctx0.P, _slotwise(ctx0.iota.T, self.A, self.n).T, self.n).T
         q_margin = _min_singular(np.eye(A0.shape[0]) - A0)
         violations = []
         for w in [np.zeros(self.r * self.d), rng.standard_normal(self.r * self.d) * 0.5]:
@@ -598,12 +568,12 @@ class WordSeriesSystem:
         """Induced system on the quotient modulo chain ideal ``level`` + 1.
 
         Words and families are shared; only the algebra, the linear part
-        (``level_linear_part``), and the invariance chain are pushed through
-        the projection.  Raises InvarianceViolation if A does not preserve the
+        (``induced_map``), and the invariance chain are pushed through the
+        projection.  Raises InvarianceViolation if A does not preserve the
         factored subspace.
         """
-        Abar = self.level_linear_part(level)
         ctx = self.projections[level]
+        Abar = induced_map(ctx, self.A)
         proj_ideal = Subspace(ctx.P @ self.ideal.onb) if self.ideal.dim else Subspace.zero(ctx.quotient_dim)
         return WordSeriesSystem(quotient_algebra(ctx), self.n, self.r, Abar, self.terms, self.families,
                                 invariance_ideal=proj_ideal, radius=self.radius,

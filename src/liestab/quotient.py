@@ -27,10 +27,6 @@ class InvarianceViolation(ValueError):
         self.residual = residual
 
 
-def _fmt17(mat: np.ndarray) -> list:
-    return [[float(f"{v:.17g}") for v in row] for row in np.atleast_2d(mat)]
-
-
 def _complement_basis(ideal: Subspace, d: int, m: int) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the ideal.
 
@@ -94,28 +90,42 @@ class QuotientContext:
         """inf_{v in V} ||x + v|| for the Euclidean norm; exact by construction."""
         return float(np.linalg.norm(self.project(x)))
 
-    def to_dict(self) -> dict:
-        return {"quotient_dim": self.quotient_dim,
-                "ideal_dim": self.ideal.dim,
-                "P": _fmt17(self.P),
-                "iota": _fmt17(self.iota)}
-
     def __repr__(self) -> str:
         return f"QuotientContext(dim {self.algebra.dim} -> {self.quotient_dim})"
 
 
-def induced_map(ctx: QuotientContext, A: np.ndarray) -> np.ndarray:
-    """Unique map on the quotient with Abar @ P = P @ A, for V-invariant A."""
+def _slotwise(M: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
+    """M on each of the k slots of the last axis of X, i.e. X @ kron(I_k, M).T.
+
+    kron(I, M) @ Y is ``_slotwise(M, Y.T, k).T``; Y @ kron(I, M) is ``_slotwise(M.T, Y, k)``.
+    """
+    X = np.asarray(X, dtype=float)
+    lead = X.shape[:-1]
+    return (X.reshape(*lead, k, M.shape[1]) @ M.T).reshape(*lead, k * M.shape[0])
+
+
+def off_ideal_part(ideal: Subspace, Y: np.ndarray, k: int) -> np.ndarray:
+    """Stacked vectors (last axis, k slots) minus their slot-wise projection onto the ideal."""
+    return Y - _slotwise(ideal.onb, _slotwise(ideal.onb.T, Y, k), k)
+
+
+def invariance_residual(ideal: Subspace, A: np.ndarray) -> float:
+    """|| A B - B B^T A B || with B = kron(I_n, onb), n slots read off A's shape: how far
+    A moves the ideal, taken in every slot, off itself (0 for the zero ideal)."""
+    n = A.shape[0] // ideal.ambient_dim
+    return float(np.linalg.norm(off_ideal_part(ideal, _slotwise(ideal.onb.T, A, n).T, n)))
+
+
+def induced_map(ctx: QuotientContext, A) -> np.ndarray:
+    """kron(I_n, P) A kron(I_n, iota): the unique map with Abar kron(I_n, P) = kron(I_n, P) A
+    on n stacked slots (n read off A's shape; one slot for a d x d map).  InvarianceViolation
+    unless A preserves the ideal in every slot within INVARIANCE_TOL * max(1, ||A||)."""
     A = np.asarray(A, dtype=float)
-    d = ctx.algebra.dim
-    if A.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} map")
-    if ctx.ideal.dim:
-        img = A @ ctx.ideal.onb
-        resid = float(np.linalg.norm(img - ctx.ideal.project(img)))
-        if resid > INVARIANCE_TOL * max(1.0, float(np.linalg.norm(A))):
-            raise InvarianceViolation(resid)
-    return ctx.P @ A @ ctx.iota
+    resid = invariance_residual(ctx.ideal, A)
+    if resid > INVARIANCE_TOL * max(1.0, float(np.linalg.norm(A))):
+        raise InvarianceViolation(resid)
+    n = A.shape[0] // ctx.algebra.dim
+    return _slotwise(ctx.P, _slotwise(ctx.iota.T, A, n).T, n).T
 
 
 def is_ideal(algebra: LieAlgebra, sub: Subspace) -> bool:
@@ -158,12 +168,6 @@ class AdaptedNorm:
 
     def condition(self) -> float:
         return float(np.linalg.cond(self.transform, 2))
-
-    def to_dict(self) -> dict:
-        return {"epsilon": self.epsilon,
-                "spectral_radius": self.spectral_radius,
-                "certified_norm": self.certified_norm,
-                "T": _fmt17(self.transform)}
 
 
 def adapted_norm(A: np.ndarray, epsilon: float) -> AdaptedNorm:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
@@ -26,6 +26,7 @@ from .dynamics import (AdjointFamily, ExoSignal, SystemSpecError, Term, Trajecto
 from . import sampling
 
 ROUTES = ("auto", "nilpotent", "solvable", "deadbeat")
+MAX_HORIZON = 10 ** 6  # steps; a simulation stores (horizon + 1) * n * d floats up front
 
 
 class ScenarioError(ValueError):
@@ -41,23 +42,28 @@ class Scenario:
     horizon: int
     M: float
     route: str = "auto"  # one of ROUTES
-    notes: list = field(default_factory=list)
+
+    def __post_init__(self):
+        _check_horizon(self.horizon)
 
     def with_horizon(self, horizon: Optional[int]) -> "Scenario":
         return self if horizon is None else replace(self, horizon=horizon)
+
+
+def _check_horizon(horizon: Optional[int]) -> None:
+    if horizon is not None and not 0 <= horizon <= MAX_HORIZON:
+        raise ScenarioError(f"'horizon' must lie in [0, {MAX_HORIZON}], got {horizon}")
 
 
 # -- builtins -----------------------------------------------------------------
 
 
 def _example_41(seed: int = 0, horizon: Optional[int] = None) -> Scenario:
+    # slot 1 is the tracking error; slot 2 carries its linear image used as a bracket letter
     sys = sampling.heisenberg_tracking_system()
     x0 = sampling.tracking_state(np.array([3.0, 2.0, -1.0]))
     return Scenario("example-4.1", sys, sampling.tracking_signal(1.0), x0,
-                    horizon if horizon is not None else 50, M=6.0,
-                    route="nilpotent",
-                    notes=["slot 1 is the tracking error; slot 2 carries its "
-                           "linear image used as a bracket letter"])
+                    horizon if horizon is not None else 50, M=6.0, route="nilpotent")
 
 
 EX61_W0 = np.array([0.0, 0.0, 0.0, 1.0, 7.0, 6.0])  # t4 + 7 t5 + 6 t6
@@ -108,11 +114,10 @@ def ex61_signal(horizon: int) -> ExoSignal:
 
 
 def _example_61(seed: int = 0, horizon: Optional[int] = None) -> Scenario:
+    # the initial condition is a fixed representative choice; the source run shows decay qualitatively
     h = horizon if horizon is not None else 200
     return Scenario("example-6.1", ex61_system(), ex61_signal(h), EX61_X0.copy(),
-                    h, M=10.0, route="solvable",
-                    notes=["initial condition is a fixed representative choice; "
-                           "the source run shows decay qualitatively"])
+                    h, M=10.0, route="solvable")
 
 
 def heisenberg_deadbeat_system() -> WordSeriesSystem:
@@ -150,43 +155,33 @@ def uptri_deadbeat_system() -> WordSeriesSystem:
 def ideal_valued_samples(sys: WordSeriesSystem, count: int,
                          rng: np.random.Generator) -> ExoSignal:
     """Bounded random signal with every slot inside the invariance ideal."""
-    B = sys.ideal.onb
-    samples = np.zeros((count, sys.r * sys.d))
-    for k in range(count):
-        for j in range(sys.r):
-            samples[k, j * sys.d:(j + 1) * sys.d] = B @ rng.standard_normal(B.shape[1])
-    return ExoSignal("samples", sys.r, sys.d, samples=samples)
+    B = sys.ideal.onb  # one (count, r, dim h) draw: the numbers of one draw per sample and slot
+    samples = rng.standard_normal((count, sys.r, B.shape[1])) @ B.T
+    return ExoSignal("samples", sys.r, sys.d, samples=samples.reshape(count, sys.r * sys.d))
 
 
-def _heisenberg_deadbeat(seed: int = 0, horizon: Optional[int] = None) -> Scenario:
-    sys = heisenberg_deadbeat_system()
+def _deadbeat(name: str, make_system, default_horizon: int, seed: int = 0,
+              horizon: Optional[int] = None) -> Scenario:
+    """A zero-spectral-radius builtin: its signal, then its initial state, from one seeded generator."""
+    sys = make_system()
     rng = np.random.default_rng(seed)
-    h = horizon if horizon is not None else 8
+    h = horizon if horizon is not None else default_horizon
     sig = ideal_valued_samples(sys, h + 1, rng)
-    x0 = rng.standard_normal(3)
-    return Scenario("heisenberg-deadbeat", sys, sig, x0, h, M=5.0, route="deadbeat")
-
-
-def _uptri_deadbeat(seed: int = 0, horizon: Optional[int] = None) -> Scenario:
-    sys = uptri_deadbeat_system()
-    rng = np.random.default_rng(seed)
-    h = horizon if horizon is not None else 16
-    sig = ideal_valued_samples(sys, h + 1, rng)
-    x0 = rng.standard_normal(6)
-    return Scenario("uptri-deadbeat", sys, sig, x0, h, M=5.0, route="deadbeat")
+    return Scenario(name, sys, sig, rng.standard_normal(sys.state_dim), h, M=5.0, route="deadbeat")
 
 
 BUILTINS = {
     "example-4.1": _example_41,
     "example-6.1": _example_61,
-    "heisenberg-deadbeat": _heisenberg_deadbeat,
-    "uptri-deadbeat": _uptri_deadbeat,
+    "heisenberg-deadbeat": partial(_deadbeat, "heisenberg-deadbeat", heisenberg_deadbeat_system, 8),
+    "uptri-deadbeat": partial(_deadbeat, "uptri-deadbeat", uptri_deadbeat_system, 16),
 }
 
 
 def builtin_scenario(name: str, seed: int = 0, horizon: Optional[int] = None) -> Scenario:
     if name not in BUILTINS:
         raise ScenarioError(f"unknown builtin {name!r}; choose from {sorted(BUILTINS)}")
+    _check_horizon(horizon)  # before the builder sizes its signal by it
     return BUILTINS[name](seed=seed, horizon=horizon)
 
 
@@ -203,6 +198,8 @@ def _finite(key: str, value, scalar: bool = False):
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ScenarioError(f"scenario field {key!r} must be numeric") from None
+    except OverflowError:  # a JSON integer past the float range
+        raise ScenarioError(f"scenario field {key!r} must be finite") from None
     if scalar and arr.ndim:
         raise ScenarioError(f"scenario field {key!r} must be a number")
     if not np.isfinite(arr).all():
@@ -293,8 +290,6 @@ def scenario_from_dict(data: dict) -> Scenario:
     if x0.shape != (n * d,):
         raise ScenarioError(f"'x0' must have length {n * d}")
     horizon = _require(data, "horizon", int, 50)
-    if horizon < 0:
-        raise ScenarioError("'horizon' must be nonnegative")
     M = _finite("M", data.get("M", max(1.0, float(np.linalg.norm(x0)))), scalar=True)
     route = _require(data, "route", str, "auto")
     if route not in ROUTES:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import is_nilpotent, is_solvable
 from .dynamics import ExoSignal, Trajectory, WordSeriesSystem
-from .quotient import InvarianceViolation, adapted_norm, bracket_word
+from .quotient import InvarianceViolation, adapted_norm, bracket_word, induced_map
 
 
 class HypothesisError(ValueError):
@@ -203,12 +203,15 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
     gamma_levels, alpha_levels = [], []
     for i in range(1, p + 1):
         try:
-            Abar = sys.level_linear_part(i)
+            Abar = induced_map(sys.projections[i], sys.A)
         except InvarianceViolation as exc:
             raise HypothesisError(f"A does not preserve chain level {i + 1} "
                                   f"(residual {exc.residual:.3e})") from None
         rho_i = spectral_radius(Abar)
         Lam_i = rho_i + (i / (p + 1.0)) * epsilon
+        if Lam_i <= rho_i:  # the epsilon share rounds away; power_envelope_constant needs a rate above rho_i
+            raise CertificateRejected(f"level {i}: rho_{i} + {i}/{p + 1} epsilon rounds to rho_{i} = "
+                                      f"{rho_i:.6g} (epsilon {epsilon:.3g})", margin=rho_i - Lam_i)
         Lambda_levels.append(Lam_i)
         lam = Lambda if i == 1 else lam * s ** (i - 1)  # lambda_i = Lambda s^(i(i-1)/2)
         lambda_levels.append(lam)
@@ -308,10 +311,8 @@ def certify_solvable(sys: WordSeriesSystem, signal: ExoSignal, horizon: int = 20
                                   margin=rho_A - 1.0)
     notes = ["input-amplitude smallness is assumed, not derived: no formula exists "
              "for the admissible bound; verdict is conditional on it"]
-    ctx0 = sys.projections[0]
-    resid = np.zeros(horizon + 1)
-    for k, Ws in enumerate(signal.values(horizon + 1).reshape(horizon + 1, sys.r, sys.d)):
-        resid[k] = sum(ctx0.quotient_norm(w) for w in Ws)
+    W = signal.values(horizon + 1).reshape(horizon + 1, sys.r, sys.d)
+    resid = np.linalg.norm(W @ sys.projections[0].P.T, axis=2).sum(axis=1)  # slot distances from the ideal
     res_max = float(resid.max())
     tail = float(resid[int(0.75 * horizon):].max()) if horizon else res_max
     converging = tail <= max(1e-10, 1e-6 * max(res_max, 1.0))

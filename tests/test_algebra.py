@@ -322,3 +322,43 @@ def test_structure_constants_read_only():
     with pytest.raises(ValueError):
         alg.C[0, 1, 2] = 5.0
     C[0, 1, 2] = -1.0  # the caller's array stays writable: the algebra holds a copy
+
+
+def reference_catalog_constants():
+    """The structure constants the catalog used to state by hand, next to its realizations."""
+    heis = np.zeros((3, 3, 3))
+    heis[0, 1, 2], heis[1, 0, 2] = -1.0, 1.0  # [h1, h2] = -h3
+    ut = np.zeros((6, 6, 6))
+    for i, j, k, c in [(0, 3, 3, 1.0), (0, 5, 5, 1.0), (1, 3, 3, -1.0), (1, 4, 4, 1.0),
+                       (2, 4, 4, -1.0), (2, 5, 5, -1.0), (3, 4, 5, 1.0)]:
+        ut[i, j, k], ut[j, i, k] = c, -c
+    s = np.zeros((3, 3, 3))
+    s[0, 1, 2], s[1, 0, 2] = 1.0, -1.0  # [e, f] = h
+    s[2, 0, 0], s[0, 2, 0] = 2.0, -2.0  # [h, e] = 2e
+    s[2, 1, 1], s[1, 2, 1] = -2.0, 2.0  # [h, f] = -2f
+    return {"heisenberg": heis, "upper-triangular-6": ut, "sl2": s, "abelian-3": np.zeros((3, 3, 3))}
+
+
+def test_catalog_constants_are_read_off_the_realizations():
+    cat = catalog_algebras()
+    for name, C in reference_catalog_constants().items():
+        assert np.array_equal(cat[name].C, C), name
+        assert np.array_equal(np.signbit(cat[name].C), np.signbit(C)), name  # signs of zeros too
+    for m in range(2, 13):
+        # the old construction: commutators of the unit matrices, read at the (row, col) of each unit
+        rows, cols = np.triu_indices(m, 1)
+        rep = np.zeros((rows.size, m, m))
+        rep[np.arange(rows.size), rows, cols] = 1.0
+        comm = rep[:, None] @ rep[None] - rep[None] @ rep[:, None]
+        alg = nilpotent_upper(m)
+        assert np.array_equal(alg.C, comm[..., rows, cols]), m
+        assert np.array_equal(np.signbit(alg.C), np.signbit(comm[..., rows, cols])), m
+        assert np.array_equal(alg.matrix_rep, rep), m
+
+
+def test_realization_outside_its_span_is_refused():
+    # E12 and E21 alone: their commutator diag(1, -1) is no combination of them
+    rep = np.zeros((2, 2, 2))
+    rep[0, 0, 1] = rep[1, 1, 0] = 1.0
+    with pytest.raises(InvalidAlgebra, match="matrix_rep commutators"):
+        algebra_module.realized_algebra(rep, ["e", "f"], "not-closed")

@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liestab import cli
 from liestab.algebra import algebra_to_dict, nilpotent_upper
 from liestab.cli import main
-from liestab.scenarios import load_scenario, scenario_from_dict, ScenarioError
+from liestab.scenarios import (BUILTINS, MAX_HORIZON, builtin_scenario, load_scenario,
+                               scenario_from_dict, ScenarioError)
 
 
 def run(args):
@@ -184,14 +185,21 @@ def test_certify_solvable_hypothesis_warning_fails(tmp_path, capsys):
     ("nan", 2, "input error: --epsilon must be finite, got nan"),
     ("inf", 2, "input error: --epsilon must be finite, got inf"),
     ("1", 1, "[FAIL] "),
+    # rho_1 + epsilon / 3 rounds to rho_1
+    ("1e-17", 1, "[FAIL] certificate rejected: level 1: rho_1 + 1/3 epsilon rounds to rho_1 = 0.353553 "
+                 "(epsilon 1e-17) (margin +0)"),
+    ("1e-300", 1, "[FAIL] certificate rejected: level 1: rho_1 + 1/3 epsilon rounds to rho_1 = 0.353553 "
+                  "(epsilon 1e-300) (margin +0)"),
 ])
 def test_certify_epsilon_ends_in_one_line(tmp_path, capsys, epsilon, code, line):
-    # before: RuntimeError (3), OverflowError from Python float powers (10, 1e300), LinAlgError (nan)
-    assert run(["certify", "--builtin", "example-4.1", f"--epsilon={epsilon}",
-                "--out", str(tmp_path / "out")]) == code
+    # before: RuntimeError (3), OverflowError from Python float powers (10, 1e300), LinAlgError (nan),
+    # ValueError from power_envelope_constant (1e-17, 1e-300)
+    out = tmp_path / "out"
+    assert run(["certify", "--builtin", "example-4.1", f"--epsilon={epsilon}", "--out", str(out)]) == code
     captured = capsys.readouterr()
     lines = (captured.out + captured.err).splitlines()
     assert len(lines) == 1 and lines[0].startswith(line)
+    assert (out / "certificate-example-4.1.json").exists() == (code == 1)
 
 
 def test_certify_dense_map_past_the_adapted_norm_range_is_rejected(tmp_path, capsys):
@@ -315,6 +323,48 @@ def test_family_letter_out_of_range_exits_2(tmp_path, capsys, command, breakage,
     assert captured.err == f"input error: families[0]: letter {letter} out of range\n"
 
 
+HORIZON_ERROR = "input error: 'horizon' must lie in [0, {}], got {}\n".format
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+@pytest.mark.parametrize("command,horizon", [("simulate", -1), ("check", -1), ("check", 10 ** 30)])
+def test_out_of_range_horizon_flag_exits_2(tmp_path, capsys, name, command, horizon):
+    # before: an IndexError, SystemSpecError or numpy ValueError traceback, or a run that ignored it
+    assert run([command, "--builtin", name, f"--horizon={horizon}", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == HORIZON_ERROR(MAX_HORIZON, horizon)
+
+
+@pytest.mark.parametrize("breakage,message", [
+    ({"M": 10 ** 400}, "input error: scenario field 'M' must be finite\n"),  # once an OverflowError
+    ({"x0": [10 ** 400, 0, 0]}, "input error: scenario field 'x0' must be finite\n"),
+    ({"horizon": 10 ** 30}, HORIZON_ERROR(MAX_HORIZON, 10 ** 30)),  # once a numpy ValueError
+    ({"horizon": MAX_HORIZON + 1}, HORIZON_ERROR(MAX_HORIZON, MAX_HORIZON + 1)),
+])
+def test_huge_numbers_in_a_scenario_exit_2(tmp_path, capsys, breakage, message):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(NONFINITE_BASE | breakage))
+    for command in ("check", "certify", "simulate"):
+        assert run([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2, command
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message), command
+
+
+def test_horizon_cap_holds_for_builtins_files_and_the_flag(tmp_path):
+    assert scenario_from_dict(NONFINITE_BASE | {"horizon": MAX_HORIZON}).horizon == MAX_HORIZON
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(NONFINITE_BASE))
+    assert load_scenario(path).with_horizon(MAX_HORIZON).horizon == MAX_HORIZON
+    for build in (lambda h: builtin_scenario("example-4.1", horizon=h),
+                  lambda h: load_scenario(path).with_horizon(h)):
+        for horizon in (-1, MAX_HORIZON + 1):
+            with pytest.raises(ScenarioError, match="'horizon' must lie in"):
+                build(horizon)
+    code = run(["simulate", "--scenario", str(path), f"--horizon={10 ** 30}", "--out", str(tmp_path / "o")])
+    assert code == 2
+
+
 @pytest.mark.parametrize("breakage,message", [
     ({"families": [{"out_slot": 1, "scale": 1, "base": ["W1"], "target": "X1"}]},
      "'families[0].base' has wrong type (list)"),
@@ -430,41 +480,63 @@ def test_family_cutoff_key_cannot_shorten_the_certified_words(tmp_path):
         assert cert["gamma_levels"] == exact["gamma_levels"] and cert["alpha"] == exact["alpha"]
 
 
-LETTERS = st.sampled_from(["X1", "X2", "X3", "W1", "W2", "W3"])
+COEFF = st.floats(-1.0, 1.0)
 
 
 @st.composite
-def heisenberg_scenarios(draw):
+def random_scenarios(draw, algebras=("heisenberg", 3, 4)):
+    """A scenario on the catalog Heisenberg algebra or an inline nilpotent_upper(3 or 4),
+    with random words, families and linear part, and a zero, sampled or geometric signal."""
+    algebra = draw(st.sampled_from(algebras))
+    if algebra != "heisenberg":
+        algebra = algebra_to_dict(nilpotent_upper(algebra))
+    d = 3 if algebra == "heisenberg" else algebra["dim"]
     n, r = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    coeff = st.floats(-1.0, 1.0)
+    # the slots of the system, and one that is out of range
+    letters = st.sampled_from([f"X{j}" for j in range(1, n + 1)] + [f"W{j}" for j in range(1, r + 1)] + ["W3"])
     terms = draw(st.lists(st.fixed_dictionaries({
-        "letters": st.lists(LETTERS, min_size=2, max_size=3),
-        "coeff": st.lists(coeff, min_size=n, max_size=n)}), max_size=3))
+        "letters": st.lists(letters, min_size=2, max_size=3),
+        "coeff": st.lists(COEFF, min_size=n, max_size=n)}), max_size=3))
     families = draw(st.lists(st.fixed_dictionaries({
-        "out_slot": st.integers(1, 2), "scale": coeff,
-        "base": st.dictionaries(LETTERS, coeff, min_size=1, max_size=2),
-        "target": LETTERS}), max_size=2))
-    return {"name": "prop", "algebra": "heisenberg", "n": n, "r": r,
-            "A": (draw(st.sampled_from([0.0, 0.5, 0.9])) * np.eye(3 * n)).tolist(),
-            "terms": terms, "families": families, "horizon": 20,
-            "signal": {"kind": "geometric", "ratio": draw(st.sampled_from([0.5, 1.0])),
-                       "base": draw(st.lists(coeff, min_size=3 * r, max_size=3 * r))},
-            "x0": draw(st.lists(coeff, min_size=3 * n, max_size=3 * n))}
+        "out_slot": st.integers(1, 2), "scale": COEFF,
+        "base": st.dictionaries(letters, COEFF, min_size=1, max_size=2),
+        "target": letters}), max_size=2))
+    row = st.lists(COEFF, min_size=d * r, max_size=d * r)
+    signal = draw(st.one_of(
+        st.just({"kind": "zero"}),
+        st.fixed_dictionaries({"kind": st.just("samples"), "samples": st.lists(row, min_size=1, max_size=3)}),
+        st.fixed_dictionaries({"kind": st.just("geometric"), "ratio": st.sampled_from([0.5, 1.0]),
+                               "base": row})))
+    return {"name": "prop", "algebra": algebra, "n": n, "r": r,
+            "A": (draw(st.sampled_from([0.0, 0.5, 0.9])) * np.eye(d * n)).tolist(),
+            "terms": terms, "families": families, "horizon": 20, "signal": signal,
+            "x0": draw(st.lists(COEFF, min_size=d * n, max_size=d * n))}
 
 
 WRONG_JSON = st.sampled_from([None, True, 7, 0.5, "abc", [1, 2], {"a": 1}])
 
 
-@st.composite
-def malformed_heisenberg_scenarios(draw):
-    """A Heisenberg scenario with one field, at the top level or one level into a
-    term, family or the signal, swapped for a value of another JSON type."""
-    data = draw(heisenberg_scenarios())
+def field_paths(data):
+    """Paths to the fields of a scenario: the top level, one level into a term, a family or
+    the signal, and every field of an inline algebra down to a bracket coefficient."""
     paths = [(key,) for key in [*data, "ideal", "route", "M", "radius"]]
     paths += [(key, i, f) for key in ("terms", "families") for i, item in enumerate(data[key])
               for f in item]
     paths += [("signal", f) for f in data["signal"]]
-    *parents, last = draw(st.sampled_from(paths))
+    if isinstance(data["algebra"], dict):
+        alg = data["algebra"]
+        paths += [("algebra", key) for key in alg]
+        paths += [("algebra", "brackets", i, f) for i, b in enumerate(alg["brackets"]) for f in b]
+        paths += [("algebra", "brackets", i, "coeffs", k) for i, b in enumerate(alg["brackets"])
+                  for k in b["coeffs"]]
+    return paths
+
+
+@st.composite
+def malformed_scenarios(draw):
+    """A random scenario with one field swapped for a value of another JSON type."""
+    data = draw(random_scenarios())
+    *parents, last = draw(st.sampled_from(field_paths(data)))
     holder = data
     for key in parents:
         holder = holder[key]
@@ -472,18 +544,53 @@ def malformed_heisenberg_scenarios(draw):
     return data
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(heisenberg_scenarios(), malformed_heisenberg_scenarios()))
-def test_random_heisenberg_scenarios_end_in_an_exit_code(data):
+def jacobi_defect(C):
+    """Largest Jacobi-identity residual of structure constants, straight from the definition."""
+    J = (np.einsum("ijl,lkm->ijkm", C, C) + np.einsum("jkl,lim->ijkm", C, C)
+         + np.einsum("kil,ljm->ijkm", C, C))
+    return float(np.abs(J).max())
+
+
+@st.composite
+def non_jacobi_scenarios(draw):
+    """A random Heisenberg-sized scenario whose inline algebra has random antisymmetric
+    constants that break the Jacobi identity."""
+    data = draw(random_scenarios(algebras=["heisenberg"]))
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    C = np.zeros((3, 3, 3))
+    for i, j in pairs:
+        C[i, j] = draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+        C[j, i] = -C[i, j]
+    assume(jacobi_defect(C) > 1e-9)
+    data["name"] = "broken"
+    data["algebra"] = {"dim": 3, "brackets": [
+        {"i": f"e{i + 1}", "j": f"e{j + 1}", "coeffs": {f"e{k + 1}": C[i, j, k] for k in range(3)}}
+        for i, j in pairs]}
+    return data
+
+
+# no flag half the time; the other values are valid, out of range, or below rounding
+FLAGS = st.tuples(st.sampled_from([None] * 5 + [0, 7, -1, MAX_HORIZON + 1, 10 ** 30]),
+                  st.sampled_from([None] * 5 + [0.05, 3.0, 1e-17, 1e-300, float("nan")]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(random_scenarios(), malformed_scenarios(), non_jacobi_scenarios()), FLAGS)
+def test_random_scenarios_end_in_an_exit_code(data, flags):
+    horizon, epsilon = flags
+    broken = "--epsilon must be finite" if epsilon is not None and np.isnan(epsilon) else "Jacobi identity violated"
+    options = [f"--horizon={horizon}"] * (horizon is not None) + [f"--epsilon={epsilon}"] * (epsilon is not None)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "prop.json"
         path.write_text(json.dumps(data))
         for command in ("check", "simulate", "certify"):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run([command, "--scenario", str(path), "--out", str(Path(tmp) / "out")])
+                code = run([command, "--scenario", str(path), "--out", str(Path(tmp) / "out"), *options])
             assert code in (0, 1, 2, 3), command
             assert "Traceback" not in out.getvalue() + err.getvalue(), command
+            if data["name"] == "broken":  # an algebra that breaks Jacobi is always an input error
+                assert code == 2 and broken in err.getvalue(), command
 
 
 def test_builtin_unknown():

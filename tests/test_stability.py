@@ -9,7 +9,7 @@ from liestab.sampling import heisenberg_tracking_system, tracking_signal, tracki
 from liestab.scenarios import (builtin_scenario, ex61_signal, ex61_system,
                                heisenberg_deadbeat_system, ideal_valued_samples,
                                uptri_deadbeat_system)
-from liestab.quotient import adapted_norm, bracket_word
+from liestab.quotient import adapted_norm, bracket_word, induced_map
 from liestab.stability import (ENVELOPE_POWERS, CertificateRejected, HypothesisError,
                                block_sum_norm, certify_nilpotent, certify_solvable,
                                deadbeat_envelope, deadbeat_horizon, deadbeat_verified, fit_envelope,
@@ -198,7 +198,7 @@ def test_level_linear_parts_match_the_quotient_systems():
         Lambda_levels, sigma_levels = [], []
         for i in range(1, p + 1):
             q = sys_.quotient_system(i)
-            assert np.array_equal(sys_.level_linear_part(i), q.A)
+            assert np.array_equal(induced_map(sys_.projections[i], sys_.A), q.A)
             Lambda_levels.append(spectral_radius(q.A) + (i / (p + 1.0)) * cert.epsilon)
             sigma_levels.append(power_envelope_constant(q.A, Lambda_levels[-1], q.d))
         assert cert.Lambda_levels == Lambda_levels
@@ -349,6 +349,24 @@ def test_solvable_certificate():
         certify_solvable(bad, sc.signal)
 
 
+def reference_ideal_residuals(sys_, signal, horizon):
+    """``certify_solvable``'s signal-to-ideal distances, one step and one slot at a time."""
+    ctx0 = sys_.projections[0]
+    return np.array([sum(ctx0.quotient_norm(w) for w in Ws)
+                     for Ws in signal.values(horizon + 1).reshape(horizon + 1, sys_.r, sys_.d)])
+
+
+def test_solvable_ideal_residuals_match_the_per_slot_loop():
+    sc = builtin_scenario("example-6.1")
+    off = ExoSignal("samples", 2, 6, samples=np.random.default_rng(4).standard_normal((7, 12)))
+    for signal in (sc.signal, off, ExoSignal("geometric", 2, 6, base=np.arange(12.0), ratio=0.9)):
+        rep = certify_solvable(sc.system, signal, horizon=60, x0=sc.x0)
+        ref = reference_ideal_residuals(sc.system, signal, 60)
+        assert rep.ideal_residual_max == pytest.approx(ref.max(), rel=1e-15, abs=0.0)
+        assert rep.ideal_residual_tail == pytest.approx(ref[45:].max(), rel=1e-15, abs=0.0)
+    assert rep.ideal_residual_max > 1.0 and rep.verdict == "hypothesis-warning"
+
+
 def test_solvable_warns_on_non_ideal_signal():
     sys61 = ex61_system()
     sig = ExoSignal("samples", 2, 6,
@@ -448,6 +466,27 @@ def test_batched_deadbeat_runs_match_the_per_run_loops(make):
         env = deadbeat_envelope(sys_, cert, factory, M=5.0, decay=0.5, seed=seed)
         alpha, ok = reference_deadbeat_envelope(sys_, cert, factory, M=5.0, decay=0.5, seed=seed)
         assert (env.alpha, env.details["verified_on_fresh_samples"]) == (alpha, ok)
+
+
+def reference_ideal_valued_samples(sys_, count, rng):
+    """``ideal_valued_samples`` one draw and one matrix-vector product per sample and slot."""
+    B = sys_.ideal.onb
+    samples = np.zeros((count, sys_.r * sys_.d))
+    for k in range(count):
+        for j in range(sys_.r):
+            samples[k, j * sys_.d:(j + 1) * sys_.d] = B @ rng.standard_normal(B.shape[1])
+    return samples
+
+
+@pytest.mark.parametrize("make", [heisenberg_deadbeat_system, uptri_deadbeat_system, ex61_system])
+def test_ideal_valued_samples_match_the_per_slot_loop(make):
+    sys_ = make()
+    for seed in range(40):
+        for count in (1, 2, 11, 19):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = ideal_valued_samples(sys_, count, rng).samples
+            assert np.array_equal(got, reference_ideal_valued_samples(sys_, count, ref_rng))
+            assert rng.random() == ref_rng.random()  # the same draws were consumed
 
 
 def test_deadbeat_envelope():

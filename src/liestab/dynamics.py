@@ -11,10 +11,11 @@ belongs in A, not in the family.
 
 There is one update map, ``evaluate`` being a batch of one of
 ``evaluate_batch``: each family flow is e^{ad_base} - I from ``_expm1_batch``,
-applied to the target directly, and the single-row flows of a call share one
-kernel call.  Maps act on stacked vectors slot by slot (``quotient._slotwise``),
-and the linear part induced on a quotient is ``quotient.induced_map``, which
-also decides whether A preserves a chain ideal.
+applied to the target directly; the single-row flows of a call share one kernel
+call, and a batch reuses the input-only flows of the last shared input (a one-entry
+memo).  Maps act on stacked vectors slot by slot (``quotient._slotwise``), and the
+linear part induced on a quotient is ``quotient.induced_map``, which also decides
+whether A preserves a chain ideal.
 
 The norm on stacked states is the sum of per-slot Euclidean norms.
 """
@@ -275,6 +276,10 @@ class WordSeriesSystem:
         self.chain = chain
         self.projections = ChainProjections(algebra, self.chain)
         self._mu = None
+        self._pairs = [(tuple(sorted(f.base.items())), f.target) for f in self.families]
+        self._keys = list(dict.fromkeys(key for key, _ in self._pairs))
+        self._input_keys = [key for key in self._keys if all(k == "W" for (k, _), _ in key)]
+        self._input_flows = (None, {})  # one-entry memo: shared input row -> its input-only flows
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -313,9 +318,9 @@ class WordSeriesSystem:
 
         W is either one stacked input shared by the batch, kept as a single
         row so that flows whose base holds only input letters are computed
-        once, or a (B, r*d) stack.  Families with the same base share one
-        flow, taken as e^{ad_base} - I and applied to the target directly;
-        the single-row flows of a call share one kernel call.
+        once, and again only when W differs from the last shared input, or a
+        (B, r*d) stack.  Families with the same base share one flow, taken as
+        e^{ad_base} - I; those that also share a target share one product.
         """
         return self._update(np.asarray(X, dtype=float), np.asarray(W, dtype=float))
 
@@ -332,21 +337,28 @@ class WordSeriesSystem:
         for t in self.terms:
             w = bracket_word(self.algebra, [letter_vals(l) for l in t.word.letters])
             out += t.coeff[np.newaxis, :, np.newaxis] * w[:, np.newaxis, :]
-        keys = [tuple(sorted(f.base.items())) for f in self.families]
-        ads = {key: self.algebra.ad_many(sum(wgt * letter_vals(l) for l, wgt in key))
-               for key in dict.fromkeys(keys)}
-        # On one row the kernel cost is nearly all Python overhead, so the single-row
-        # flows (every flow of a scalar step, the input-only flows under a shared W)
-        # share one call.  A multi-row flow keeps its own: stacked with another base
-        # its rows would take the Taylor degree of the larger norm (the tiny X2 rows
+
+        def ad(key) -> np.ndarray:
+            return self.algebra.ad_many(sum(wgt * letter_vals(l) for l, wgt in key))
+
+        def single_flows(keys) -> dict:
+            return dict(zip(keys, _expm1_batch(np.concatenate([ad(k) for k in keys]))[:, None])) if keys else {}
+
+        # On one row the kernel cost is nearly all Python overhead, so the single-row flows
+        # (every flow of a scalar step, the input-only flows under a shared W, memoised on
+        # W's bytes) share one call.  A multi-row flow keeps its own: stacked with another
+        # base its rows would take the Taylor degree of the larger norm (the tiny X2 rows
         # behind the O(1) X1 + W1 rows of the example-6.1 equilibrium search).
-        single = [key for key, ad in ads.items() if ad.shape[0] == 1]
-        flows = {key: _expm1_batch(ad) for key, ad in ads.items() if ad.shape[0] != 1}
-        if single:
-            flows.update(zip(single, _expm1_batch(np.concatenate([ads[k] for k in single]))[:, None]))
-        for f, key in zip(self.families, keys):
-            out[:, f.out_slot - 1, :] += f.scale * (flows[key] @ letter_vals(f.target)[..., None])[..., 0]
-        return out.reshape(B, -1)
+        shared = B != 1 and Ws.shape[0] == 1
+        if shared and self._input_flows[0] != W.tobytes():
+            self._input_flows = (W.tobytes(), single_flows(self._input_keys))
+        flows = single_flows(self._keys) if B == 1 else dict(self._input_flows[1]) if shared else {}
+        flows.update((key, _expm1_batch(ad(key))) for key in self._keys if key not in flows)
+        prods = {pair: (flows[pair[0]] @ letter_vals(pair[1])[..., None])[..., 0]
+                 for pair in dict.fromkeys(self._pairs)}
+        for f, pair in zip(self.families, self._pairs):
+            out[:, f.out_slot - 1, :] += f.scale * prods[pair]
+        return out.reshape(X.shape)
 
     def simulate(self, X0, signal: ExoSignal, k_max: int) -> Trajectory:
         """``k_max`` steps from X0 under ``signal``: the batch of one of ``simulate_batch``."""
@@ -490,9 +502,10 @@ class WordSeriesSystem:
         """Falsification search for nonzero fixed points, plus structural facts.
 
         Cannot prove uniqueness; reports structural state-letter coverage,
-        invertibility margins of I - A (full and on the top quotient, where
-        the dynamics are linear), and any fixed point of the 1/2-damped
-        iteration under a zero and a random input with small residual and non-small norm.
+        invertibility margins of I - A (full and on the top quotient, where the
+        dynamics are linear), and any fixed point with small residual and non-small
+        norm of the 1/2-damped iteration under a zero and a random input, each of whose
+        ``iters`` steps is one ``evaluate_batch`` call on the starts not yet past 1e30.
         """
         rng = np.random.default_rng(seed)
         structural = self.structural_state_letter_ok()
@@ -502,17 +515,15 @@ class WordSeriesSystem:
         q_margin = _min_singular(np.eye(A0.shape[0]) - A0)
         violations = []
         for w in [np.zeros(self.r * self.d), rng.standard_normal(self.r * self.d) * 0.5]:
-            pts = rng.standard_normal((starts, self.state_dim)) * max(self.radius, 1.0)
-            alive = np.ones(starts, dtype=bool)
+            xs = rng.standard_normal((starts, self.state_dim)) * max(self.radius, 1.0)
             for _ in range(iters):
-                fx = self.evaluate_batch(pts[alive], w)
-                good = np.all(np.isfinite(fx), axis=1) & (np.abs(fx).max(axis=1, initial=0.0) < 1e30)
-                idx = np.flatnonzero(alive)
-                pts[idx[good]] += 0.5 * (fx[good] - pts[idx[good]])
-                alive[idx[~good]] = False
-                if not alive.any():
+                fx = self.evaluate_batch(xs, w)
+                good = np.abs(fx).max(axis=1, initial=0.0) < 1e30  # False for inf and NaN too
+                if not good.all():  # a start that goes bad leaves the search
+                    xs, fx = xs[good], fx[good]
+                xs = xs + 0.5 * (fx - xs)
+                if not len(xs):
                     break
-            xs = pts[alive]
             resids = np.linalg.norm(self._update(xs, w) - xs, axis=1)
             norms = np.linalg.norm(xs.reshape(len(xs), self.n, self.d), axis=2).sum(axis=1)
             for x, resid, nrm in zip(xs, resids, norms):

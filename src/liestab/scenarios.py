@@ -27,6 +27,7 @@ from . import sampling
 
 ROUTES = ("auto", "nilpotent", "solvable", "deadbeat")
 MAX_HORIZON = 10 ** 6  # steps; a simulation stores (horizon + 1) * n * d floats up front
+MAX_INPUTS = 100  # input slots "r"; the Jacobian check probes all (n + r) * d axes at once
 
 
 class ScenarioError(ValueError):
@@ -229,6 +230,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError("scenario field 'algebra' must be a name or an object")
     n = _require(data, "n", int)
     r = _require(data, "r", int)
+    if r > MAX_INPUTS:
+        raise ScenarioError(f"'r' must be at most {MAX_INPUTS}, got {r}")
     d = alg.dim
     A = _finite("A", _require(data, "A", list))
     if A.shape != (n * d, n * d):

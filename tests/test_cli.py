@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from liestab import cli
 from liestab.algebra import algebra_to_dict, nilpotent_upper
 from liestab.cli import main
-from liestab.scenarios import (BUILTINS, MAX_HORIZON, builtin_scenario, load_scenario,
-                               scenario_from_dict, ScenarioError)
+from liestab.scenarios import (BUILTINS, MAX_HORIZON, MAX_INPUTS, builtin_scenario,
+                               load_scenario, scenario_from_dict, ScenarioError)
 
 
 def run(args):
@@ -341,6 +341,9 @@ def test_out_of_range_horizon_flag_exits_2(tmp_path, capsys, name, command, hori
     ({"x0": [10 ** 400, 0, 0]}, "input error: scenario field 'x0' must be finite\n"),
     ({"horizon": 10 ** 30}, HORIZON_ERROR(MAX_HORIZON, 10 ** 30)),  # once a numpy ValueError
     ({"horizon": MAX_HORIZON + 1}, HORIZON_ERROR(MAX_HORIZON, MAX_HORIZON + 1)),
+    # once a numpy ValueError traceback from check and simulate, and an issued certificate
+    ({"r": 10 ** 30}, f"input error: 'r' must be at most {MAX_INPUTS}, got {10 ** 30}\n"),
+    ({"r": MAX_INPUTS + 1}, f"input error: 'r' must be at most {MAX_INPUTS}, got {MAX_INPUTS + 1}\n"),
 ])
 def test_huge_numbers_in_a_scenario_exit_2(tmp_path, capsys, breakage, message):
     path = tmp_path / "huge.json"
@@ -363,6 +366,39 @@ def test_horizon_cap_holds_for_builtins_files_and_the_flag(tmp_path):
                 build(horizon)
     code = run(["simulate", "--scenario", str(path), f"--horizon={10 ** 30}", "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def test_input_slot_cap_admits_its_bound(tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(NONFINITE_BASE | {"r": MAX_INPUTS, "signal": {"kind": "zero"}}))
+    assert load_scenario(path).system.r == MAX_INPUTS
+    assert run(["simulate", "--scenario", str(path), "--horizon=5", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_check_searches_600_batches_of_100_rows(tmp_path, monkeypatch):
+    # the same count as the benchmark's dynamics.equilibrium_rows.example-6.1 gate
+    rows = []
+
+    def scenario(*args, **kwargs):
+        sc = builtin_scenario(*args, **kwargs)
+        batch = sc.system.evaluate_batch
+        monkeypatch.setattr(sc.system, "evaluate_batch",
+                            lambda X, W: (rows.append(len(X)), batch(X, W))[1])
+        return sc
+
+    monkeypatch.setattr(cli, "builtin_scenario", scenario)
+    assert run(["check", "--builtin", "example-6.1", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert rows == [100] * 600
+
+
+@pytest.mark.parametrize("name", ["example-6.1", "uptri-deadbeat"])
+def test_check_when_every_start_diverges(tmp_path, capsys, name):
+    # at seed 3 every start blows up under the random input; once a ValueError
+    # traceback from the residual of an empty batch
+    assert run(["check", "--builtin", name, "--seed", "3", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / f"check-{name}.json").read_text())
+    assert report["equilibrium"]["violation_count"] == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("breakage,message", [

@@ -201,10 +201,12 @@ class LieAlgebra:
         return worst
 
     def rep_residual(self) -> float:
-        rep = self.matrix_rep
-        comm = np.einsum("iab,jbc->ijac", rep, rep) - np.einsum("jab,ibc->ijac", rep, rep)
-        target = np.einsum("ijk,kab->ijab", self.C, rep)
-        return float(np.max(np.abs(comm - target)))
+        rep, d = self.matrix_rep, self.dim
+        comm = rep[:, None] @ rep[None]  # [i, j] = rep_i rep_j
+        res = (self.C.reshape(d * d, d) @ rep.reshape(d, -1)).reshape(comm.shape)  # [i, j] = sum_k C_ijk rep_k
+        res -= comm  # in place: a fresh temporary per step costs more than the products
+        res += comm.swapaxes(0, 1)
+        return float(np.abs(res, out=res).max())
 
     # -- basic operations ------------------------------------------------
 

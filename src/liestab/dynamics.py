@@ -506,6 +506,7 @@ class WordSeriesSystem:
         dynamics are linear), and any fixed point with small residual and non-small
         norm of the 1/2-damped iteration under a zero and a random input, each of whose
         ``iters`` steps is one ``evaluate_batch`` call on the starts not yet past 1e30.
+        ``surviving_starts`` counts, per input, the starts still searched after the last step.
         """
         rng = np.random.default_rng(seed)
         structural = self.structural_state_letter_ok()
@@ -513,7 +514,7 @@ class WordSeriesSystem:
         ctx0 = self.projections[0]  # unchecked: invariance_report judges the ideal
         A0 = _slotwise(ctx0.P, _slotwise(ctx0.iota.T, self.A, self.n).T, self.n).T
         q_margin = _min_singular(np.eye(A0.shape[0]) - A0)
-        violations = []
+        violations, surviving = [], []
         for w in [np.zeros(self.r * self.d), rng.standard_normal(self.r * self.d) * 0.5]:
             xs = rng.standard_normal((starts, self.state_dim)) * max(self.radius, 1.0)
             for _ in range(iters):
@@ -524,6 +525,7 @@ class WordSeriesSystem:
                 xs = xs + 0.5 * (fx - xs)
                 if not len(xs):
                     break
+            surviving.append(len(xs))
             resids = np.linalg.norm(self._update(xs, w) - xs, axis=1)
             norms = np.linalg.norm(xs.reshape(len(xs), self.n, self.d), axis=2).sum(axis=1)
             for x, resid, nrm in zip(xs, resids, norms):
@@ -533,6 +535,7 @@ class WordSeriesSystem:
                 "linear_margin": lin_margin,
                 "quotient_linear_margin": q_margin,
                 "violations": violations,
+                "surviving_starts": surviving,
                 "ok": structural and not violations}
 
     def jacobian_report(self, h_steps: Sequence[float] = (1e-2, 1e-3, 1e-4),

@@ -17,9 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import LieAlgebra, heisenberg, is_nilpotent
+from .algebra import LieAlgebra, _as_vector, heisenberg, is_nilpotent
 from .dynamics import ExoSignal, Term, Word, WordSeriesSystem, _expm1_batch
-from .quotient import bracket_word
 
 class PrincipalLogUndefined(ValueError):
     pass
@@ -163,25 +162,40 @@ def bch_coefficient_table(order: int):
     return {w: c / len(w) for w, c in log_series.items() if c != 0}
 
 
+@lru_cache(maxsize=None)
+def _bch_suffix_plan(order: int):
+    """``bch_coefficient_table(order)`` as shared suffixes.  Stacked by length and sorted
+    (X-first before Y-first), the distinct suffixes of its words get rows; per length
+    L >= 2 and first letter, the rows of their tails; the words' rows; the coefficients."""
+    table = bch_coefficient_table(order)
+    levels = [sorted({w[-L:] for w in table if len(w) >= L}) for L in range(1, order + 1)]
+    row = {s: i for i, s in enumerate(s for level in levels for s in level)}  # level 1 is X, Y
+    tails = [[np.array([row[s[1:]] for s in level if s[0] == a], dtype=int) for a in (0, 1)]
+             for level in levels[1:]]
+    return tails, np.array([row[w] for w in table]), np.array([float(c) for c in table.values()])
+
+
 def bch_compose(alg: LieAlgebra, X, Y, order: int) -> np.ndarray:
     """log(exp(X) exp(Y)) as an algebra element, on a nilpotent algebra.
 
     The series is finite there: words longer than the nilindex p vanish, so
     composing through degree min(order, p) is exact once order >= p.  On any
     other algebra the series is infinite and the composition is refused with
-    ValueError rather than truncated.
+    ValueError rather than truncated.  Each distinct bracket suffix of the words is
+    evaluated once: one product per suffix length and first letter, not one chain per word.
     """
-    X = np.asarray(X, dtype=float).reshape(-1)
-    Y = np.asarray(Y, dtype=float).reshape(-1)
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    X, Y = _as_vector(X, alg.dim), _as_vector(Y, alg.dim)
     nil, p = is_nilpotent(alg)
     if not nil:
         raise ValueError("BCH composition is finite only on a nilpotent algebra")
-    effective = max(min(order, p), 1)
-    table = bch_coefficient_table(effective)
-    out = np.zeros(alg.dim)
-    for word, coeff in table.items():
-        out = out + float(coeff) * bracket_word(alg, [X if letter == 0 else Y for letter in word])
-    return out
+    tails, rows, coeffs = _bch_suffix_plan(max(min(order, p), 1))
+    vals = np.stack([X, Y])
+    ad_T = alg.ad_many(vals).swapaxes(1, 2)  # w @ ad_T[a] = [letter a, w] row by row
+    for tail in tails:
+        vals = np.concatenate([vals] + [vals[t] @ ad for t, ad in zip(tail, ad_T)])
+    return coeffs @ vals[rows]
 
 
 # -- adjoint flow --------------------------------------------------------------

@@ -274,6 +274,28 @@ def test_jacobi_residual_matches_einsum_formula():
         LieAlgebra(C)
 
 
+def reference_rep_residual(alg) -> float:
+    """``rep_residual`` as three einsums (the formula the matrix products replaced)."""
+    rep = alg.matrix_rep
+    comm = np.einsum("iab,jbc->ijac", rep, rep) - np.einsum("jab,ibc->ijac", rep, rep)
+    return float(np.max(np.abs(comm - np.einsum("ijk,kab->ijab", alg.C, rep))))
+
+
+def test_rep_residual_matches_einsum_formula():
+    rng = np.random.default_rng(12)
+    algebras = list(catalog_algebras().values()) + [nilpotent_upper(m) for m in (2, 5, 8)]
+    for alg in algebras:
+        assert alg.rep_residual() == 0.0 == reference_rep_residual(alg), alg.name
+        for m in (1, 3, 5):
+            alg.matrix_rep = rng.standard_normal((alg.dim, m, m))  # realizes nothing
+            assert alg.rep_residual() == pytest.approx(reference_rep_residual(alg), rel=1e-13)
+    for alg in catalog_algebras().values():  # one entry off, below the diagonal
+        rep = alg.matrix_rep.copy()
+        rep[0, -1, 0] += 1.0
+        with pytest.raises(InvalidAlgebra, match="matrix_rep commutators"):
+            LieAlgebra(alg.C, labels=alg.labels, matrix_rep=rep)
+
+
 def test_nilpotent_upper_nilindex():
     for m in range(3, 8):
         alg = nilpotent_upper(m)

@@ -398,6 +398,8 @@ def test_check_when_every_start_diverges(tmp_path, capsys, name):
     assert run(["check", "--builtin", name, "--seed", "3", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / f"check-{name}.json").read_text())
     assert report["equilibrium"]["violation_count"] == 0
+    # the pass rests on the zero input alone, and the report says so
+    assert report["equilibrium"]["surviving_starts"] == [100, 0]
     assert capsys.readouterr().err == ""
 
 

@@ -83,7 +83,7 @@ def reference_equilibrium_report(sys_, seed=0, starts=100, iters=300):
     ctx0 = sys_.projections[0]
     A0 = _slotwise(ctx0.P, _slotwise(ctx0.iota.T, sys_.A, sys_.n).T, sys_.n).T
     q_margin = _min_singular(np.eye(A0.shape[0]) - A0)
-    violations = []
+    violations, surviving = [], []
     for w in [np.zeros(sys_.r * sys_.d), rng.standard_normal(sys_.r * sys_.d) * 0.5]:
         pts = rng.standard_normal((starts, sys_.state_dim)) * max(sys_.radius, 1.0)
         alive = np.ones(starts, dtype=bool)
@@ -96,6 +96,7 @@ def reference_equilibrium_report(sys_, seed=0, starts=100, iters=300):
             if not alive.any():
                 break
         xs = pts[alive]
+        surviving.append(int(alive.sum()))
         resids = np.linalg.norm(sys_._update(xs, w) - xs, axis=1)
         norms = np.linalg.norm(xs.reshape(len(xs), sys_.n, sys_.d), axis=2).sum(axis=1)
         for x, resid, nrm in zip(xs, resids, norms):
@@ -105,6 +106,7 @@ def reference_equilibrium_report(sys_, seed=0, starts=100, iters=300):
             "linear_margin": lin_margin,
             "quotient_linear_margin": q_margin,
             "violations": violations,
+            "surviving_starts": surviving,
             "ok": structural and not violations}
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from liestab.algebra import LieAlgebra, abelian, heisenberg, upper_triangular6
+from liestab.algebra import (LieAlgebra, _units, abelian, heisenberg, is_nilpotent,
+                             realized_algebra, upper_triangular6)
+from liestab.quotient import bracket_word
 from liestab.sampling import (GroupElement, PrincipalLogUndefined, TRACKING_A, adjoint_flow_step,
                               bch_coefficient_table, bch_compose,
                               expm, heisenberg_tracking_system, logm, step_invariant,
@@ -140,6 +142,48 @@ def test_bch_matches_matrix_log_oracle():
                                   alg).log_coords()
             worst = max(worst, np.linalg.norm(z - oracle))
         assert worst < 1e-9, alg.name
+
+
+def reference_bch_compose(alg, X, Y, order):
+    """``bch_compose`` one ``bracket_word`` chain per table word (the loop that evaluating
+    each shared suffix once replaced)."""
+    _, p = is_nilpotent(alg)
+    out = np.zeros(alg.dim)
+    for word, coeff in bch_coefficient_table(max(min(order, p), 1)).items():
+        out = out + float(coeff) * bracket_word(alg, [X if letter == 0 else Y for letter in word])
+    return out
+
+
+def test_bch_beyond_nilindex_two():
+    # strictly upper-triangular m x m units in a shuffled basis: nilindex m - 1 = 3..6,
+    # so words up to length 6 survive and share suffixes of every length below
+    rng = np.random.default_rng(9)
+    for m in range(4, 8):
+        pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        alg = realized_algebra(_units(m, *pairs), [f"E{a}{b}" for a, b in pairs], f"n{m}")
+        assert is_nilpotent(alg) == (True, m - 1)
+        for _ in range(10):
+            x, y = 0.7 * rng.standard_normal((2, alg.dim))
+            z = bch_compose(alg, x, y, m - 1)
+            exact = logm(expm(alg.to_matrix(x)) @ expm(alg.to_matrix(y)))  # unipotent: exact series
+            np.testing.assert_allclose(z, [exact[a, b] for a, b in pairs], rtol=0, atol=1e-9)
+            for order in (m - 1, m - 2, 50):
+                ref = reference_bch_compose(alg, x, y, order)
+                assert np.linalg.norm(bch_compose(alg, x, y, order) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_bch_rejects_bad_order_and_length():
+    alg = heisenberg()
+    h1, h2 = alg.basis_vector("h1"), alg.basis_vector("h2")
+    for order in (0, -3):  # once the order-1 result X + Y
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            bch_compose(alg, h1, h2, order)
+    for X, Y in ((np.ones(2), h2), (h1, np.ones(4))):  # once numpy's broadcast error
+        with pytest.raises(ValueError, match="length 3"):
+            bch_compose(alg, X, Y, 2)
+    with pytest.raises(ValueError, match="finite"):
+        bch_compose(alg, h1, np.array([np.nan, 0.0, 0.0]), 2)
 
 
 def test_bch_refuses_non_nilpotent():

@@ -8,7 +8,8 @@ certificate for the scenario's route), simulate, reproduce (canonical run of
 a builtin), deadbeat (finite-time horizon plus verification).
 
 Exit codes: 0 pass, 1 hypothesis/certificate failure (an inconsistent
-certificate included), 2 input error, 3 numeric divergence or overflow.
+certificate included), 2 input error (a negative seed, or an output directory
+that cannot be made, included), 3 numeric divergence or overflow.
 A certificate that does not exit 0 prints one [FAIL] line.
 Identical configuration and seed produce byte-identical output files.
 """
@@ -182,12 +183,18 @@ def main(argv=None) -> int:
     try:
         if args.epsilon is not None and not np.isfinite(args.epsilon):
             raise ScenarioError(f"--epsilon must be finite, got {args.epsilon}")
+        if args.seed < 0:
+            raise ScenarioError(f"--seed must be nonnegative, got {args.seed}")
         sc = _load(args)
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        print(f"input error: cannot make output directory {args.out!r}: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
     if args.command == "check":
         return cmd_check(sc, outdir, args.seed)
     if args.command == "certify":

@@ -56,10 +56,6 @@ def parse_letter(s) -> Letter:
     return (kind, j)
 
 
-def format_letter(letter: Letter) -> str:
-    return f"{letter[0]}{letter[1]}"
-
-
 @dataclass(frozen=True)
 class Word:
     """Right-nested bracket monomial over slot letters."""
@@ -77,9 +73,6 @@ class Word:
     @property
     def state_letter_count(self) -> int:
         return sum(1 for kind, _ in self.letters if kind == "X")
-
-    def __str__(self) -> str:
-        return "[" + ",".join(format_letter(l) for l in self.letters) + "]"
 
 
 @dataclass
@@ -125,13 +118,13 @@ class AdjointFamily:
 class ExoSignal:
     """Exogenous input sequence W[k] stacked into R^{r d}.
 
-    kinds: "zero"; "samples" (explicit list, repeated cyclically past the
-    end); "geometric" (W[k] = ratio^k * base).
+    kinds: "samples" (explicit list, repeated cyclically past the end);
+    "geometric" (W[k] = ratio^k * base).  The zero signal is one zero sample.
     """
 
     def __init__(self, kind: str, r: int, d: int, samples=None, base=None,
                  ratio: float = 1.0):
-        if kind not in ("zero", "samples", "geometric"):
+        if kind not in ("samples", "geometric"):
             raise SystemSpecError(f"unknown signal kind {kind!r}")
         self.kind = kind
         self.r = r
@@ -148,17 +141,13 @@ class ExoSignal:
                 raise SystemSpecError("geometric base must have length r*d")
             if self.ratio < 0:
                 raise SystemSpecError("geometric ratio must be nonnegative")
-        else:
-            self.samples = None
 
     @classmethod
     def zero(cls, r: int, d: int) -> "ExoSignal":
-        return cls("zero", r, d)
+        return cls("samples", r, d, samples=np.zeros((1, r * d)))
 
     def values(self, K: int) -> np.ndarray:
         """W[0], ..., W[K-1] as a (K, r*d) array."""
-        if self.kind == "zero":
-            return np.zeros((K, self.r * self.d))
         if self.kind == "samples":
             return self.samples[np.arange(K) % self.samples.shape[0]]
         # scalar powers: numpy's array power can differ from them in the last bit
@@ -170,15 +159,11 @@ class ExoSignal:
 
     def envelope(self) -> tuple:
         """(beta, s) with ||W[k]|| <= beta * s^k, exact for the stored data."""
-        if self.kind == "zero":
-            return 0.0, 1.0
         if self.kind == "samples":
             return max(self.slot_norm(s) for s in self.samples), 1.0
         return self.slot_norm(self.base), max(self.ratio, 1.0)
 
     def projected(self, P: np.ndarray) -> "ExoSignal":
-        if self.kind == "zero":
-            return ExoSignal.zero(self.r, P.shape[0])
         if self.kind == "samples":
             return ExoSignal("samples", self.r, P.shape[0],
                              samples=_slotwise(P, self.samples, self.r))
@@ -512,7 +497,7 @@ class WordSeriesSystem:
         structural = self.structural_state_letter_ok()
         lin_margin = _min_singular(np.eye(self.state_dim) - self.A)
         ctx0 = self.projections[0]  # unchecked: invariance_report judges the ideal
-        A0 = _slotwise(ctx0.P, _slotwise(ctx0.iota.T, self.A, self.n).T, self.n).T
+        A0 = _slotwise(ctx0.P, _slotwise(ctx0.P, self.A, self.n).T, self.n).T
         q_margin = _min_singular(np.eye(A0.shape[0]) - A0)
         violations, surviving = [], []
         for w in [np.zeros(self.r * self.d), rng.standard_normal(self.r * self.d) * 0.5]:

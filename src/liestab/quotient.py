@@ -1,10 +1,11 @@
 """Quotients of a vector space / Lie algebra by a subspace or ideal.
 
 The quotient modulo V is realized in orthogonal-complement coordinates: the
-projection matrix P consists of the transposed orthonormal basis of the
-complement of V, and the embedding iota is its transpose.  With this choice
-P @ iota is exactly the identity, the quotient norm inf_{v in V} ||x + v||
-equals ||P x||_2, and iota has unit operator norm.
+rows of the projection matrix P are an orthonormal basis of the complement of
+V, and the embedding of the quotient is P.T.  With this choice P @ P.T is
+exactly the identity, the quotient norm inf_{v in V} ||x + v|| equals
+||P x||_2, P.T has unit operator norm, and P.T @ P is the orthogonal projector
+onto the complement.  A level of a chain is its ideal and P.
 """
 
 from __future__ import annotations
@@ -52,12 +53,10 @@ def _complement_basis(ideal: Subspace, d: int, m: int) -> np.ndarray:
 
 
 class QuotientContext:
-    """Projection onto, and embedding from, the quotient modulo an ideal.
+    """The quotient modulo an ideal: the ideal and the projection P.
 
-    Attributes
-    ----------
-    P : (q, d) canonical projection in complement coordinates, q = d - dim V.
-    iota : (d, q) minimum-norm right inverse of P (P @ iota = I).
+    P is the (q, d) canonical projection in complement coordinates, q = d - dim V;
+    P.T is its minimum-norm right inverse, the embedding of the quotient.
     """
 
     def __init__(self, algebra: LieAlgebra, ideal: Subspace):
@@ -74,21 +73,14 @@ class QuotientContext:
         else:
             comp = _complement_basis(ideal, d, m)
         self.P = comp.T.copy()
-        self.iota = comp.copy()
 
     @property
     def quotient_dim(self) -> int:
         return self.P.shape[0]
 
-    def project(self, x) -> np.ndarray:
-        return self.P @ np.asarray(x, dtype=float)
-
-    def embed(self, u) -> np.ndarray:
-        return self.iota @ np.asarray(u, dtype=float)
-
     def quotient_norm(self, x) -> float:
         """inf_{v in V} ||x + v|| for the Euclidean norm; exact by construction."""
-        return float(np.linalg.norm(self.project(x)))
+        return float(np.linalg.norm(self.P @ np.asarray(x, dtype=float)))
 
     def __repr__(self) -> str:
         return f"QuotientContext(dim {self.algebra.dim} -> {self.quotient_dim})"
@@ -117,7 +109,7 @@ def invariance_residual(ideal: Subspace, A: np.ndarray) -> float:
 
 
 def induced_map(ctx: QuotientContext, A) -> np.ndarray:
-    """kron(I_n, P) A kron(I_n, iota): the unique map with Abar kron(I_n, P) = kron(I_n, P) A
+    """kron(I_n, P) A kron(I_n, P.T): the unique map with Abar kron(I_n, P) = kron(I_n, P) A
     on n stacked slots (n read off A's shape; one slot for a d x d map).  InvarianceViolation
     unless A preserves the ideal in every slot within INVARIANCE_TOL * max(1, ||A||)."""
     A = np.asarray(A, dtype=float)
@@ -125,7 +117,7 @@ def induced_map(ctx: QuotientContext, A) -> np.ndarray:
     if resid > INVARIANCE_TOL * max(1.0, float(np.linalg.norm(A))):
         raise InvarianceViolation(resid)
     n = A.shape[0] // ctx.algebra.dim
-    return _slotwise(ctx.P, _slotwise(ctx.iota.T, A, n).T, n).T
+    return _slotwise(ctx.P, _slotwise(ctx.P, A, n).T, n).T
 
 
 def is_ideal(algebra: LieAlgebra, sub: Subspace) -> bool:
@@ -136,17 +128,24 @@ def quotient_algebra(ctx: QuotientContext) -> LieAlgebra:
     """Lie algebra structure on the quotient modulo an ideal.
 
     The bracket of cosets is computed through representatives:
-    [u, v]_quot = P [iota u, iota v]; well-defined exactly when the factored
+    [u, v]_quot = P [P.T u, P.T v]; well-defined exactly when the factored
     subspace is an ideal.
     """
     if not is_ideal(ctx.algebra, ctx.ideal):
         raise ValueError("cannot form a quotient algebra: subspace is not an ideal")
-    Cq = ctx.algebra.bracket_many(ctx.iota.T[:, None], ctx.iota.T[None]) @ ctx.P.T
+    Cq = ctx.algebra.bracket_many(ctx.P[:, None], ctx.P[None]) @ ctx.P.T
     labels = [f"q{i+1}" for i in range(ctx.quotient_dim)]
     return LieAlgebra(Cq, labels=labels, name=f"{ctx.algebra.name}/V" if ctx.algebra.name else "")
 
 
 # -- norm adapted to a linear map -------------------------------------------
+
+
+def spectral_radius(M: np.ndarray) -> float:
+    M = np.asarray(M, dtype=float)
+    if M.size == 0:
+        return 0.0
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 @dataclass
@@ -155,8 +154,6 @@ class AdaptedNorm:
 
     transform: np.ndarray
     inverse: np.ndarray
-    epsilon: float
-    target_map: np.ndarray
     spectral_radius: float
     certified_norm: float
 
@@ -185,8 +182,8 @@ def adapted_norm(A: np.ndarray, epsilon: float) -> AdaptedNorm:
         raise ValueError("epsilon must be positive")
     if n == 0:
         eye = np.zeros((0, 0))
-        return AdaptedNorm(eye, eye, epsilon, A, 0.0, 0.0)
-    rho = float(np.max(np.abs(np.linalg.eigvals(A)))) if n else 0.0
+        return AdaptedNorm(eye, eye, 0.0, 0.0)
+    rho = spectral_radius(A)
     import scipy.linalg  # numpy has no real Schur form
     T_schur, Q = scipy.linalg.schur(A, output="real")
 
@@ -227,7 +224,7 @@ def adapted_norm(A: np.ndarray, epsilon: float) -> AdaptedNorm:
         if nrm < rho + epsilon:
             T = base * D[np.newaxis, :]
             Tinv = base_inv / D[:, np.newaxis]
-            return AdaptedNorm(T, Tinv, float(epsilon), A, rho, nrm)
+            return AdaptedNorm(T, Tinv, rho, nrm)
         delta *= 0.5
     raise RuntimeError("adapted-norm scaling did not converge")
 
@@ -247,23 +244,13 @@ class ChainProjections:
         if not chain.terminated:
             raise ValueError("chain must terminate at the zero subspace")
         self.algebra = algebra
-        self.chain = chain
         self.contexts = [QuotientContext(algebra, s) for s in chain.ideals]
-
-    @property
-    def depth(self) -> int:
-        return len(self.contexts) - 1
 
     def __getitem__(self, i: int) -> QuotientContext:
         return self.contexts[i]
 
     def __len__(self) -> int:
         return len(self.contexts)
-
-    def embed_project(self, i: int) -> np.ndarray:
-        """Matrix of iota_i P_i (orthogonal projector onto the complement)."""
-        ctx = self.contexts[i]
-        return ctx.iota @ ctx.P
 
 
 def bracket_word(algebra: LieAlgebra, letters: Sequence[np.ndarray]) -> np.ndarray:
@@ -278,59 +265,41 @@ def bracket_word(algebra: LieAlgebra, letters: Sequence[np.ndarray]) -> np.ndarr
     return w
 
 
-def central_word_residual(proj: ChainProjections, letters: Sequence[np.ndarray],
-                          level: Optional[int] = None) -> float:
-    """Residual of the projected-word identity along a lower central series.
-
-    For each level i >= 1, projecting a word equals projecting the word whose
-    letters were each passed through iota_{i-1} P_{i-1}; the discarded parts
-    land at least one ideal deeper and are annihilated by P_i.  Valid when the
-    chain is the lower central series of the whole algebra.
-    """
-    alg = proj.algebra
-    levels = range(1, proj.depth + 1) if level is None else [level]
-    worst = 0.0
-    for i in levels:
-        lhs = proj[i].project(bracket_word(alg, letters))
-        filt = proj.embed_project(i - 1)
-        rhs = proj[i].project(bracket_word(alg, [filt @ y for y in letters]))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
-
-
 def layered_word_residual(proj: ChainProjections, letters: Sequence[np.ndarray],
                           level: Optional[int] = None) -> float:
-    """Residual of the projected-word decomposition for a proper ideal chain.
+    """Residual of the projected-word decomposition along an ideal chain.
 
-    Here the chain ideals need not exhaust the algebra, so projecting a word
-    leaves |w| correction terms: term j keeps letter j filtered through
-    (I - iota_{i-1} P_{i-1}) while every other letter passes through
-    iota_0 P_0.
+    Projecting a word by P_i leaves |w| correction terms beside the word whose
+    letters all pass through F_{i-1} = P_{i-1}.T P_{i-1}: term j keeps letter j
+    filtered through I - F_{i-1} while every other letter passes through F_0.
+    On a lower central series of the whole algebra P_0 has no rows, so every
+    correction term vanishes and the word of filtered letters alone projects
+    the same.
     """
     alg = proj.algebra
     letters = [np.asarray(y, dtype=float) for y in letters]
-    levels = range(1, proj.depth + 1) if level is None else [level]
-    filt0 = proj.embed_project(0)
+    levels = range(1, len(proj)) if level is None else [level]
+    filt0 = proj[0].P.T @ proj[0].P
     eye = np.eye(alg.dim)
     worst = 0.0
     for i in levels:
-        filt = proj.embed_project(i - 1)
-        lhs = proj[i].project(bracket_word(alg, letters))
+        filt = proj[i - 1].P.T @ proj[i - 1].P
+        lhs = proj[i].P @ bracket_word(alg, letters)
         total = bracket_word(alg, [filt @ y for y in letters])
         for j in range(len(letters)):
             corr = [(filt0 @ y) for y in letters]
             corr[j] = (eye - filt) @ letters[j]
             total = total + bracket_word(alg, corr)
-        worst = max(worst, float(np.linalg.norm(lhs - proj[i].project(total))))
+        worst = max(worst, float(np.linalg.norm(lhs - proj[i].P @ total)))
     return worst
 
 
 def collapse_identity_residual(proj: ChainProjections, level: Optional[int] = None) -> float:
-    """Residual of iota_0 P_0 iota_{i-1} P_{i-1} = iota_0 P_0 (matrix norm)."""
-    filt0 = proj.embed_project(0)
-    levels = range(1, proj.depth + 1) if level is None else [level]
+    """Residual of F_0 F_{i-1} = F_0 with F_i = P_i.T P_i (matrix norm)."""
+    filt0 = proj[0].P.T @ proj[0].P
+    levels = range(1, len(proj)) if level is None else [level]
     worst = 0.0
     for i in levels:
-        diff = filt0 @ proj.embed_project(i - 1) - filt0
+        diff = filt0 @ (proj[i - 1].P.T @ proj[i - 1].P) - filt0
         worst = max(worst, float(np.linalg.norm(diff)))
     return worst

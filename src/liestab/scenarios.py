@@ -294,6 +294,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"'x0' must have length {n * d}")
     horizon = _require(data, "horizon", int, 50)
     M = _finite("M", data.get("M", max(1.0, float(np.linalg.norm(x0)))), scalar=True)
+    for key, value in (("M", M), ("radius", system.radius)):  # the radii of balls of states
+        if value < 0:
+            raise ScenarioError(f"scenario field {key!r} must be nonnegative, got {value}")
     route = _require(data, "route", str, "auto")
     if route not in ROUTES:
         raise ScenarioError(f"scenario field 'route' must be one of {', '.join(ROUTES)}")

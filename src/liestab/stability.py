@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import is_nilpotent, is_solvable
 from .dynamics import ExoSignal, Trajectory, WordSeriesSystem
-from .quotient import InvarianceViolation, adapted_norm, bracket_word, induced_map
+from .quotient import InvarianceViolation, adapted_norm, bracket_word, induced_map, spectral_radius
 
 
 class HypothesisError(ValueError):
@@ -32,13 +32,6 @@ class CertificateRejected(Exception):
         super().__init__(f"{reason} (margin {margin:.6g})")
         self.reason = reason
         self.margin = margin
-
-
-def spectral_radius(M: np.ndarray) -> float:
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def block_sum_norm(M: np.ndarray, block: int):
@@ -130,9 +123,9 @@ def forcing_gain(sys: WordSeriesSystem, level: int, M: float, alpha_prev: float,
     """Explicit gain gamma_i bounding the level-i forcing by gamma_i lambda_i^k ||Xbar_i[0]||.
 
     gamma_i sums, over word lengths l = 2..i, the largest coefficient norm at
-    that length times mu^{l-1} ||iota||^l times the letter-count combinatorics
-    sum_q C(l, q) n^q r^{l-q} alpha_{i-1}^q M^{q-1} beta^{l-q}; ||iota|| = 1
-    because the embeddings have orthonormal columns.  Level 1 has no forcing.
+    that length times mu^{l-1} ||P.T||^l times the letter-count combinatorics
+    sum_q C(l, q) n^q r^{l-q} alpha_{i-1}^q M^{q-1} beta^{l-q}; ||P.T|| = 1
+    because the embeddings P.T have orthonormal columns.  Level 1 has no forcing.
     The rate lambda_{i-1} s^{i-1} must be the largest lambda_{i-1}^q s^{l-q} over
     l <= i, q <= l; with s >= 1 each term is monotone in q, so the one rival is
     lambda_{i-1}^i, and CertificateRejected carries its excess when it wins.
@@ -177,6 +170,8 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
     power-envelope constants, and the forcing gains into the end-to-end
     envelope (alpha_p, lambda_p).
     """
+    if not M >= 0:  # the radius of the ball of initial states (NaN fails too)
+        raise HypothesisError(f"M must be nonnegative, got {M}")
     nil, p = is_nilpotent(sys.algebra)
     if not nil:
         raise HypothesisError("algebra is not nilpotent")
@@ -258,11 +253,11 @@ def forcing_norms(sys: WordSeriesSystem, states: np.ndarray, signal: ExoSignal,
     """Measured forcing norms ||u_level[k]|| along a simulated trajectory.
 
     u_level collects every word of length <= level, its letters filtered
-    through iota_{level-1} P_{level-1}, projected by P_level, weighted by the
+    through P_{level-1}.T P_{level-1}, projected by P_level, weighted by the
     word coefficients; the per-step norm is the sum of slot norms.
     """
     ctx = sys.projections[level]
-    filt = sys.projections.embed_project(level - 1)
+    filt = sys.projections[level - 1].P.T @ sys.projections[level - 1].P
     K = states.shape[0]
     slots = {"X": states.reshape(K, sys.n, sys.d),
              "W": signal.values(K).reshape(K, sys.r, sys.d)}

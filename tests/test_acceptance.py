@@ -16,7 +16,7 @@ from liestab.algebra import (abelian, bracket_constant, catalog_algebras,
                              upper_triangular6)
 from liestab.dynamics import Term, Word, WordSeriesSystem
 from liestab.quotient import (ChainProjections, QuotientContext, adapted_norm,
-                              central_word_residual, collapse_identity_residual,
+                              collapse_identity_residual,
                               induced_map, layered_word_residual)
 from liestab.sampling import (GroupElement, bch_compose, expm, logm,
                               heisenberg_tracking_system, tracking_group_step,
@@ -99,7 +99,7 @@ def test_criterion_3_quotient_machinery():
     samples = rng.standard_normal((2000, 3))
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
     vals = [ctx.quotient_norm(s) for s in samples]
-    vals.append(ctx.quotient_norm(ctx.embed(np.array([1.0, 0.0]))))
+    vals.append(ctx.quotient_norm(ctx.P.T @ np.array([1.0, 0.0])))
     ok &= max(vals) <= 1.0 + 1e-10 and max(vals) >= 1.0 - 1e-6
     # adapted norms for 20 random maps at epsilon = 0.01
     for _ in range(20):
@@ -114,7 +114,7 @@ def test_criterion_3_quotient_machinery():
     worst_c = worst_l = 0.0
     for _ in range(100):
         letters = [rng.standard_normal(3) for _ in range(rng.integers(2, 6))]
-        worst_c = max(worst_c, central_word_residual(proj_n, letters))
+        worst_c = max(worst_c, layered_word_residual(proj_n, letters))
         letters = [rng.standard_normal(6) for _ in range(rng.integers(2, 6))]
         worst_l = max(worst_l, layered_word_residual(proj_s, letters))
     ok &= worst_c < 1e-10 and worst_l < 1e-10

@@ -260,7 +260,7 @@ def test_subspace_bracket_and_quotient_match_einsum_formulas():
         np.testing.assert_allclose(new.projector(), old.projector(), rtol=0, atol=1e-13)
         for ideal in derived_series(alg).ideals[1:] + lower_central_series(alg).ideals[1:]:
             ctx = QuotientContext(alg, ideal)
-            old_C = np.einsum("ai,bj,ijk,ck->abc", ctx.iota.T, ctx.iota.T, alg.C, ctx.P)
+            old_C = np.einsum("ai,bj,ijk,ck->abc", ctx.P, ctx.P, alg.C, ctx.P)
             np.testing.assert_allclose(quotient_algebra(ctx).C, old_C, rtol=0, atol=1e-13)
 
 

@@ -354,6 +354,46 @@ def test_huge_numbers_in_a_scenario_exit_2(tmp_path, capsys, breakage, message):
         assert (captured.out, captured.err) == ("", message), command
 
 
+@pytest.mark.parametrize("breakage,field,value", [
+    ({"M": -2.0}, "M", -2.0),  # once an issued certificate with alpha = -4.67
+    ({"radius": -1.0}, "radius", -1.0),
+    ({"M": -2.0, "radius": -1.0}, "M", -2.0),  # once a ValueError traceback from check
+])
+def test_negative_ball_radius_in_a_scenario_exits_2(tmp_path, capsys, breakage, field, value):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(NONFINITE_BASE | breakage))
+    for command in ("check", "certify", "simulate"):
+        assert run([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2, command
+        captured = capsys.readouterr()
+        message = f"input error: scenario field {field!r} must be nonnegative, got {value}\n"
+        assert (captured.out, captured.err) == ("", message), command
+    path.write_text(json.dumps(NONFINITE_BASE | {"M": 0.0, "radius": 0.0}))  # zero is a radius
+    assert run(["certify", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command", ["check", "certify", "simulate", "deadbeat", "reproduce"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    # once a ValueError traceback from numpy's default_rng (exit 1)
+    assert run([command, "--builtin", "heisenberg-deadbeat", "--seed", "-1",
+                "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "input error: --seed must be nonnegative, got -1\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sub,reason", [("", "File exists"), ("/sub", "Not a directory")])
+def test_out_through_a_file_exits_2(tmp_path, capsys, sub, reason):
+    # an existing file as --out was a FileExistsError traceback
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = f"{blocker}{sub}"
+    assert run(["simulate", "--builtin", "example-4.1", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: cannot make output directory {out!r}: {reason}\n"
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_horizon_cap_holds_for_builtins_files_and_the_flag(tmp_path):
     assert scenario_from_dict(NONFINITE_BASE | {"horizon": MAX_HORIZON}).horizon == MAX_HORIZON
     path = tmp_path / "ok.json"
@@ -519,6 +559,9 @@ def test_family_cutoff_key_cannot_shorten_the_certified_words(tmp_path):
 
 
 COEFF = st.floats(-1.0, 1.0)
+# the radii M and radius of the balls of states, each absent, zero, negative or positive
+BALL_RADII = st.fixed_dictionaries({}, optional={key: st.sampled_from([-2.0, 0.0, 0.5, 3.0])
+                                                 for key in ("M", "radius")})
 
 
 @st.composite
@@ -548,7 +591,7 @@ def random_scenarios(draw, algebras=("heisenberg", 3, 4)):
     return {"name": "prop", "algebra": algebra, "n": n, "r": r,
             "A": (draw(st.sampled_from([0.0, 0.5, 0.9])) * np.eye(d * n)).tolist(),
             "terms": terms, "families": families, "horizon": 20, "signal": signal,
-            "x0": draw(st.lists(COEFF, min_size=d * n, max_size=d * n))}
+            "x0": draw(st.lists(COEFF, min_size=d * n, max_size=d * n))} | draw(BALL_RADII)
 
 
 WRONG_JSON = st.sampled_from([None, True, 7, 0.5, "abc", [1, 2], {"a": 1}])
@@ -609,15 +652,20 @@ def non_jacobi_scenarios(draw):
 
 # no flag half the time; the other values are valid, out of range, or below rounding
 FLAGS = st.tuples(st.sampled_from([None] * 5 + [0, 7, -1, MAX_HORIZON + 1, 10 ** 30]),
-                  st.sampled_from([None] * 5 + [0.05, 3.0, 1e-17, 1e-300, float("nan")]))
+                  st.sampled_from([None] * 5 + [0.05, 3.0, 1e-17, 1e-300, float("nan")]),
+                  st.sampled_from([None] * 3 + [0, 3, -1]))
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(random_scenarios(), malformed_scenarios(), non_jacobi_scenarios()), FLAGS)
 def test_random_scenarios_end_in_an_exit_code(data, flags):
-    horizon, epsilon = flags
-    broken = "--epsilon must be finite" if epsilon is not None and np.isnan(epsilon) else "Jacobi identity violated"
+    horizon, epsilon, seed = flags
+    broken = ("--epsilon must be finite" if epsilon is not None and np.isnan(epsilon)
+              else "--seed must be nonnegative" if seed == -1 else "Jacobi identity violated")
     options = [f"--horizon={horizon}"] * (horizon is not None) + [f"--epsilon={epsilon}"] * (epsilon is not None)
+    options += [f"--seed={seed}"] * (seed is not None)
+    # a negative ball radius or seed is an input error whatever else the scenario holds
+    refused = seed == -1 or any(type(data.get(key)) is float and data[key] < 0 for key in ("M", "radius"))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "prop.json"
         path.write_text(json.dumps(data))
@@ -629,6 +677,8 @@ def test_random_scenarios_end_in_an_exit_code(data, flags):
             assert "Traceback" not in out.getvalue() + err.getvalue(), command
             if data["name"] == "broken":  # an algebra that breaks Jacobi is always an input error
                 assert code == 2 and broken in err.getvalue(), command
+            if refused:
+                assert code == 2 and err.getvalue().count("\n") == 1, command
 
 
 def test_builtin_unknown():

@@ -81,7 +81,7 @@ def reference_equilibrium_report(sys_, seed=0, starts=100, iters=300):
     structural = sys_.structural_state_letter_ok()
     lin_margin = _min_singular(np.eye(sys_.state_dim) - sys_.A)
     ctx0 = sys_.projections[0]
-    A0 = _slotwise(ctx0.P, _slotwise(ctx0.iota.T, sys_.A, sys_.n).T, sys_.n).T
+    A0 = _slotwise(ctx0.P, _slotwise(ctx0.P, sys_.A, sys_.n).T, sys_.n).T
     q_margin = _min_singular(np.eye(A0.shape[0]) - A0)
     violations, surviving = [], []
     for w in [np.zeros(sys_.r * sys_.d), rng.standard_normal(sys_.r * sys_.d) * 0.5]:
@@ -458,8 +458,6 @@ def test_simulate_divergence_flag():
 
 def reference_signal_value(signal, k):
     """W[k] of one step: the scalar signal read that ``ExoSignal.values`` replaced."""
-    if signal.kind == "zero":
-        return np.zeros(signal.r * signal.d)
     if signal.kind == "samples":
         return signal.samples[k % signal.samples.shape[0]]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -678,7 +676,7 @@ def test_slotwise_matches_kron_lifts():
     X = rng.standard_normal((3, 4, n * d))
     for level in range(len(sys61.projections)):
         ctx = sys61.projections[level]
-        lift_p, lift_i = np.kron(np.eye(n), ctx.P), np.kron(np.eye(n), ctx.iota)
+        lift_p, lift_i = np.kron(np.eye(n), ctx.P), np.kron(np.eye(n), ctx.P.T)
         np.testing.assert_allclose(_slotwise(ctx.P, X, n), X @ lift_p.T, atol=1e-14)
         np.testing.assert_allclose(induced_map(ctx, sys61.A), lift_p @ sys61.A @ lift_i,
                                    atol=1e-14)

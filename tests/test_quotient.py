@@ -8,7 +8,7 @@ from liestab.algebra import (Subspace, catalog_algebras, derived_algebra, derive
                              upper_triangular6)
 from liestab.quotient import (ChainProjections, InvarianceViolation,
                               QuotientContext, _complement_basis, adapted_norm, bracket_word,
-                              central_word_residual, collapse_identity_residual,
+                              collapse_identity_residual,
                               induced_map, is_ideal, layered_word_residual,
                               quotient_algebra)
 from liestab.sampling import TRACKING_A
@@ -24,8 +24,8 @@ def heis_ctx():
 def test_projection_coordinates_and_kernel():
     ctx = heis_ctx()
     x = HEIS.element(h1=3, h2=2, h3=-1)
-    np.testing.assert_allclose(ctx.project(x), [3.0, 2.0], atol=1e-14)
-    np.testing.assert_allclose(ctx.project(HEIS.element(h3=7.5)), [0.0, 0.0], atol=1e-14)
+    np.testing.assert_allclose(ctx.P @ x, [3.0, 2.0], atol=1e-14)
+    np.testing.assert_allclose(ctx.P @ HEIS.element(h3=7.5), [0.0, 0.0], atol=1e-14)
     ut_ctx = QuotientContext(UT, derived_algebra(UT))
     assert ut_ctx.quotient_dim == 3
 
@@ -82,11 +82,11 @@ def test_projection_right_inverse_and_kernel_image():
     for ctx in (heis_ctx(), QuotientContext(UT, derived_algebra(UT)),
                 QuotientContext(UT, UT.span_labels(["t6"]))):
         q = ctx.quotient_dim
-        np.testing.assert_allclose(ctx.P @ ctx.iota, np.eye(q), atol=1e-12)
+        np.testing.assert_allclose(ctx.P @ ctx.P.T, np.eye(q), atol=1e-12)
         for _ in range(50):
             x = rng.standard_normal(ctx.algebra.dim)
-            # what iota . P discards lands in the factored ideal
-            leftover = x - ctx.embed(ctx.project(x))
+            # what P.T . P discards lands in the factored ideal
+            leftover = x - ctx.P.T @ (ctx.P @ x)
             assert np.linalg.norm(ctx.P @ leftover) < 1e-12
             assert np.linalg.norm(leftover - ctx.ideal.project(leftover)) < 1e-12
 
@@ -117,7 +117,7 @@ def test_projection_has_unit_norm():
         samples /= np.linalg.norm(samples, axis=1, keepdims=True)
         vals = [ctx.quotient_norm(s) for s in samples]
         assert max(vals) <= 1.0 + 1e-10
-        witness = ctx.embed(np.eye(ctx.quotient_dim)[0])
+        witness = ctx.P.T @ np.eye(ctx.quotient_dim)[0]
         vals.append(ctx.quotient_norm(witness / np.linalg.norm(witness)))
         assert max(vals) == pytest.approx(1.0, abs=1e-6)
 
@@ -157,7 +157,7 @@ def test_solvable_pair_induced_block():
     A = np.kron(M2, np.eye(6))
     ctx = QuotientContext(UT, derived_algebra(UT))
     lift_p = np.kron(np.eye(2), ctx.P)
-    lift_i = np.kron(np.eye(2), ctx.iota)
+    lift_i = np.kron(np.eye(2), ctx.P.T)
     bar = lift_p @ A @ lift_i
     np.testing.assert_allclose(bar, np.kron(M2, np.eye(3)), atol=1e-12)
     eigs = np.sort(np.linalg.eigvals(bar).real)
@@ -216,14 +216,14 @@ def test_word_identity_nilpotent_chain():
     worst = 0.0
     for _ in range(100):
         letters = [rng.standard_normal(3) for _ in range(rng.integers(2, 6))]
-        worst = max(worst, central_word_residual(proj, letters))
+        worst = max(worst, layered_word_residual(proj, letters))
     assert worst < 1e-10
     # letters already inside a chain ideal: both sides vanish at matching depth
     h3 = HEIS.basis_vector("h3")
     letters = [h3, rng.standard_normal(3)]
-    lhs = proj[2].project(bracket_word(HEIS, letters))
+    lhs = proj[2].P @ bracket_word(HEIS, letters)
     assert np.linalg.norm(lhs) < 1e-14
-    assert central_word_residual(proj, letters, level=2) < 1e-14
+    assert layered_word_residual(proj, letters, level=2) < 1e-14
 
 
 def test_word_identity_solvable_chain():
@@ -237,10 +237,10 @@ def test_word_identity_solvable_chain():
     assert worst < 1e-10
     # letters fixed by the level filter leave no correction terms
     for level in (1, 2):
-        filt = proj.embed_project(level - 1)
+        filt = proj[level - 1].P.T @ proj[level - 1].P
         letters = [filt @ rng.standard_normal(6) for _ in range(3)]
-        plain = proj[level].project(bracket_word(UT, [filt @ y for y in letters]))
-        lhs = proj[level].project(bracket_word(UT, letters))
+        plain = proj[level].P @ bracket_word(UT, [filt @ y for y in letters])
+        lhs = proj[level].P @ bracket_word(UT, letters)
         assert np.linalg.norm(lhs - plain) < 1e-12
 
 
@@ -249,9 +249,9 @@ def test_collapse_identity():
     proj = ChainProjections(UT, chain)
     assert collapse_identity_residual(proj) < 1e-12
     rng = np.random.default_rng(7)
-    filt0 = proj.embed_project(0)
-    for i in range(1, proj.depth + 1):
-        filt = proj.embed_project(i - 1)
+    filt0 = proj[0].P.T @ proj[0].P
+    for i in range(1, len(proj)):
+        filt = proj[i - 1].P.T @ proj[i - 1].P
         for _ in range(100):
             x = rng.standard_normal(6)
             assert np.linalg.norm(filt0 @ (filt @ x) - filt0 @ x) < 1e-12

@@ -131,7 +131,7 @@ def test_power_envelope_constant_saturates_past_the_float_range():
 def reference_forcing_norms(sys_, states, signal, level):
     """``forcing_norms`` one step and one word at a time."""
     ctx = sys_.projections[level]
-    filt = sys_.projections.embed_project(level - 1)
+    filt = sys_.projections[level - 1].P.T @ sys_.projections[level - 1].P
     out = np.zeros(states.shape[0])
     W = signal.values(states.shape[0])
     for k in range(states.shape[0]):
@@ -140,7 +140,7 @@ def reference_forcing_norms(sys_, states, signal, level):
         for t in sys_.all_terms():
             if t.word.length <= level:
                 vals = [filt @ slots[kind][j - 1] for kind, j in t.word.letters]
-                acc += np.outer(t.coeff, ctx.project(bracket_word(sys_.algebra, vals)))
+                acc += np.outer(t.coeff, ctx.P @ bracket_word(sys_.algebra, vals))
         out[k] = float(np.linalg.norm(acc, axis=1).sum())
     return out
 
@@ -307,6 +307,15 @@ def test_certificate_rejections():
     # non-nilpotent algebra or a proper ideal is a hypothesis error
     with pytest.raises(HypothesisError):
         certify_nilpotent(ex61_system(), ex61_signal(10), M=1.0)
+
+
+@pytest.mark.parametrize("M", [-2.0, -1e-300, math.nan])
+def test_certify_nilpotent_needs_a_nonnegative_M(M):
+    # M = -2 was once issued, its gains summed with the sign of M^(q-1)
+    sc = builtin_scenario("example-4.1")
+    with pytest.raises(HypothesisError, match="M must be nonnegative"):
+        certify_nilpotent(sc.system, sc.signal, M=M)
+    assert certify_nilpotent(sc.system, sc.signal, M=0.0).gamma_levels[0] == 0.0
 
 
 def test_certificate_overflow_is_inconsistent_not_an_error():

@@ -432,17 +432,18 @@ class WordSeriesSystem:
         return out
 
     def series_majorant(self, radius: float) -> float:
-        """sum_w mu^{|w|-1} ||c_w|| radius^{|w|}, families summed in closed form.
+        """sum_w mu^{|w|-1} ||c_w||_1 radius^{|w|}, families summed in closed form.
 
         A finite value certifies strong absolute convergence of the word
-        series on the ball of the given radius.
+        series on the ball of the given radius.  A word adds c_j w to slot j,
+        and the state norm sums the slot norms, so c_w enters by its 1-norm.
         """
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         mu = self.mu()
         total = 0.0
         for t in self.terms:
-            total += mu ** (t.word.length - 1) * float(np.linalg.norm(t.coeff)) * radius ** t.word.length
+            total += mu ** (t.word.length - 1) * float(np.abs(t.coeff).sum()) * radius ** t.word.length
         for f in self.families:
             x = mu * f.base_weight_l1() * radius
             total += abs(f.scale) * radius * (math.expm1(x))

@@ -170,11 +170,11 @@ class AdaptedNorm:
 def adapted_norm(A: np.ndarray, epsilon: float) -> AdaptedNorm:
     """Build a vector norm in which the operator norm of A is < rho(A) + epsilon.
 
-    Real Schur form (scipy.linalg.schur, imported here rather than at module load),
-    2x2 complex-pair blocks balanced to rotation-scaling shape, then geometric damping
-    of the off-diagonal blocks by diag(delta^b) with b the block index.  Jordan form is
-    avoided on purpose; the Schur route is numerically stable; it fails (RuntimeError)
-    only when the damping that epsilon needs would leave the scaled matrix non-finite.
+    A Stein sum: with B = A / r, r = rho + epsilon / 2, and m the first power of two
+    with ||B^m||_2 < 1, P = sum_{k<m} (B^k)^T B^k is accumulated by doubling,
+    P <- P + (B^m)^T P B^m, in at most 64 steps.  Then B^T P B = P - I + (B^m)^T B^m
+    is below P, so T = P^{-1/2} (one eigh) gives ||A||_T < r.  P holds kappa(T)^2,
+    so the sum leaves the float range (RuntimeError) past kappa of about 1e154.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
@@ -184,48 +184,22 @@ def adapted_norm(A: np.ndarray, epsilon: float) -> AdaptedNorm:
         eye = np.zeros((0, 0))
         return AdaptedNorm(eye, eye, 0.0, 0.0)
     rho = spectral_radius(A)
-    import scipy.linalg  # numpy has no real Schur form
-    T_schur, Q = scipy.linalg.schur(A, output="real")
-
-    # per-block balance: standardized 2x2 blocks have equal diagonal and
-    # subdiag*superdiag < 0; diag(1, t) with t = sqrt(|c/b|) makes the block
-    # a rotation-scaling whose 2-norm equals its eigenvalue modulus
-    bal = np.ones(n)
-    blocks = []  # block index of each row
-    i = 0
-    b = 0
-    while i < n:
-        if i + 1 < n and T_schur[i + 1, i] != 0.0:
-            c = T_schur[i + 1, i]
-            bb = T_schur[i, i + 1]
-            if bb != 0.0:
-                bal[i + 1] = np.sqrt(abs(c / bb))
-            blocks.extend([b, b])
-            i += 2
-        else:
-            blocks.append(b)
-            i += 1
-        b += 1
-    S = np.diag(bal)
-    Sinv = np.diag(1.0 / bal)
-    base = Q @ S
-    base_inv = Sinv @ Q.T
-
-    blocks_arr = np.array(blocks, dtype=float)
-    balanced = base_inv @ A @ base
-    delta = 1.0
-    for _ in range(2000):
-        D = delta ** blocks_arr
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            Tinv_A_T = balanced * np.outer(1.0 / D, D)
-        if not np.isfinite(Tinv_A_T).all():
-            break  # delta ** b under- or overflows from here on
-        nrm = float(np.linalg.norm(Tinv_A_T, 2))
-        if nrm < rho + epsilon:
-            T = base * D[np.newaxis, :]
-            Tinv = base_inv / D[:, np.newaxis]
-            return AdaptedNorm(T, Tinv, rho, nrm)
-        delta *= 0.5
+    B = A / (rho + 0.5 * epsilon)
+    P = np.eye(n)
+    with np.errstate(all="ignore"):  # a sum past the float range ends in the RuntimeError
+        for _ in range(64):
+            if not (np.isfinite(B).all() and np.isfinite(P).all()):
+                break
+            if np.linalg.norm(B, 2) < 1.0:
+                w, V = np.linalg.eigh(P)
+                T = (V / np.sqrt(w)) @ V.T
+                Tinv = (V * np.sqrt(w)) @ V.T
+                scaled = Tinv @ A @ T  # checked, since rounding in P can spoil the bound
+                if np.isfinite(scaled).all() and (nrm := float(np.linalg.norm(scaled, 2))) < rho + epsilon:
+                    return AdaptedNorm(T, Tinv, rho, nrm)
+                break
+            P = P + B.T @ P @ B
+            B = B @ B
     raise RuntimeError("adapted-norm scaling did not converge")
 
 

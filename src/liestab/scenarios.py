@@ -230,12 +230,18 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError("scenario field 'algebra' must be a name or an object")
     n = _require(data, "n", int)
     r = _require(data, "r", int)
+    for key, value in (("n", n), ("r", r)):  # before 'A', whose shape n sets
+        if value < 1:
+            raise ScenarioError(f"{key!r} must be at least 1, got {value}")
     if r > MAX_INPUTS:
         raise ScenarioError(f"'r' must be at most {MAX_INPUTS}, got {r}")
     d = alg.dim
     A = _finite("A", _require(data, "A", list))
     if A.shape != (n * d, n * d):
         raise ScenarioError(f"'A' must be {n * d}x{n * d} row-major")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.linalg.norm(A)):  # every check and bound scales by it
+            raise ScenarioError("scenario field 'A' must have a finite Frobenius norm")
     terms = []
     for idx, t in enumerate(_require(data, "terms", list, [])):
         where = f"terms[{idx}]."
@@ -293,7 +299,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if x0.shape != (n * d,):
         raise ScenarioError(f"'x0' must have length {n * d}")
     horizon = _require(data, "horizon", int, 50)
-    M = _finite("M", data.get("M", max(1.0, float(np.linalg.norm(x0)))), scalar=True)
+    M = _finite("M", data.get("M", max(1.0, system.state_norm(x0))), scalar=True)
     for key, value in (("M", M), ("radius", system.radius)):  # the radii of balls of states
         if value < 0:
             raise ScenarioError(f"scenario field {key!r} must be nonnegative, got {value}")

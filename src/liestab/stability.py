@@ -70,6 +70,7 @@ def power_envelope_constant(A: np.ndarray, rate: float, block: int) -> float:
     taken in one batched call, is combined with an adapted-norm tail bound: for
     k beyond the cap, ||A^k|| <= ||A^cap|| kappa sqrt(nb) (rho + eps')^{k-cap}
     with rho + eps' = rate, so the returned constant is valid for every k.
+    A power past the float range gives inf.
     """
     A = np.asarray(A, dtype=float)
     if A.size == 0:
@@ -79,8 +80,11 @@ def power_envelope_constant(A: np.ndarray, rate: float, block: int) -> float:
         raise ValueError("rate must exceed the spectral radius")
     powers = np.empty((ENVELOPE_POWERS,) + A.shape)
     P = np.eye(A.shape[0])
-    for k in range(ENVELOPE_POWERS):
-        P = np.matmul(P, A, out=powers[k])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(ENVELOPE_POWERS):
+            P = np.matmul(P, A, out=powers[k])
+    if not np.isfinite(powers).all():  # a power past the float range: no finite sigma bounds it
+        return math.inf
     norms = block_sum_norm(powers, block)
     rates = np.array([_pow(rate, k) for k in range(1, ENVELOPE_POWERS + 1)])
     with np.errstate(divide="ignore"):  # rate^k may underflow to 0: a vanished power has ratio 0
@@ -122,8 +126,9 @@ def forcing_gain(sys: WordSeriesSystem, level: int, M: float, alpha_prev: float,
                  beta: float, s: float, lambda_prev: float) -> float:
     """Explicit gain gamma_i bounding the level-i forcing by gamma_i lambda_i^k ||Xbar_i[0]||.
 
-    gamma_i sums, over word lengths l = 2..i, the largest coefficient norm at
-    that length times mu^{l-1} ||P.T||^l times the letter-count combinatorics
+    gamma_i sums, over word lengths l = 2..i, the largest coefficient 1-norm
+    at that length (the state norm sums the slot norms) times mu^{l-1} ||P.T||^l
+    times the letter-count combinatorics
     sum_q C(l, q) n^q r^{l-q} alpha_{i-1}^q M^{q-1} beta^{l-q}; ||P.T|| = 1
     because the embeddings P.T have orthonormal columns.  Level 1 has no forcing.
     The rate lambda_{i-1} s^{i-1} must be the largest lambda_{i-1}^q s^{l-q} over
@@ -136,7 +141,7 @@ def forcing_gain(sys: WordSeriesSystem, level: int, M: float, alpha_prev: float,
     max_by_len = {}
     for t in sys.all_terms():
         l = t.word.length
-        max_by_len[l] = max(max_by_len.get(l, 0.0), float(np.linalg.norm(t.coeff)))
+        max_by_len[l] = max(max_by_len.get(l, 0.0), float(np.abs(t.coeff).sum()))
     # the rate maximization over (l, q) must be solved by l = level, q = 1
     attained = lambda_prev * _pow(s, level - 1)
     rival = _pow(lambda_prev, level)

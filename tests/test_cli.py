@@ -202,12 +202,11 @@ def test_certify_epsilon_ends_in_one_line(tmp_path, capsys, epsilon, code, line)
     assert (out / "certificate-example-4.1.json").exists() == (code == 1)
 
 
-def test_certify_dense_map_past_the_adapted_norm_range_is_rejected(tmp_path, capsys):
-    # no adapted norm of this 54 x 54 map fits the float range; it used to end in a LinAlgError
-    A = np.random.default_rng(0).standard_normal((54, 54))
-    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
-    path = tmp_path / "dense.json"
-    path.write_text(json.dumps({"name": "dense", "algebra": "abelian-3", "n": 18, "r": 1,
+def test_certify_chain_past_the_adapted_norm_range_is_rejected(tmp_path, capsys):
+    # the Stein sum of this 6 x 6 chain holds kappa^2 past the float range
+    A = 0.5 * np.eye(6) + 1e30 * np.eye(6, k=1)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"name": "chain", "algebra": "abelian-3", "n": 2, "r": 1,
                                 "A": A.tolist(), "signal": {"kind": "zero"}, "M": 1.0}))
     out = tmp_path / "out"
     assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 1
@@ -215,7 +214,33 @@ def test_certify_dense_map_past_the_adapted_norm_range_is_rejected(tmp_path, cap
     assert captured.err == ""
     assert captured.out == ("[FAIL] certificate rejected: level 1: adapted-norm scaling did not converge "
                             "(margin +inf)\n")
-    assert json.loads((out / "certificate-dense.json").read_text())["verdict"] == "rejected"
+    assert json.loads((out / "certificate-chain.json").read_text())["verdict"] == "rejected"
+    # a dense 54 x 54 map that Schur damping could not scale gets a sound certificate
+    A = np.random.default_rng(0).standard_normal((54, 54))
+    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    path.write_text(json.dumps({"name": "dense", "algebra": "abelian-3", "n": 18, "r": 1,
+                                "A": A.tolist(), "signal": {"kind": "zero"}, "M": 1.0}))
+    assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    cert = json.loads((out / "certificate-dense.json").read_text())
+    assert cert["consistent"]
+    assert (cert["decay"], cert["alpha"]) == pytest.approx((0.95, 7.6863), abs=5e-5)
+
+
+def test_certify_powers_past_the_float_range_overflow(tmp_path, capsys):
+    # once a LinAlgError traceback ("SVD did not converge") from the block norms of inf powers
+    A = 0.5 * np.eye(54) + 1e30 * np.eye(54, k=1)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"name": "chain", "algebra": "abelian-3", "n": 18, "r": 1,
+                                "A": A.tolist(), "signal": {"kind": "zero"}, "M": 1.0}))
+    out = tmp_path / "out"
+    assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == ("[FAIL] nilpotent certificate: overflow: envelope constant is not finite "
+                            "(alpha levels [inf])\n")
+    cert = json.loads((out / "certificate-chain.json").read_text())
+    assert cert["verdict"] == "overflow" and cert["sigma_levels"] == [float("inf")]
 
 
 def test_scenario_file_roundtrip(tmp_path):
@@ -239,6 +264,14 @@ def test_scenario_file_roundtrip(tmp_path):
     out = tmp_path / "out"
     assert run(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
     assert run(["check", "--scenario", str(path), "--out", str(out)]) == 0
+
+
+def test_default_M_is_the_state_norm_of_x0():
+    # the certified ball is in the slot-sum state norm; M = ||x0||_2 = 1.414 left x0 outside it
+    sc = scenario_from_dict(NONFINITE_BASE | {"n": 2, "A": (0.5 * np.eye(6)).tolist(), "terms": [],
+                                              "x0": [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]})
+    assert sc.M == sc.system.state_norm(sc.x0) == 2.0
+    assert scenario_from_dict(NONFINITE_BASE | {"x0": [0.5, 0.0, 0.0]}).M == 1.0
 
 
 def test_scenario_validation_errors():
@@ -344,6 +377,9 @@ def test_out_of_range_horizon_flag_exits_2(tmp_path, capsys, name, command, hori
     # once a numpy ValueError traceback from check and simulate, and an issued certificate
     ({"r": 10 ** 30}, f"input error: 'r' must be at most {MAX_INPUTS}, got {10 ** 30}\n"),
     ({"r": MAX_INPUTS + 1}, f"input error: 'r' must be at most {MAX_INPUTS}, got {MAX_INPUTS + 1}\n"),
+    # once two numpy RuntimeWarnings on stderr before the report of check, one before certify's
+    ({"A": [[0.5, 1e300, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]},
+     "input error: scenario field 'A' must have a finite Frobenius norm\n"),
 ])
 def test_huge_numbers_in_a_scenario_exit_2(tmp_path, capsys, breakage, message):
     path = tmp_path / "huge.json"
@@ -352,6 +388,21 @@ def test_huge_numbers_in_a_scenario_exit_2(tmp_path, capsys, breakage, message):
         assert run([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2, command
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", message), command
+
+
+@pytest.mark.parametrize("breakage,field,value", [
+    ({"n": 0, "A": [], "x0": []}, "n", 0),  # once "'A' must be 0x0 row-major"
+    ({"n": -1}, "n", -1),  # once "'A' must be -3x-3 row-major"
+    ({"r": 0}, "r", 0),
+])
+def test_slot_count_below_one_exits_2(tmp_path, capsys, breakage, field, value):
+    path = tmp_path / "slots.json"
+    path.write_text(json.dumps(NONFINITE_BASE | breakage))
+    for command in ("check", "certify", "simulate"):
+        assert run([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2, command
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"input error: {field!r} must be at least 1, "
+                                                    f"got {value}\n"), command
 
 
 @pytest.mark.parametrize("breakage,field,value", [
@@ -511,9 +562,8 @@ def test_unknown_route_exits_2(tmp_path, capsys):
     assert not (out / "certificate-nf.json").exists()
 
 
-def test_scipy_is_loaded_only_by_the_adapted_norm(tmp_path):
-    # scipy's import costs more than the rest of a CLI process; only the nilpotent
-    # certificate's real Schur form needs it
+def test_no_builtin_command_loads_scipy(tmp_path):
+    # scipy's import costs more than the rest of a CLI process
     probe = """
 import contextlib, io, sys
 from liestab import cli
@@ -529,7 +579,7 @@ for argv in (["check", "--builtin", "example-4.1"], ["simulate", "--builtin", "e
     done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines() == ["import False", "check 0 False", "simulate 0 False",
-                                        "deadbeat 0 False", "certify 0 True"]
+                                        "deadbeat 0 False", "certify 0 False"]
 
 
 def cutoff_scenario(**family_keys) -> dict:

@@ -436,6 +436,16 @@ def test_series_majorant():
     assert sys61.series_majorant(r) == pytest.approx(expected_family)
     with pytest.raises(ValueError):
         sys61.series_majorant(-1.0)
+    # a word written into both slots adds |c_1| + |c_2| times its norm to the slot-sum
+    # state norm; with ||c||_2 the majorant read 5.94 below the word part's 8.0
+    two = WordSeriesSystem(heisenberg(), 2, 1, 0.3 * np.eye(6),
+                           terms=[Term(Word((("X", 1), ("W", 1))), np.array([1.0, 1.0]))])
+    X = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    W = np.array([0.0, 2.0, 0.0])
+    word_part = two.state_norm(two.evaluate(X, W) - two.A @ X)
+    assert word_part == 8.0
+    majorant = two.series_majorant(2.0)
+    assert majorant == pytest.approx(2.0 * two.mu() * 4.0) and majorant >= word_part
 
 
 def test_simulate_decay_and_zero():

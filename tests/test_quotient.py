@@ -199,14 +199,16 @@ def test_adapted_norm_random_matrices():
 
 
 def test_adapted_norm_past_the_float_range_is_a_named_error():
-    # a dense 54 x 54 map needs a damping delta ** b past the float range: the
-    # scaled matrix used to turn inf/NaN, and the SVD died with "SVD did not converge"
-    A = np.random.default_rng(0).standard_normal((54, 54))
-    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    # the Stein sum holds kappa^2, about 1e600 here: it leaves the float range
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeError, match="adapted-norm scaling did not converge"):
-            adapted_norm(A, 0.025)
+            adapted_norm(np.array([[0.5, 1e300], [0.0, 0.5]]), 0.025)
+    # a dense 54 x 54 map whose Schur damping needed a delta ** b past the float range
+    A = np.random.default_rng(0).standard_normal((54, 54))
+    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    an = adapted_norm(A, 0.025)
+    assert an.operator_norm(A) < an.spectral_radius + 0.025
 
 
 def test_word_identity_nilpotent_chain():

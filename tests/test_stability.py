@@ -260,6 +260,11 @@ def test_forcing_gain_structure():
     cmax = max(np.linalg.norm(t.coeff) for t in sys_.all_terms() if t.word.length == 2)
     expected = cmax * mu * (math.comb(2, 2) * sys_.n ** 2 * alpha_prev ** 2 * M)
     assert got == pytest.approx(expected)
+    # a coefficient vector enters by its 1-norm, since the state norm sums the slot norms
+    two = WordSeriesSystem(heisenberg(), 2, 1, 0.3 * np.eye(6),
+                           terms=[Term(Word((("X", 1), ("X", 2))), np.array([1.0, -1.0]))])
+    got = forcing_gain(two, 2, M=M, alpha_prev=alpha_prev, beta=0.0, s=2.0, lambda_prev=0.4)
+    assert got == pytest.approx(2.0 * two.mu() * two.n ** 2 * alpha_prev ** 2 * M)
 
 
 def reference_rate_maximum(lambda_prev, s, level):

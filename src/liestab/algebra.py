@@ -6,13 +6,16 @@ An algebra of dimension d is stored as a read-only rank-3 tensor C with
 first being ``ad_many``).  Elements are coordinate vectors of length d.
 Subspaces are column spans.  The module provides span-of-brackets machinery,
 the derived and lower central series, the solvable/nilpotent predicates
-(cached per algebra), and a bound mu with ||[x, y]|| <= mu ||x|| ||y||.
+(cached per algebra), and a proven bound mu with ||[x, y]|| <= mu ||x|| ||y||, the
+least of three closed forms (two unfoldings of C and, given a matrix realization,
+its Gram matrix with the sqrt 2 commutator bound); see ``bracket_constant``.
 Each catalog algebra is a matrix realization whose constants are read off
 its commutators (``realized_algebra``), so no bracket is stated twice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -22,6 +25,7 @@ import numpy as np
 JACOBI_TOL = 1e-12
 REP_TOL = 1e-10
 RANK_TOL = 1e-10  # relative singular-value cutoff for all span/rank decisions
+MU_GUARD = 1e-12  # relative rounding guard of bracket_constant
 
 
 class DimensionMismatch(ValueError):
@@ -348,41 +352,38 @@ def is_nilpotent(alg: LieAlgebra, start: Optional[Subspace] = None):
 
 
 def bracket_constant(alg: LieAlgebra) -> float:
-    """Constant mu with ||[x, y]|| <= mu ||x|| ||y|| in coordinate Euclidean norm.
+    """Proven constant mu with ||[x, y]|| <= mu ||x|| ||y|| in coordinate Euclidean norm.
 
-    The supremum of ||[x, y]|| / (||x|| ||y||) over 2000 seeded random unit
-    pairs, sharpened by up to 60 steps of alternating singular-vector ascent,
-    then inflated by 5%: a numerical estimate, not a proven bound.
+    mu is the least of three closed-form bounds, each valid for the stored C:
+    * ||C_(1)||_2, C_(1) = C as a (d, d*d) matrix: [x, y] is y times sum_i x_i C[i],
+      whose 2-norm is at most its Frobenius norm ||x C_(1)||.
+    * ||C_(3)||_2 / sqrt 2 + ||S||_F, C_(3) the mode-3 unfolding (row k is C[:, :, k])
+      and S = (C + C^T) / 2 the part symmetric in (i, j), below JACOBI_TOL an entry.
+      The rest of C sees only (x y^T - y x^T) / 2, of Frobenius norm <= ||x|| ||y|| / sqrt 2.
+    * Given a realization R x = sum_i x_i R_i by m x m matrices, (sqrt 2 lam_max +
+      d m rep_residual()) / sqrt(lam_min), lam the extreme eigenvalues of the Gram
+      matrix <R_i, R_j>_F: R [x, y] is [R x, R y] up to a defect of Frobenius norm at
+      most d m rep_residual() ||x|| ||y||, ||[X, Y]||_F <= sqrt 2 ||X||_F ||Y||_F
+      (Boettcher and Wenzel, Linear Algebra Appl. 429 (2008)), and lam_min ||x||^2 <=
+      ||R x||_F^2 <= lam_max ||x||^2.  Dropped when lam_min is not above the guard.
+    Each 2-norm is the root of the top eigenvalue of a d x d Gram matrix; forming it and
+    its eigenvalues err by a few d^2 unit roundoffs of the largest eigenvalue, below
+    1e-12 for d <= 100.  So one relative guard MU_GUARD = 1e-12 covers rounding: lam_min
+    is lowered by MU_GUARD lam_max, and the least bound is raised by 1 + MU_GUARD.
     """
-    d = alg.dim
-    if d == 0 or np.max(np.abs(alg.C)) == 0.0:
+    d, C = alg.dim, alg.C
+    if d == 0:
         return 0.0
-    rng = np.random.default_rng(0)
-    xs = rng.standard_normal((2000, d))
-    ys = rng.standard_normal((2000, d))
-    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
-    rows = max(1, (1 << 20) // (d * d))  # chunks of at most 2^20 entries of X C2 (8 MB)
-    vals = np.concatenate([np.linalg.norm(alg.bracket_many(xs[i:i + rows], ys[i:i + rows]), axis=1)
-                           for i in range(0, 2000, rows)])
-    best = float(np.max(vals))
-    x = xs[int(np.argmax(vals))].copy()
-    y = ys[int(np.argmax(vals))].copy()
-    # alternating ascent: for fixed x the map y -> [x, y] is linear, so the
-    # maximizing y is the top right-singular vector, and symmetrically for x
-    for _ in range(60):
-        mx = alg.ad(x)
-        _, s, vt = np.linalg.svd(mx)
-        y = vt[0]
-        ny = alg.bracket_many(np.eye(d), y).T  # columns: [e_i, y]
-        _, s2, vt2 = np.linalg.svd(ny)
-        x = vt2[0]
-        cur = float(np.linalg.norm(alg.bracket(x, y)))
-        if cur <= best * (1 + 1e-12):
-            best = max(best, cur)
-            break
-        best = cur
-    return 1.05 * best
+    top = lambda U: math.sqrt(np.linalg.eigvalsh(U @ U.T)[-1])  # ||U||_2
+    bounds = [top(C.reshape(d, d * d)), top(C.transpose(2, 0, 1).reshape(d, d * d)) / math.sqrt(2.0)
+              + float(np.linalg.norm(C + C.transpose(1, 0, 2))) / 2.0]
+    if alg.matrix_rep is not None:
+        flat = alg.matrix_rep.reshape(d, -1)
+        lam = np.linalg.eigvalsh(flat @ flat.T)
+        if lam[0] > MU_GUARD * lam[-1]:
+            defect = d * alg.matrix_rep.shape[1] * alg.rep_residual()
+            bounds.append((math.sqrt(2.0) * lam[-1] + defect) / math.sqrt(lam[0] - MU_GUARD * lam[-1]))
+    return float(min(bounds)) * (1.0 + MU_GUARD)
 
 
 # -- JSON interchange -------------------------------------------------------

@@ -8,8 +8,9 @@ certificate for the scenario's route), simulate, reproduce (canonical run of
 a builtin), deadbeat (finite-time horizon plus verification).
 
 Exit codes: 0 pass, 1 hypothesis/certificate failure (an inconsistent
-certificate included), 2 input error (a negative seed, or an output directory
-that cannot be made, included), 3 numeric divergence or overflow.
+certificate included), 2 input error (a negative seed, an --epsilon that is
+not positive and finite, or an output directory that cannot be made,
+included), 3 numeric divergence or overflow.
 A certificate that does not exit 0 prints one [FAIL] line.
 Identical configuration and seed produce byte-identical output files.
 """
@@ -67,7 +68,7 @@ def cmd_check(sc: Scenario, outdir: Path, seed: int) -> int:
     jac = sys_.jacobian_report()
     ok = bool(np.isfinite(majorant)) and eq["ok"] and inv["ok"] and jac["ok"]
     report = {"scenario": sc.name, "seed": seed, "ok": ok,
-              "majorant": {"radius": max(sc.M, sys_.radius), "value": majorant,
+              "majorant": {"radius": max(sc.M, sys_.radius), "value": majorant, "mu": sys_.mu(),
                            "finite": bool(np.isfinite(majorant))},
               "equilibrium": {k: v for k, v in eq.items() if k != "violations"}
               | {"violation_count": len(eq["violations"])},
@@ -181,8 +182,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.epsilon is not None and not np.isfinite(args.epsilon):
-            raise ScenarioError(f"--epsilon must be finite, got {args.epsilon}")
+        if args.epsilon is not None and not 0 < args.epsilon < np.inf:  # NaN fails too
+            raise ScenarioError(f"--epsilon must be {'positive' if args.epsilon <= 0 else 'finite'}, "
+                                f"got {args.epsilon}")
         if args.seed < 0:
             raise ScenarioError(f"--seed must be nonnegative, got {args.seed}")
         sc = _load(args)

@@ -101,6 +101,7 @@ def power_envelope_constant(A: np.ndarray, rate: float, block: int) -> float:
 @dataclass
 class NilpotentCertificate:
     nilindex: int
+    mu: float
     beta: float
     s: float
     rho_A: float
@@ -126,42 +127,35 @@ def forcing_gain(sys: WordSeriesSystem, level: int, M: float, alpha_prev: float,
                  beta: float, s: float, lambda_prev: float) -> float:
     """Explicit gain gamma_i bounding the level-i forcing by gamma_i lambda_i^k ||Xbar_i[0]||.
 
-    gamma_i sums, over word lengths l = 2..i, the largest coefficient 1-norm
-    at that length (the state norm sums the slot norms) times mu^{l-1} ||P.T||^l
-    times the letter-count combinatorics
-    sum_q C(l, q) n^q r^{l-q} alpha_{i-1}^q M^{q-1} beta^{l-q}; ||P.T|| = 1
-    because the embeddings P.T have orthonormal columns.  Level 1 has no forcing.
+    gamma_i sums, over the system's own words w of length 2 <= l <= i (terms with the same
+    word merged, their coefficient vectors added first), ||c_w||_1 mu^{l-1} alpha_{i-1}^q
+    M^{q-1} beta^{l-q}, q the word's state-letter count: each state letter is at most
+    alpha_{i-1} lambda_{i-1}^k ||X[0]||, with ||X[0]|| <= M in all but one, each input
+    letter beta s^k, the embeddings P.T have orthonormal columns, and c_w enters by its
+    1-norm since the state norm sums the slot norms.  A word with no state letter (which
+    certify_nilpotent refuses) makes the gain infinite unless beta = 0.  Level 1 has no forcing.
     The rate lambda_{i-1} s^{i-1} must be the largest lambda_{i-1}^q s^{l-q} over
     l <= i, q <= l; with s >= 1 each term is monotone in q, so the one rival is
     lambda_{i-1}^i, and CertificateRejected carries its excess when it wins.
     """
     if level < 2:
         return 0.0
-    mu = sys.mu()
-    max_by_len = {}
-    for t in sys.all_terms():
-        l = t.word.length
-        max_by_len[l] = max(max_by_len.get(l, 0.0), float(np.abs(t.coeff).sum()))
     # the rate maximization over (l, q) must be solved by l = level, q = 1
     attained = lambda_prev * _pow(s, level - 1)
     rival = _pow(lambda_prev, level)
     if rival > attained * (1 + 1e-12):
         raise CertificateRejected(f"level {level}: forcing-rate maximum not attained at (l, q) = (level, 1)",
                                   margin=rival - attained)
-    total = 0.0
-    n, r = sys.n, sys.r
-    try:
-        for l in range(2, level + 1):
-            cmax = max_by_len.get(l, 0.0)
-            if cmax == 0.0:
-                continue
-            inner = 0.0
-            for q in range(1, l + 1):
-                inner += math.comb(l, q) * n ** q * r ** (l - q) * alpha_prev ** q \
-                    * M ** (q - 1) * beta ** (l - q)
-            total += cmax * mu ** (l - 1) * inner
-    except OverflowError:  # a power past the float range: the gain saturates
-        return math.inf
+    words = {}
+    for t in sys.all_terms():
+        if t.word.length <= level:
+            words[t.word] = words.get(t.word, 0.0) + t.coeff
+    mu, total = sys.mu(), 0.0
+    for word, coeff in words.items():
+        l, q = word.length, word.state_letter_count
+        factors = (float(np.abs(coeff).sum()), _pow(mu, l - 1), _pow(alpha_prev, q),
+                   _pow(M, q - 1) if q else math.inf, _pow(beta, l - q))
+        total += math.prod(factors) if all(factors) else 0.0  # a zero factor beats an overflow
     return total
 
 
@@ -245,7 +239,7 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
             f"final rate lambda_p = {lambda_levels[-1]:.6g} >= 1 for epsilon = {epsilon:.6g}; "
             "shrink epsilon below the threshold margin")
     return NilpotentCertificate(
-        nilindex=p, beta=beta, s=s, rho_A=rho_A, threshold=threshold,
+        nilindex=p, mu=sys.mu(), beta=beta, s=s, rho_A=rho_A, threshold=threshold,
         epsilon=float(epsilon), Lambda=Lambda, Lambda_levels=Lambda_levels,
         lambda_levels=lambda_levels, sigma_levels=sigma_levels,
         gamma_levels=gamma_levels, alpha_levels=alpha_levels, M=float(M),
@@ -449,11 +443,11 @@ def deadbeat_envelope(sys: WordSeriesSystem, cert: DeadbeatCertificate,
                       fresh_runs: int = 100) -> EnvelopeFit:
     """Exponential envelope implied by deadbeat convergence on a compact set.
 
-    alpha is the max of ||X[k]|| / (decay^k ||X[0]||) over sampled runs with
-    ||X[0]|| <= M and k below the horizon, floored at 1, then re-verified on
-    fresh samples (slack 1e-9).  Each sample draws its initial direction, its
-    scale in [0.1, 1] and its signal in that order; the samples of each set are
-    simulated together as one batch.
+    alpha is a sampled estimate, not a proven bound (``details["alpha_kind"]``):
+    the max of ||X[k]|| / (decay^k ||X[0]||) over sampled runs with ||X[0]|| <= M
+    and k below the horizon, floored at 1, then re-verified on fresh samples
+    (slack 1e-9).  Each sample draws its initial direction, its scale in [0.1, 1]
+    and its signal in that order; the samples of each set are simulated together.
     """
     if not (0.0 <= decay < 1.0):
         raise ValueError("decay must lie in [0, 1)")
@@ -481,4 +475,5 @@ def deadbeat_envelope(sys: WordSeriesSystem, cert: DeadbeatCertificate,
     if not ok:
         alpha = max(alpha, fresh)
     return EnvelopeFit(alpha=float(alpha), decay=float(decay), satisfied=True,
-                       details={"verified_on_fresh_samples": bool(ok), "M": M})
+                       details={"verified_on_fresh_samples": bool(ok), "M": M,
+                                "alpha_kind": "sampled-estimate"})

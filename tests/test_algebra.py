@@ -157,6 +157,59 @@ def test_bracket_constant_kinds():
     assert bracket_constant(abelian(3)) == 0.0
 
 
+def sampled_bracket_sup(alg) -> float:
+    """Largest ||[x, y]|| over 2000 seeded random unit pairs, sharpened by up to 60 steps of
+    alternating singular-vector ascent: a lower estimate of the best mu, never above it."""
+    d = alg.dim
+    if d == 0 or np.max(np.abs(alg.C)) == 0.0:
+        return 0.0
+    rng = np.random.default_rng(0)
+    xs = rng.standard_normal((2000, d))
+    ys = rng.standard_normal((2000, d))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+    vals = np.linalg.norm(alg.bracket_many(xs, ys), axis=1)
+    best = float(np.max(vals))
+    x, y = xs[int(np.argmax(vals))], ys[int(np.argmax(vals))]
+    # for fixed x the map y -> [x, y] is linear, so the best y is its top right-singular
+    # vector, and symmetrically for x
+    for _ in range(60):
+        y = np.linalg.svd(alg.ad(x))[2][0]
+        x = np.linalg.svd(alg.bracket_many(np.eye(d), y).T)[2][0]  # columns: [e_i, y]
+        cur = float(np.linalg.norm(alg.bracket(x, y)))
+        if cur <= best * (1 + 1e-12):
+            return max(best, cur)
+        best = cur
+    return best
+
+
+def test_bracket_constant_is_above_the_sampled_supremum():
+    algebras = list(catalog_algebras().values()) + [nilpotent_upper(m) for m in range(3, 13)]
+    for alg in algebras:
+        assert sampled_bracket_sup(alg) <= bracket_constant(alg), alg.name
+
+
+def test_bracket_constant_pinned_values():
+    guard = algebra_module.MU_GUARD
+    expected = {"heisenberg": 1.0, "sl2": 2.0, "upper-triangular-6": np.sqrt(2.0), "abelian-3": 0.0}
+    expected |= {f"nilpotent-upper-{m}": np.sqrt(2.0) for m in range(4, 13)}
+    algebras = list(catalog_algebras().values()) + [nilpotent_upper(m) for m in range(4, 13)]
+    for alg in algebras:
+        want = expected[alg.name]
+        assert want <= bracket_constant(alg) <= want * (1 + 2 * guard), alg.name
+
+
+def test_bracket_constant_covers_the_representation_defect():
+    # a realization shrunk by 1e-11 passes the rep_residual check; without its defect term
+    # the Gram bound would be sqrt 2 (1 - 1e-11), below ||[t4, (t1 - t2) / sqrt 2]|| = sqrt 2
+    ut = upper_triangular6()
+    alg = LieAlgebra(ut.C, labels=ut.labels, matrix_rep=(1 - 1e-11) * ut.matrix_rep)
+    assert 0 < alg.rep_residual() <= algebra_module.REP_TOL
+    x, y = alg.element(t4=1.0), alg.element(t1=1.0, t2=-1.0) / np.sqrt(2.0)
+    assert np.linalg.norm(alg.bracket(x, y)) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert np.linalg.norm(alg.bracket(x, y)) <= bracket_constant(alg)
+
+
 def test_bracket_constant_bounds_hold():
     rng = np.random.default_rng(2)
     for name, alg in catalog_algebras().items():

@@ -114,13 +114,14 @@ def test_overflow_exits_3(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "[FAIL] simulation diverged at step 1024"
     traj = json.loads((out / "trajectory-example-4.1.json").read_text())
     assert traj["diverged"] and traj["first_bad_index"] == 1024
-    # an envelope constant past the float range is a numeric overflow, not a certificate
+    # an envelope constant past the float range is a numeric overflow, not a certificate:
+    # the word's two state letters put M = 1e308 into the gain
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({
-        "name": "huge", "algebra": "heisenberg", "n": 1, "r": 1,
-        "A": (0.1 * np.eye(3)).tolist(), "terms": [{"letters": ["X1", "W1"], "coeff": [4.0]}],
+        "name": "huge", "algebra": "heisenberg", "n": 2, "r": 1,
+        "A": (0.1 * np.eye(6)).tolist(), "terms": [{"letters": ["X1", "X2"], "coeff": [4.0, 0.0]}],
         "signal": {"kind": "geometric", "base": [1.0, 2.0, 3.0], "ratio": 1.0},
-        "x0": [1.0, 0.0, 0.0], "M": 1e308, "route": "nilpotent"}))
+        "x0": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], "M": 1e308, "route": "nilpotent"}))
     assert run(["certify", "--scenario", str(huge), "--out", str(out)]) == 3
     cert = json.loads((out / "certificate-huge.json").read_text())
     assert cert["verdict"] == "overflow" and not cert["consistent"]
@@ -184,6 +185,8 @@ def test_certify_solvable_hypothesis_warning_fails(tmp_path, capsys):
     ("1e300", 1, "[FAIL] certificate rejected: level 2: forcing-rate maximum not attained"),
     ("nan", 2, "input error: --epsilon must be finite, got nan"),
     ("inf", 2, "input error: --epsilon must be finite, got inf"),
+    ("0", 2, "input error: --epsilon must be positive, got 0.0"),
+    ("-1", 2, "input error: --epsilon must be positive, got -1.0"),
     ("1", 1, "[FAIL] "),
     # rho_1 + epsilon / 3 rounds to rho_1
     ("1e-17", 1, "[FAIL] certificate rejected: level 1: rho_1 + 1/3 epsilon rounds to rho_1 = 0.353553 "
@@ -193,13 +196,22 @@ def test_certify_solvable_hypothesis_warning_fails(tmp_path, capsys):
 ])
 def test_certify_epsilon_ends_in_one_line(tmp_path, capsys, epsilon, code, line):
     # before: RuntimeError (3), OverflowError from Python float powers (10, 1e300), LinAlgError (nan),
-    # ValueError from power_envelope_constant (1e-17, 1e-300)
+    # ValueError from power_envelope_constant (1e-17, 1e-300), a hypothesis error (0, -1)
     out = tmp_path / "out"
     assert run(["certify", "--builtin", "example-4.1", f"--epsilon={epsilon}", "--out", str(out)]) == code
     captured = capsys.readouterr()
     lines = (captured.out + captured.err).splitlines()
     assert len(lines) == 1 and lines[0].startswith(line)
     assert (out / "certificate-example-4.1.json").exists() == (code == 1)
+
+
+def test_outputs_name_their_bracket_constant(tmp_path):
+    out = tmp_path / "out"
+    mu = builtin_scenario("example-4.1").system.mu()
+    assert run(["check", "--builtin", "example-4.1", "--out", str(out)]) == 0
+    assert run(["certify", "--builtin", "example-4.1", "--out", str(out)]) == 0
+    assert json.loads((out / "check-example-4.1.json").read_text())["majorant"]["mu"] == mu
+    assert json.loads((out / "certificate-example-4.1.json").read_text())["mu"] == mu
 
 
 def test_certify_chain_past_the_adapted_norm_range_is_rejected(tmp_path, capsys):
@@ -594,7 +606,8 @@ def cutoff_scenario(**family_keys) -> dict:
 
 
 def test_family_cutoff_key_cannot_shorten_the_certified_words(tmp_path):
-    # "cutoff": 1 once dropped the length-3 words and issued gamma_3 = 467, alpha = 7473
+    # "cutoff": 1 once dropped the length-3 words; under the per-word gain that issues
+    # gamma_3 = 13.63, alpha = 219.2
     certs = []
     for keys in ({}, {"cutoff": 1}, {"tol": 10.0}):
         path = tmp_path / "cut.json"
@@ -602,8 +615,8 @@ def test_family_cutoff_key_cannot_shorten_the_certified_words(tmp_path):
         assert run(["certify", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
         certs.append(json.loads((tmp_path / "out" / "certificate-cut.json").read_text()))
     exact = certs[0]
-    assert exact["gamma_levels"][2] == pytest.approx(6265.86, rel=1e-5)
-    assert exact["alpha"] == pytest.approx(1.0025e5, rel=1e-4)
+    assert exact["gamma_levels"][2] == pytest.approx(24.2399, rel=1e-5)
+    assert exact["alpha"] == pytest.approx(388.839, rel=1e-5)
     for cert in certs[1:]:
         assert cert["gamma_levels"] == exact["gamma_levels"] and cert["alpha"] == exact["alpha"]
 
@@ -702,7 +715,7 @@ def non_jacobi_scenarios(draw):
 
 # no flag half the time; the other values are valid, out of range, or below rounding
 FLAGS = st.tuples(st.sampled_from([None] * 5 + [0, 7, -1, MAX_HORIZON + 1, 10 ** 30]),
-                  st.sampled_from([None] * 5 + [0.05, 3.0, 1e-17, 1e-300, float("nan")]),
+                  st.sampled_from([None] * 5 + [0.05, 3.0, 1e-17, 1e-300, float("nan"), 0.0, -0.05]),
                   st.sampled_from([None] * 3 + [0, 3, -1]))
 
 
@@ -710,12 +723,16 @@ FLAGS = st.tuples(st.sampled_from([None] * 5 + [0, 7, -1, MAX_HORIZON + 1, 10 **
 @given(st.one_of(random_scenarios(), malformed_scenarios(), non_jacobi_scenarios()), FLAGS)
 def test_random_scenarios_end_in_an_exit_code(data, flags):
     horizon, epsilon, seed = flags
+    # the flags are checked before the scenario loads: --epsilon, then --seed
     broken = ("--epsilon must be finite" if epsilon is not None and np.isnan(epsilon)
+              else "--epsilon must be positive" if epsilon is not None and epsilon <= 0
               else "--seed must be nonnegative" if seed == -1 else "Jacobi identity violated")
     options = [f"--horizon={horizon}"] * (horizon is not None) + [f"--epsilon={epsilon}"] * (epsilon is not None)
     options += [f"--seed={seed}"] * (seed is not None)
-    # a negative ball radius or seed is an input error whatever else the scenario holds
+    # a negative ball radius or seed, or an --epsilon that is not positive, is an input error
+    # whatever else the scenario holds
     refused = seed == -1 or any(type(data.get(key)) is float and data[key] < 0 for key in ("M", "radius"))
+    refused |= epsilon is not None and not epsilon > 0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "prop.json"
         path.write_text(json.dumps(data))

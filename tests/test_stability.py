@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from liestab.algebra import LieAlgebra, abelian, heisenberg, nilpotent_upper
+from liestab.algebra import LieAlgebra, abelian, bracket_constant, heisenberg, nilpotent_upper
 from liestab.dynamics import ExoSignal, Term, Trajectory, Word, WordSeriesSystem
 from liestab.sampling import heisenberg_tracking_system, tracking_signal, tracking_state
-from liestab.scenarios import (builtin_scenario, ex61_signal, ex61_system,
+from liestab.scenarios import (BUILTINS, builtin_scenario, ex61_signal, ex61_system,
                                heisenberg_deadbeat_system, ideal_valued_samples,
                                uptri_deadbeat_system)
 from liestab.quotient import adapted_norm, bracket_word, induced_map
@@ -253,18 +253,82 @@ def test_forcing_gain_structure():
     assert forcing_gain(sys_, 1, M=6.0, alpha_prev=1.0, beta=1.0, s=2.0,
                         lambda_prev=0.4) == 0.0
     mu = sys_.mu()
-    # with beta = 0 only the all-state assignments survive
+    # each word counts once, with its own state-letter count q: 0.5 [X2, X1] has q = 2 and
+    # -1.5 [X2, W1] has q = 1, so with beta = 0 only the first survives
     alpha_prev, M = 1.7, 6.0
     got = forcing_gain(sys_, 2, M=M, alpha_prev=alpha_prev, beta=0.0, s=2.0,
                        lambda_prev=0.4)
-    cmax = max(np.linalg.norm(t.coeff) for t in sys_.all_terms() if t.word.length == 2)
-    expected = cmax * mu * (math.comb(2, 2) * sys_.n ** 2 * alpha_prev ** 2 * M)
-    assert got == pytest.approx(expected)
+    assert got == pytest.approx(0.5 * mu * alpha_prev ** 2 * M)
+    got = forcing_gain(sys_, 2, M=M, alpha_prev=alpha_prev, beta=3.0, s=2.0, lambda_prev=0.4)
+    assert got == pytest.approx(0.5 * mu * alpha_prev ** 2 * M + 1.5 * mu * alpha_prev * 3.0)
     # a coefficient vector enters by its 1-norm, since the state norm sums the slot norms
     two = WordSeriesSystem(heisenberg(), 2, 1, 0.3 * np.eye(6),
                            terms=[Term(Word((("X", 1), ("X", 2))), np.array([1.0, -1.0]))])
     got = forcing_gain(two, 2, M=M, alpha_prev=alpha_prev, beta=0.0, s=2.0, lambda_prev=0.4)
-    assert got == pytest.approx(2.0 * two.mu() * two.n ** 2 * alpha_prev ** 2 * M)
+    assert got == pytest.approx(2.0 * two.mu() * alpha_prev ** 2 * M)
+
+
+def test_forcing_gain_merges_repeated_words():
+    # 5 [X1, W1] as one term or as five terms of coefficient 1 is the same map; the
+    # letter-pattern count gave 15.75 and 3.15, the second below the 5 mu the word needs
+    alg = heisenberg()
+    word = Word((("X", 1), ("W", 1)))
+    gains = [forcing_gain(WordSeriesSystem(alg, 1, 1, 0.5 * np.eye(3), terms=terms), 2,
+                          M=1.0, alpha_prev=1.0, beta=1.0, s=1.0, lambda_prev=1.0)
+             for terms in ([Term(word, np.array([5.0]))], [Term(word, np.array([1.0]))] * 5)]
+    assert gains[0] == gains[1] == pytest.approx(5.0 * bracket_constant(alg))
+    # coefficient vectors are added before their 1-norm is taken: these two cancel
+    cancel = WordSeriesSystem(alg, 2, 1, 0.5 * np.eye(6),
+                              terms=[Term(word, np.array([1.0, -2.0])), Term(word, np.array([-1.0, 2.0]))])
+    assert forcing_gain(cancel, 2, M=1.0, alpha_prev=1.0, beta=1.0, s=1.0, lambda_prev=1.0) == 0.0
+
+
+def test_forcing_gain_of_a_word_without_a_state_letter():
+    # [W1, W2] does not scale with ||X[0]||, so no finite gain bounds it unless it vanishes
+    sys_ = WordSeriesSystem(heisenberg(), 1, 2, 0.5 * np.eye(3),
+                            terms=[Term(Word((("W", 1), ("W", 2))), np.array([1.0]))])
+    for M in (0.0, 1.0):
+        assert forcing_gain(sys_, 2, M, alpha_prev=1.0, beta=1.0, s=1.0, lambda_prev=0.5) == math.inf
+        assert forcing_gain(sys_, 2, M, alpha_prev=1.0, beta=0.0, s=1.0, lambda_prev=0.5) == 0.0
+
+
+def reference_forcing_gain(sys_, level, M, alpha_prev, beta):
+    """The gain as a letter-pattern count: at each word length l, the largest coefficient
+    1-norm times all C(l, q) n^q r^(l-q) patterns of l letters, q of them state letters."""
+    max_by_len = {}
+    for t in sys_.all_terms():
+        l = t.word.length
+        max_by_len[l] = max(max_by_len.get(l, 0.0), float(np.abs(t.coeff).sum()))
+    return sum(cmax * sys_.mu() ** (l - 1)
+               * sum(math.comb(l, q) * sys_.n ** q * sys_.r ** (l - q) * alpha_prev ** q
+                     * M ** (q - 1) * beta ** (l - q) for q in range(1, l + 1))
+               for l, cmax in max_by_len.items() if 2 <= l <= level)
+
+
+def test_forcing_gain_is_at_most_the_letter_pattern_count():
+    # with no repeated word, each word is one of the patterns the count covers; example-6.1
+    # has families on a solvable algebra, whose series never ends, so it has no gain
+    systems = [builtin_scenario(name).system for name in BUILTINS if name != "example-6.1"]
+    systems += [sweep_system(m)[0] for m in (4, 6, 8, 10)]
+    for sys_ in systems:
+        words = [t.word for t in sys_.all_terms()]
+        assert len(set(words)) == len(words), sys_.name
+        for level in range(2, sys_.nilindex + 1):
+            for M, alpha_prev, beta in [(1.0, 1.0, 1.0), (6.0, 1.7, 0.0), (0.5, 3.0, 2.0)]:
+                got = forcing_gain(sys_, level, M, alpha_prev, beta, s=1.0, lambda_prev=0.5)
+                assert got <= reference_forcing_gain(sys_, level, M, alpha_prev, beta) * (1 + 1e-12)
+
+
+def test_sweep_certificate_at_d45_is_finite():
+    # the benchmark's sweep system at m = 10: its 64 samples drawn from default_rng([0, 10])
+    # after a 45-entry initial state; the letter-pattern count made alpha inf here
+    sys_, _ = sweep_system(10)
+    rng = np.random.default_rng([0, 10])
+    rng.standard_normal(sys_.d)
+    signal = ExoSignal("samples", 1, sys_.d, samples=0.05 * rng.uniform(-1.0, 1.0, (64, sys_.d)))
+    cert = certify_nilpotent(sys_, signal, M=1.0)
+    assert cert.consistent and math.isfinite(cert.alpha)
+    assert cert.mu == sys_.mu() == bracket_constant(sys_.algebra)
 
 
 def reference_rate_maximum(lambda_prev, s, level):
@@ -324,11 +388,12 @@ def test_certify_nilpotent_needs_a_nonnegative_M(M):
 
 
 def test_certificate_overflow_is_inconsistent_not_an_error():
-    # nilpotent_upper(4) with M = 1e200: M^2 in the level-3 gain leaves the float range
+    # nilpotent_upper(4), two state slots, M = 1e200: the all-state word [X1, [X2, X1]]
+    # puts M^2 in the level-3 gain, past the float range
     alg = nilpotent_upper(4)
-    terms = [Term(Word((("X", 1), ("W", 1))), np.array([0.1])),
-             Term(Word((("X", 1), ("X", 1), ("W", 1))), np.array([-0.05]))]
-    sys_ = WordSeriesSystem(alg, 1, 1, 0.5 * np.eye(alg.dim), terms=terms)
+    terms = [Term(Word((("X", 1), ("W", 1))), np.array([0.1, 0.0])),
+             Term(Word((("X", 1), ("X", 2), ("X", 1))), np.array([-0.05, 0.0]))]
+    sys_ = WordSeriesSystem(alg, 2, 1, 0.5 * np.eye(2 * alg.dim), terms=terms)
     signal = ExoSignal("samples", 1, alg.dim, samples=0.05 * np.ones((4, alg.dim)))
     assert forcing_gain(sys_, 3, M=1e200, alpha_prev=2.0, beta=0.1, s=1.0,
                         lambda_prev=0.6) == math.inf
@@ -512,6 +577,14 @@ def test_deadbeat_envelope():
     assert env.satisfied and np.isfinite(env.alpha) and env.alpha >= 1.0
     with pytest.raises(ValueError):
         deadbeat_envelope(sys_, cert, factory, M=10.0, decay=1.0)
+
+
+def test_deadbeat_envelope_names_its_alpha_an_estimate():
+    sys_ = heisenberg_deadbeat_system()
+    cert = deadbeat_horizon(sys_)
+    env = deadbeat_envelope(sys_, cert, lambda rng: ideal_valued_samples(sys_, cert.horizon + 3, rng),
+                            M=1.0, decay=0.5, runs=5, fresh_runs=5)
+    assert env.to_dict()["details"]["alpha_kind"] == "sampled-estimate"
 
 
 def test_envelope_alpha_grows_with_the_sample_set():

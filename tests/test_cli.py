@@ -179,6 +179,22 @@ def test_certify_solvable_hypothesis_warning_fails(tmp_path, capsys):
     assert json.loads((out / "certificate-warn.json").read_text())["verdict"] == "hypothesis-warning"
 
 
+def test_certify_solvable_run_from_the_origin_is_no_evidence(tmp_path, capsys):
+    # no "x0": the scenario starts at the origin, where a run shows no decay
+    path = tmp_path / "origin.json"
+    path.write_text(json.dumps({
+        "name": "origin", "algebra": "upper-triangular-6", "n": 1, "r": 1,
+        "A": (0.5 * np.eye(6)).tolist(), "ideal": "derived", "route": "solvable",
+        "signal": {"kind": "zero"}}))
+    out = tmp_path / "out"
+    assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("[PASS] solvable certificate: conditional-pass-no-evidence\n")
+    rep = json.loads((out / "certificate-origin.json").read_text())
+    assert rep["verdict"] == "conditional-pass-no-evidence"
+    assert rep["evidence"]["initial_norm"] == rep["evidence"]["final_norm"] == 0.0
+    assert "starts at the origin" in rep["notes"][-1]
+
+
 @pytest.mark.parametrize("epsilon,code,line", [
     ("3", 1, "[FAIL] certificate rejected: level 2: forcing-rate maximum not attained"),
     ("10", 1, "[FAIL] certificate rejected: level 2: forcing-rate maximum not attained"),

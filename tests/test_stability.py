@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -126,6 +127,59 @@ def test_power_envelope_constant_saturates_past_the_float_range():
         P = P @ A
         expected = max(expected, reference_block_sum_norm(P, 1) / 7.0 ** k)
     assert power_envelope_constant(A, 7.0, 1) == expected > 7.0
+
+
+def recorded_tails(monkeypatch):
+    """Route ``adapted_norm`` through a recorder: one entry per tail bound taken."""
+    tails = []
+
+    def recording(A, epsilon):
+        tails.append(epsilon)
+        return adapted_norm(A, epsilon)
+
+    monkeypatch.setattr("liestab.stability.adapted_norm", recording)
+    return tails
+
+
+def test_power_envelope_tail_runs_only_without_a_contracting_power(monkeypatch):
+    tails = recorded_tails(monkeypatch)
+    A = np.array([[0.5]])
+    # a ratio of 1 - 1e-8 per power is past the guard: the first power ends the scan
+    assert power_envelope_constant(A, 0.5 / (1 - 1e-8), 1) == 1.0 and tails == []
+    # 1 - 1e-12 lies within the guard, and so does (1 - 1e-12)^500: the scan reaches the tail
+    assert power_envelope_constant(A, 0.5 / (1 - 1e-12), 1) == 1.0 and len(tails) == 1
+    # the Jordan block's ratios rise past 1 and fall below it only after the cap
+    slow = np.array([[0.99, 1.0], [0.0, 0.99]])
+    assert power_envelope_constant(slow, 0.995, 1) > 1.0 and len(tails) == 2
+
+
+def test_power_envelope_constant_is_infinite_over_an_underflowed_rate():
+    # rate^k underflows to 0 near k = 108 while N(B^k) = k 1e-3^(k-1) is still nonzero
+    B = np.array([[1e-3, 1.0], [0.0, 1e-3]])
+    assert power_envelope_constant(B, 1.001e-3, 1) == math.inf
+
+
+def test_power_envelope_constant_is_sound_at_a_narrow_rate_margin(monkeypatch):
+    # at rate = rho + 1e-3 some maps stop late and some reach the tail; 3000 powers keep
+    # rate^k in the normal float range, past which the ratios mean nothing
+    tails = recorded_tails(monkeypatch)
+    rng = np.random.default_rng(1)
+    powers_checked = 3000
+    for slots in (1, 2, 3):
+        for _ in range(10):
+            block = int(rng.integers(1, 4)) if slots > 1 else int(rng.integers(2, 7))
+            n = slots * block
+            A = rng.standard_normal((n, n))
+            A *= 0.8 / spectral_radius(A)
+            rate = spectral_radius(A) + 1e-3
+            assert rate ** powers_checked > np.finfo(float).tiny
+            sigma = power_envelope_constant(A, rate, block)
+            powers = [A]
+            for _ in range(1, powers_checked):
+                powers.append(powers[-1] @ A)
+            k = np.arange(1, powers_checked + 1)
+            assert np.all(block_sum_norm(np.array(powers), block) <= sigma * rate ** k * (1 + 1e-9))
+    assert 0 < len(tails) < 30  # both ends of the scan are exercised
 
 
 def reference_forcing_norms(sys_, states, signal, level):
@@ -319,16 +373,35 @@ def test_forcing_gain_is_at_most_the_letter_pattern_count():
                 assert got <= reference_forcing_gain(sys_, level, M, alpha_prev, beta) * (1 + 1e-12)
 
 
-def test_sweep_certificate_at_d45_is_finite():
-    # the benchmark's sweep system at m = 10: its 64 samples drawn from default_rng([0, 10])
-    # after a 45-entry initial state; the letter-pattern count made alpha inf here
-    sys_, _ = sweep_system(10)
-    rng = np.random.default_rng([0, 10])
+@functools.lru_cache(maxsize=None)
+def bench_sweep_case(m):
+    """The benchmark's sweep system: its 64 samples drawn from default_rng([0, m]) after an
+    initial state of d entries."""
+    sys_, _ = sweep_system(m)
+    rng = np.random.default_rng([0, m])
     rng.standard_normal(sys_.d)
-    signal = ExoSignal("samples", 1, sys_.d, samples=0.05 * rng.uniform(-1.0, 1.0, (64, sys_.d)))
-    cert = certify_nilpotent(sys_, signal, M=1.0)
-    assert cert.consistent and math.isfinite(cert.alpha)
-    assert cert.mu == sys_.mu() == bracket_constant(sys_.algebra)
+    return sys_, ExoSignal("samples", 1, sys_.d, samples=0.05 * rng.uniform(-1.0, 1.0, (64, sys_.d)))
+
+
+def test_sweep_certificate_is_finite_up_to_d66():
+    # d = 45, 55 and 66
+    for m in (10, 11, 12):
+        sys_, signal = bench_sweep_case(m)
+        cert = certify_nilpotent(sys_, signal, M=1.0)
+        assert cert.consistent and math.isfinite(cert.alpha), m
+        assert cert.mu == sys_.mu() == bracket_constant(sys_.algebra)
+
+
+def test_certificates_stop_before_the_stein_tail(monkeypatch):
+    # every level of these certificates has a contracting power within the cap
+    def no_tail(A, epsilon):
+        raise AssertionError("power_envelope_constant reached the adapted-norm tail")
+
+    monkeypatch.setattr("liestab.stability.adapted_norm", no_tail)
+    sc = builtin_scenario("example-4.1")
+    cases = [(sc.system, sc.signal, sc.M)] + [bench_sweep_case(m) + (1.0,) for m in range(4, 13)]
+    for sys_, signal, M in cases:
+        assert certify_nilpotent(sys_, signal, M=M).consistent, sys_.d
 
 
 def reference_rate_maximum(lambda_prev, s, level):

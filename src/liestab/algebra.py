@@ -192,25 +192,26 @@ class LieAlgebra:
                 raise InvalidAlgebra(f"matrix_rep commutators disagree with structure constants ({err:.3e})")
 
     def jacobi_residual(self) -> float:
-        """Max-norm residual of [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
-        d, C = self.dim, self.C
-        step = max(1, (1 << 18) // max(1, d ** 3))  # blocks of i of at most 2^18 entries
-        worst = 0.0
-        for i in range(0, d, step):  # entries [i, j, k, m] of the three terms
-            Ci = C[:, i:i + step].transpose(1, 0, 2)  # [i, l, m] = C[l, i, m]
-            res = (self.ad_many(C[i:i + step]).swapaxes(-1, -2)  # [[e_i, e_j], e_k]
-                   + (C.reshape(d * d, d) @ Ci).reshape(-1, d, d, d)  # [[e_j, e_k], e_i]
-                   + self.ad_many(Ci.swapaxes(0, 1)).transpose(1, 3, 0, 2))  # [[e_k, e_i], e_j]
-            worst = max(worst, float(np.max(np.abs(res))))
-        return worst
+        """Max-norm residual of Jacobi: (ad_[e_i,e_j] - [ad_i, ad_j]) e_k is the cyclic sum
+        [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] once C is antisymmetric, which
+        ``_validate`` therefore checks first."""
+        return self._defect(self.ad_many(np.eye(self.dim)))
 
     def rep_residual(self) -> float:
-        rep, d = self.matrix_rep, self.dim
-        comm = rep[:, None] @ rep[None]  # [i, j] = rep_i rep_j
-        res = (self.C.reshape(d * d, d) @ rep.reshape(d, -1)).reshape(comm.shape)  # [i, j] = sum_k C_ijk rep_k
-        res -= comm  # in place: a fresh temporary per step costs more than the products
-        res += comm.swapaxes(0, 1)
-        return float(np.abs(res, out=res).max())
+        return self._defect(self.matrix_rep)
+
+    def _defect(self, R) -> float:
+        """max |sum_k C_ijk R_k - [R_i, R_j]| over a stack of d square matrices R."""
+        d, m = self.dim, R.shape[-1]
+        step = max(1, (1 << 18) // max(1, d * m * m))  # blocks of i of at most 2^18 entries
+        worst = 0.0
+        for i in range(0, d, step):
+            Ri = R[i:i + step, None]
+            res = (self.C[i:i + step].reshape(-1, d) @ R.reshape(d, -1)).reshape(-1, d, m, m)  # sum_k C_ijk R_k
+            res -= Ri @ R  # in place: a fresh temporary per step costs more than the products
+            res += R @ Ri
+            worst = max(worst, float(np.abs(res, out=res).max()))
+        return worst
 
     # -- basic operations ------------------------------------------------
 
@@ -300,9 +301,10 @@ def subspace_bracket(alg: LieAlgebra, s1: Subspace, s2: Subspace) -> Subspace:
 
 
 def _series(alg: LieAlgebra, start: Subspace, kind: str) -> IdealChain:
-    """Brackets each term with itself (derived) or with ``start`` (lower central), at most 64 times."""
+    """Brackets each term with itself (derived) or with ``start`` (lower central) until the
+    dimension stops falling, so a chain has at most d + 1 terms."""
     chain = [start]
-    while chain[-1].dim and len(chain) <= 64:
+    while chain[-1].dim:
         nxt = subspace_bracket(alg, chain[-1], chain[-1] if kind == "derived-series" else start)
         if nxt.dim == chain[-1].dim:
             break

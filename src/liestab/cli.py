@@ -25,7 +25,7 @@ import numpy as np
 
 from . import stability
 from .algebra import is_nilpotent, is_solvable
-from .scenarios import (BUILTINS, Scenario, ScenarioError, builtin_scenario,
+from .scenarios import (BUILTINS, Scenario, ScenarioError, builtin_scenario, ideal_valued_samples,
                         load_scenario, write_json, write_trajectory_csv, write_trajectory_json)
 
 EXIT_PASS = 0
@@ -165,7 +165,6 @@ def cmd_deadbeat(sc: Scenario, outdir: Path, seed: int) -> int:
                     {"verdict": "hypothesis-error", "reason": str(exc)})
         print(f"[FAIL] {exc}")
         return EXIT_HYPOTHESIS
-    from .scenarios import ideal_valued_samples
     verify = stability.deadbeat_verified(
         sc.system, cert,
         lambda rng: ideal_valued_samples(sc.system, cert.horizon + 3, rng),

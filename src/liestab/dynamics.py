@@ -533,7 +533,8 @@ class WordSeriesSystem:
         axis perturbation activates one).  The quadratic convergence rate of
         the remainder is measured along 8 random joint state/input directions,
         where words of length >= 3 contribute; systems whose series stops at
-        quadratic words are exact there too and report no order.
+        quadratic words are exact there too and report no order.  Errors below
+        1e-12 max(1, ||A||_F) are rounding (of A h / h) and count as zero.
         """
         h_steps = sorted(h_steps, reverse=True)
         nd, rd = self.state_dim, self.r * self.d
@@ -550,8 +551,9 @@ class WordSeriesSystem:
             x_err.append(float(np.linalg.norm(D[:nd].T - self.A)))
             w_err.append(float(np.linalg.norm(D[nd:nd + rd])))
             dir_err.append(float(np.linalg.norm(D[nd + rd:] - lin, axis=1).max(initial=0.0)))
-        axes_ok = max(x_err) < 1e-12 and max(w_err) < 1e-12
-        exact = all(e < 1e-12 for e in dir_err)
+        tol = 1e-12 * max(1.0, float(np.linalg.norm(self.A)))
+        axes_ok = max(x_err) < tol and max(w_err) < tol
+        exact = all(e < tol for e in dir_err)
         order = None
         if not exact:
             logs_h = np.log(np.asarray(h_steps))

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (AlgebraLoadError, algebra_from_dict, catalog_algebras,
+from .algebra import (CATALOG, AlgebraLoadError, algebra_from_dict,
                       derived_algebra, heisenberg, json_field, upper_triangular6)
 from .dynamics import (AdjointFamily, ExoSignal, SystemSpecError, Term, Trajectory,
                        Word, WordSeriesSystem, parse_letter)
@@ -216,11 +216,10 @@ def scenario_from_dict(data: dict) -> Scenario:
                             "1 to 200 ASCII letters, digits, '_', '-' or '.'")
     alg_spec = _require(data, "algebra")
     if isinstance(alg_spec, str):
-        cat = catalog_algebras()
-        if alg_spec not in cat:
+        if alg_spec not in CATALOG:
             raise ScenarioError(f"unknown catalog algebra {alg_spec!r}; "
-                                f"choose from {sorted(cat)} or inline a definition")
-        alg = cat[alg_spec]
+                                f"choose from {sorted(CATALOG)} or inline a definition")
+        alg = CATALOG[alg_spec]()
     elif isinstance(alg_spec, dict):
         try:
             alg = algebra_from_dict(alg_spec)
@@ -329,8 +328,10 @@ def trajectory_columns(sys: WordSeriesSystem) -> list:
     return ["k", *sys.coordinate_names(), "norm"] + [f"qnorm{i}" for i in range(len(sys.projections))]
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def trajectory_rows(traj: Trajectory) -> list:
+    """One row per step, in the order of ``trajectory_columns``."""
+    table = np.column_stack([traj.states, traj.norms, traj.quotient_norms]).tolist()
+    return [[k, *row] for k, row in enumerate(table)]
 
 
 def write_trajectory_csv(path, scenario: Scenario, traj: Trajectory, seed: int) -> None:
@@ -339,10 +340,7 @@ def write_trajectory_csv(path, scenario: Scenario, traj: Trajectory, seed: int) 
              f"# seed={seed} horizon={traj.horizon} diverged={traj.diverged}",
              "# " + ",".join(cols),
              ",".join(cols)]
-    for k in range(traj.states.shape[0]):
-        row = [str(k)] + [_fmt(v) for v in traj.states[k]] + [_fmt(traj.norms[k])]
-        row += [_fmt(v) for v in traj.quotient_norms[k]]
-        lines.append(",".join(row))
+    lines += [",".join(map(repr, row)) for row in trajectory_rows(traj)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -355,9 +353,7 @@ def write_trajectory_json(path, scenario: Scenario, traj: Trajectory, seed: int)
         "diverged": traj.diverged,
         "first_bad_index": traj.first_bad_index,
         "columns": trajectory_columns(scenario.system),
-        "rows": [[k] + [float(v) for v in traj.states[k]] + [float(traj.norms[k])]
-                 + [float(v) for v in traj.quotient_norms[k]]
-                 for k in range(traj.states.shape[0])],
+        "rows": trajectory_rows(traj),
     })
 
 

@@ -349,11 +349,52 @@ def test_rep_residual_matches_einsum_formula():
             LieAlgebra(alg.C, labels=alg.labels, matrix_rep=rep)
 
 
+def cyclic_jacobi_residual(C) -> float:
+    """Max-norm residual of the three-term cyclic Jacobi sum, straight from the definition."""
+    t1 = np.einsum("ijl,lkm->ijkm", C, C)
+    return float(np.max(np.abs(t1 + np.transpose(t1, (1, 2, 0, 3)) + np.transpose(t1, (2, 0, 1, 3)))))
+
+
+def test_jacobi_residual_is_the_cyclic_sum_over_every_block():
+    # d = 28 runs the kernel in blocks of 11, 11 and 6 values of i; scaled by 1e-8, a
+    # random antisymmetric C breaks Jacobi by ~1e-15 and so passes validation
+    rng = np.random.default_rng(13)
+    C = rng.standard_normal((28, 28, 28))
+    C = 1e-8 * (C - C.transpose(1, 0, 2))
+    ref = cyclic_jacobi_residual(C)
+    assert 0 < ref < algebra_module.JACOBI_TOL
+    assert LieAlgebra(C).jacobi_residual() == pytest.approx(ref, rel=1e-12)
+
+
+def test_jacobi_violation_in_the_last_block_is_rejected():
+    # the violating triple of the three-dimensional case, moved onto e26, e27, e28 of an
+    # otherwise abelian algebra: only the last block of i meets it
+    d = 28
+    C = np.zeros((d, d, d))
+    C[d - 3, d - 2, d - 1], C[d - 2, d - 3, d - 1] = 1.0, -1.0
+    C[d - 3, d - 1, d - 3], C[d - 1, d - 3, d - 3] = 1.0, -1.0
+    assert cyclic_jacobi_residual(C) == 1.0
+    with pytest.raises(InvalidAlgebra, match=re.escape("Jacobi identity violated (max residual 1.000e+00)")):
+        LieAlgebra(C)
+
+
+def test_series_run_past_64_terms():
+    # the filiform algebra [e1, e_i] = e_(i+1), i = 2..65, has nilindex 65
+    d = 66
+    C = np.zeros((d, d, d))
+    for i in range(1, d - 1):
+        C[0, i, i + 1], C[i, 0, i + 1] = 1.0, -1.0
+    alg = LieAlgebra(C)
+    assert is_nilpotent(alg) == (True, 65)
+    assert lower_central_series(alg).dims == [66] + list(range(64, -1, -1))
+    assert WordSeriesSystem(alg, 1, 1, 0.5 * np.eye(d)).nilindex == 65
+
+
 def test_nilpotent_upper_nilindex():
-    for m in range(3, 8):
+    for m in (*range(3, 8), 12):
         alg = nilpotent_upper(m)
         assert alg.dim == m * (m - 1) // 2
-        assert alg.rep_residual() == 0.0
+        assert alg.rep_residual() == 0.0 == alg.jacobi_residual()
         assert is_nilpotent(alg) == (True, m - 1)
         assert is_solvable(alg)[0]
 

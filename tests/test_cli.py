@@ -144,6 +144,20 @@ def test_certify_non_invariant_A_is_a_hypothesis_error(tmp_path, capsys):
     assert json.loads((out / "certificate-noninv.json").read_text())["verdict"] == "hypothesis-error"
 
 
+def test_check_passes_an_exact_linearization_of_a_large_A(tmp_path, capsys):
+    # A h / h rounds to errors near 2e-12 when ||A|| is 1e4; the Jacobian check scales by ||A||
+    path = tmp_path / "largeA.json"
+    path.write_text(json.dumps({
+        "name": "largeA", "algebra": "heisenberg", "n": 1, "r": 1,
+        "A": [[0.5, 1e4, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]],
+        "terms": [{"letters": ["X1", "W1"], "coeff": [1.0]}]}))
+    out = tmp_path / "out"
+    assert run(["check", "--scenario", str(path), "--out", str(out)]) == 0
+    assert "[PASS] linearization matches A" in capsys.readouterr().out
+    jac = json.loads((out / "check-largeA.json").read_text())["jacobian"]
+    assert jac["ok"] and jac["exact"] and 0 < max(jac["directional_errors"]) < 1e-8
+
+
 def test_certify_without_a_state_letter_is_a_hypothesis_error(tmp_path, capsys):
     # [W1, W2] moves the state off the origin: from x0 = 0 it reaches norm 1.311, so no envelope
     # alpha decay^k ||X[0]|| holds, whatever a gain over the state-letter words alone would claim

@@ -137,8 +137,9 @@ def reference_jacobian_report(sys_, h_steps=(1e-2, 1e-3, 1e-4), directions=8, se
             diff = (sys_.evaluate(h * v, h * w) - sys_.evaluate(-h * v, -h * w)) / (2 * h)
             worst = max(worst, float(np.linalg.norm(diff - sys_.A @ v)))
         dir_err.append(worst)
-    axes_ok = max(x_err) < 1e-12 and max(w_err) < 1e-12
-    exact = all(e < 1e-12 for e in dir_err)
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(sys_.A)))
+    axes_ok = max(x_err) < tol and max(w_err) < tol
+    exact = all(e < tol for e in dir_err)
     order = None
     if not exact:
         order = float(np.polyfit(np.log(h_steps), np.log(np.maximum(dir_err, 1e-300)), 1)[0])

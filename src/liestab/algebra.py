@@ -10,7 +10,9 @@ the derived and lower central series, the solvable/nilpotent predicates
 least of three closed forms (two unfoldings of C and, given a matrix realization,
 its Gram matrix with the sqrt 2 commutator bound); see ``bracket_constant``.
 Each catalog algebra is a matrix realization whose constants are read off
-its commutators (``realized_algebra``), so no bracket is stated twice.
+its commutators (``realized_algebra``), so no bracket is stated twice.  Given a
+realization, validation proves Jacobi through it (``jacobi_bound``) instead of
+sweeping all d^3 triples.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 JACOBI_TOL = 1e-12
 REP_TOL = 1e-10
 RANK_TOL = 1e-10  # relative singular-value cutoff for all span/rank decisions
-MU_GUARD = 1e-12  # relative rounding guard of bracket_constant
+MU_GUARD = 1e-12  # relative rounding guard of bracket_constant and jacobi_bound
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class DimensionMismatch(ValueError):
@@ -160,58 +163,128 @@ class LieAlgebra:
         if len(self.labels) != self.dim:
             raise InvalidAlgebra("label count does not match dimension")
         self.name = name
+        self.matrix_rep = matrix_rep
+        self._series_brackets = {}  # memo of _series, keyed by the bytes of both bases
+        self._validate()
+
+    @property
+    def matrix_rep(self) -> Optional[np.ndarray]:
+        """Read-only copy of the realization (d real m x m matrices), or None.
+
+        Assigning a new one checks its shape and clears its cached residuals; it
+        does not re-validate the algebra.
+        """
+        return self._rep
+
+    @matrix_rep.setter
+    def matrix_rep(self, matrix_rep) -> None:
+        rep = None
         if matrix_rep is not None:
             try:
-                rep = np.asarray(matrix_rep, dtype=float)
+                rep = np.array(matrix_rep, dtype=float)
             except (TypeError, ValueError):  # ragged or non-numeric nested lists
                 raise InvalidAlgebra("matrix_rep must be d square matrices") from None
             if rep.ndim != 3 or rep.shape[0] != self.dim or rep.shape[1] != rep.shape[2]:
                 raise InvalidAlgebra("matrix_rep must be d square matrices")
             if not np.isfinite(rep).all():
                 raise InvalidAlgebra("matrix_rep must be finite")
-            self.matrix_rep = rep
-        else:
-            self.matrix_rep = None
-        self._validate()
+            rep.flags.writeable = False
+        self._rep = rep
+        self.__dict__.pop("_realization", None)
 
     # -- validation ------------------------------------------------------
 
     def _validate(self) -> None:
+        """Antisymmetry, then Jacobi, then the realization.  Given a realization whose
+        ``jacobi_bound`` is at most JACOBI_TOL, Jacobi is proven and the d^4 sweep of
+        ``jacobi_residual`` is skipped; otherwise the sweep runs before the realization is
+        checked, so an algebra that fails both is reported as breaking Jacobi."""
         C = self.C
         if not np.isfinite(C).all():
             raise InvalidAlgebra("structure constants must be finite")
         anti = np.max(np.abs(C + np.transpose(C, (1, 0, 2)))) if self.dim else 0.0
         if anti > JACOBI_TOL:
             raise InvalidAlgebra(f"structure constants not antisymmetric (max violation {anti:.3e})")
-        jac = self.jacobi_residual()
-        if jac > JACOBI_TOL:
-            raise InvalidAlgebra(f"Jacobi identity violated (max residual {jac:.3e})")
+        if not self.jacobi_bound() <= JACOBI_TOL:  # a NaN bound proves nothing
+            jac = self.jacobi_residual()
+            if not jac <= JACOBI_TOL:
+                raise InvalidAlgebra(f"Jacobi identity violated (max residual {jac:.3e})")
         if self.matrix_rep is not None:
             err = self.rep_residual()
-            if err > REP_TOL:
+            if not err <= REP_TOL:
                 raise InvalidAlgebra(f"matrix_rep commutators disagree with structure constants ({err:.3e})")
 
     def jacobi_residual(self) -> float:
         """Max-norm residual of Jacobi: (ad_[e_i,e_j] - [ad_i, ad_j]) e_k is the cyclic sum
         [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] once C is antisymmetric, which
         ``_validate`` therefore checks first."""
-        return self._defect(self.ad_many(np.eye(self.dim)))
+        return self._defect(self.ad_many(np.eye(self.dim)))[0]
 
     def rep_residual(self) -> float:
-        return self._defect(self.matrix_rep)
+        return self._realization[0]
 
-    def _defect(self, R) -> float:
-        """max |sum_k C_ijk R_k - [R_i, R_j]| over a stack of d square matrices R."""
+    @cached_property
+    def _realization(self) -> tuple:
+        """(rep_residual, F, lam) of ``matrix_rep``, computed once: F the largest Frobenius
+        norm of one pair's defect D_ij = sum_k C_ijk R_k - [R_i, R_j], lam the ascending
+        eigenvalues of the Gram matrix <R_i, R_j>_F."""
+        flat = self.matrix_rep.reshape(self.dim, self.matrix_rep.shape[1] ** 2)
+        with np.errstate(over="ignore"):
+            gram = flat @ flat.T
+        lam = np.linalg.eigvalsh(gram) if np.isfinite(gram).all() else np.full(self.dim, np.nan)
+        return (*self._defect(self.matrix_rep, frobenius=True), lam)
+
+    def jacobi_bound(self) -> float:
+        """Proven bound on ``jacobi_residual()`` read off the realization; inf without one,
+        or when its Gram matrix is not safely positive definite.
+
+        With rho(x) = sum_i x_i R_i, the defect of ad is
+        J_ijk = [[e_i,e_j],e_k] - [e_i,[e_j,e_k]] + [e_j,[e_i,e_k]], and since matrix
+        commutators satisfy Jacobi exactly, rho(J_ijk) = [D_ij, R_k] - [R_i, D_jk] + [R_j, D_ik]
+        + sum_l (C_ijl D_lk - C_jkl D_il + C_ikl D_jl), for any C.  By ||[X, Y]||_F <= sqrt 2
+        ||X||_F ||Y||_F (Boettcher and Wenzel, Linear Algebra Appl. 429 (2008)) and
+        lam_min ||x||^2 <= ||rho(x)||_F^2:
+            max |J| <= 3 F (sqrt 2 R_max + max_ij ||C_ij||_1) / sqrt(lam_min),
+        R_max = max_k ||R_k||_F.  Rounding: the computed D_ij errs in Frobenius norm by at
+        most gamma_n (||C_ij||_1 R_max + 2 R_max^2), gamma_n = n u / (1 - n u), n = max(d, m)
+        + 2, which is added to F; lam_min is lowered by MU_GUARD lam_max, as in
+        ``bracket_constant``; and the result is raised by 1 + MU_GUARD, which covers the
+        relative rounding of the norms and of the last few operations (a few (m^2 + d) unit
+        roundoffs, below 1e-12 for m <= 60 and d <= 2000).
+        """
+        if self.matrix_rep is None:
+            return math.inf
+        if self.dim == 0:
+            return 0.0
+        _, F, lam = self._realization
+        if not lam[0] > MU_GUARD * lam[-1]:
+            return math.inf
+        d, m = self.dim, self.matrix_rep.shape[1]
+        r_max = float(np.linalg.norm(self.matrix_rep.reshape(d, -1), axis=1).max())  # the Gram is finite
+        with np.errstate(over="ignore"):
+            c_max = float(np.abs(self.C).sum(axis=2).max())  # max_ij ||C_ij||_1
+        n = max(d, m) + 2
+        gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+        F += gamma * (c_max * r_max + 2.0 * r_max * r_max)
+        bound = 3.0 * F * (math.sqrt(2.0) * r_max + c_max) / math.sqrt(lam[0] - MU_GUARD * lam[-1])
+        return bound * (1.0 + MU_GUARD)
+
+    def _defect(self, R, frobenius: bool = False) -> tuple:
+        """(max |sum_k C_ijk R_k - [R_i, R_j]|, and with ``frobenius`` the largest Frobenius norm
+        of one pair (i, j), else None) over a stack of d square matrices R; NaN propagates."""
         d, m = self.dim, R.shape[-1]
         step = max(1, (1 << 18) // max(1, d * m * m))  # blocks of i of at most 2^18 entries
-        worst = 0.0
-        for i in range(0, d, step):
-            Ri = R[i:i + step, None]
-            res = (self.C[i:i + step].reshape(-1, d) @ R.reshape(d, -1)).reshape(-1, d, m, m)  # sum_k C_ijk R_k
-            res -= Ri @ R  # in place: a fresh temporary per step costs more than the products
-            res += R @ Ri
-            worst = max(worst, float(np.abs(res, out=res).max()))
-        return worst
+        worst, fro = 0.0, (0.0 if frobenius else None)
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or NaN
+            for i in range(0, d, step):
+                Ri = R[i:i + step, None]
+                res = (self.C[i:i + step].reshape(-1, d) @ R.reshape(d, -1)).reshape(-1, d, m, m)  # sum_k C_ijk R_k
+                res -= Ri @ R  # in place: a fresh temporary per step costs more than the products
+                res += R @ Ri
+                if frobenius:
+                    fro = np.maximum(fro, np.sqrt(np.einsum("...ab,...ab->...", res, res).max()))
+                worst = np.maximum(worst, np.abs(res, out=res).max())
+        return float(worst), (None if fro is None else float(fro))
 
     # -- basic operations ------------------------------------------------
 
@@ -302,10 +375,19 @@ def subspace_bracket(alg: LieAlgebra, s1: Subspace, s2: Subspace) -> Subspace:
 
 def _series(alg: LieAlgebra, start: Subspace, kind: str) -> IdealChain:
     """Brackets each term with itself (derived) or with ``start`` (lower central) until the
-    dimension stops falling, so a chain has at most d + 1 terms."""
+    dimension stops falling, so a chain has at most d + 1 terms.
+
+    Each bracket of two bases is computed once per algebra: [g, g] opens both series of g,
+    and [g_1, g_1] is both the derived series' third term and the second of the central
+    series of g_1 = [g, g], the solvability cross-check.
+    """
     chain = [start]
     while chain[-1].dim:
-        nxt = subspace_bracket(alg, chain[-1], chain[-1] if kind == "derived-series" else start)
+        other = chain[-1] if kind == "derived-series" else start
+        key = (chain[-1].onb.tobytes(), other.onb.tobytes())  # bases are (d, r): the length fixes r
+        nxt = alg._series_brackets.get(key)
+        if nxt is None:
+            nxt = alg._series_brackets[key] = subspace_bracket(alg, chain[-1], other)
         if nxt.dim == chain[-1].dim:
             break
         chain.append(nxt)
@@ -380,10 +462,9 @@ def bracket_constant(alg: LieAlgebra) -> float:
     bounds = [top(C.reshape(d, d * d)), top(C.transpose(2, 0, 1).reshape(d, d * d)) / math.sqrt(2.0)
               + float(np.linalg.norm(C + C.transpose(1, 0, 2))) / 2.0]
     if alg.matrix_rep is not None:
-        flat = alg.matrix_rep.reshape(d, -1)
-        lam = np.linalg.eigvalsh(flat @ flat.T)
+        residual, _, lam = alg._realization
         if lam[0] > MU_GUARD * lam[-1]:
-            defect = d * alg.matrix_rep.shape[1] * alg.rep_residual()
+            defect = d * alg.matrix_rep.shape[1] * residual
             bounds.append((math.sqrt(2.0) * lam[-1] + defect) / math.sqrt(lam[0] - MU_GUARD * lam[-1]))
     return float(min(bounds)) * (1.0 + MU_GUARD)
 

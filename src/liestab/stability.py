@@ -446,8 +446,8 @@ def deadbeat_envelope(sys: WordSeriesSystem, cert: DeadbeatCertificate,
     (slack 1e-9).  Each sample draws its initial direction, its scale in [0.1, 1]
     and its signal in that order; the samples of each set are simulated together.
     """
-    if not (0.0 <= decay < 1.0):
-        raise ValueError("decay must lie in [0, 1)")
+    if not (0.0 < decay < 1.0):  # decay 0 would divide 0 by 0 past the first step
+        raise ValueError("decay must lie in (0, 1)")
     rng = np.random.default_rng(seed)
 
     def sample_alpha(count: int) -> float:

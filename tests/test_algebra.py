@@ -478,3 +478,130 @@ def test_realization_outside_its_span_is_refused():
     rep[0, 0, 1] = rep[1, 1, 0] = 1.0
     with pytest.raises(InvalidAlgebra, match="matrix_rep commutators"):
         algebra_module.realized_algebra(rep, ["e", "f"], "not-closed")
+
+
+# -- Jacobi from the realization ------------------------------------------------
+
+
+def unvalidated(monkeypatch, C, rep):
+    """An algebra on constants C and realization rep that need not agree (no validation)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(LieAlgebra, "_validate", lambda self: None)
+        return LieAlgebra(C, matrix_rep=rep)
+
+
+def test_jacobi_bound_is_sound_for_perturbed_constants(monkeypatch):
+    # the bound holds for any C against a fixed realization, antisymmetric or not
+    rng = np.random.default_rng(14)
+    for base in (upper_triangular6(), heisenberg(), sl2(), nilpotent_upper(4)):
+        d = base.dim
+        for draw in range(80):
+            noise = rng.standard_normal((d, d, d)) * 10.0 ** rng.uniform(-13, -6)
+            if draw % 2 == 0:
+                noise -= noise.transpose(1, 0, 2)
+            alg = unvalidated(monkeypatch, base.C + noise, base.matrix_rep)
+            assert 0 < alg.jacobi_residual() <= alg.jacobi_bound(), (base.name, draw)
+
+
+def test_jacobi_bound_skips_the_sweep_on_realized_algebras(monkeypatch):
+    def refuse(self):
+        raise AssertionError("jacobi_residual swept a realized algebra")
+    monkeypatch.setattr(LieAlgebra, "jacobi_residual", refuse)
+    algebras = list(catalog_algebras().values()) + [nilpotent_upper(m) for m in range(4, 13)]
+    for alg in algebras:
+        assert alg.jacobi_bound() <= algebra_module.JACOBI_TOL / 6, alg.name
+
+
+def test_jacobi_sweep_runs_without_a_proving_realization(monkeypatch):
+    calls = []
+    real = LieAlgebra.jacobi_residual
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+    monkeypatch.setattr(LieAlgebra, "jacobi_residual", counting)
+    heis, ut = heisenberg(), upper_triangular6()
+    assert calls == []
+    quotient = quotient_algebra(QuotientContext(ut, derived_series(ut).ideals[2]))
+    inline = algebra_from_dict(algebra_to_dict(heis) | {"matrix_rep": None})
+    shrunk = LieAlgebra(ut.C, labels=ut.labels, matrix_rep=(1 - 1e-11) * ut.matrix_rep)
+    # the zero realization of an abelian algebra is exact, but its Gram matrix is singular
+    zero = LieAlgebra(np.zeros((3, 3, 3)), matrix_rep=np.zeros((3, 2, 2)))
+    assert calls == [quotient, inline, shrunk, zero]
+    assert quotient.jacobi_bound() == inline.jacobi_bound() == zero.jacobi_bound() == np.inf
+    assert shrunk.jacobi_bound() > algebra_module.JACOBI_TOL
+
+
+def test_constants_past_the_float_range_break_jacobi_by_name():
+    # products of 1e160 overflow; inf - inf is NaN, which the residuals carry to the verdict
+    s = sl2()
+    with np.errstate(all="raise"):
+        for rep in (None, 1e160 * s.matrix_rep):
+            with pytest.raises(InvalidAlgebra, match=re.escape("Jacobi identity violated (max residual nan)")):
+                LieAlgebra(1e160 * s.C, matrix_rep=rep)
+
+
+def test_realization_is_read_only_and_its_kernel_runs_once(monkeypatch):
+    calls = []
+    real = LieAlgebra._defect
+
+    def counting(self, R, frobenius=False):
+        calls.append(frobenius)
+        return real(self, R, frobenius)
+    monkeypatch.setattr(LieAlgebra, "_defect", counting)
+    n5 = nilpotent_upper(5)
+    rep = n5.matrix_rep.copy()
+    calls.clear()
+    alg = LieAlgebra(n5.C, matrix_rep=rep)
+    assert calls == [True]
+    eigvalsh, grams = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda U: grams.append(U.shape) or eigvalsh(U))
+    assert alg.rep_residual() == 0.0 and alg.jacobi_bound() > 0
+    bracket_constant(alg)
+    assert calls == [True] and len(grams) == 2  # the two unfoldings of C; the Gram is cached
+    with pytest.raises(ValueError):
+        alg.matrix_rep[0, 0, 1] = 2.0
+    rep[0, 0, 1] = 2.0  # the caller's array stays writable: the algebra holds a copy
+    assert alg.matrix_rep[0, 0, 1] == 1.0
+
+
+# -- shared series brackets -------------------------------------------------------
+
+
+def reference_series(alg, start, kind):
+    """``_series`` with every bracket computed afresh."""
+    chain = [start]
+    while chain[-1].dim:
+        nxt = subspace_bracket(alg, chain[-1], chain[-1] if kind == "derived-series" else start)
+        if nxt.dim == chain[-1].dim:
+            break
+        chain.append(nxt)
+    return chain
+
+
+def test_shared_series_brackets_match_fresh_series():
+    algebras = list(catalog_algebras().values()) + [nilpotent_upper(m) for m in range(4, 13)]
+    for alg in algebras:
+        full = Subspace.full(alg.dim)
+        derived = reference_series(alg, full, "derived-series")
+        g1 = derived[min(1, len(derived) - 1)]
+        cross = reference_series(alg, g1, "lower-central-series")
+        central = reference_series(alg, full, "lower-central-series")
+        assert is_nilpotent(alg) == ((True, len(central) - 1) if central[-1].dim == 0 else (False, None))
+        want = (derived[-1].dim == 0, len(derived) - 2 if derived[-1].dim == 0 else None)
+        assert is_solvable(alg) == want == alg.solvability, alg.name
+        for got, ref in ((alg.derived_chain.ideals, derived), (alg.central_chain.ideals, central),
+                         (lower_central_series(alg, derived_algebra(alg)).ideals, cross)):
+            assert len(got) == len(ref), alg.name
+            assert all(np.array_equal(a.onb, b.onb) for a, b in zip(got, ref)), alg.name
+
+
+def test_series_compute_each_bracket_once(monkeypatch):
+    # d = 45: the central series takes 9 brackets, the derived series 4 and the central series
+    # of [g, g] 4; [g, g] opens the first two, and [g_1, g_1] is shared by the last two
+    svds = []
+    real = algebra_module.orthonormal_basis
+    monkeypatch.setattr(algebra_module, "orthonormal_basis", lambda v: svds.append(v.shape) or real(v))
+    alg = nilpotent_upper(10)
+    assert is_nilpotent(alg) == (True, 9) and is_solvable(alg) == (True, 3)
+    assert len(svds) == 15

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -650,6 +651,17 @@ def test_deadbeat_envelope():
     assert env.satisfied and np.isfinite(env.alpha) and env.alpha >= 1.0
     with pytest.raises(ValueError):
         deadbeat_envelope(sys_, cert, factory, M=10.0, decay=1.0)
+
+
+def test_deadbeat_envelope_refuses_a_decay_of_zero():
+    # decay 0 once passed the range check; 0 ** k / 0 gave NaN, which max(0.0, nan) dropped,
+    # so the envelope read alpha = 1 at decay 0
+    sys_ = heisenberg_deadbeat_system()
+    cert = deadbeat_horizon(sys_)
+    factory = lambda rng: ideal_valued_samples(sys_, cert.horizon + 3, rng)
+    for decay in (0.0, -0.5):
+        with pytest.raises(ValueError, match=re.escape("decay must lie in (0, 1)")):
+            deadbeat_envelope(sys_, cert, factory, M=5.0, decay=decay)
 
 
 def test_deadbeat_envelope_names_its_alpha_an_estimate():

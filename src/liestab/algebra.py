@@ -1,14 +1,16 @@
 """Finite-dimensional real Lie algebras given by structure constants.
 
 An algebra of dimension d is stored as a read-only rank-3 tensor C with
-[e_i, e_j] = sum_k C[i, j, k] e_k; every bracket goes through one kernel,
-``LieAlgebra.bracket_many`` (two matmuls against C as a (d, d*d) matrix, the
-first being ``ad_many``).  Elements are coordinate vectors of length d.
-Subspaces are column spans.  The module provides span-of-brackets machinery,
-the derived and lower central series, the solvable/nilpotent predicates
-(cached per algebra), and a proven bound mu with ||[x, y]|| <= mu ||x|| ||y||, the
-least of three closed forms (two unfoldings of C and, given a matrix realization,
-its Gram matrix with the sqrt 2 commutator bound); see ``bracket_constant``.
+[e_i, e_j] = sum_k C[i, j, k] e_k; every bracket goes through one contraction,
+``LieAlgebra.ad_many`` (one matmul against C as a (d, d*d) matrix): ``bracket_many``
+applies ad_x to y row by row, and all pairs [u_i, v_j] of two column bases U, V
+are ``ad_many(U.T) @ V``, one GEMM.  Elements are coordinate vectors of length d.
+Subspaces are column spans.  The module provides span-of-brackets machinery (a
+pair stack rank-revealed through the SVD of its d x d R factor), the derived and
+lower central series, the solvable/nilpotent predicates (cached per algebra), and
+a proven bound mu with ||[x, y]|| <= mu ||x|| ||y||, the least of three closed
+forms (two unfoldings of C and, given a matrix realization, its Gram matrix with
+the sqrt 2 commutator bound); see ``bracket_constant``.
 Each catalog algebra is a matrix realization whose constants are read off
 its commutators (``realized_algebra``), so no bracket is stated twice.  Given a
 realization, validation proves Jacobi through it (``jacobi_bound``) instead of
@@ -27,8 +29,14 @@ import numpy as np
 JACOBI_TOL = 1e-12
 REP_TOL = 1e-10
 RANK_TOL = 1e-10  # relative singular-value cutoff for all span/rank decisions
-MU_GUARD = 1e-12  # relative rounding guard of bracket_constant and jacobi_bound
+MU_GUARD = 1e-12  # least relative rounding guard of bracket_constant and jacobi_bound
 _UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _gram_guard(d: int, n: int) -> float:
+    """max(MU_GUARD, d gamma_n), gamma_n = n u / (1 - n u): the relative guard on the
+    eigenvalues of a d x d Gram matrix of length-n inner products (``bracket_constant``)."""
+    return max(MU_GUARD, d * n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF))
 
 
 class DimensionMismatch(ValueError):
@@ -53,10 +61,16 @@ def _as_vector(x, dim: int) -> np.ndarray:
 
 
 def orthonormal_basis(vectors: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (d x r) for the span of the given column stack."""
+    """Orthonormal basis (d x r) for the span of the given column stack: the left singular
+    vectors of singular values above RANK_TOL times the largest.  A stack wider than tall,
+    of over 1000 entries (below that the QR costs more than it saves), is first reduced to
+    its d x d R^T (Chan's R-SVD): stack^T = Q R with Q orthonormal gives stack = R^T Q^T, so
+    R^T has the stack's singular values and left singular vectors, and the same rank."""
     mat = np.asarray(vectors, dtype=float)
     if mat.ndim != 2 or mat.shape[1] == 0:
         return np.zeros((mat.shape[0], 0))
+    if mat.shape[1] > mat.shape[0] and mat.size > 1000:
+        mat = np.linalg.qr(mat.T, mode="r").T
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((mat.shape[0], 0))
@@ -225,14 +239,15 @@ class LieAlgebra:
 
     @cached_property
     def _realization(self) -> tuple:
-        """(rep_residual, F, lam) of ``matrix_rep``, computed once: F the largest Frobenius
-        norm of one pair's defect D_ij = sum_k C_ijk R_k - [R_i, R_j], lam the ascending
-        eigenvalues of the Gram matrix <R_i, R_j>_F."""
+        """(rep_residual, F, lam, guard) of ``matrix_rep``, computed once: F the largest
+        Frobenius norm of one pair's defect D_ij = sum_k C_ijk R_k - [R_i, R_j], lam the
+        ascending eigenvalues of the Gram matrix <R_i, R_j>_F, and guard their relative
+        rounding guard, ``_gram_guard`` for inner products of length m^2."""
         flat = self.matrix_rep.reshape(self.dim, self.matrix_rep.shape[1] ** 2)
         with np.errstate(over="ignore"):
             gram = flat @ flat.T
         lam = np.linalg.eigvalsh(gram) if np.isfinite(gram).all() else np.full(self.dim, np.nan)
-        return (*self._defect(self.matrix_rep, frobenius=True), lam)
+        return (*self._defect(self.matrix_rep, frobenius=True), lam, _gram_guard(self.dim, flat.shape[1]))
 
     def jacobi_bound(self) -> float:
         """Proven bound on ``jacobi_residual()`` read off the realization; inf without one,
@@ -247,7 +262,7 @@ class LieAlgebra:
             max |J| <= 3 F (sqrt 2 R_max + max_ij ||C_ij||_1) / sqrt(lam_min),
         R_max = max_k ||R_k||_F.  Rounding: the computed D_ij errs in Frobenius norm by at
         most gamma_n (||C_ij||_1 R_max + 2 R_max^2), gamma_n = n u / (1 - n u), n = max(d, m)
-        + 2, which is added to F; lam_min is lowered by MU_GUARD lam_max, as in
+        + 2, which is added to F; lam_min is lowered by the Gram guard times lam_max, as in
         ``bracket_constant``; and the result is raised by 1 + MU_GUARD, which covers the
         relative rounding of the norms and of the last few operations (a few (m^2 + d) unit
         roundoffs, below 1e-12 for m <= 60 and d <= 2000).
@@ -256,8 +271,8 @@ class LieAlgebra:
             return math.inf
         if self.dim == 0:
             return 0.0
-        _, F, lam = self._realization
-        if not lam[0] > MU_GUARD * lam[-1]:
+        _, F, lam, guard = self._realization
+        if not lam[0] > guard * lam[-1]:
             return math.inf
         d, m = self.dim, self.matrix_rep.shape[1]
         r_max = float(np.linalg.norm(self.matrix_rep.reshape(d, -1), axis=1).max())  # the Gram is finite
@@ -266,7 +281,7 @@ class LieAlgebra:
         n = max(d, m) + 2
         gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
         F += gamma * (c_max * r_max + 2.0 * r_max * r_max)
-        bound = 3.0 * F * (math.sqrt(2.0) * r_max + c_max) / math.sqrt(lam[0] - MU_GUARD * lam[-1])
+        bound = 3.0 * F * (math.sqrt(2.0) * r_max + c_max) / math.sqrt(lam[0] - guard * lam[-1])
         return bound * (1.0 + MU_GUARD)
 
     def _defect(self, R, frobenius: bool = False) -> tuple:
@@ -294,9 +309,9 @@ class LieAlgebra:
         return (X @ self._C2).reshape(X.shape[:-1] + (self.dim, self.dim)).swapaxes(-1, -2)
 
     def bracket_many(self, X, Y) -> np.ndarray:
-        """[X, Y] = ad_X Y row by row over broadcast leading axes; no input checks.
-
-        All pairs of two stacks: ``bracket_many(X[:, None], Y[None])``.
+        """[X, Y] = ad_X Y row by row over broadcast leading axes; no input checks.  All
+        pairs of two stacks are one GEMM, ``ad_many(X) @ Y.T`` (column j of entry i is
+        [x_i, y_j]).
         """
         return (self.ad_many(X) @ np.asarray(Y, dtype=float)[..., None])[..., 0]
 
@@ -340,6 +355,7 @@ class LieAlgebra:
 
     derived_chain = cached_property(lambda self: derived_series(self))
     central_chain = cached_property(lambda self: lower_central_series(self))
+    _frobenius_norm = cached_property(lambda self: float(np.linalg.norm(self.C)))
 
     @cached_property
     def solvability(self) -> tuple:
@@ -363,14 +379,22 @@ class LieAlgebra:
 
 
 def subspace_bracket(alg: LieAlgebra, s1: Subspace, s2: Subspace) -> Subspace:
-    """Span of all brackets [u, v] with u in s1, v in s2."""
+    """Span of all brackets [u, v] with u in s1, v in s2: the pair stack ``ad_many(U.T) @ V``
+    of the orthonormal bases (one GEMM, skipped when s2 is the whole algebra: the [u_i, e_j]
+    are an orthogonal change of columns away), rank-revealed by one ``orthonormal_basis``.
+    An entry errs by at most gamma_(d^2) ||C||_F, so a stack with none above RANK_TOL ||C||_F
+    is a rounded zero, of which the relative rank rule alone would read a rank."""
     if s1.ambient_dim != alg.dim or s2.ambient_dim != alg.dim:
         raise DimensionMismatch("subspace ambient dimension does not match algebra")
     if s1.dim == 0 or s2.dim == 0:
         return Subspace.zero(alg.dim)
-    # bracket every pair of orthonormal basis vectors; rank-reveal the stack
-    prods = alg.bracket_many(s1.onb.T[:, None], s2.onb.T[None]).reshape(-1, alg.dim)
-    return Subspace(orthonormal_basis(prods.T), already_orthonormal=True)
+    pairs = alg.ad_many(s1.onb.T)
+    if s2.dim < alg.dim:
+        pairs = pairs @ s2.onb
+    stack = pairs.swapaxes(0, 1).reshape(alg.dim, -1)
+    if not np.abs(stack).max() > RANK_TOL * alg._frobenius_norm:
+        stack = stack[:, :0]
+    return Subspace(orthonormal_basis(stack), already_orthonormal=True)
 
 
 def _series(alg: LieAlgebra, start: Subspace, kind: str) -> IdealChain:
@@ -450,23 +474,27 @@ def bracket_constant(alg: LieAlgebra) -> float:
       most d m rep_residual() ||x|| ||y||, ||[X, Y]||_F <= sqrt 2 ||X||_F ||Y||_F
       (Boettcher and Wenzel, Linear Algebra Appl. 429 (2008)), and lam_min ||x||^2 <=
       ||R x||_F^2 <= lam_max ||x||^2.  Dropped when lam_min is not above the guard.
-    Each 2-norm is the root of the top eigenvalue of a d x d Gram matrix; forming it and
-    its eigenvalues err by a few d^2 unit roundoffs of the largest eigenvalue, below
-    1e-12 for d <= 100.  So one relative guard MU_GUARD = 1e-12 covers rounding: lam_min
-    is lowered by MU_GUARD lam_max, and the least bound is raised by 1 + MU_GUARD.
+    Each bound is read off a d x d Gram matrix of length-n inner products (n = d^2 for the
+    unfoldings, m^2 for the realization), each in error by at most gamma_n ||a|| ||b||; so
+    the matrix, and by Weyl's inequality each eigenvalue, errs by at most gamma_n tr G <=
+    d gamma_n lam_max.  With g = max(MU_GUARD, d gamma_n) (``_gram_guard``; 1.06e-12 for the
+    realization at d = 66, m = 12), lam_min is lowered by g lam_max and the bound raised by
+    1 + g, which also covers the roots, the last few operations and the eigensolver's
+    backward error, each a few unit roundoffs (MU_GUARD is about 4500 u).
     """
     d, C = alg.dim, alg.C
     if d == 0:
         return 0.0
     top = lambda U: math.sqrt(np.linalg.eigvalsh(U @ U.T)[-1])  # ||U||_2
-    bounds = [top(C.reshape(d, d * d)), top(C.transpose(2, 0, 1).reshape(d, d * d)) / math.sqrt(2.0)
-              + float(np.linalg.norm(C + C.transpose(1, 0, 2))) / 2.0]
+    raise_by = 1.0 + _gram_guard(d, d * d)
+    bounds = [top(C.reshape(d, d * d)) * raise_by, (top(C.transpose(2, 0, 1).reshape(d, d * d)) / math.sqrt(2.0)
+              + float(np.linalg.norm(C + C.transpose(1, 0, 2))) / 2.0) * raise_by]
     if alg.matrix_rep is not None:
-        residual, _, lam = alg._realization
-        if lam[0] > MU_GUARD * lam[-1]:
+        residual, _, lam, guard = alg._realization
+        if lam[0] > guard * lam[-1]:
             defect = d * alg.matrix_rep.shape[1] * residual
-            bounds.append((math.sqrt(2.0) * lam[-1] + defect) / math.sqrt(lam[0] - MU_GUARD * lam[-1]))
-    return float(min(bounds)) * (1.0 + MU_GUARD)
+            bounds.append((math.sqrt(2.0) * lam[-1] + defect) / math.sqrt(lam[0] - guard * lam[-1]) * (1.0 + guard))
+    return float(min(bounds))
 
 
 # -- JSON interchange -------------------------------------------------------

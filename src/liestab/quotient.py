@@ -133,7 +133,7 @@ def quotient_algebra(ctx: QuotientContext) -> LieAlgebra:
     """
     if not is_ideal(ctx.algebra, ctx.ideal):
         raise ValueError("cannot form a quotient algebra: subspace is not an ideal")
-    Cq = ctx.algebra.bracket_many(ctx.P[:, None], ctx.P[None]) @ ctx.P.T
+    Cq = (ctx.P @ ctx.algebra.ad_many(ctx.P) @ ctx.P.T).swapaxes(1, 2)  # [a][c, b] = <P_c, [P_a, P_b]>
     labels = [f"q{i+1}" for i in range(ctx.quotient_dim)]
     return LieAlgebra(Cq, labels=labels, name=f"{ctx.algebra.name}/V" if ctx.algebra.name else "")
 

@@ -11,8 +11,8 @@ from liestab.algebra import (AlgebraLoadError, DimensionMismatch, InvalidAlgebra
                              LieAlgebra, Subspace, abelian, algebra_from_dict, algebra_to_dict,
                              bracket_constant, catalog_algebras, derived_algebra,
                              derived_series, heisenberg, is_nilpotent, is_solvable,
-                             lower_central_series, nilpotent_upper, orthonormal_basis, sl2,
-                             subspace_bracket, upper_triangular6)
+                             lower_central_series, nilpotent_upper, orthonormal_basis,
+                             realized_algebra, sl2, subspace_bracket, upper_triangular6)
 from liestab.dynamics import WordSeriesSystem
 from liestab.quotient import QuotientContext, quotient_algebra
 
@@ -199,6 +199,18 @@ def test_bracket_constant_pinned_values():
         assert want <= bracket_constant(alg) <= want * (1 + 2 * guard), alg.name
 
 
+def test_gram_guard_covers_the_inner_product_length():
+    # each entry of the realization Gram of nilpotent_upper(12) is an inner product of length
+    # m^2 = 144, so its eigenvalues can err by d gamma_144 lam_max = 1.06e-12 lam_max
+    alg = nilpotent_upper(12)
+    guard = alg._realization[3]
+    assert guard == algebra_module._gram_guard(66, 144) > 1.05e-12 > algebra_module.MU_GUARD
+    # the Gram is the identity, and the winning bound sqrt 2 / sqrt(1 - g) is raised by 1 + g
+    assert bracket_constant(alg) >= np.sqrt(2.0) * (1.0 + 1.5 * 1.05e-12)
+    # the unfolding Grams (length d^2) pass the floor from d = 21 on
+    assert algebra_module._gram_guard(20, 400) == algebra_module.MU_GUARD < algebra_module._gram_guard(21, 441)
+
+
 def test_bracket_constant_covers_the_representation_defect():
     # a realization shrunk by 1e-11 passes the rep_residual check; without its defect term
     # the Gram bound would be sqrt 2 (1 - 1e-11), below ||[t4, (t1 - t2) / sqrt 2]|| = sqrt 2
@@ -315,6 +327,67 @@ def test_subspace_bracket_and_quotient_match_einsum_formulas():
             ctx = QuotientContext(alg, ideal)
             old_C = np.einsum("ai,bj,ijk,ck->abc", ctx.P, ctx.P, alg.C, ctx.P)
             np.testing.assert_allclose(quotient_algebra(ctx).C, old_C, rtol=0, atol=1e-13)
+
+
+def plain_svd_bracket(alg, s1, s2) -> np.ndarray:
+    """Orthonormal basis of [s1, s2] from the plain SVD of the broadcast all-pairs stack; a
+    stack with no entry above RANK_TOL ||C||_F spans 0."""
+    prods = alg.bracket_many(s1.onb.T[:, None], s2.onb.T[None]).reshape(-1, alg.dim).T
+    tol = algebra_module.RANK_TOL
+    if not np.abs(prods).max(initial=0.0) > tol * np.linalg.norm(alg.C):
+        return prods[:, :0]
+    u, s, _ = np.linalg.svd(prods, full_matrices=False)
+    return u[:, :int(np.sum(s > tol * s[0]))]
+
+
+def rotated(alg, rng):
+    """``alg`` in a random orthonormal basis: its realization rotated, so its constants are
+    no longer 0 or 1."""
+    Q = np.linalg.qr(rng.standard_normal((alg.dim, alg.dim)))[0]
+    return realized_algebra(np.einsum("ai,abc->ibc", Q, alg.matrix_rep), alg.labels, alg.name + "-rotated")
+
+
+def test_subspace_bracket_rank_matches_plain_svd():
+    rng = np.random.default_rng(21)
+    algebras = (list(catalog_algebras().values()) + [nilpotent_upper(m) for m in range(4, 15)]
+                + [rotated(upper_triangular6(), rng), rotated(nilpotent_upper(6), rng)])
+    for alg in algebras:
+        full = Subspace.full(alg.dim)
+        g1 = Subspace(plain_svd_bracket(alg, full, full), already_orthonormal=True)
+        # the derived series, the central series and the central series of [g, g]
+        for start, derived in ((full, True), (full, False), (g1, False)):
+            cur = start
+            while cur.dim:
+                want = plain_svd_bracket(alg, cur, cur if derived else start)
+                got = subspace_bracket(alg, cur, cur if derived else start)
+                assert got.dim == want.shape[1], alg.name
+                np.testing.assert_allclose(got.projector(), want @ want.T, rtol=0, atol=1e-12)
+                if want.shape[1] == cur.dim:
+                    break
+                cur = Subspace(want, already_orthonormal=True)
+
+
+def test_rotated_bases_classify_like_the_originals():
+    # a bracket that vanishes computes as rounding noise, from which the relative rank rule
+    # alone reads a rank: the central series of the rotated nilpotent_upper(6) would not end,
+    # and the rotated upper_triangular6 would not be solvable
+    rng = np.random.default_rng(23)
+    for alg in (heisenberg(), upper_triangular6(), nilpotent_upper(6)):
+        rot = rotated(alg, rng)
+        assert is_nilpotent(rot) == is_nilpotent(alg) and is_solvable(rot) == is_solvable(alg), alg.name
+        assert rot.central_chain.dims == alg.central_chain.dims, alg.name
+        assert rot.derived_chain.dims == alg.derived_chain.dims, alg.name
+
+
+def test_rank_at_the_cutoff_matches_plain_svd():
+    # a 6 x 400 stack (reduced through its R factor) with singular values 1e-3 of RANK_TOL above
+    # and below the cutoff, and an exact zero
+    rng = np.random.default_rng(22)
+    U, V = np.linalg.qr(rng.standard_normal((6, 6)))[0], np.linalg.qr(rng.standard_normal((400, 6)))[0]
+    tol = algebra_module.RANK_TOL
+    stack = (U * [1.0, 0.4, 1e-5, (1 + 1e-3) * tol, (1 - 1e-3) * tol, 0.0]) @ V.T
+    s = np.linalg.svd(stack, compute_uv=False)
+    assert orthonormal_basis(stack).shape[1] == int(np.sum(s > tol * s[0])) == 4
 
 
 def test_jacobi_residual_matches_einsum_formula():
@@ -605,3 +678,9 @@ def test_series_compute_each_bracket_once(monkeypatch):
     alg = nilpotent_upper(10)
     assert is_nilpotent(alg) == (True, 9) and is_solvable(alg) == (True, 3)
     assert len(svds) == 15
+
+
+def test_classification_at_d91():
+    alg = nilpotent_upper(14)
+    assert is_nilpotent(alg) == (True, 13) and is_solvable(alg) == (True, 3)
+    assert alg.central_chain.dims[:4] == [91, 78, 66, 55]

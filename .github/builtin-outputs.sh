@@ -5,6 +5,7 @@
 # OUTDIR/hashseed-H/seed-S/COMMAND-BUILTIN.  Fails unless both hash seeds give identical
 # trees, exactly the expected commands exit non-zero, and every stderr is empty.
 # Compare two versions by running it on each and diffing the two OUTDIRs with `diff -r`.
+# Run another checkout without installing it with `PYTHONPATH=other/src .github/builtin-outputs.sh OUTDIR`.
 set -eu
 if [ $# -ne 1 ]; then echo "usage: $0 OUTDIR" >&2; exit 2; fi
 root=$1

@@ -63,14 +63,17 @@ def _as_vector(x, dim: int) -> np.ndarray:
 def orthonormal_basis(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis (d x r) for the span of the given column stack: the left singular
     vectors of singular values above RANK_TOL times the largest.  A stack wider than tall,
-    of over 1000 entries (below that the QR costs more than it saves), is first reduced to
-    its d x d R^T (Chan's R-SVD): stack^T = Q R with Q orthonormal gives stack = R^T Q^T, so
-    R^T has the stack's singular values and left singular vectors, and the same rank."""
+    of over 1000 entries (below that the QR costs more than it saves), loses its exactly-zero
+    columns (stack stack^T stays) and, if still wider than tall, is reduced to its d x d R^T
+    (Chan's R-SVD): stack^T = Q R with Q orthonormal gives stack = R^T Q^T, so R^T has the
+    stack's singular values and left singular vectors, and the same rank."""
     mat = np.asarray(vectors, dtype=float)
+    if mat.ndim == 2 and mat.shape[1] > mat.shape[0] and mat.size > 1000:
+        mat = mat[:, mat.any(axis=0)]
+        if mat.shape[1] > mat.shape[0]:
+            mat = np.linalg.qr(mat.T, mode="r").T
     if mat.ndim != 2 or mat.shape[1] == 0:
         return np.zeros((mat.shape[0], 0))
-    if mat.shape[1] > mat.shape[0] and mat.size > 1000:
-        mat = np.linalg.qr(mat.T, mode="r").T
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((mat.shape[0], 0))

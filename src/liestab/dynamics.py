@@ -9,11 +9,12 @@ W_j, plus optional adjoint-flow families contributing the bracket part of
 scale * e^{ad_base}(target).  The linear part of a family (its l = 0 term)
 belongs in A, not in the family.
 
-There is one update map, ``evaluate`` being a batch of one of
-``evaluate_batch``: each family flow is e^{ad_base} - I from ``_expm1_batch``,
-applied to the target directly; the single-row flows of a call share one kernel
-call, and a batch reuses the input-only flows of the last shared input (a one-entry
-memo).  Maps act on stacked vectors slot by slot (``quotient._slotwise``), and the
+There is one update map, ``evaluate`` being a batch of one of ``evaluate_batch``: the
+terms go through ``quotient.evaluate_words`` on a plan of their suffixes made once, one
+product per suffix and one ``ad_many`` per leading letter a call; each family flow is
+e^{ad_base} - I from ``_expm1_batch``, applied to the target directly; the single-row flows
+of a call share one kernel call, and a batch reuses the input-only flows of the last shared
+input (a one-entry memo).  Maps act on stacked vectors slot by slot (``quotient._slotwise``), and the
 linear part induced on a quotient is ``quotient.induced_map``, which also decides
 whether A preserves a chain ideal.
 
@@ -30,8 +31,8 @@ import numpy as np
 
 from .algebra import (LieAlgebra, Subspace, derived_algebra, is_nilpotent,
                       lower_central_series, bracket_constant)
-from .quotient import (ChainProjections, InvarianceViolation, _slotwise, bracket_word,
-                       induced_map, invariance_residual, off_ideal_part, quotient_algebra)
+from .quotient import (ChainProjections, InvarianceViolation, _slotwise, evaluate_words, induced_map,
+                       invariance_residual, off_ideal_part, quotient_algebra, word_plan)
 
 Letter = tuple  # ("X", j) or ("W", j), 1-based slots
 
@@ -261,6 +262,7 @@ class WordSeriesSystem:
         self.chain = chain
         self.projections = ChainProjections(algebra, self.chain)
         self._mu = None
+        self._plan = word_plan([t.word.letters for t in self.terms])
         self._pairs = [(tuple(sorted(f.base.items())), f.target) for f in self.families]
         self._keys = list(dict.fromkeys(key for key, _ in self._pairs))
         self._input_keys = [key for key in self._keys if all(k == "W" for (k, _), _ in key)]
@@ -319,9 +321,9 @@ class WordSeriesSystem:
             kind, j = letter
             return Xs[:, j - 1, :] if kind == "X" else Ws[:, j - 1, :]
 
+        words = evaluate_words(self.algebra, self._plan, letter_vals)
         for t in self.terms:
-            w = bracket_word(self.algebra, [letter_vals(l) for l in t.word.letters])
-            out += t.coeff[np.newaxis, :, np.newaxis] * w[:, np.newaxis, :]
+            out += t.coeff[np.newaxis, :, np.newaxis] * words[t.word.letters][:, np.newaxis, :]
 
         def ad(key) -> np.ndarray:
             return self.algebra.ad_many(sum(wgt * letter_vals(l) for l, wgt in key))

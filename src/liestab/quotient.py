@@ -11,7 +11,7 @@ onto the complement.  A level of a chain is its ideal and P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -227,16 +227,33 @@ class ChainProjections:
         return len(self.contexts)
 
 
+def word_plan(words) -> list:
+    """The distinct suffixes of two or more letters of the words, sorted by length and then by
+    letters: the order is free of the hash seed, and each suffix follows its inner bracket."""
+    return sorted({tuple(w[i:]) for w in words for i in range(len(w) - 1)}, key=lambda s: (len(s), s))
+
+
+def evaluate_words(algebra: LieAlgebra, plan: list, value: Callable) -> dict:
+    """Each suffix of a ``word_plan`` mapped to its right-nested bracket of ``value(letter)``
+    elements or row stacks (broadcast): one ``ad_many`` per leading letter and one product per
+    suffix, the arithmetic of ``bracket_many``, so a word has the bits of its own chain."""
+    ads, vals = {}, {}
+    for s in plan:
+        if s[0] not in ads:
+            ads[s[0]] = algebra.ad_many(value(s[0]))
+        inner = vals[s[1:]] if len(s) > 2 else value(s[1])
+        vals[s] = (ads[s[0]] @ inner[..., None])[..., 0]
+    return vals
+
+
 def bracket_word(algebra: LieAlgebra, letters: Sequence[np.ndarray]) -> np.ndarray:
-    """Right-nested bracket [Y_1, [Y_2, [..., Y_m]...]] of concrete elements, or of
-    stacks of them row by row (broadcast over leading axes); inputs are not checked."""
+    """Right-nested bracket [Y_1, [Y_2, [..., Y_m]...]] of elements or row stacks (broadcast over
+    leading axes): the one-word call of ``evaluate_words``; inputs are not checked."""
     letters = [np.asarray(y, dtype=float) for y in letters]
     if not letters:
         raise ValueError("a word needs at least one letter")
-    w = letters[-1]
-    for y in letters[-2::-1]:
-        w = algebra.bracket_many(y, w)
-    return w
+    word = tuple(range(len(letters)))
+    return evaluate_words(algebra, word_plan([word]), letters.__getitem__).get(word, letters[0])
 
 
 def layered_word_residual(proj: ChainProjections, letters: Sequence[np.ndarray],

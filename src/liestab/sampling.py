@@ -183,6 +183,8 @@ def bch_compose(alg: LieAlgebra, X, Y, order: int) -> np.ndarray:
     other algebra the series is infinite and the composition is refused with
     ValueError rather than truncated.  Each distinct bracket suffix of the words is
     evaluated once: one product per suffix length and first letter, not one chain per word.
+    It keeps this level-batched plan, not ``quotient.evaluate_words``: there a product per
+    suffix (874 at order 9) made a warm d = 45 composition about seven times slower.
     """
     if order < 1:
         raise ValueError("order must be >= 1")

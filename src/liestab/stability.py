@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import is_nilpotent
 from .dynamics import ExoSignal, Trajectory, WordSeriesSystem
-from .quotient import InvarianceViolation, adapted_norm, bracket_word, induced_map, spectral_radius
+from .quotient import InvarianceViolation, adapted_norm, evaluate_words, induced_map, spectral_radius, word_plan
 
 
 class HypothesisError(ValueError):
@@ -253,18 +253,20 @@ def forcing_norms(sys: WordSeriesSystem, states: np.ndarray, signal: ExoSignal,
 
     u_level collects every word of length <= level, its letters filtered
     through P_{level-1}.T P_{level-1}, projected by P_level, weighted by the
-    word coefficients; the per-step norm is the sum of slot norms.
+    word coefficients; the per-step norm is the sum of slot norms.  Each distinct
+    letter is filtered once, and the words go through one ``evaluate_words`` plan.
     """
     ctx = sys.projections[level]
     filt = sys.projections[level - 1].P.T @ sys.projections[level - 1].P
     K = states.shape[0]
     slots = {"X": states.reshape(K, sys.n, sys.d),
              "W": signal.values(K).reshape(K, sys.r, sys.d)}
+    terms = [t for t in sys.all_terms() if t.word.length <= level]
+    vals = {(k, j): slots[k][:, j - 1] @ filt.T for k, j in dict.fromkeys(l for t in terms for l in t.word.letters)}
+    words = evaluate_words(sys.algebra, word_plan([t.word.letters for t in terms]), vals.__getitem__)
     acc = np.zeros((K, sys.n, ctx.quotient_dim))
-    for t in sys.all_terms():
-        if t.word.length <= level:
-            vals = [slots[kind][:, j - 1] @ filt.T for kind, j in t.word.letters]
-            acc += t.coeff[:, None] * (bracket_word(sys.algebra, vals) @ ctx.P.T)[:, None]
+    for t in terms:
+        acc += t.coeff[:, None] * (words[t.word.letters] @ ctx.P.T)[:, None]
     return np.linalg.norm(acc, axis=2).sum(axis=1)
 
 

@@ -390,6 +390,44 @@ def test_rank_at_the_cutoff_matches_plain_svd():
     assert orthonormal_basis(stack).shape[1] == int(np.sum(s > tol * s[0])) == 4
 
 
+def plain_svd_basis(stack):
+    """``orthonormal_basis`` through the plain SVD of the whole stack, zero columns kept."""
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    return u[:, :int(np.sum(s > algebra_module.RANK_TOL * s[0]))] if s.size and s[0] else u[:, :0]
+
+
+def test_zero_columns_leave_the_span_and_small_stacks_alone(monkeypatch):
+    rng = np.random.default_rng(23)
+    qr_widths = []  # the width of every stack that reaches the QR
+    qr = np.linalg.qr
+
+    def recording_qr(a, mode):
+        qr_widths.append(a.shape[0])
+        return qr(a, mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    # 20 x 200 with 12 non-zero columns of rank 8: narrower than tall once they go, so the
+    # plain SVD runs on them and the QR never does
+    wide = np.zeros((20, 200))
+    wide[:, rng.choice(200, 12, replace=False)] = rng.standard_normal((20, 8)) @ rng.standard_normal((8, 12))
+    got, ref = orthonormal_basis(wide), plain_svd_basis(wide)
+    assert qr_widths == []
+    assert got.shape[1] == ref.shape[1] == 8
+    # 60 non-zero columns stay wider than tall: the QR sees those 60 only
+    wide[:, rng.choice(200, 60, replace=False)] = rng.standard_normal((20, 60))
+    nonzero = int(wide.any(axis=0).sum())
+    got, ref = orthonormal_basis(wide), plain_svd_basis(wide)
+    assert qr_widths == [nonzero] and nonzero < 200
+    assert got.shape[1] == ref.shape[1] == 20
+    np.testing.assert_allclose(got @ got.T, ref @ ref.T, rtol=0, atol=1e-12)
+    assert orthonormal_basis(np.zeros((20, 200))).shape == (20, 0)
+    # at most 1000 entries the stack goes to the SVD as it is, zero columns and all
+    for shape in ((6, 36), (10, 100), (3, 300)):
+        small = rng.standard_normal(shape)
+        small[:, ::3] = 0.0
+        assert np.array_equal(orthonormal_basis(small), plain_svd_basis(small)), shape
+
+
 def test_jacobi_residual_matches_einsum_formula():
     rng = np.random.default_rng(6)
     C = rng.standard_normal((5, 5, 5))

@@ -8,8 +8,8 @@ from liestab.algebra import (abelian, derived_algebra, heisenberg, nilpotent_upp
 from liestab.dynamics import (AdjointFamily, ExoSignal,
                               SystemSpecError, Term, Word, WordSeriesSystem,
                               _expm1_batch, _min_singular, parse_letter)
-from liestab.quotient import (InvarianceViolation, _slotwise, bracket_word, induced_map,
-                              invariance_residual, off_ideal_part)
+from liestab.quotient import (InvarianceViolation, _slotwise, induced_map, invariance_residual,
+                              off_ideal_part)
 from liestab.sampling import (expm, heisenberg_tracking_system, tracking_signal,
                               tracking_state)
 from liestab.scenarios import (EX61_X0, builtin_scenario, ex61_signal, ex61_system,
@@ -27,8 +27,18 @@ def tracking_error_step(e, w):
     ])
 
 
+def word_chain(alg, vals):
+    """``[v1, [v2, [..., vk]]]`` as one ``bracket_many`` chain, right to left: a reference
+    that shares nothing with the word evaluator behind ``bracket_word`` and the update map."""
+    w = vals[-1]
+    for v in vals[-2::-1]:
+        w = alg.bracket_many(v, w)
+    return w
+
+
 def reference_step(sys_, X, W):
-    """F(X, W) one term at a time: ``bracket_word`` per word, scipy ``expm`` per family."""
+    """F(X, W) one term at a time: one ``bracket_many`` chain per word, scipy ``expm`` per
+    family."""
     Xs = X.reshape(sys_.n, sys_.d)
     Ws = W.reshape(sys_.r, sys_.d)
 
@@ -38,7 +48,7 @@ def reference_step(sys_, X, W):
 
     out = (sys_.A @ X).reshape(sys_.n, sys_.d).copy()
     for t in sys_.terms:
-        out += np.outer(t.coeff, bracket_word(sys_.algebra, [value(l) for l in t.word.letters]))
+        out += np.outer(t.coeff, word_chain(sys_.algebra, [value(l) for l in t.word.letters]))
     for f in sys_.families:
         base = sum(w * value(letter) for letter, w in f.base.items())
         target = value(f.target)
@@ -48,8 +58,9 @@ def reference_step(sys_, X, W):
 
 
 def reference_update(sys_, X, W):
-    """The batched update map with one flow product per family and the input-only flows
-    recomputed on every call (the loop the per-call memo and shared products replaced)."""
+    """The batched update map with one ``bracket_many`` chain per word, one flow product per
+    family and the input-only flows recomputed on every call (the loops that the shared-suffix
+    evaluator, the per-call memo and the shared products replaced)."""
     B = X.shape[0]
     Xs = X.reshape(B, sys_.n, sys_.d)
     Ws = W.reshape(W.shape[0] if W.ndim > 1 else 1, sys_.r, sys_.d)
@@ -60,7 +71,7 @@ def reference_update(sys_, X, W):
         return Xs[:, j - 1, :] if kind == "X" else Ws[:, j - 1, :]
 
     for t in sys_.terms:
-        w = bracket_word(sys_.algebra, [letter_vals(l) for l in t.word.letters])
+        w = word_chain(sys_.algebra, [letter_vals(l) for l in t.word.letters])
         out += t.coeff[np.newaxis, :, np.newaxis] * w[:, np.newaxis, :]
     keys = [tuple(sorted(f.base.items())) for f in sys_.families]
     ads = {key: sys_.algebra.ad_many(sum(wgt * letter_vals(l) for l, wgt in key))
@@ -390,11 +401,10 @@ def test_expand_family_exact_on_nilpotent():
 
 
 def _word_value(sys_, term, x, w):
-    from liestab.quotient import bracket_word
     Xs = x.reshape(sys_.n, sys_.d)
     Ws = w.reshape(sys_.r, sys_.d)
     vals = [Xs[j - 1] if kind == "X" else Ws[j - 1] for kind, j in term.word.letters]
-    return bracket_word(sys_.algebra, vals)
+    return word_chain(sys_.algebra, vals)
 
 
 def test_expand_family_matches_flow_exactly():
@@ -781,6 +791,17 @@ def test_equilibrium_search_matches_the_masked_loop(name):
             assert rows == [100] * 600
 
 
+def test_update_takes_one_ad_per_leading_letter(monkeypatch):
+    # sweep: [X1, W1], [X1, [X1, W1]]; uptri-deadbeat: [X1, W1], [W1, [W1, X1]], [X1, [W1, X1]]
+    for sys_, leading in ((sweep_system(6), 1), (builtin_scenario("uptri-deadbeat").system, 2)):
+        calls = []
+        real = sys_.algebra.ad_many
+        monkeypatch.setattr(sys_.algebra, "ad_many", lambda X, real=real: calls.append(1) or real(X))
+        sys_.evaluate_batch(np.ones((5, sys_.state_dim)), np.ones(sys_.r * sys_.d))
+        sys_.evaluate(np.ones(sys_.state_dim), np.ones(sys_.r * sys_.d))
+        assert len(calls) == 2 * leading
+
+
 def test_input_flow_memo_and_shared_products_are_exact():
     sys61 = ex61_system()
     # two families share the (base, target) pair (X2, X1) and so one product per call
@@ -798,3 +819,19 @@ def test_input_flow_memo_and_shared_products_are_exact():
         np.testing.assert_array_equal(sys61.evaluate(X[0], w2), reference_update(sys61, X[:1], w2)[0])
         W = rng.standard_normal((7, sys61.r * sys61.d))
         np.testing.assert_array_equal(sys61.evaluate_batch(X, W), reference_update(sys61, X, W))
+    # terms evaluated once per shared suffix, with one ad per leading letter, keep every bit
+    # (sign of zero included) of one chain per word, under a shared and a stacked input
+    alg = nilpotent_upper(5)
+    shared_suffixes = WordSeriesSystem(alg, 2, 1, 0.5 * np.eye(2 * alg.dim), terms=[
+        Term(Word((("X", 1), ("X", 2), ("X", 1), ("W", 1))), np.array([0.3, -0.1])),
+        Term(Word((("X", 2), ("X", 1), ("W", 1))), np.array([0.0, 0.2])),
+        Term(Word((("X", 1), ("W", 1))), np.array([-0.5, 0.4]))])
+    systems = [builtin_scenario(name).system
+               for name in ("example-4.1", "heisenberg-deadbeat", "uptri-deadbeat")]
+    for sys_ in systems + [sweep_system(m) for m in range(4, 9)] + [shared_suffixes]:
+        X = rng.standard_normal((7, sys_.state_dim))
+        X[0] = 0.0
+        for W in (rng.standard_normal(sys_.r * sys_.d), rng.standard_normal((7, sys_.r * sys_.d)),
+                  -np.zeros(sys_.r * sys_.d)):
+            got, ref = sys_.evaluate_batch(X, W), reference_update(sys_, X, W)
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))

@@ -11,7 +11,7 @@ from liestab.sampling import heisenberg_tracking_system, tracking_signal, tracki
 from liestab.scenarios import (BUILTINS, builtin_scenario, ex61_signal, ex61_system,
                                heisenberg_deadbeat_system, ideal_valued_samples,
                                uptri_deadbeat_system)
-from liestab.quotient import adapted_norm, bracket_word, induced_map
+from liestab.quotient import adapted_norm, induced_map
 from liestab.stability import (ENVELOPE_POWERS, CertificateRejected, HypothesisError,
                                block_sum_norm, certify_nilpotent, certify_solvable,
                                deadbeat_envelope, deadbeat_horizon, deadbeat_verified, fit_envelope,
@@ -184,7 +184,7 @@ def test_power_envelope_constant_is_sound_at_a_narrow_rate_margin(monkeypatch):
 
 
 def reference_forcing_norms(sys_, states, signal, level):
-    """``forcing_norms`` one step and one word at a time."""
+    """``forcing_norms`` one step and one word at a time, each word one ``bracket_many`` chain."""
     ctx = sys_.projections[level]
     filt = sys_.projections[level - 1].P.T @ sys_.projections[level - 1].P
     out = np.zeros(states.shape[0])
@@ -195,17 +195,22 @@ def reference_forcing_norms(sys_, states, signal, level):
         for t in sys_.all_terms():
             if t.word.length <= level:
                 vals = [filt @ slots[kind][j - 1] for kind, j in t.word.letters]
-                acc += np.outer(t.coeff, ctx.P @ bracket_word(sys_.algebra, vals))
+                w = vals[-1]
+                for y in vals[-2::-1]:
+                    w = sys_.algebra.bracket_many(y, w)
+                acc += np.outer(t.coeff, ctx.P @ w)
         out[k] = float(np.linalg.norm(acc, axis=1).sum())
     return out
 
 
 def test_forcing_norms_match_the_per_step_loop():
-    sc = builtin_scenario("example-4.1")
-    traj = sc.system.simulate(sc.x0, sc.signal, 50)
-    for level in (1, 2):
-        got = forcing_norms(sc.system, traj.states, sc.signal, level)
-        assert np.array_equal(got, reference_forcing_norms(sc.system, traj.states, sc.signal, level))
+    cases = [(sc.system, sc.signal, sc.x0) for sc in map(builtin_scenario, ("example-4.1", "uptri-deadbeat"))]
+    cases += [(sys_, signal, np.full(sys_.d, 0.3)) for sys_, signal in map(sweep_system, (4, 5))]
+    for sys_, signal, x0 in cases:
+        traj = sys_.simulate(x0, signal, 50)
+        for level in range(1, len(sys_.projections)):
+            got = forcing_norms(sys_, traj.states, signal, level)
+            assert np.array_equal(got, reference_forcing_norms(sys_, traj.states, signal, level))
 
 
 def test_certificate_for_tracking_example():

@@ -11,7 +11,8 @@ Exit codes: 0 pass, 1 hypothesis/certificate failure (an inconsistent
 certificate included), 2 input error (a negative seed, an --epsilon that is
 not positive and finite, or an output directory that cannot be made,
 included), 3 numeric divergence or overflow.
-A certificate that does not exit 0 prints one [FAIL] line.
+A certificate that does not exit 0 prints one [FAIL] line; a failed check's [FAIL] line
+says what failed and by how much.
 Identical configuration and seed produce byte-identical output files.
 """
 
@@ -25,6 +26,8 @@ import numpy as np
 
 from . import stability
 from .algebra import is_nilpotent, is_solvable
+from .dynamics import MIN_REMAINDER_ORDER, NONLINEAR_INVARIANCE_TOL
+from .quotient import invariance_bound
 from .scenarios import (BUILTINS, Scenario, ScenarioError, builtin_scenario, ideal_valued_samples,
                         load_scenario, write_json, write_trajectory_csv, write_trajectory_json)
 
@@ -62,24 +65,48 @@ def _load(args) -> Scenario:
 
 def cmd_check(sc: Scenario, outdir: Path, seed: int) -> int:
     sys_ = sc.system
-    majorant = sys_.series_majorant(max(sc.M, sys_.radius))
+    radius = max(sc.M, sys_.radius)
+    majorant = sys_.series_majorant(radius)
     eq = sys_.equilibrium_report(seed=seed)
     inv = sys_.invariance_report(seed=seed)
     jac = sys_.jacobian_report()
     ok = bool(np.isfinite(majorant)) and eq["ok"] and inv["ok"] and jac["ok"]
     report = {"scenario": sc.name, "seed": seed, "ok": ok,
-              "majorant": {"radius": max(sc.M, sys_.radius), "value": majorant, "mu": sys_.mu(),
+              "majorant": {"radius": radius, "value": majorant, "mu": sys_.mu(),
                            "finite": bool(np.isfinite(majorant))},
               "equilibrium": {k: v for k, v in eq.items() if k != "violations"}
               | {"violation_count": len(eq["violations"])},
               "invariance": inv, "jacobian": jac}
     write_json(outdir / f"check-{sc.name}.json", report)
-    for label, good in [("series majorant finite", np.isfinite(majorant)),
-                        ("unique equilibrium (structural + search)", eq["ok"]),
-                        ("chain invariance", inv["ok"]),
-                        ("linearization matches A", jac["ok"])]:
-        print(f"[{'PASS' if good else 'FAIL'}] {label}")
+    for label, good, why in [
+            ("series majorant finite", np.isfinite(majorant), lambda: f"value {majorant:.6g} at radius {radius:.6g}"),
+            ("unique equilibrium (structural + search)", eq["ok"], lambda: _equilibrium_failure(eq)),
+            ("chain invariance", inv["ok"], lambda: _invariance_failure(inv, sys_.A)),
+            ("linearization matches A", jac["ok"], lambda: _jacobian_failure(jac, sys_.jacobian_tolerance()))]:
+        print(f"[PASS] {label}" if good else f"[FAIL] {label}: {why()}")
     return EXIT_PASS if ok else EXIT_HYPOTHESIS
+
+
+def _equilibrium_failure(eq: dict) -> str:
+    resids = [v["residual"] for v in eq["violations"]]
+    return (f"{len(resids)} violations, smallest residual {min(resids):.3e}" if eq["structural_ok"]
+            else "a word without a state letter")
+
+
+def _invariance_failure(inv: dict, A) -> str:
+    """The level of largest nonlinear residual if that one is off, else of largest linear residual."""
+    nl = max(inv["levels"], key=lambda lv: np.nan_to_num(lv["nonlinear_residual"], nan=np.inf))
+    if not nl["nonlinear_residual"] < NONLINEAR_INVARIANCE_TOL:
+        return (f"level {nl['level']} nonlinear residual {nl['nonlinear_residual']:.3e} "
+                f"(bound {NONLINEAR_INVARIANCE_TOL:g})")
+    lin = max(inv["levels"], key=lambda lv: lv["linear_residual"])
+    return f"level {lin['level']} linear residual {lin['linear_residual']:.3e} (bound {invariance_bound(A):.3e})"
+
+
+def _jacobian_failure(jac: dict, tol: float) -> str:
+    err = max(jac["state_errors"] + jac["input_errors"])
+    return (f"largest axis error {err:.3e} (tolerance {tol:.3e})" if not err < tol
+            else f"observed order {jac['observed_order']:.3g} (bound {MIN_REMAINDER_ORDER:g})")
 
 
 def _route(sc: Scenario) -> str:

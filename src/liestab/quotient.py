@@ -29,26 +29,37 @@ class InvarianceViolation(ValueError):
 
 
 def _complement_basis(ideal: Subspace, d: int, m: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the ideal.
+    """Orthonormal basis of the orthogonal complement of the ideal: Gram-Schmidt on the standard axes,
+    keeping in order each axis that leaves the span of the ideal and of the kept axes by over 1e-8
+    (so an axis-aligned ideal gets its remaining axes, in order, as coordinates).
 
-    Built greedily from the standard basis so that axis-aligned ideals get
-    natural, readably ordered complement coordinates: each axis is projected
-    off the ideal and off all accepted columns as two batched products, twice
-    for stability.  Falls back to the SVD when no well-conditioned axis is left.
-    """
-    Q = np.zeros((d, d - m))
-    q = 0
-    for v in np.eye(d):
-        for _ in range(2):
-            v -= ideal.project(v)
-            v -= Q @ (Q.T @ v)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            Q[:, q] = v / nrm
-            q += 1
-            if q == d - m:
-                return Q
-    u, _, _ = np.linalg.svd(ideal.onb, full_matrices=True)
+    All axes are projected off the ideal twice, one matrix-vector product each (a single GEMM rounds
+    differently, by 1e-10 on an axis within 1e-7 of the ideal).  The first d - m axes of norm above
+    1e-8 get one Householder QR with diag R > 0, Gram-Schmidt's basis; bitwise orthonormal columns
+    already are it.  A QR leaking past 1e-15 into the ideal (one QR can leak 1e-12) is projected and
+    taken again.  An axis with |R_kk| <= 1e-8 depends on those before it: it is dropped and the QR
+    retaken, since its rounding noise enters the span of the columns after it.  Falls back to the SVD
+    when fewer than d - m axes are left."""
+    B = ideal.onb
+    M = np.eye(d)[:, :, None]
+    for _ in range(2):
+        M = M - B @ (B.T @ M)
+    M = M[..., 0].T
+    keep = np.linalg.norm(M, axis=0) > 1e-8
+    while (cols := np.flatnonzero(keep)[:d - m]).size == d - m:
+        Q = M[:, cols]
+        if (Q.T @ Q == np.eye(d - m)).all():
+            return Q
+        Q, R = np.linalg.qr(Q)
+        r = R.diagonal()
+        if np.abs(r).min() > 1e-8:
+            Q = Q * np.sign(r)
+            if np.abs(B.T @ Q).max() > 1e-15:
+                Q, R = np.linalg.qr(Q - B @ (B.T @ Q))
+                Q = Q * np.sign(R.diagonal())
+            return Q
+        keep[cols[np.argmax(np.abs(r) <= 1e-8)]] = False
+    u, _, _ = np.linalg.svd(B, full_matrices=True)
     return u[:, m:]
 
 
@@ -108,13 +119,18 @@ def invariance_residual(ideal: Subspace, A: np.ndarray) -> float:
     return float(np.linalg.norm(off_ideal_part(ideal, _slotwise(ideal.onb.T, A, n).T, n)))
 
 
+def invariance_bound(A) -> float:
+    """The largest ``invariance_residual`` that counts as invariant: INVARIANCE_TOL * max(1, ||A||)."""
+    return INVARIANCE_TOL * max(1.0, float(np.linalg.norm(A)))
+
+
 def induced_map(ctx: QuotientContext, A) -> np.ndarray:
     """kron(I_n, P) A kron(I_n, P.T): the unique map with Abar kron(I_n, P) = kron(I_n, P) A
     on n stacked slots (n read off A's shape; one slot for a d x d map).  InvarianceViolation
-    unless A preserves the ideal in every slot within INVARIANCE_TOL * max(1, ||A||)."""
+    unless A preserves the ideal in every slot within ``invariance_bound(A)``."""
     A = np.asarray(A, dtype=float)
     resid = invariance_residual(ctx.ideal, A)
-    if resid > INVARIANCE_TOL * max(1.0, float(np.linalg.norm(A))):
+    if resid > invariance_bound(A):
         raise InvarianceViolation(resid)
     n = A.shape[0] // ctx.algebra.dim
     return _slotwise(ctx.P, _slotwise(ctx.P, A, n).T, n).T

@@ -101,16 +101,16 @@ def ex61_signal(horizon: int) -> ExoSignal:
 
     W1[k+1] = 2 (1 - k 1.1^{-0.5 k}) sin(10 k) W0,
     W2[k+1] = (2 - k^2 1.1^{-2 k}) cos(20 k) W0, both started at W0, with
-    W0 = t4 + 7 t5 + 6 t6 in the derived algebra.
+    W0 = t4 + 7 t5 + 6 t6 in the derived algebra.  The powers are Python floats:
+    ``np.power`` can differ from ``**`` in the last bit.
     """
+    k = np.arange(horizon, dtype=float)
+    c1 = 2.0 * (1.0 - k * np.array([1.1 ** (-0.5 * j) for j in range(horizon)])) * np.sin(10.0 * k)
+    c2 = (2.0 - k * k * np.array([1.1 ** (-2.0 * j) for j in range(horizon)])) * np.cos(20.0 * k)
     samples = np.zeros((horizon + 1, 12))
-    samples[0, 0:6] = EX61_W0
-    samples[0, 6:12] = EX61_W0
-    for k in range(horizon):
-        c1 = 2.0 * (1.0 - k * 1.1 ** (-0.5 * k)) * np.sin(10.0 * k)
-        c2 = (2.0 - k ** 2 * 1.1 ** (-2.0 * k)) * np.cos(20.0 * k)
-        samples[k + 1, 0:6] = c1 * EX61_W0
-        samples[k + 1, 6:12] = c2 * EX61_W0
+    samples[0] = np.tile(EX61_W0, 2)
+    samples[1:, 0:6] = np.outer(c1, EX61_W0)
+    samples[1:, 6:12] = np.outer(c2, EX61_W0)
     return ExoSignal("samples", r=2, d=6, samples=samples)
 
 

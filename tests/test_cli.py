@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from liestab import cli
 from liestab.algebra import algebra_to_dict, heisenberg, nilpotent_upper
 from liestab.cli import main
+from liestab.dynamics import WordSeriesSystem
 from liestab.scenarios import (BUILTINS, MAX_HORIZON, MAX_INPUTS, builtin_scenario,
                                load_scenario, scenario_from_dict, ScenarioError)
 
@@ -522,6 +523,47 @@ def test_check_searches_600_batches_of_100_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "builtin_scenario", scenario)
     assert run(["check", "--builtin", "example-6.1", "--seed", "0", "--out", str(tmp_path)]) == 0
     assert rows == [100] * 600
+
+
+CHECK_PASS_LINES = {"[PASS] series majorant finite", "[PASS] unique equilibrium (structural + search)",
+                    "[PASS] chain invariance", "[PASS] linearization matches A"}
+
+
+def assert_one_failed_check(stdout, line):
+    lines = stdout.splitlines()
+    assert [ln for ln in lines if ln.startswith("[FAIL]")] == [line]
+    assert len(lines) == 4 and set(lines) - {line} <= CHECK_PASS_LINES
+
+
+@pytest.mark.parametrize("breakage,line", [
+    ({"M": 1e308}, "[FAIL] series majorant finite: value inf at radius 1e+308"),  # once an OverflowError
+    ({"r": 2, "terms": [{"letters": ["W1", "W2"], "coeff": [1.0]}], "signal": {"kind": "zero"}},
+     "[FAIL] unique equilibrium (structural + search): a word without a state letter"),
+    ({"A": np.eye(3).tolist(), "terms": []},  # every state is a fixed point
+     "[FAIL] unique equilibrium (structural + search): 200 violations, smallest residual 0.000e+00"),
+    ({"A": [[0.3, 0.0, 0.2], [0.0, 0.3, 0.0], [0.0, 0.0, 0.3]]},  # A moves the centre h3 off itself
+     "[FAIL] chain invariance: level 2 nonlinear residual 3.633e-01 (bound 1e-09)"),
+    ({"A": [[0.5, 0.0, 3e-10], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]},  # by too little for the map's bound
+     "[FAIL] chain invariance: level 2 linear residual 3.000e-10 (bound 1.000e-10)"),
+])
+def test_a_failed_check_states_what_failed_and_by_how_much(tmp_path, capsys, breakage, line):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(NONFINITE_BASE | breakage))
+    assert run(["check", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert_one_failed_check(capsys.readouterr().out, line)
+
+
+@pytest.mark.parametrize("change,line", [
+    ({"input_errors": [2e-3, 2e-5, 2e-7]},
+     "[FAIL] linearization matches A: largest axis error 2.000e-03 (tolerance 1.000e-12)"),
+    ({"exact": False, "observed_order": 1.0}, "[FAIL] linearization matches A: observed order 1 (bound 1.9)"),
+])
+def test_a_failed_linearization_states_its_margin(tmp_path, capsys, monkeypatch, change, line):
+    # a word series is polynomial, so no scenario misses A: the report is broken instead
+    report = WordSeriesSystem.jacobian_report
+    monkeypatch.setattr(WordSeriesSystem, "jacobian_report", lambda self: report(self) | change | {"ok": False})
+    assert run(["check", "--builtin", "example-4.1", "--out", str(tmp_path)]) == 1
+    assert_one_failed_check(capsys.readouterr().out, line)
 
 
 @pytest.mark.parametrize("name", ["example-6.1", "uptri-deadbeat"])

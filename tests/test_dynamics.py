@@ -447,6 +447,8 @@ def test_series_majorant():
     assert sys61.series_majorant(r) == pytest.approx(expected_family)
     with pytest.raises(ValueError):
         sys61.series_majorant(-1.0)
+    # a power or an expm1 past the float range is an infinite majorant, once an OverflowError
+    assert sys41.series_majorant(1e308) == np.inf and sys61.series_majorant(1e3) == np.inf
     # a word written into both slots adds |c_1| + |c_2| times its norm to the slot-sum
     # state norm; with ||c||_2 the majorant read 5.94 below the word part's 8.0
     two = WordSeriesSystem(heisenberg(), 2, 1, 0.3 * np.eye(6),
@@ -579,6 +581,27 @@ def test_exo_signal_kinds():
         assert signal.values(0).shape == (0, signal.r * signal.d)
     assert geo.envelope() == (5.0, 2.0)
     assert ExoSignal.zero(2, 3).envelope() == (0.0, 1.0)
+
+
+def reference_ex61_samples(horizon):
+    """Example 6.1's driving pair one step at a time, in scalar arithmetic."""
+    w0 = np.array([0.0, 0.0, 0.0, 1.0, 7.0, 6.0])
+    samples = np.zeros((horizon + 1, 12))
+    samples[0, 0:6] = w0
+    samples[0, 6:12] = w0
+    for k in range(horizon):
+        c1 = 2.0 * (1.0 - k * 1.1 ** (-0.5 * k)) * np.sin(10.0 * k)
+        c2 = (2.0 - k ** 2 * 1.1 ** (-2.0 * k)) * np.cos(20.0 * k)
+        samples[k + 1, 0:6] = c1 * w0
+        samples[k + 1, 6:12] = c2 * w0
+    return samples
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 200, 2000])
+def test_ex61_signal_has_the_bits_of_the_step_loop(horizon):
+    got, want = ex61_signal(horizon).samples, reference_ex61_samples(horizon)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_invariance_report():

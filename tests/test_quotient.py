@@ -12,6 +12,7 @@ from liestab.quotient import (ChainProjections, InvarianceViolation,
                               induced_map, is_ideal, layered_word_residual,
                               quotient_algebra)
 from liestab.sampling import TRACKING_A
+from liestab.scenarios import BUILTINS, builtin_scenario
 
 HEIS = heisenberg()
 UT = upper_triangular6()
@@ -31,7 +32,7 @@ def test_projection_coordinates_and_kernel():
 
 
 def reference_complement_basis(ideal, d, m):
-    """The greedy pass one accepted column at a time (the loop ``_complement_basis`` batches)."""
+    """The greedy pass one accepted column at a time (``_complement_basis`` builds its basis whole)."""
     cols = []
     for i in range(d):
         v = np.zeros(d)
@@ -75,6 +76,85 @@ def test_complement_basis_matches_reference_loop():
         np.testing.assert_allclose(Q, reference_complement_basis(ideal, d, m), rtol=0, atol=1e-14)
         np.testing.assert_allclose(Q.T @ Q, np.eye(d - m), rtol=0, atol=1e-14)
         assert np.abs(ideal.onb.T @ Q).max() <= 1e-14
+
+
+def structured_ideal(rng, kind):
+    """A seeded ideal of one of four kinds: 0 rotated, 1 spanned by sums of axis pairs (projected
+    axes that depend on earlier ones), 2 axis-aligned with a 1e-9 tilt, 3 partly rotated."""
+    d = int(rng.integers(2, 25))
+    m = int(rng.integers(1, d))
+    if kind == 0:
+        basis = rng.standard_normal((d, m))
+    elif kind == 1:
+        basis = np.zeros((d, m))
+        for j in range(m):
+            basis[rng.choice(d, 2, replace=False), j] = 1.0
+    elif kind == 2:
+        basis = np.eye(d)[:, rng.choice(d, m, replace=False)] + 1e-9 * rng.standard_normal((d, m))
+    else:
+        k = int(rng.integers(1, m + 1))
+        rows = rng.permutation(d)
+        basis = np.zeros((d, m))
+        basis[rows[:m - k], np.arange(m - k)] = 1.0
+        basis[rows[m - k:], m - k:] = rng.standard_normal((d - m + k, k))
+    return Subspace(basis)
+
+
+def assert_matches_reference(ideal, atol):
+    d, m = ideal.ambient_dim, ideal.dim
+    Q = _complement_basis(ideal, d, m)
+    np.testing.assert_allclose(Q, reference_complement_basis(ideal, d, m), rtol=0, atol=atol)
+    np.testing.assert_allclose(Q.T @ Q, np.eye(d - m), rtol=0, atol=1e-14)
+    assert np.abs(ideal.onb.T @ Q).max(initial=0.0) <= 1e-14
+
+
+def test_complement_basis_matches_reference_on_structured_ideals():
+    # kind 1 is where one QR of all projected axes misselects: the rounding noise of a dependent
+    # axis enters the span of the axes after it and can hide a kept one, as e_3 here
+    basis = np.zeros((6, 5))
+    for j, pair in enumerate([(1, 2), (1, 4), (0, 2), (1, 5), (0, 5)]):
+        basis[pair, j] = 1.0
+    pairs = Subspace(basis)
+    assert pairs.dim == 4
+    assert_matches_reference(pairs, 1e-15)
+    np.testing.assert_allclose(_complement_basis(pairs, 6, 4).T, [[1, 1, -1, 0, -1, -1] / np.sqrt(5.0),
+                                                                   [0, 0, 0, 1, 0, 0]], rtol=0, atol=1e-15)
+    rng = np.random.default_rng(23)
+    checked = [0] * 4
+    for i in range(500):
+        ideal = structured_ideal(rng, i % 4)
+        if 0 < ideal.dim < ideal.ambient_dim:
+            assert_matches_reference(ideal, 1e-14)
+            checked[i % 4] += 1
+    assert min(checked) >= 100
+
+
+def test_complement_basis_on_the_central_chain_of_nilpotent_upper_12():
+    alg = nilpotent_upper(12)
+    ideals = [s for s in alg.central_chain.ideals if 0 < s.dim < alg.dim]
+    assert len(ideals) == 10
+    for ideal in ideals:
+        assert_matches_reference(ideal, 1e-15)
+
+
+def test_complement_basis_is_the_reference_bit_for_bit_on_the_builtin_chains():
+    for name in BUILTINS:
+        for ctx in builtin_scenario(name).system.projections.contexts:
+            d, m = ctx.algebra.dim, ctx.ideal.dim
+            if 0 < m < d:
+                assert np.array_equal(ctx.P.T, reference_complement_basis(ctx.ideal, d, m)), name
+
+
+def test_chain_projections_project_no_vector_one_at_a_time(monkeypatch):
+    alg = nilpotent_upper(6)
+    chain = alg.central_chain
+
+    def refuse(self, x):
+        raise AssertionError("Subspace.project called")
+
+    monkeypatch.setattr(Subspace, "project", refuse)
+    proj = ChainProjections(alg, chain)
+    assert [ctx.quotient_dim for ctx in proj] == [0, 5, 9, 12, 14, 15]
 
 
 def test_projection_right_inverse_and_kernel_image():

@@ -7,10 +7,10 @@ applies ad_x to y row by row, and all pairs [u_i, v_j] of two column bases U, V
 are ``ad_many(U.T) @ V``, one GEMM.  Elements are coordinate vectors of length d.
 Subspaces are column spans.  The module provides span-of-brackets machinery (a
 pair stack rank-revealed through the SVD of its d x d R factor), the derived and
-lower central series, the solvable/nilpotent predicates (cached per algebra), and
-a proven bound mu with ||[x, y]|| <= mu ||x|| ||y||, the least of three closed
-forms (two unfoldings of C and, given a matrix realization, its Gram matrix with
-the sqrt 2 commutator bound); see ``bracket_constant``.
+lower central series, the solvable/nilpotent predicates, and a proven bound mu with
+||[x, y]|| <= mu ||x|| ||y||, the least of three closed forms (two unfoldings of C and,
+given a matrix realization, its Gram matrix with the sqrt 2 commutator bound; see
+``bracket_constant``), each computed once per algebra, which is immutable.
 Each catalog algebra is a matrix realization whose constants are read off
 its commutators (``realized_algebra``), so no bracket is stated twice.  Given a
 realization, validation proves Jacobi through it (``jacobi_bound``) instead of
@@ -137,12 +137,10 @@ class IdealChain:
     """Descending chain of subspaces S_1 >= S_2 >= ... produced by a series.
 
     ``terminated`` is True when the last entry is the zero subspace; otherwise
-    the series stabilized at a nonzero subspace and the classification
-    predicate tied to ``kind`` fails.
+    the series stabilized at a nonzero subspace (not solvable or not nilpotent).
     """
 
     ideals: list
-    kind: str  # "derived-series" | "lower-central-series"
     terminated: bool
 
     @property
@@ -154,7 +152,7 @@ class IdealChain:
 
 
 class LieAlgebra:
-    """Real Lie algebra defined by structure constants.
+    """Real Lie algebra defined by structure constants; immutable once built.
 
     Parameters
     ----------
@@ -174,27 +172,12 @@ class LieAlgebra:
             raise InvalidAlgebra(f"structure constants must have shape (d, d, d), got {C.shape}")
         self.dim = C.shape[0]
         C.flags.writeable = False
-        self.C = C
+        self._C = C
         self._C2 = C.reshape(self.dim, self.dim * self.dim)  # read-only view; row i is [e_i, .]
         self.labels = list(labels) if labels is not None else [f"e{i+1}" for i in range(self.dim)]
         if len(self.labels) != self.dim:
             raise InvalidAlgebra("label count does not match dimension")
         self.name = name
-        self.matrix_rep = matrix_rep
-        self._series_brackets = {}  # memo of _series, keyed by the bytes of both bases
-        self._validate()
-
-    @property
-    def matrix_rep(self) -> Optional[np.ndarray]:
-        """Read-only copy of the realization (d real m x m matrices), or None.
-
-        Assigning a new one checks its shape and clears its cached residuals; it
-        does not re-validate the algebra.
-        """
-        return self._rep
-
-    @matrix_rep.setter
-    def matrix_rep(self, matrix_rep) -> None:
         rep = None
         if matrix_rep is not None:
             try:
@@ -207,15 +190,20 @@ class LieAlgebra:
                 raise InvalidAlgebra("matrix_rep must be finite")
             rep.flags.writeable = False
         self._rep = rep
-        self.__dict__.pop("_realization", None)
+        self._series_brackets = {}  # memo of _series, keyed by the bytes of both bases
+        self._validate()
+
+    # read-only copies that cannot be rebound, so what is cached on the algebra stays valid
+    C = property(lambda self: self._C, doc="The structure constants (read-only).")
+    matrix_rep = property(lambda self: self._rep, doc="The realization (read-only), or None.")
 
     # -- validation ------------------------------------------------------
 
     def _validate(self) -> None:
-        """Antisymmetry, then Jacobi, then the realization.  Given a realization whose
-        ``jacobi_bound`` is at most JACOBI_TOL, Jacobi is proven and the d^4 sweep of
-        ``jacobi_residual`` is skipped; otherwise the sweep runs before the realization is
-        checked, so an algebra that fails both is reported as breaking Jacobi."""
+        """Finite entries, antisymmetry, Jacobi, a finite Frobenius norm, then the realization.
+        Given a realization whose ``jacobi_bound`` is at most JACOBI_TOL, Jacobi is proven and
+        the d^4 sweep of ``jacobi_residual`` is skipped; otherwise the sweep runs before the
+        realization is checked, so an algebra that fails both is reported as breaking Jacobi."""
         C = self.C
         if not np.isfinite(C).all():
             raise InvalidAlgebra("structure constants must be finite")
@@ -226,6 +214,10 @@ class LieAlgebra:
             jac = self.jacobi_residual()
             if not jac <= JACOBI_TOL:
                 raise InvalidAlgebra(f"Jacobi identity violated (max residual {jac:.3e})")
+        with np.errstate(over="ignore"):
+            self._frobenius_norm = float(np.linalg.norm(C))
+        if not math.isfinite(self._frobenius_norm):  # mu, the rank floor and every bound scale by it
+            raise InvalidAlgebra("structure constants must have a finite Frobenius norm")
         if self.matrix_rep is not None:
             err = self.rep_residual()
             if not err <= REP_TOL:
@@ -358,7 +350,7 @@ class LieAlgebra:
 
     derived_chain = cached_property(lambda self: derived_series(self))
     central_chain = cached_property(lambda self: lower_central_series(self))
-    _frobenius_norm = cached_property(lambda self: float(np.linalg.norm(self.C)))
+    mu = cached_property(lambda self: bracket_constant(self))  # shared by every system on the algebra
 
     @cached_property
     def solvability(self) -> tuple:
@@ -400,7 +392,7 @@ def subspace_bracket(alg: LieAlgebra, s1: Subspace, s2: Subspace) -> Subspace:
     return Subspace(orthonormal_basis(stack), already_orthonormal=True)
 
 
-def _series(alg: LieAlgebra, start: Subspace, kind: str) -> IdealChain:
+def _series(alg: LieAlgebra, start: Subspace, derived: bool) -> IdealChain:
     """Brackets each term with itself (derived) or with ``start`` (lower central) until the
     dimension stops falling, so a chain has at most d + 1 terms.
 
@@ -410,7 +402,7 @@ def _series(alg: LieAlgebra, start: Subspace, kind: str) -> IdealChain:
     """
     chain = [start]
     while chain[-1].dim:
-        other = chain[-1] if kind == "derived-series" else start
+        other = chain[-1] if derived else start
         key = (chain[-1].onb.tobytes(), other.onb.tobytes())  # bases are (d, r): the length fixes r
         nxt = alg._series_brackets.get(key)
         if nxt is None:
@@ -418,12 +410,12 @@ def _series(alg: LieAlgebra, start: Subspace, kind: str) -> IdealChain:
         if nxt.dim == chain[-1].dim:
             break
         chain.append(nxt)
-    return IdealChain(chain, kind, terminated=chain[-1].dim == 0)
+    return IdealChain(chain, terminated=chain[-1].dim == 0)
 
 
 def derived_series(alg: LieAlgebra) -> IdealChain:
     """Chain g_0 = g, g_{i+1} = [g_i, g_i], down to 0 or stabilization."""
-    return _series(alg, alg.full_subspace(), "derived-series")
+    return _series(alg, alg.full_subspace(), derived=True)
 
 
 def lower_central_series(alg: LieAlgebra, start: Optional[Subspace] = None) -> IdealChain:
@@ -433,7 +425,7 @@ def lower_central_series(alg: LieAlgebra, start: Optional[Subspace] = None) -> I
     is taken within h itself, i.e. brackets are with h, not with g.
     """
     h = start if start is not None else alg.full_subspace()
-    return _series(alg, h, "lower-central-series")
+    return _series(alg, h, derived=False)
 
 
 def derived_algebra(alg: LieAlgebra) -> Subspace:

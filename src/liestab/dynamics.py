@@ -18,7 +18,7 @@ input (a one-entry memo).  Maps act on stacked vectors slot by slot (``quotient.
 linear part induced on a quotient is ``quotient.induced_map``, which rejects an A that
 moves a chain ideal off itself by more than ``quotient.invariance_bound``.
 
-The norm on stacked states is the sum of per-slot Euclidean norms.
+The norm on stacked states is the sum of per-slot Euclidean norms, ``slot_norms``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (LieAlgebra, Subspace, derived_algebra, is_nilpotent,
-                      lower_central_series, bracket_constant)
+from .algebra import LieAlgebra, Subspace, derived_algebra, is_nilpotent, lower_central_series
 from .quotient import (ChainProjections, _slotwise, evaluate_words, induced_map, invariance_bound,
                        invariance_residual, off_ideal_part, quotient_algebra, word_plan)
 
@@ -118,6 +117,13 @@ class AdjointFamily:
         return all(kind == "X" for kind, _ in self.base)
 
 
+def slot_norms(X, n: int) -> np.ndarray:
+    """The sum of the Euclidean norms of the n slots of the last axis of X, over any leading
+    axes: the state norm.  A norm past the float range is inf."""
+    X = np.asarray(X, dtype=float)
+    return np.linalg.norm(X.reshape(*X.shape[:-1], n, X.shape[-1] // n), axis=-1).sum(axis=-1)
+
+
 class ExoSignal:
     """Exogenous input sequence W[k] stacked into R^{r d}.
 
@@ -157,14 +163,12 @@ class ExoSignal:
         with np.errstate(over="ignore", invalid="ignore"):  # saturates to inf past the float range
             return np.array([np.float64(self.ratio) ** k for k in range(K)])[:, None] * self.base
 
-    def slot_norm(self, vec: np.ndarray) -> float:
-        return float(np.linalg.norm(vec.reshape(self.r, self.d), axis=1).sum())
-
     def envelope(self) -> tuple:
         """(beta, s) with ||W[k]|| <= beta * s^k, exact for the stored data."""
-        if self.kind == "samples":
-            return max(self.slot_norm(s) for s in self.samples), 1.0
-        return self.slot_norm(self.base), max(self.ratio, 1.0)
+        with np.errstate(over="ignore"):  # beta past the float range is inf: the certificate overflows
+            if self.kind == "samples":
+                return float(slot_norms(self.samples, self.r).max()), 1.0
+            return float(slot_norms(self.base, self.r)), max(self.ratio, 1.0)
 
     def projected(self, P: np.ndarray) -> "ExoSignal":
         if self.kind == "samples":
@@ -263,7 +267,6 @@ class WordSeriesSystem:
         self.nilindex = len(chain) - 1
         self.chain = chain
         self.projections = ChainProjections(algebra, self.chain)
-        self._mu = None
         self._plan = word_plan([t.word.letters for t in self.terms])
         self._pairs = [(tuple(sorted(f.base.items())), f.target) for f in self.families]
         self._keys = list(dict.fromkeys(key for key, _ in self._pairs))
@@ -281,13 +284,11 @@ class WordSeriesSystem:
         return self.n * self.d
 
     def state_norm(self, X: np.ndarray) -> float:
-        X = np.asarray(X, dtype=float).reshape(self.n, self.d)
-        return float(np.linalg.norm(X, axis=1).sum())
+        return float(slot_norms(np.ravel(X), self.n))
 
     def mu(self) -> float:
-        if self._mu is None:
-            self._mu = bracket_constant(self.algebra)
-        return self._mu
+        """The algebra's bracket bound, ``bracket_constant``, computed once per algebra."""
+        return self.algebra.mu
 
     def coordinate_names(self) -> list:
         return [f"X{s+1}_{lab}" for s in range(self.n) for lab in self.algebra.labels]
@@ -375,25 +376,25 @@ class WordSeriesSystem:
         states = np.zeros((B, k_max + 1, self.state_dim))
         states[:, 0] = X = X0s
         rows, live = np.arange(B), slice(None)  # live indexes the running rows: no copy until one stops
-        for k in range(k_max):
-            if k in cuts:
-                keep = ends[rows] > k
-                rows = live = rows[keep]
-                X = X[keep]
-            if not rows.size:
-                break
-            nxt = self._update(X, W[live, k])
-            good = np.abs(nxt) <= 1e100  # False for inf and NaN too
-            if not good.all():
-                good = good.all(axis=1)
-                ends[rows[~good]] = k
-                rows = live = rows[good]
-                nxt = nxt[good]
-            states[live, k + 1] = X = nxt
-        slots = states.reshape(B, k_max + 1, self.n, self.d)
-        norms = np.linalg.norm(slots, axis=3).sum(axis=2)
-        qnorms = np.stack([np.linalg.norm(slots @ ctx.P.T, axis=3).sum(axis=2)
-                           for ctx in self.projections.contexts], axis=2)
+        with np.errstate(over="ignore", invalid="ignore"):  # a run past the float range stops below
+            for k in range(k_max):
+                if k in cuts:
+                    keep = ends[rows] > k
+                    rows = live = rows[keep]
+                    X = X[keep]
+                if not rows.size:
+                    break
+                nxt = self._update(X, W[live, k])
+                good = np.abs(nxt) <= 1e100  # False for inf and NaN too
+                if not good.all():
+                    good = good.all(axis=1)
+                    ends[rows[~good]] = k
+                    rows = live = rows[good]
+                    nxt = nxt[good]
+                states[live, k + 1] = X = nxt
+            norms = slot_norms(states, self.n)  # inf for an X0 past the float range
+            qnorms = np.stack([slot_norms(_slotwise(ctx.P, states, self.n), self.n)
+                               for ctx in self.projections.contexts], axis=2)
         return [Trajectory(states[b, :e + 1], norms[b, :e + 1], qnorms[b, :e + 1], diverged=e < k_max,
                            first_bad_index=e + 1 if e < k_max else None)
                 for b, e in enumerate(ends.tolist())]
@@ -468,23 +469,24 @@ class WordSeriesSystem:
         rng = np.random.default_rng(seed)
         levels = []
         ok = True
-        for idx, ctx in enumerate(self.projections.contexts):
-            sub = ctx.ideal
-            if sub.dim == 0:
-                levels.append({"level": idx + 1, "dim": 0, "linear_residual": 0.0,
-                               "nonlinear_residual": 0.0})
-                continue
-            lin = invariance_residual(sub, self.A)
-            ok = ok and lin <= invariance_bound(self.A)
-            # one draw per sample, its state coordinates first: the draws of a per-sample loop
-            draws = rng.standard_normal((20, self.n * sub.dim + self.r * self.d))
-            y = self._update(_slotwise(sub.onb, draws[:, :self.n * sub.dim], self.n),
-                             draws[:, self.n * sub.dim:])
-            off = np.linalg.norm(off_ideal_part(sub, y, self.n), axis=1)
-            nl = float((off / np.maximum(1.0, np.linalg.norm(y, axis=1))).max(initial=0.0))
-            levels.append({"level": idx + 1, "dim": sub.dim, "linear_residual": lin,
-                           "nonlinear_residual": nl})
-            ok = ok and nl < NONLINEAR_INVARIANCE_TOL
+        with np.errstate(over="ignore", invalid="ignore"):  # a map past the float range: NaN fails
+            for idx, ctx in enumerate(self.projections.contexts):
+                sub = ctx.ideal
+                if sub.dim == 0:
+                    levels.append({"level": idx + 1, "dim": 0, "linear_residual": 0.0,
+                                   "nonlinear_residual": 0.0})
+                    continue
+                lin = invariance_residual(sub, self.A)
+                ok = ok and lin <= invariance_bound(self.A)
+                # one draw per sample, its state coordinates first: the draws of a per-sample loop
+                draws = rng.standard_normal((20, self.n * sub.dim + self.r * self.d))
+                y = self._update(_slotwise(sub.onb, draws[:, :self.n * sub.dim], self.n),
+                                 draws[:, self.n * sub.dim:])
+                off = np.linalg.norm(off_ideal_part(sub, y, self.n), axis=1)
+                nl = float((off / np.maximum(1.0, np.linalg.norm(y, axis=1))).max(initial=0.0))
+                levels.append({"level": idx + 1, "dim": sub.dim, "linear_residual": lin,
+                               "nonlinear_residual": nl})
+                ok = ok and nl < NONLINEAR_INVARIANCE_TOL
         return {"ok": ok, "levels": levels}
 
     def equilibrium_report(self, seed: int = 0, starts: int = 100,
@@ -505,32 +507,29 @@ class WordSeriesSystem:
         A0 = _slotwise(ctx0.P, _slotwise(ctx0.P, self.A, self.n).T, self.n).T
         q_margin = _min_singular(np.eye(A0.shape[0]) - A0)
         violations, surviving = [], []
-        for w in [np.zeros(self.r * self.d), rng.standard_normal(self.r * self.d) * 0.5]:
-            xs = rng.standard_normal((starts, self.state_dim)) * max(self.radius, 1.0)
-            for _ in range(iters):
-                fx = self.evaluate_batch(xs, w)
-                good = np.abs(fx).max(axis=1, initial=0.0) < 1e30  # False for inf and NaN too
-                if not good.all():  # a start that goes bad leaves the search
-                    xs, fx = xs[good], fx[good]
-                xs = xs + 0.5 * (fx - xs)
-                if not len(xs):
-                    break
-            surviving.append(len(xs))
-            resids = np.linalg.norm(self._update(xs, w) - xs, axis=1)
-            norms = np.linalg.norm(xs.reshape(len(xs), self.n, self.d), axis=2).sum(axis=1)
-            for x, resid, nrm in zip(xs, resids, norms):
-                if resid < 1e-8 and nrm > 1e-4:
-                    violations.append({"norm": float(nrm), "residual": float(resid), "point": x.tolist()})
+        with np.errstate(over="ignore", invalid="ignore"):  # a start past the float range leaves
+            for w in [np.zeros(self.r * self.d), rng.standard_normal(self.r * self.d) * 0.5]:
+                xs = rng.standard_normal((starts, self.state_dim)) * max(self.radius, 1.0)
+                for _ in range(iters):
+                    fx = self.evaluate_batch(xs, w)
+                    good = np.abs(fx).max(axis=1, initial=0.0) < 1e30  # False for inf and NaN too
+                    if not good.all():  # a start that goes bad leaves the search
+                        xs, fx = xs[good], fx[good]
+                    xs = xs + 0.5 * (fx - xs)
+                    if not len(xs):
+                        break
+                surviving.append(len(xs))
+                resids = np.linalg.norm(self._update(xs, w) - xs, axis=1)
+                norms = slot_norms(xs, self.n)
+                for x, resid, nrm in zip(xs, resids, norms):
+                    if resid < 1e-8 and nrm > 1e-4:
+                        violations.append({"norm": float(nrm), "residual": float(resid), "point": x.tolist()})
         return {"structural_ok": structural,
                 "linear_margin": lin_margin,
                 "quotient_linear_margin": q_margin,
                 "violations": violations,
                 "surviving_starts": surviving,
                 "ok": structural and not violations}
-
-    def jacobian_tolerance(self) -> float:
-        """Finite-difference errors below 1e-12 max(1, ||A||_F) are rounding (of A h / h)."""
-        return 1e-12 * max(1.0, float(np.linalg.norm(self.A)))
 
     def jacobian_report(self, h_steps: Sequence[float] = (1e-2, 1e-3, 1e-4),
                         seed: int = 0) -> dict:
@@ -541,8 +540,11 @@ class WordSeriesSystem:
         axis perturbation activates one).  The quadratic convergence rate of
         the remainder is measured along 8 random joint state/input directions,
         where words of length >= 3 contribute; systems whose series stops at
-        quadratic words are exact there too and report no order.  Errors below
-        1e-12 max(1, ||A||_F) are rounding (of A h / h) and count as zero.
+        quadratic words are exact there too and report no order.  The difference quotient
+        D of a probe p is exact when its error is below its rounding floor 1e-12 max(1,
+        ||A||_F, max ||F(+-h p)|| / h): the words at +-h p cancel in D only up to rounding
+        of ||F(+-h p)|| / h.  ``worst`` holds the (error, floor) of largest ratio of each kind
+        of probe (axis, direction) with an error on or above its floor.
         """
         h_steps = sorted(h_steps, reverse=True)
         nd, rd = self.state_dim, self.r * self.d
@@ -550,18 +552,28 @@ class WordSeriesSystem:
         dirs = rng.standard_normal((8, nd + rd))  # row i: (v_i, w_i)
         # probes +h and -h times: every state axis, every input axis, every direction
         probes = np.concatenate([np.eye(nd + rd), dirs])
-        lin = dirs[:, :nd] @ self.A.T
-        x_err, w_err, dir_err = [], [], []
-        for h in h_steps:
-            X = np.concatenate([h * probes, -h * probes])
-            F = self._update(X[:, :nd], X[:, nd:])
-            D = (F[:len(probes)] - F[len(probes):]) / (2 * h)
-            x_err.append(float(np.linalg.norm(D[:nd].T - self.A)))
-            w_err.append(float(np.linalg.norm(D[nd:nd + rd])))
-            dir_err.append(float(np.linalg.norm(D[nd + rd:] - lin, axis=1).max(initial=0.0)))
-        tol = self.jacobian_tolerance()
-        axes_ok = max(x_err) < tol and max(w_err) < tol
-        exact = all(e < tol for e in dir_err)
+        exact_d = np.concatenate([self.A.T, np.zeros((rd, nd)), dirs[:, :nd] @ self.A.T])  # D of each probe
+        x_err, w_err, Ds, Fs = [], [], [], []
+        with np.errstate(over="ignore", invalid="ignore"):  # a map past the float range: NaN fails
+            for h in h_steps:
+                X = np.concatenate([h * probes, -h * probes])
+                F = self._update(X[:, :nd], X[:, nd:])
+                D = (F[:len(probes)] - F[len(probes):]) / (2 * h)
+                x_err.append(float(np.linalg.norm(D[:nd].T - self.A)))
+                w_err.append(float(np.linalg.norm(D[nd:nd + rd])))
+                Ds.append(D)
+                Fs.append(F)
+            errs = np.linalg.norm(np.array(Ds) - exact_d, axis=2)  # (step, probe)
+            reach = np.linalg.norm(np.array(Fs), axis=2).reshape(len(h_steps), 2, -1).max(axis=1)  # max ||F(+-h p)||
+            floors = 1e-12 * np.maximum(max(1.0, float(np.linalg.norm(self.A))), reach / np.array(h_steps)[:, None])
+            below, worst = errs < floors, {}  # NaN fails
+            for part, cols in (("axis", np.s_[:, :nd + rd]), ("direction", np.s_[:, nd + rd:])):
+                if not below[cols].all():
+                    e, f = errs[cols].ravel(), floors[cols].ravel()
+                    i = (e / f).argmax()  # a NaN ratio counts as the largest
+                    worst[part] = [float(e[i]), float(f[i])]
+        axes_ok, exact = "axis" not in worst, "direction" not in worst
+        dir_err = errs[:, nd + rd:].max(axis=1, initial=0.0).tolist()
         order = None
         if not exact:
             logs_h = np.log(np.asarray(h_steps))
@@ -570,7 +582,7 @@ class WordSeriesSystem:
         ok = axes_ok and (exact or (order is not None and order >= MIN_REMAINDER_ORDER))
         return {"h_steps": list(h_steps), "state_errors": x_err, "input_errors": w_err,
                 "directional_errors": dir_err, "observed_order": order,
-                "exact": exact, "ok": ok}
+                "exact": exact, "ok": ok, "worst": worst}
 
     # -- quotient dynamics ----------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Bridges between continuous-time group flows and discrete-time algebra maps.
 
-Covers the matrix exponential and principal logarithm (exact series on triangular
-input; scipy, imported on first use, otherwise), the zero-order-hold step-invariant
-transform for input-affine invariant flows, Baker-Campbell-Hausdorff composition in a
-nilpotent structure-constant algebra (exact; refused elsewhere, where the series is
-infinite), the closed-form adjoint flow, and the bundled Heisenberg tracking-error system.
+Covers the matrix exponential (the update map's flow kernel ``_expm1_batch``), the principal
+logarithm (the exact Mercator series on unipotent input; scipy, imported on first use,
+otherwise), the zero-order-hold step-invariant transform for input-affine invariant flows,
+Baker-Campbell-Hausdorff composition in a nilpotent structure-constant algebra (exact;
+refused elsewhere, where the series is infinite), the closed-form adjoint flow, and the
+bundled Heisenberg tracking-error system.
 """
 
 from __future__ import annotations
@@ -24,25 +25,13 @@ class PrincipalLogUndefined(ValueError):
     pass
 
 
-def _strictly_triangular(M: np.ndarray) -> bool:
-    return bool(np.all(np.tril(M) == 0.0) or np.all(np.triu(M) == 0.0))
-
-
 def expm(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential; exact finite series for strictly triangular input, else scipy's."""
+    """Matrix exponential I + (e^M - I), the latter from the update map's flow kernel
+    ``_expm1_batch`` (scaling and squaring; exact up to rounding on nilpotent input)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expm needs a square matrix")
-    m = M.shape[0]
-    if _strictly_triangular(M):
-        out = np.eye(m)
-        term = np.eye(m)
-        for j in range(1, m):
-            term = term @ M / j
-            out = out + term
-        return out
-    import scipy.linalg  # here, not at module load: importing it costs more than liestab
-    return scipy.linalg.expm(M)
+    return np.eye(M.shape[0]) + _expm1_batch(M[None])[0]
 
 
 def logm(G: np.ndarray) -> np.ndarray:
@@ -62,14 +51,14 @@ def logm(G: np.ndarray) -> np.ndarray:
         raise PrincipalLogUndefined(
             f"eigenvalues {eig[bad]} lie on the closed negative real axis")
     N = G - np.eye(m)
-    if _strictly_triangular(N):
+    if np.all(np.tril(N) == 0.0) or np.all(np.triu(N) == 0.0):  # strictly triangular
         out = np.zeros_like(N)
         term = np.eye(m)
         for j in range(1, m):
             term = term @ N
             out = out + ((-1) ** (j + 1)) * term / j
         return out
-    import scipy.linalg
+    import scipy.linalg  # here, not at module load: importing it costs more than liestab
     L = scipy.linalg.logm(G)
     if np.iscomplexobj(L):
         if np.max(np.abs(L.imag)) > 1e-9:

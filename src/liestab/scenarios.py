@@ -298,7 +298,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if x0.shape != (n * d,):
         raise ScenarioError(f"'x0' must have length {n * d}")
     horizon = _require(data, "horizon", int, 50)
-    M = _finite("M", data.get("M", max(1.0, system.state_norm(x0))), scalar=True)
+    with np.errstate(over="ignore"):  # a default past the float range is refused as not finite
+        M = _finite("M", data["M"] if "M" in data else max(1.0, system.state_norm(x0)), scalar=True)
     for key, value in (("M", M), ("radius", system.radius)):  # the radii of balls of states
         if value < 0:
             raise ScenarioError(f"scenario field {key!r} must be nonnegative, got {value}")

@@ -17,8 +17,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algebra import is_nilpotent
-from .dynamics import ExoSignal, Trajectory, WordSeriesSystem
-from .quotient import InvarianceViolation, adapted_norm, evaluate_words, induced_map, spectral_radius, word_plan
+from .dynamics import ExoSignal, Trajectory, WordSeriesSystem, slot_norms
+from .quotient import (InvarianceViolation, _slotwise, adapted_norm, evaluate_words, induced_map,
+                       spectral_radius, word_plan)
 
 
 class HypothesisError(ValueError):
@@ -267,7 +268,7 @@ def forcing_norms(sys: WordSeriesSystem, states: np.ndarray, signal: ExoSignal,
     acc = np.zeros((K, sys.n, ctx.quotient_dim))
     for t in terms:
         acc += t.coeff[:, None] * (words[t.word.letters] @ ctx.P.T)[:, None]
-    return np.linalg.norm(acc, axis=2).sum(axis=1)
+    return slot_norms(acc.reshape(K, -1), sys.n)
 
 
 # -- solvable certificate ------------------------------------------------------
@@ -313,8 +314,7 @@ def certify_solvable(sys: WordSeriesSystem, signal: ExoSignal, horizon: int = 20
     if traj.norms[0] == 0:
         notes.append("the simulated run starts at the origin, so it shows no decay")
     decayed = 0 < traj.norms[0] and not traj.diverged and traj.norms[-1] <= 1e-4 * max(1.0, traj.norms[0])
-    W = signal.values(horizon + 1).reshape(horizon + 1, sys.r, sys.d)
-    resid = np.linalg.norm(W @ sys.projections[0].P.T, axis=2).sum(axis=1)  # slot distances from the ideal
+    resid = slot_norms(_slotwise(sys.projections[0].P, signal.values(horizon + 1), sys.r), sys.r)  # off the ideal
     res_max = float(resid.max())
     tail = float(resid[int(0.75 * horizon):].max()) if horizon else res_max
     converging = tail <= max(1e-10, 1e-6 * max(res_max, 1.0))

@@ -438,21 +438,21 @@ def test_jacobi_residual_matches_einsum_formula():
         LieAlgebra(C)
 
 
-def reference_rep_residual(alg) -> float:
+def reference_rep_residual(C, rep) -> float:
     """``rep_residual`` as three einsums (the formula the matrix products replaced)."""
-    rep = alg.matrix_rep
     comm = np.einsum("iab,jbc->ijac", rep, rep) - np.einsum("jab,ibc->ijac", rep, rep)
-    return float(np.max(np.abs(comm - np.einsum("ijk,kab->ijab", alg.C, rep))))
+    return float(np.max(np.abs(comm - np.einsum("ijk,kab->ijab", C, rep))))
 
 
 def test_rep_residual_matches_einsum_formula():
     rng = np.random.default_rng(12)
     algebras = list(catalog_algebras().values()) + [nilpotent_upper(m) for m in (2, 5, 8)]
     for alg in algebras:
-        assert alg.rep_residual() == 0.0 == reference_rep_residual(alg), alg.name
+        assert alg.rep_residual() == 0.0 == reference_rep_residual(alg.C, alg.matrix_rep), alg.name
         for m in (1, 3, 5):
-            alg.matrix_rep = rng.standard_normal((alg.dim, m, m))  # realizes nothing
-            assert alg.rep_residual() == pytest.approx(reference_rep_residual(alg), rel=1e-13)
+            rep = rng.standard_normal((alg.dim, m, m))  # realizes nothing; the kernel of rep_residual
+            for frobenius in (False, True):
+                assert alg._defect(rep, frobenius)[0] == pytest.approx(reference_rep_residual(alg.C, rep), rel=1e-13)
     for alg in catalog_algebras().values():  # one entry off, below the diagonal
         rep = alg.matrix_rep.copy()
         rep[0, -1, 0] += 1.0
@@ -650,6 +650,35 @@ def test_constants_past_the_float_range_break_jacobi_by_name():
         for rep in (None, 1e160 * s.matrix_rep):
             with pytest.raises(InvalidAlgebra, match=re.escape("Jacobi identity violated (max residual nan)")):
                 LieAlgebra(1e160 * s.C, matrix_rep=rep)
+
+
+def test_constants_and_realization_cannot_be_rebound():
+    # a rebound realization once kept the validated one's cached residuals and Gram
+    alg = heisenberg()
+    for attr, value in (("C", np.zeros((3, 3, 3))), ("matrix_rep", None), ("matrix_rep", sl2().matrix_rep)):
+        with pytest.raises(AttributeError):
+            setattr(alg, attr, value)
+    assert alg.rep_residual() == 0.0 and np.array_equal(alg.C, heisenberg().C)
+
+
+def test_constants_need_a_finite_frobenius_norm():
+    # Jacobi holds, but every bound scales by ||C||_F, whose Gram once raised LinAlgError
+    C = heisenberg().C
+    with np.errstate(all="raise"):
+        for scale in (1e160, 1e308):
+            with pytest.raises(InvalidAlgebra, match="structure constants must have a finite Frobenius norm"):
+                LieAlgebra(scale * C)
+        assert bracket_constant(LieAlgebra(1e100 * C)) == pytest.approx(1e100)
+
+
+def test_mu_is_computed_once_per_algebra(monkeypatch):
+    calls = []
+    real = algebra_module.bracket_constant
+    monkeypatch.setattr(algebra_module, "bracket_constant", lambda alg: calls.append(alg) or real(alg))
+    alg = nilpotent_upper(4)
+    first, second = (WordSeriesSystem(alg, 1, 1, 0.5 * np.eye(alg.dim)) for _ in range(2))
+    assert first.mu() == second.mu() == alg.mu == real(alg) > 0
+    assert calls == [alg]
 
 
 def test_realization_is_read_only_and_its_kernel_runs_once(monkeypatch):

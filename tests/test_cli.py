@@ -159,6 +159,18 @@ def test_check_passes_an_exact_linearization_of_a_large_A(tmp_path, capsys):
     assert jac["ok"] and jac["exact"] and 0 < max(jac["directional_errors"]) < 1e-8
 
 
+@pytest.mark.parametrize("c", [1e6, 1e8, 1e10])
+def test_check_passes_the_linearization_of_a_large_quadratic_word(tmp_path, capsys, c):
+    # the central differences cancel the term c h^2 [v, w] only up to rounding, about u c h,
+    # which a tolerance of 1e-12 max(1, ||A||_F) alone read as an order-1 remainder
+    path = tmp_path / "large-word.json"
+    path.write_text(json.dumps(NONFINITE_BASE | {"terms": [{"letters": ["X1", "W1"], "coeff": [c]}]}))
+    assert run(["check", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "[PASS] linearization matches A" in capsys.readouterr().out.splitlines()
+    jac = load_scenario(path).system.jacobian_report()
+    assert jac["exact"] and jac["worst"] == {} and max(jac["directional_errors"]) > 1e-12
+
+
 def test_certify_without_a_state_letter_is_a_hypothesis_error(tmp_path, capsys):
     # [W1, W2] moves the state off the origin: from x0 = 0 it reaches norm 1.311, so no envelope
     # alpha decay^k ||X[0]|| holds, whatever a gain over the state-letter words alone would claim
@@ -339,6 +351,48 @@ NONFINITE_BASE = {"name": "nf", "algebra": "heisenberg", "n": 1, "r": 1,
                   "terms": [{"letters": ["X1", "W1"], "coeff": [0.25]}],
                   "signal": {"kind": "geometric", "base": [0.1, 0.0, 0.0], "ratio": 1.0},
                   "route": "nilpotent"}
+
+
+def heisenberg_scaled(c: float) -> dict:
+    """The inline Heisenberg algebra [h1, h2] = c h3."""
+    return {"dim": 3, "labels": ["h1", "h2", "h3"], "brackets": [{"i": "h1", "j": "h2", "coeffs": {"h3": c}}]}
+
+
+@pytest.mark.parametrize("command", ["check", "certify", "simulate", "deadbeat"])
+@pytest.mark.parametrize("c", [1e160, 1e308])
+def test_constants_without_a_finite_norm_are_an_input_error(tmp_path, capsys, command, c):
+    # once a LinAlgError traceback from bracket_constant's Gram (check, certify) or warnings
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(NONFINITE_BASE | {"algebra": heisenberg_scaled(c)}))
+    assert run([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: algebra: structure constants must have a finite Frobenius norm\n"
+
+
+def test_constants_of_1e100_still_run(tmp_path, capsys):
+    # deadbeat fails on rho(A) = 0.5; check passes its linearization against the rounding floor
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(NONFINITE_BASE | {"algebra": heisenberg_scaled(1e100)}))
+    codes = [run([command, "--scenario", str(path), "--out", str(tmp_path / "out")])
+             for command in ("check", "certify", "simulate", "deadbeat")]
+    assert codes == [0, 0, 0, 1]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("breakage,codes", [
+    ({"x0": [1e200, 0.0, 0.0], "M": 5.0}, {"check": 0, "certify": 0, "simulate": 3}),
+    ({"x0": [1e200, 0.0, 0.0]}, {"check": 2, "certify": 2, "simulate": 2}),  # the default M is inf
+    ({"signal": {"kind": "samples", "samples": [[1e200, 0.0, 0.0]]}}, {"check": 0, "certify": 3, "simulate": 0}),
+    ({"x0": [0.0, 100.0, 0.0], "terms": [{"letters": ["X1", "W1"], "coeff": [1e308]}]}, {"check": 1, "simulate": 3}),
+])
+def test_overflowing_input_prints_no_warning(tmp_path, capsys, breakage, codes):
+    # each once printed numpy RuntimeWarnings (an error under this suite's warning filter)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(NONFINITE_BASE | breakage))
+    for command, code in codes.items():
+        assert run([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == code, command
+        assert capsys.readouterr().err == ("input error: scenario field 'M' must be finite\n" if code == 2 else "")
 
 
 @pytest.mark.parametrize("command", ["check", "certify", "simulate"])
@@ -554,9 +608,9 @@ def test_a_failed_check_states_what_failed_and_by_how_much(tmp_path, capsys, bre
 
 
 @pytest.mark.parametrize("change,line", [
-    ({"input_errors": [2e-3, 2e-5, 2e-7]},
-     "[FAIL] linearization matches A: largest axis error 2.000e-03 (tolerance 1.000e-12)"),
-    ({"exact": False, "observed_order": 1.0}, "[FAIL] linearization matches A: observed order 1 (bound 1.9)"),
+    ({"worst": {"axis": [2e-3, 1e-12]}}, "[FAIL] linearization matches A: axis error 2.000e-03 (floor 1.000e-12)"),
+    ({"exact": False, "observed_order": 1.0, "worst": {"direction": [1.3e-12, 1e-12]}},
+     "[FAIL] linearization matches A: observed order 1 (bound 1.9); directional error 1.300e-12 (floor 1.000e-12)"),
 ])
 def test_a_failed_linearization_states_its_margin(tmp_path, capsys, monkeypatch, change, line):
     # a word series is polynomial, so no scenario misses A: the report is broken instead

@@ -122,42 +122,39 @@ def reference_equilibrium_report(sys_, seed=0, starts=100, iters=300):
 
 
 def reference_jacobian_report(sys_, h_steps=(1e-2, 1e-3, 1e-4), directions=8, seed=0):
-    """``jacobian_report`` one probe per ``evaluate`` call (the loops the batch replaced)."""
+    """``jacobian_report`` one probe per ``evaluate`` call (the loops the batch replaced), each
+    difference quotient judged against its floor 1e-12 max(1, ||A||_F, max ||F(+-h p)|| / h)."""
     h_steps = sorted(h_steps, reverse=True)
     nd, rd = sys_.state_dim, sys_.r * sys_.d
-    x_err, w_err = [], []
-    for h in h_steps:
-        JX = np.zeros((nd, nd))
-        for i in range(nd):
-            e = np.zeros(nd)
-            e[i] = h
-            JX[:, i] = (sys_.evaluate(e, np.zeros(rd)) - sys_.evaluate(-e, np.zeros(rd))) / (2 * h)
-        x_err.append(float(np.linalg.norm(JX - sys_.A)))
-        JW = np.zeros((nd, rd))
-        for i in range(rd):
-            e = np.zeros(rd)
-            e[i] = h
-            JW[:, i] = (sys_.evaluate(np.zeros(nd), e) - sys_.evaluate(np.zeros(nd), -e)) / (2 * h)
-        w_err.append(float(np.linalg.norm(JW)))
+    scale = max(1.0, float(np.linalg.norm(sys_.A)))
     rng = np.random.default_rng(seed)
     dirs = [(rng.standard_normal(nd), rng.standard_normal(rd)) for _ in range(directions)]
-    dir_err = []
+    axes = [(e, np.zeros(rd)) for e in np.eye(nd)] + [(np.zeros(nd), e) for e in np.eye(rd)]
+    x_err, w_err, dir_err = [], [], []
+    judged = {"axis": [], "direction": []}  # (error, floor) of each probe, h by h
     for h in h_steps:
-        worst = 0.0
-        for v, w in dirs:
-            diff = (sys_.evaluate(h * v, h * w) - sys_.evaluate(-h * v, -h * w)) / (2 * h)
-            worst = max(worst, float(np.linalg.norm(diff - sys_.A @ v)))
-        dir_err.append(worst)
-    tol = 1e-12 * max(1.0, float(np.linalg.norm(sys_.A)))
-    axes_ok = max(x_err) < tol and max(w_err) < tol
-    exact = all(e < tol for e in dir_err)
+        J = np.zeros((nd, nd + rd))
+        for part, probes in (("axis", axes), ("direction", dirs)):
+            for i, (v, w) in enumerate(probes):
+                plus, minus = sys_.evaluate(h * v, h * w), sys_.evaluate(-h * v, -h * w)
+                diff = (plus - minus) / (2 * h)
+                if part == "axis":
+                    J[:, i] = diff
+                reach = float(max(np.linalg.norm(plus), np.linalg.norm(minus))) / h
+                judged[part].append((float(np.linalg.norm(diff - sys_.A @ v)), 1e-12 * max(scale, reach)))
+        x_err.append(float(np.linalg.norm(J[:, :nd] - sys_.A)))
+        w_err.append(float(np.linalg.norm(J[:, nd:])))
+        dir_err.append(max(e for e, _ in judged["direction"][-directions:]))
+    worst = {part: list(max(pairs, key=lambda p: p[0] / p[1]))
+             for part, pairs in judged.items() if not all(e < f for e, f in pairs)}
+    axes_ok, exact = "axis" not in worst, "direction" not in worst
     order = None
     if not exact:
         order = float(np.polyfit(np.log(h_steps), np.log(np.maximum(dir_err, 1e-300)), 1)[0])
     ok = axes_ok and (exact or (order is not None and order >= 1.9))
     return {"h_steps": list(h_steps), "state_errors": x_err, "input_errors": w_err,
             "directional_errors": dir_err, "observed_order": order,
-            "exact": exact, "ok": ok}
+            "exact": exact, "ok": ok, "worst": worst}
 
 
 def reference_invariance_report(sys_, seed=0, nonlinear_samples=20, tol=1e-10):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +26,33 @@ def test_expm_exact_on_strictly_triangular():
         N = alg.to_matrix(rng.standard_normal(3))
         manual = np.eye(3) + N + N @ N / 2.0  # N^3 = 0
         np.testing.assert_allclose(expm(N), manual, atol=1e-15)
+
+
+def test_expm_matches_scipy():
+    import scipy.linalg
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        M = rng.standard_normal((4, 4))
+        M *= rng.uniform(0.0, 2.0) / np.linalg.norm(M)
+        want = scipy.linalg.expm(M)
+        assert np.linalg.norm(expm(M) - want) <= 4e-15 * np.linalg.norm(want)
+    assert np.array_equal(expm(np.zeros((0, 0))), np.zeros((0, 0)))
+
+
+def test_expm_loads_no_scipy():
+    # the flow kernel of the update map serves every square input; scipy is left to logm
+    probe = """
+import sys
+import numpy as np
+from liestab.sampling import expm
+t = 0.75
+E = expm(np.array([[0.0, t], [-t, 0.0]]))
+print(np.allclose(E, [[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]], rtol=0, atol=1e-15), "scipy" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["True", "False"]
 
 
 def test_exp_log_roundtrip():

@@ -10,7 +10,8 @@ a builtin), deadbeat (finite-time horizon plus verification).
 Exit codes: 0 pass, 1 hypothesis/certificate failure (an inconsistent
 certificate included), 2 input error (a negative seed, an --epsilon that is
 not positive and finite, or an output directory that cannot be made,
-included), 3 numeric divergence or overflow.
+included), 3 numeric divergence or overflow (a check whose sampled map values are not
+finite included).
 A certificate that does not exit 0 prints one [FAIL] line; a failed check's [FAIL] line
 says what failed and by how much.
 Identical configuration and seed produce byte-identical output files.
@@ -84,7 +85,7 @@ def cmd_check(sc: Scenario, outdir: Path, seed: int) -> int:
             ("chain invariance", inv["ok"], lambda: _invariance_failure(inv, sys_.A)),
             ("linearization matches A", jac["ok"], lambda: _jacobian_failure(jac))]:
         print(f"[PASS] {label}" if good else f"[FAIL] {label}: {why()}")
-    return EXIT_PASS if ok else EXIT_HYPOTHESIS
+    return EXIT_DIVERGED if inv["overflow_level"] else EXIT_PASS if ok else EXIT_HYPOTHESIS
 
 
 def _equilibrium_failure(eq: dict) -> str:
@@ -94,7 +95,10 @@ def _equilibrium_failure(eq: dict) -> str:
 
 
 def _invariance_failure(inv: dict, A) -> str:
-    """The level of largest nonlinear residual if that one is off, else of largest linear residual."""
+    """The first level where the map overflows, else the level of largest nonlinear residual if
+    that one is off, else of largest linear residual."""
+    if inv["overflow_level"]:
+        return f"the map overflows at level {inv['overflow_level']} (a sampled value is not finite)"
     nl = max(inv["levels"], key=lambda lv: np.nan_to_num(lv["nonlinear_residual"], nan=np.inf))
     if not nl["nonlinear_residual"] < NONLINEAR_INVARIANCE_TOL:
         return (f"level {nl['level']} nonlinear residual {nl['nonlinear_residual']:.3e} "

@@ -12,11 +12,13 @@ belongs in A, not in the family.
 There is one update map, ``evaluate`` being a batch of one of ``evaluate_batch``: the
 terms go through ``quotient.evaluate_words`` on a plan of their suffixes made once, one
 product per suffix and one ``ad_many`` per leading letter a call; each family flow is
-e^{ad_base} - I from ``_expm1_batch``, applied to the target directly; the single-row flows
-of a call share one kernel call, and a batch reuses the input-only flows of the last shared
-input (a one-entry memo).  Maps act on stacked vectors slot by slot (``quotient._slotwise``), and the
-linear part induced on a quotient is ``quotient.induced_map``, which rejects an A that
-moves a chain ideal off itself by more than ``quotient.invariance_bound``.
+e^{ad_base} - I from ``_expm1_batch`` (scaling and squaring around a Taylor polynomial of
+degree m evaluated by Paterson-Stockmeyer, about 2 sqrt(m) products), applied to the target
+directly; the single-row flows of a call share one kernel call, and a batch reuses the
+input-only flows of the last shared input (a one-entry memo).  Maps act on stacked vectors slot
+by slot (``quotient._slotwise``), and the linear part induced on a quotient is
+``quotient.induced_map``, which rejects an A that moves a chain ideal off itself by more than
+``quotient.invariance_bound``.
 
 The norm on stacked states is the sum of per-slot Euclidean norms, ``slot_norms``.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -196,32 +199,67 @@ def _min_singular(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False).min(initial=np.inf))
 
 
+@lru_cache(maxsize=None)
+def _taylor_blocks(m: int) -> np.ndarray:
+    """The coefficients 1/k! of X^k, k = 1..m, as rows of q = ceil(sqrt(m)), zero past m."""
+    q = math.isqrt(m - 1) + 1
+    table = np.array([1.0 / math.factorial(k) for k in range(1, m + 1)] + [0.0] * (-m % q))
+    table = table.reshape(-1, q)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _twice_identity(d: int) -> np.ndarray:
+    eye2 = 2.0 * np.eye(d)
+    eye2.flags.writeable = False
+    return eye2
+
+
 def _expm1_batch(mats: np.ndarray) -> np.ndarray:
     """e^M - I for each matrix of a (..., d, d) stack, by scaling and squaring.
 
     One scaling 2^-s brings the largest induced 1-norm theta of the stack to
-    at most 1/2; Taylor terms are added while the bound theta^(j+1)/(j+1)! on
-    the next one exceeds 2^-53 theta, which keeps every row's relative error
-    near rounding level, and E <- E (E + 2I) undoes the scaling.  A row that
-    is not finite or would need more than 60 squarings gives NaN and leaves
-    the scaling of the other rows alone.
+    at most 1/2, and the Taylor degree m is the least with theta^(m+1)/(m+1)!
+    <= 2^-53 theta, which keeps every row's relative error near rounding level.
+    The polynomial sum_{k=1..m} X^k/k! is evaluated by Paterson-Stockmeyer: with
+    q = ceil(sqrt(m)), the powers X, ..., X^q are formed once, one GEMM of the
+    cached table of 1/k! against the stacked powers gives every block
+    sum_{i=1..q} X^i/(jq+i)!, and Horner's rule in X^q adds the blocks up,
+    about 2 sqrt(m) products in all.  Each column of that GEMM is one matrix
+    entry of one row, so no row's values depend on another's.
+    E <- E (E + 2I) then undoes the scaling.  A row that is not finite or
+    would need more than 60 squarings gives NaN and leaves the scaling of the
+    other rows alone.
     """
     mats = np.asarray(mats, dtype=float)
-    norms = np.abs(mats).sum(axis=-2).max(axis=-1, initial=0.0)
-    ok = norms <= 2.0 ** 59  # False for inf and NaN too
-    theta = float(norms.max(initial=0.0, where=ok))
+    d = mats.shape[-1]
+    colsums = np.ones(d) @ np.abs(mats)
+    theta = float(colsums.max(initial=0.0))
+    if not theta <= 2.0 ** 59:  # some row is not finite or too large
+        norms = colsums.max(axis=-1, initial=0.0)
+        ok = norms <= 2.0 ** 59  # False for inf and NaN too
+        theta = float(norms.max(initial=0.0, where=ok))
+        mats = np.where(ok[..., None, None], mats, np.nan)
     s = math.ceil(math.log2(theta)) + 1 if theta > 0.5 else 0
-    scaled = np.where(ok[..., None, None], mats, np.nan) * 2.0 ** -s
     theta *= 2.0 ** -s
-    term = out = scaled
-    j = 1
-    while theta ** j / math.factorial(j + 1) > 2.0 ** -53:
-        j += 1
-        term = term @ scaled / j
-        out = out + term
-    eye2 = 2.0 * np.eye(mats.shape[-1])
+    m = 1
+    while theta ** m / math.factorial(m + 1) > 2.0 ** -53:
+        m += 1
+    table = _taylor_blocks(m)
+    blocks, q = table.shape
+    powers = np.empty((q,) + mats.shape)  # X, ..., X^q, the power first
+    np.multiply(mats, 2.0 ** -s, out=powers[0])
+    for i in range(1, q):
+        np.matmul(powers[i - 1], powers[0], out=powers[i])
+    # at degree 1 the table is [[1]] and the polynomial X itself
+    sums = powers if m == 1 else (table @ powers.reshape(q, -1)).reshape((blocks,) + mats.shape)
+    out = sums[-1]
+    for j in range(blocks - 2, -1, -1):
+        out = powers[-1] @ out
+        out += sums[j]
     for _ in range(s):
-        out = out @ (out + eye2)
+        out = out @ (out + _twice_identity(d))
     return out
 
 
@@ -465,10 +503,14 @@ class WordSeriesSystem:
                 and all(f.has_state_words_only() for f in self.families))
 
     def invariance_report(self, seed: int = 0) -> dict:
-        """Invariance of every chain level under A and under the full map (20 samples a level)."""
+        """Invariance of every chain level under A and under the full map (20 samples a level).
+
+        ``overflow_level`` is the first level at which a sampled map value is not finite, else None.
+        """
         rng = np.random.default_rng(seed)
         levels = []
         ok = True
+        overflow = None
         with np.errstate(over="ignore", invalid="ignore"):  # a map past the float range: NaN fails
             for idx, ctx in enumerate(self.projections.contexts):
                 sub = ctx.ideal
@@ -482,12 +524,14 @@ class WordSeriesSystem:
                 draws = rng.standard_normal((20, self.n * sub.dim + self.r * self.d))
                 y = self._update(_slotwise(sub.onb, draws[:, :self.n * sub.dim], self.n),
                                  draws[:, self.n * sub.dim:])
+                if overflow is None and not np.isfinite(y).all():
+                    overflow = idx + 1
                 off = np.linalg.norm(off_ideal_part(sub, y, self.n), axis=1)
                 nl = float((off / np.maximum(1.0, np.linalg.norm(y, axis=1))).max(initial=0.0))
                 levels.append({"level": idx + 1, "dim": sub.dim, "linear_residual": lin,
                                "nonlinear_residual": nl})
                 ok = ok and nl < NONLINEAR_INVARIANCE_TOL
-        return {"ok": ok, "levels": levels}
+        return {"ok": ok and overflow is None, "levels": levels, "overflow_level": overflow}
 
     def equilibrium_report(self, seed: int = 0, starts: int = 100,
                            iters: int = 300) -> dict:

@@ -298,6 +298,7 @@ def certify_solvable(sys: WordSeriesSystem, signal: ExoSignal, horizon: int = 20
     The admissible input amplitude has no closed form; the certificate is
     explicitly conditional on the input being small enough, and the evidence
     section reports the observed decay; a run from the origin is no evidence.
+    A signal whose distance from the ideal is not finite gives the verdict ``overflow``.
     The algebra is solvable: a system's ideal is nilpotent and contains [g, g].
     """
     rho_A = spectral_radius(sys.A)
@@ -314,16 +315,20 @@ def certify_solvable(sys: WordSeriesSystem, signal: ExoSignal, horizon: int = 20
     if traj.norms[0] == 0:
         notes.append("the simulated run starts at the origin, so it shows no decay")
     decayed = 0 < traj.norms[0] and not traj.diverged and traj.norms[-1] <= 1e-4 * max(1.0, traj.norms[0])
-    resid = slot_norms(_slotwise(sys.projections[0].P, signal.values(horizon + 1), sys.r), sys.r)  # off the ideal
+    with np.errstate(over="ignore"):  # a distance past the float range is an overflow verdict
+        resid = slot_norms(_slotwise(sys.projections[0].P, signal.values(horizon + 1), sys.r), sys.r)  # off the ideal
     res_max = float(resid.max())
     tail = float(resid[int(0.75 * horizon):].max()) if horizon else res_max
-    converging = tail <= max(1e-10, 1e-6 * max(res_max, 1.0))
-    if not converging:
+    finite = math.isfinite(res_max)  # False for NaN too
+    converging = finite and tail <= max(1e-10, 1e-6 * max(res_max, 1.0))
+    if not finite:
+        notes.append(f"the signal's distance from the ideal is not finite (residual {res_max:.3e})")
+    elif not converging:
         notes.append(f"signal does not appear to converge into the ideal "
                      f"(tail residual {tail:.3e}); hypothesis warning")
     beta, _ = signal.envelope()
-    verdict = "conditional-pass" if (converging and decayed) else \
-              ("conditional-pass-no-evidence" if converging else "hypothesis-warning")
+    verdict = ("overflow" if not finite else "hypothesis-warning" if not converging
+               else "conditional-pass" if decayed else "conditional-pass-no-evidence")
     return SolvableReport(rho_A=rho_A, schur_margin=1.0 - rho_A,
                           ideal_residual_max=res_max, ideal_residual_tail=tail,
                           signal_bound=beta, verdict=verdict, notes=notes,

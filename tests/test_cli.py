@@ -206,6 +206,24 @@ def test_certify_solvable_hypothesis_warning_fails(tmp_path, capsys):
     assert json.loads((out / "certificate-warn.json").read_text())["verdict"] == "hypothesis-warning"
 
 
+def test_certify_solvable_signal_past_the_float_range_overflows(tmp_path, capsys):
+    # the distance from the ideal is inf; once read as converging (inf <= inf), a conditional pass
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({
+        "name": "far", "algebra": "upper-triangular-6", "n": 1, "r": 1,
+        "A": (0.5 * np.eye(6)).tolist(), "ideal": "derived", "route": "solvable",
+        "signal": {"kind": "samples", "samples": [[1e200, 0.0, 0.0, 0.0, 0.0, 0.0]]},
+        "x0": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]}))
+    out = tmp_path / "out"
+    assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == ("[FAIL] solvable certificate: overflow: the signal's distance from the ideal "
+                            "is not finite (residual inf)\n")
+    rep = json.loads((out / "certificate-far.json").read_text())
+    assert rep["verdict"] == "overflow" and rep["ideal_residual_max"] == float("inf")
+
+
 def test_certify_solvable_run_from_the_origin_is_no_evidence(tmp_path, capsys):
     # no "x0": the scenario starts at the origin, where a run shows no decay
     path = tmp_path / "origin.json"
@@ -384,7 +402,7 @@ def test_constants_of_1e100_still_run(tmp_path, capsys):
     ({"x0": [1e200, 0.0, 0.0], "M": 5.0}, {"check": 0, "certify": 0, "simulate": 3}),
     ({"x0": [1e200, 0.0, 0.0]}, {"check": 2, "certify": 2, "simulate": 2}),  # the default M is inf
     ({"signal": {"kind": "samples", "samples": [[1e200, 0.0, 0.0]]}}, {"check": 0, "certify": 3, "simulate": 0}),
-    ({"x0": [0.0, 100.0, 0.0], "terms": [{"letters": ["X1", "W1"], "coeff": [1e308]}]}, {"check": 1, "simulate": 3}),
+    ({"x0": [0.0, 100.0, 0.0], "terms": [{"letters": ["X1", "W1"], "coeff": [1e308]}]}, {"check": 3, "simulate": 3}),
 ])
 def test_overflowing_input_prints_no_warning(tmp_path, capsys, breakage, codes):
     # each once printed numpy RuntimeWarnings (an error under this suite's warning filter)
@@ -605,6 +623,21 @@ def test_a_failed_check_states_what_failed_and_by_how_much(tmp_path, capsys, bre
     path.write_text(json.dumps(NONFINITE_BASE | breakage))
     assert run(["check", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
     assert_one_failed_check(capsys.readouterr().out, line)
+
+
+def test_check_names_a_map_that_overflows(tmp_path, capsys):
+    # the ideal is invariant, but the word's values at unit-size samples leave the float range;
+    # once "[FAIL] chain invariance: level 1 nonlinear residual nan (bound 1e-09)", exit 1
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(NONFINITE_BASE | {"terms": [{"letters": ["X1", "W1"], "coeff": [1e308]}]}))
+    out = tmp_path / "out"
+    assert run(["check", "--scenario", str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert_one_failed_check(
+        captured.out, "[FAIL] chain invariance: the map overflows at level 1 (a sampled value is not finite)")
+    inv = json.loads((out / "check-nf.json").read_text())["invariance"]
+    assert inv["overflow_level"] == 1 and not inv["ok"]
 
 
 @pytest.mark.parametrize("change,line", [

@@ -1,8 +1,11 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
+from liestab import dynamics
 from liestab.algebra import (abelian, derived_algebra, heisenberg, nilpotent_upper,
                              upper_triangular6)
 from liestab.dynamics import (AdjointFamily, ExoSignal,
@@ -163,6 +166,7 @@ def reference_invariance_report(sys_, seed=0, nonlinear_samples=20, tol=1e-10):
     scale = max(1.0, float(np.linalg.norm(sys_.A)))
     levels = []
     ok = True
+    overflow = None
     for idx, sub in enumerate(sys_.chain.ideals):
         if sub.dim == 0:
             levels.append({"level": idx + 1, "dim": 0, "linear_residual": 0.0,
@@ -174,11 +178,13 @@ def reference_invariance_report(sys_, seed=0, nonlinear_samples=20, tol=1e-10):
             x = _slotwise(sub.onb, rng.standard_normal(sys_.n * sub.dim), sys_.n)
             w = rng.standard_normal(sys_.r * sys_.d)
             y = sys_.evaluate(x, w)
+            if overflow is None and not np.isfinite(y).all():
+                overflow = idx + 1
             nl = max(nl, float(np.linalg.norm(off_ideal_part(sub, y, sys_.n))) / max(1.0, float(np.linalg.norm(y))))
         levels.append({"level": idx + 1, "dim": sub.dim, "linear_residual": lin,
                        "nonlinear_residual": nl})
         ok = ok and lin < tol * scale and nl < max(tol, 1e-9)
-    return {"ok": ok, "levels": levels}
+    return {"ok": ok and overflow is None, "levels": levels, "overflow_level": overflow}
 
 
 def reference_commuting_square_residual(sys_, level, samples=100, seed=0, scale=1.0):
@@ -306,6 +312,64 @@ def test_expm1_batch_matches_mpmath():
     assert np.all(_expm1_batch(np.zeros((3, 4, 4))) == 0.0)
     assert _expm1_batch(np.zeros((0, 6, 6))).shape == (0, 6, 6)
     assert _expm1_batch(np.zeros((2, 0, 0))).shape == (2, 0, 0)
+
+
+def reference_expm1_batch(mats):
+    """``_expm1_batch`` with its Taylor polynomial summed one term at a time, each term the
+    previous one times the scaled matrix over its index: the same scaling, degree and squarings."""
+    mats = np.asarray(mats, dtype=float)
+    norms = np.abs(mats).sum(axis=-2).max(axis=-1, initial=0.0)
+    ok = norms <= 2.0 ** 59
+    theta = float(norms.max(initial=0.0, where=ok))
+    s = math.ceil(math.log2(theta)) + 1 if theta > 0.5 else 0
+    scaled = np.where(ok[..., None, None], mats, np.nan) * 2.0 ** -s
+    theta *= 2.0 ** -s
+    term = out = scaled
+    j = 1
+    while theta ** j / math.factorial(j + 1) > 2.0 ** -53:
+        j += 1
+        term = term @ scaled / j
+        out = out + term
+    for _ in range(s):
+        out = out @ (out + 2.0 * np.eye(mats.shape[-1]))
+    return out
+
+
+def mpmath_expm1(M):
+    with mpmath.workdps(50):
+        return np.array((mpmath.expm(mpmath.matrix(M.tolist())) - mpmath.eye(len(M))).tolist(), dtype=float)
+
+
+# for each Taylor degree m = 1..14, a 1-norm at most 1/2 (so no scaling) that the degree rule
+# theta^(m+1)/(m+1)! <= 2^-53 theta takes to m: 0.9 of the largest such norm, and 1/2 for m = 14
+DEGREE_NORMS = [0.9 * (2.0 ** -53 * math.factorial(m + 1)) ** (1 / m) for m in range(1, 14)] + [0.5]
+
+
+def test_expm1_batch_matches_mpmath_at_every_degree(monkeypatch):
+    degrees = []
+    blocks = dynamics._taylor_blocks
+    monkeypatch.setattr(dynamics, "_taylor_blocks", lambda m: degrees.append(m) or blocks(m))
+    # norms past 1/2 take s = 1, 3, 7 and 10 scalings to reach (1/4, 1/2]
+    scaled_norms = [0.75, 3.0, 40.0, 300.0]
+    mats = _random_with_norms(np.random.default_rng(9), DEGREE_NORMS + scaled_norms)
+    for M in mats:
+        got = _expm1_batch(M[None])[0]
+        ref = mpmath_expm1(M)
+        assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-13
+    assert degrees[:14] == list(range(1, 15))
+
+
+def test_expm1_batch_stays_near_the_term_by_term_sum():
+    # the two evaluations differ in rounding only, which the squarings amplify with the norm
+    rng = np.random.default_rng(10)
+    for norm in [1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0, 3.0, 10.0, 40.0, 100.0]:
+        mats = _random_with_norms(rng, [norm] * 100)
+        got, ref = _expm1_batch(mats), reference_expm1_batch(mats)
+        diff = np.linalg.norm(got - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        assert diff.max() <= 1e-15 * max(1.0, norm), norm
+    for M in _random_with_norms(rng, DEGREE_NORMS):  # one degree a call
+        got, ref = _expm1_batch(M[None])[0], reference_expm1_batch(M[None])[0]
+        assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
 def test_expm1_batch_nonfinite_rows():

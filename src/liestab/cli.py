@@ -11,7 +11,7 @@ Exit codes: 0 pass, 1 hypothesis/certificate failure (an inconsistent
 certificate included), 2 input error (a negative seed, an --epsilon that is
 not positive and finite, or an output directory that cannot be made,
 included), 3 numeric divergence or overflow (a check whose sampled map values are not
-finite included).
+finite, or whose series majorant is infinite, included).
 A certificate that does not exit 0 prints one [FAIL] line; a failed check's [FAIL] line
 says what failed and by how much.
 Identical configuration and seed produce byte-identical output files.
@@ -85,7 +85,9 @@ def cmd_check(sc: Scenario, outdir: Path, seed: int) -> int:
             ("chain invariance", inv["ok"], lambda: _invariance_failure(inv, sys_.A)),
             ("linearization matches A", jac["ok"], lambda: _jacobian_failure(jac))]:
         print(f"[PASS] {label}" if good else f"[FAIL] {label}: {why()}")
-    return EXIT_DIVERGED if inv["overflow_level"] else EXIT_PASS if ok else EXIT_HYPOTHESIS
+    if inv["overflow_level"] or not np.isfinite(majorant):  # M and the radius are finite: an overflow
+        return EXIT_DIVERGED
+    return EXIT_PASS if ok else EXIT_HYPOTHESIS
 
 
 def _equilibrium_failure(eq: dict) -> str:
@@ -108,7 +110,11 @@ def _invariance_failure(inv: dict, A) -> str:
 
 
 def _jacobian_failure(jac: dict) -> str:
-    """The axis error of largest ratio to its rounding floor if one is off, else the order."""
+    """The least rounding floor if no step resolves A, else the axis error of largest ratio to its
+    rounding floor if one is off, else the order."""
+    if "resolution" in jac["worst"]:
+        floor, bound = jac["worst"]["resolution"]
+        return f"no step resolves A: rounding floor {floor:.3e} (bound {bound:.3e})"
     if "axis" in jac["worst"]:
         err, floor = jac["worst"]["axis"]
         return f"axis error {err:.3e} (floor {floor:.3e})"

@@ -39,6 +39,7 @@ from .quotient import (ChainProjections, _slotwise, evaluate_words, induced_map,
 Letter = tuple  # ("X", j) or ("W", j), 1-based slots
 NONLINEAR_INVARIANCE_TOL = 1e-9  # invariance_report: the map's off-ideal part, relative to max(1, ||F||)
 MIN_REMAINDER_ORDER = 1.9  # jacobian_report: the least observed order of the linearization's remainder
+RESOLUTION_FLOOR = 1e-3  # jacobian_report: a step resolves A when its floors are below this times max(1, ||A||_F)
 
 
 class SystemSpecError(ValueError):
@@ -588,7 +589,10 @@ class WordSeriesSystem:
         D of a probe p is exact when its error is below its rounding floor 1e-12 max(1,
         ||A||_F, max ||F(+-h p)|| / h): the words at +-h p cancel in D only up to rounding
         of ||F(+-h p)|| / h.  ``worst`` holds the (error, floor) of largest ratio of each kind
-        of probe (axis, direction) with an error on or above its floor.
+        of probe (axis, direction) with an error on or above its floor.  A step resolves A when
+        every probe's floor there is below RESOLUTION_FLOOR max(1, ||A||_F); with no such step
+        the report is not ok, and ``worst["resolution"]`` holds the least step's largest floor
+        and that bound.
         """
         h_steps = sorted(h_steps, reverse=True)
         nd, rd = self.state_dim, self.r * self.d
@@ -608,9 +612,13 @@ class WordSeriesSystem:
                 Ds.append(D)
                 Fs.append(F)
             errs = np.linalg.norm(np.array(Ds) - exact_d, axis=2)  # (step, probe)
-            reach = np.linalg.norm(np.array(Fs), axis=2).reshape(len(h_steps), 2, -1).max(axis=1)  # max ||F(+-h p)||
-            floors = 1e-12 * np.maximum(max(1.0, float(np.linalg.norm(self.A))), reach / np.array(h_steps)[:, None])
+            reach = np.hypot.reduce(np.array(Fs), axis=2).reshape(len(h_steps), 2, -1).max(axis=1)  # max ||F(+-h p)||
+            scale = max(1.0, float(np.linalg.norm(self.A)))
+            floors = 1e-12 * np.maximum(scale, reach / np.array(h_steps)[:, None])
             below, worst = errs < floors, {}  # NaN fails
+            step_floors = floors.max(axis=1)
+            if not (step_floors < RESOLUTION_FLOOR * scale).any():  # NaN fails
+                worst["resolution"] = [float(np.fmin.reduce(step_floors)), RESOLUTION_FLOOR * scale]
             for part, cols in (("axis", np.s_[:, :nd + rd]), ("direction", np.s_[:, nd + rd:])):
                 if not below[cols].all():
                     e, f = errs[cols].ravel(), floors[cols].ravel()
@@ -623,7 +631,8 @@ class WordSeriesSystem:
             logs_h = np.log(np.asarray(h_steps))
             logs_e = np.log(np.maximum(np.asarray(dir_err), 1e-300))
             order = float(np.polyfit(logs_h, logs_e, 1)[0])
-        ok = axes_ok and (exact or (order is not None and order >= MIN_REMAINDER_ORDER))
+        ok = axes_ok and (exact or (order is not None and order >= MIN_REMAINDER_ORDER)) \
+            and "resolution" not in worst
         return {"h_steps": list(h_steps), "state_errors": x_err, "input_errors": w_err,
                 "directional_errors": dir_err, "observed_order": order,
                 "exact": exact, "ok": ok, "worst": worst}

@@ -5,7 +5,9 @@ rows of the projection matrix P are an orthonormal basis of the complement of
 V, and the embedding of the quotient is P.T.  With this choice P @ P.T is
 exactly the identity, the quotient norm inf_{v in V} ||x + v|| equals
 ||P x||_2, P.T has unit operator norm, and P.T @ P is the orthogonal projector
-onto the complement.  A level of a chain is its ideal and P.
+onto the complement.  A chain of ideals is a flag, and one orthonormal basis Q adapted to it
+(``flag_basis``) serves all its levels: a level is its ideal and P, the leading rows of Q.T, so
+the levels of a chain are nested and share one set of coordinates.
 """
 
 from __future__ import annotations
@@ -28,62 +30,41 @@ class InvarianceViolation(ValueError):
         self.residual = residual
 
 
-def _complement_basis(ideal: Subspace, d: int, m: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the ideal: Gram-Schmidt on the standard axes,
-    keeping in order each axis that leaves the span of the ideal and of the kept axes by over 1e-8
-    (so an axis-aligned ideal gets its remaining axes, in order, as coordinates).
+def flag_basis(ideals: Sequence[Subspace], d: int) -> np.ndarray:
+    """Q.T for an orthonormal d x d basis Q adapted to a descending chain of subspaces: the
+    trailing dim S columns of Q span each S, so the leading d - dim S rows of Q.T project modulo S.
 
-    All axes are projected off the ideal twice, one matrix-vector product each (a single GEMM rounds
-    differently, by 1e-10 on an axis within 1e-7 of the ideal).  The first d - m axes of norm above
-    1e-8 get one Householder QR with diag R > 0, Gram-Schmidt's basis; bitwise orthonormal columns
-    already are it.  A QR leaking past 1e-15 into the ideal (one QR can leak 1e-12) is projected and
-    taken again.  An axis with |R_kk| <= 1e-8 depends on those before it: it is dropped and the QR
-    retaken, since its rounding noise enters the span of the columns after it.  Falls back to the SVD
-    when fewer than d - m axes are left."""
-    B = ideal.onb
-    M = np.eye(d)[:, :, None]
-    for _ in range(2):
-        M = M - B @ (B.T @ M)
-    M = M[..., 0].T
-    keep = np.linalg.norm(M, axis=0) > 1e-8
-    while (cols := np.flatnonzero(keep)[:d - m]).size == d - m:
-        Q = M[:, cols]
-        if (Q.T @ Q == np.eye(d - m)).all():
-            return Q
-        Q, R = np.linalg.qr(Q)
-        r = R.diagonal()
-        if np.abs(r).min() > 1e-8:
-            Q = Q * np.sign(r)
-            if np.abs(B.T @ Q).max() > 1e-15:
-                Q, R = np.linalg.qr(Q - B @ (B.T @ Q))
-                Q = Q * np.sign(R.diagonal())
-            return Q
-        keep[cols[np.argmax(np.abs(r) <= 1e-8)]] = False
-    u, _, _ = np.linalg.svd(B, full_matrices=True)
-    return u[:, m:]
+    Deepest subspace first, then the whole space, each S with orthonormal basis B adds exactly
+    dim S minus the j columns so far, no rank revealed: B times the trailing right singular
+    vectors of Q.T B past the j-th, which span its null space, so they lie in S orthogonal to Q
+    (the first S takes the left singular vectors of B, which round an axis basis to exact axes).
+    A new column gets the sign that makes its largest entry positive, and the new columns are
+    sorted by the axis of that entry: an axis-aligned chain gets its axes, ascending within each
+    step."""
+    rows = np.zeros((0, d))
+    for B in [s.onb for s in reversed(ideals)] + [np.eye(d)]:
+        if (k := B.shape[1] - len(rows)) > 0:
+            new = np.linalg.svd(rows @ B)[2][-k:] @ B.T if len(rows) else np.linalg.svd(B, full_matrices=False)[0].T
+            top = np.abs(new).argmax(axis=1)
+            new = new * np.sign(new[np.arange(k), top])[:, None]
+            rows = np.concatenate([new[top.argsort(kind="stable")], rows])
+    return rows
 
 
 class QuotientContext:
     """The quotient modulo an ideal: the ideal and the projection P.
 
-    P is the (q, d) canonical projection in complement coordinates, q = d - dim V;
+    P is the (q, d) canonical projection in complement coordinates, q = d - dim V: the leading
+    q rows of the ``flag_basis`` of V alone (of the whole chain for a chain level);
     P.T is its minimum-norm right inverse, the embedding of the quotient.
     """
 
-    def __init__(self, algebra: LieAlgebra, ideal: Subspace):
+    def __init__(self, algebra: LieAlgebra, ideal: Subspace, _flag: Optional[np.ndarray] = None):
         if ideal.ambient_dim != algebra.dim:
             raise ValueError("ideal ambient dimension does not match algebra")
         self.algebra = algebra
         self.ideal = ideal
-        d = algebra.dim
-        m = ideal.dim
-        if m == 0:
-            comp = np.eye(d)
-        elif m == d:
-            comp = np.zeros((d, 0))
-        else:
-            comp = _complement_basis(ideal, d, m)
-        self.P = comp.T.copy()
+        self.P = (flag_basis([ideal], algebra.dim) if _flag is None else _flag)[:algebra.dim - ideal.dim]
 
     @property
     def quotient_dim(self) -> int:
@@ -227,14 +208,17 @@ class ChainProjections:
 
     Level i factors out the (i+1)-th ideal of the chain; the final level
     factors out the zero subspace, so its projection is an isometry onto the
-    whole space.
+    whole space.  Every level reads its P off the chain's one ``flag_basis`` Q.T:
+    P_i is its leading d - dim h_i rows, so the levels are nested, P_{i-1} the
+    leading rows of P_i, and share one set of coordinates.
     """
 
     def __init__(self, algebra: LieAlgebra, chain: IdealChain):
         if not chain.terminated:
             raise ValueError("chain must terminate at the zero subspace")
         self.algebra = algebra
-        self.contexts = [QuotientContext(algebra, s) for s in chain.ideals]
+        flag = flag_basis(chain.ideals, algebra.dim)
+        self.contexts = [QuotientContext(algebra, s, flag) for s in chain.ideals]
 
     def __getitem__(self, i: int) -> QuotientContext:
         return self.contexts[i]

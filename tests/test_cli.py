@@ -159,7 +159,7 @@ def test_check_passes_an_exact_linearization_of_a_large_A(tmp_path, capsys):
     assert jac["ok"] and jac["exact"] and 0 < max(jac["directional_errors"]) < 1e-8
 
 
-@pytest.mark.parametrize("c", [1e6, 1e8, 1e10])
+@pytest.mark.parametrize("c", [1e6, 1e8, 1e10, 1e12])  # at 1e12 only the step h = 1e-4 resolves A
 def test_check_passes_the_linearization_of_a_large_quadratic_word(tmp_path, capsys, c):
     # the central differences cancel the term c h^2 [v, w] only up to rounding, about u c h,
     # which a tolerance of 1e-12 max(1, ||A||_F) alone read as an order-1 remainder
@@ -389,13 +389,17 @@ def test_constants_without_a_finite_norm_are_an_input_error(tmp_path, capsys, co
 
 
 def test_constants_of_1e100_still_run(tmp_path, capsys):
-    # deadbeat fails on rho(A) = 0.5; check passes its linearization against the rounding floor
+    # deadbeat fails on rho(A) = 0.5; check fails its linearization, which the brackets of 1e100
+    # round away at every step (it once passed against its rounding floor of 5.5e83)
     path = tmp_path / "large.json"
     path.write_text(json.dumps(NONFINITE_BASE | {"algebra": heisenberg_scaled(1e100)}))
     codes = [run([command, "--scenario", str(path), "--out", str(tmp_path / "out")])
              for command in ("check", "certify", "simulate", "deadbeat")]
-    assert codes == [0, 0, 0, 1]
-    assert capsys.readouterr().err == ""
+    assert codes == [1, 0, 0, 1]
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "[FAIL] linearization matches A: no step resolves A: rounding floor 5.519e+83 (bound 1.000e-03)" \
+        in captured.out.splitlines()
 
 
 @pytest.mark.parametrize("breakage,codes", [
@@ -608,7 +612,8 @@ def assert_one_failed_check(stdout, line):
 
 
 @pytest.mark.parametrize("breakage,line", [
-    ({"M": 1e308}, "[FAIL] series majorant finite: value inf at radius 1e+308"),  # once an OverflowError
+    ({"terms": [{"letters": ["X1", "W1"], "coeff": [1e300]}], "M": 1.0},  # once a [PASS]
+     "[FAIL] linearization matches A: no step resolves A: rounding floor 2.208e+284 (bound 1.000e-03)"),
     ({"r": 2, "terms": [{"letters": ["W1", "W2"], "coeff": [1.0]}], "signal": {"kind": "zero"}},
      "[FAIL] unique equilibrium (structural + search): a word without a state letter"),
     ({"A": np.eye(3).tolist(), "terms": []},  # every state is a fixed point
@@ -617,12 +622,25 @@ def assert_one_failed_check(stdout, line):
      "[FAIL] chain invariance: level 2 nonlinear residual 3.633e-01 (bound 1e-09)"),
     ({"A": [[0.5, 0.0, 3e-10], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]},  # by too little for the map's bound
      "[FAIL] chain invariance: level 2 linear residual 3.000e-10 (bound 1.000e-10)"),
+    ({"terms": [{"letters": ["X1", "W1"], "coeff": [1e14]}]},  # the floors are about 2.2e-16 c at best
+     "[FAIL] linearization matches A: no step resolves A: rounding floor 2.208e-02 (bound 1.000e-03)"),
 ])
 def test_a_failed_check_states_what_failed_and_by_how_much(tmp_path, capsys, breakage, line):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(NONFINITE_BASE | breakage))
     assert run(["check", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
     assert_one_failed_check(capsys.readouterr().out, line)
+
+
+def test_check_calls_an_infinite_series_majorant_an_overflow(tmp_path, capsys):
+    # M and the radius are validated finite, so only a power, product or expm1 past the float range
+    # makes the majorant infinite; once an OverflowError, then exit 1 as a hypothesis failure
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(NONFINITE_BASE | {"M": 1e308}))
+    assert run(["check", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert_one_failed_check(captured.out, "[FAIL] series majorant finite: value inf at radius 1e+308")
 
 
 def test_check_names_a_map_that_overflows(tmp_path, capsys):
@@ -634,8 +652,11 @@ def test_check_names_a_map_that_overflows(tmp_path, capsys):
     assert run(["check", "--scenario", str(path), "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert_one_failed_check(
-        captured.out, "[FAIL] chain invariance: the map overflows at level 1 (a sampled value is not finite)")
+    # at unit-size samples the map overflows; at the small steps of the linearization it only rounds
+    # the state-linear part away
+    assert [ln for ln in captured.out.splitlines() if ln.startswith("[FAIL]")] == [
+        "[FAIL] chain invariance: the map overflows at level 1 (a sampled value is not finite)",
+        "[FAIL] linearization matches A: no step resolves A: rounding floor 2.208e+292 (bound 1.000e-03)"]
     inv = json.loads((out / "check-nf.json").read_text())["invariance"]
     assert inv["overflow_level"] == 1 and not inv["ok"]
 

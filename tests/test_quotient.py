@@ -7,8 +7,8 @@ from liestab.algebra import (Subspace, catalog_algebras, derived_algebra, derive
                              heisenberg, lower_central_series, nilpotent_upper,
                              upper_triangular6)
 from liestab.quotient import (ChainProjections, InvarianceViolation,
-                              QuotientContext, _complement_basis, adapted_norm, bracket_word,
-                              collapse_identity_residual,
+                              QuotientContext, adapted_norm, bracket_word,
+                              collapse_identity_residual, flag_basis,
                               induced_map, is_ideal, layered_word_residual,
                               quotient_algebra)
 from liestab.sampling import TRACKING_A
@@ -32,7 +32,8 @@ def test_projection_coordinates_and_kernel():
 
 
 def reference_complement_basis(ideal, d, m):
-    """The greedy pass one accepted column at a time (``_complement_basis`` builds its basis whole)."""
+    """Gram-Schmidt on the standard axes, one accepted column at a time: the complement basis of
+    each quotient before the flag basis, kept as the reference the builtin chains still match."""
     cols = []
     for i in range(d):
         v = np.zeros(d)
@@ -50,13 +51,17 @@ def reference_complement_basis(ideal, d, m):
     return u[:, m:]
 
 
-def proper_chain_ideals():
+def catalog_chains():
     algebras = list(catalog_algebras().values()) + [nilpotent_upper(5)]
     for alg in algebras:
-        chains = [derived_series(alg), lower_central_series(alg),
-                  lower_central_series(alg, derived_algebra(alg))]
-        for chain in chains:
-            yield from (s for s in chain.ideals if 0 < s.dim < alg.dim)
+        for chain in [derived_series(alg), lower_central_series(alg),
+                      lower_central_series(alg, derived_algebra(alg))]:
+            yield alg, chain
+
+
+def proper_chain_ideals():
+    for alg, chain in catalog_chains():
+        yield from (s for s in chain.ideals if 0 < s.dim < alg.dim)
     rng = np.random.default_rng(11)
     rotation, _ = np.linalg.qr(rng.standard_normal((7, 7)))
     yield Subspace(rotation[:, :3])  # not axis-aligned
@@ -66,16 +71,42 @@ def proper_chain_ideals():
     yield Subspace(tilted)  # within 1e-7 of e_1: one projection pass loses orthogonality
 
 
-def test_complement_basis_matches_reference_loop():
+def assert_adapted_flag(rows, ideals):
+    """The rows of a flag basis are orthonormal and, for each ideal B of the flag, the leading
+    d - dim B rows P have P.T P = I - B B.T, within 1e-14; an axis-aligned ideal alone gets the
+    reference axes."""
+    d = rows.shape[0]
+    np.testing.assert_allclose(rows @ rows.T, np.eye(d), rtol=0, atol=1e-14)
+    for ideal in ideals:
+        B, P = ideal.onb, rows[:d - ideal.dim]
+        np.testing.assert_allclose(P.T @ P, np.eye(d) - B @ B.T, rtol=0, atol=1e-14)
+        if (np.count_nonzero(B, axis=0) == 1).all():
+            alone = flag_basis([ideal], d)[:d - ideal.dim]
+            assert np.array_equal(alone.T, reference_complement_basis(ideal, d, ideal.dim))
+
+
+def assert_nested(proj):
+    """Each level's P is the leading rows of the next level's, bit for bit."""
+    for lower, upper in zip(proj, proj.contexts[1:]):
+        assert np.array_equal(lower.P, upper.P[:lower.quotient_dim])
+
+
+def test_flag_basis_on_the_catalog_chains_and_their_ideals():
     ideals = list(proper_chain_ideals())
     assert len(ideals) >= 10
     for ideal in ideals:
-        d, m = ideal.ambient_dim, ideal.dim
-        Q = _complement_basis(ideal, d, m)
-        assert Q.shape == (d, d - m)
-        np.testing.assert_allclose(Q, reference_complement_basis(ideal, d, m), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(Q.T @ Q, np.eye(d - m), rtol=0, atol=1e-14)
-        assert np.abs(ideal.onb.T @ Q).max() <= 1e-14
+        assert_adapted_flag(flag_basis([ideal], ideal.ambient_dim), [ideal])
+    chains = [(alg, chain) for alg, chain in catalog_chains() if chain.terminated]
+    assert len(chains) >= 10
+    for alg, chain in chains:
+        proj = ChainProjections(alg, chain)
+        assert_adapted_flag(proj[-1].P, chain.ideals)
+        assert_nested(proj)
+    rng = np.random.default_rng(29)
+    for _ in range(50):  # axis-aligned ideals get their remaining axes, in order
+        d = int(rng.integers(2, 12))
+        ideal = Subspace(np.eye(d)[:, rng.choice(d, int(rng.integers(1, d)), replace=False)])
+        assert_adapted_flag(flag_basis([ideal], d), [ideal])
 
 
 def structured_ideal(rng, kind):
@@ -100,41 +131,45 @@ def structured_ideal(rng, kind):
     return Subspace(basis)
 
 
-def assert_matches_reference(ideal, atol):
-    d, m = ideal.ambient_dim, ideal.dim
-    Q = _complement_basis(ideal, d, m)
-    np.testing.assert_allclose(Q, reference_complement_basis(ideal, d, m), rtol=0, atol=atol)
-    np.testing.assert_allclose(Q.T @ Q, np.eye(d - m), rtol=0, atol=1e-14)
-    assert np.abs(ideal.onb.T @ Q).max(initial=0.0) <= 1e-14
-
-
-def test_complement_basis_matches_reference_on_structured_ideals():
-    # kind 1 is where one QR of all projected axes misselects: the rounding noise of a dependent
-    # axis enters the span of the axes after it and can hide a kept one, as e_3 here
+def test_flag_basis_on_structured_ideals():
+    # kind 1 is where one QR of all projected axes misselected for the Gram-Schmidt basis: the
+    # rounding noise of a dependent axis entered the span of the axes after it, as e_3 here
     basis = np.zeros((6, 5))
     for j, pair in enumerate([(1, 2), (1, 4), (0, 2), (1, 5), (0, 5)]):
         basis[pair, j] = 1.0
     pairs = Subspace(basis)
     assert pairs.dim == 4
-    assert_matches_reference(pairs, 1e-15)
-    np.testing.assert_allclose(_complement_basis(pairs, 6, 4).T, [[1, 1, -1, 0, -1, -1] / np.sqrt(5.0),
-                                                                   [0, 0, 0, 1, 0, 0]], rtol=0, atol=1e-15)
+    assert_adapted_flag(flag_basis([pairs], 6), [pairs])
     rng = np.random.default_rng(23)
     checked = [0] * 4
     for i in range(500):
         ideal = structured_ideal(rng, i % 4)
-        if 0 < ideal.dim < ideal.ambient_dim:
-            assert_matches_reference(ideal, 1e-14)
+        d, m = ideal.ambient_dim, ideal.dim
+        if 0 < m < d:
+            # with a random subspace below it, so a step past the first meets a rotated ideal
+            inner = Subspace(ideal.onb @ rng.standard_normal((m, int(rng.integers(1, m + 1)))))
+            assert_adapted_flag(flag_basis([ideal], d), [ideal])
+            assert_adapted_flag(flag_basis([ideal, inner], d), [ideal, inner])
             checked[i % 4] += 1
     assert min(checked) >= 100
 
 
-def test_complement_basis_on_the_central_chain_of_nilpotent_upper_12():
+def test_flag_basis_on_the_central_chain_of_nilpotent_upper_12():
     alg = nilpotent_upper(12)
-    ideals = [s for s in alg.central_chain.ideals if 0 < s.dim < alg.dim]
-    assert len(ideals) == 10
-    for ideal in ideals:
-        assert_matches_reference(ideal, 1e-15)
+    chain = alg.central_chain
+    assert len([s for s in chain.ideals if 0 < s.dim < alg.dim]) == 10
+    proj = ChainProjections(alg, chain)
+    assert [ctx.quotient_dim for ctx in proj] == [alg.dim - s.dim for s in chain.ideals]
+    assert_adapted_flag(proj[-1].P, chain.ideals)
+    assert_nested(proj)
+
+
+def test_builtin_flags_end_in_the_identity():
+    # the level of the zero ideal sees the whole flag: on the builtins, exactly the standard axes
+    for name in BUILTINS:
+        proj = builtin_scenario(name).system.projections
+        assert np.array_equal(proj[-1].P, np.eye(proj.algebra.dim)), name
+        assert_nested(proj)
 
 
 def test_complement_basis_is_the_reference_bit_for_bit_on_the_builtin_chains():

@@ -17,6 +17,7 @@ from liestab.stability import (ENVELOPE_POWERS, CertificateRejected, HypothesisE
                                deadbeat_envelope, deadbeat_horizon, deadbeat_verified, fit_envelope,
                                forcing_gain, forcing_norms, power_envelope_constant,
                                spectral_radius)
+from test_quotient import reference_complement_basis
 
 
 def traj_from_norms(norms):
@@ -396,6 +397,22 @@ def test_sweep_certificate_is_finite_up_to_d66():
         cert = certify_nilpotent(sys_, signal, M=1.0)
         assert cert.consistent and math.isfinite(cert.alpha), m
         assert cert.mu == sys_.mu() == bracket_constant(sys_.algebra)
+
+
+def test_certificate_level_inputs_do_not_depend_on_the_basis():
+    # each level's linear part in the flag basis and in the Gram-Schmidt complement basis of its
+    # ideal: the spectral radius and the envelope constant at the certificate's rate agree
+    for m in (10, 12):  # d = 45 and 66
+        sys_, signal = bench_sweep_case(m)
+        cert = certify_nilpotent(sys_, signal, M=1.0)
+        for i in range(1, cert.nilindex + 1):
+            ctx = sys_.projections[i]
+            ref = reference_complement_basis(ctx.ideal, sys_.d, ctx.ideal.dim).T
+            Abar, Aref = induced_map(ctx, sys_.A), ref @ sys_.A @ ref.T
+            rate = cert.Lambda_levels[i - 1]
+            assert spectral_radius(Abar) == pytest.approx(spectral_radius(Aref), rel=1e-12, abs=0)
+            assert power_envelope_constant(Abar, rate, ctx.quotient_dim) == pytest.approx(
+                power_envelope_constant(Aref, rate, ctx.quotient_dim), rel=1e-12, abs=0)
 
 
 def test_certificates_stop_before_the_stein_tail(monkeypatch):

@@ -11,12 +11,15 @@ belongs in A, not in the family.
 
 There is one update map, ``evaluate`` being a batch of one of ``evaluate_batch``: the
 terms go through ``quotient.evaluate_words`` on a plan of their suffixes made once, one
-product per suffix and one ``ad_many`` per leading letter a call; each family flow is
-e^{ad_base} - I from ``_expm1_batch`` (scaling and squaring around a Taylor polynomial of
-degree m evaluated by Paterson-Stockmeyer, about 2 sqrt(m) products), applied to the target
-directly; the single-row flows of a call share one kernel call, and a batch reuses the
-input-only flows of the last shared input (a one-entry memo).  Maps act on stacked vectors slot
-by slot (``quotient._slotwise``), and the linear part induced on a quotient is
+product per suffix and one ``ad_many`` per leading letter a call.  The families run off a
+``FamilyPlan`` of index arrays made once per system: a call forms every distinct base with
+one gather of the letters each base names, takes one ``ad_many`` over the stacked bases, and
+one product per distinct (base, target) pair.  Each flow is e^{ad_base} - I from
+``_expm1_batch`` (scaling and squaring around a Taylor polynomial of degree m evaluated by
+Paterson-Stockmeyer, about 2 sqrt(m) products), applied to the target directly; a scalar step
+makes one kernel call for all its flows, and a batch reuses the input-only flows of the last
+shared input (a one-entry memo).  Maps act on stacked vectors slot by slot
+(``quotient._slotwise``), and the linear part induced on a quotient is
 ``quotient.induced_map``, which rejects an A that moves a chain ideal off itself by more than
 ``quotient.invariance_bound``.
 
@@ -106,7 +109,13 @@ class AdjointFamily:
     target: Letter
 
     def __post_init__(self):
-        self.base = {parse_letter(k): float(v) for k, v in self.base.items()}
+        base = {}
+        for key, weight in self.base.items():
+            letter = parse_letter(key)
+            if letter in base:  # "X1" and "X01" are one letter
+                raise SystemSpecError(f"family base repeats letter {letter[0]}{letter[1]}")
+            base[letter] = float(weight)
+        self.base = base
         self.target = parse_letter(self.target)
         if not self.base:
             raise SystemSpecError("family base must reference at least one slot")
@@ -119,6 +128,59 @@ class AdjointFamily:
         if self.target[0] == "X":
             return True
         return all(kind == "X" for kind, _ in self.base)
+
+
+@dataclass(frozen=True)
+class FamilyPlan:
+    """The adjoint families of a system as index arrays, made once per system.
+
+    A letter is an index into a step's stacked letter values, state slots first: X_j is j - 1
+    and W_j is n + j - 1.  Each of the ``bases`` distinct bases, its letters sorted, is summed
+    from 0 as ``sum`` would, one column at a time: column k holds each base's (k+1)-th letter
+    and weight, and ``named`` masks the bases that have one (a shorter base repeats its first
+    letter there, masked off).  ``inputs`` and ``states`` index the bases of input letters
+    only and the others.  Pair p, a distinct (base, target), applies the flow of base
+    ``pair_base[p]`` to letter ``pair_target[p]``; family i adds ``scale[i]`` times pair
+    ``pair[i]`` into state slot ``out_slot[i]`` (0-based).
+    """
+
+    bases: int
+    columns: tuple  # (letters, weights, named) per column
+    inputs: np.ndarray
+    states: np.ndarray
+    pair_base: np.ndarray
+    pair_target: np.ndarray
+    out_slot: tuple
+    scale: np.ndarray
+    pair: np.ndarray
+
+
+def family_plan(families: Sequence[AdjointFamily], n: int) -> Optional[FamilyPlan]:
+    """The ``FamilyPlan`` of the families of a system with n state slots; None for no family."""
+    if not families:
+        return None
+
+    def index(letter: Letter) -> int:
+        return letter[1] - 1 if letter[0] == "X" else n + letter[1] - 1
+
+    keys = [tuple(sorted(f.base.items())) for f in families]
+    family_pairs = [(key, f.target) for key, f in zip(keys, families)]
+    bases, pairs = list(dict.fromkeys(keys)), list(dict.fromkeys(family_pairs))
+    columns = []
+    for k in range(max(map(len, bases))):
+        cells = [base[k] if k < len(base) else (base[0][0], 1.0) for base in bases]
+        columns.append((np.array([index(letter) for letter, _ in cells]),
+                        np.array([weight for _, weight in cells])[:, None, None],
+                        np.array([k < len(base) for base in bases])[:, None, None]))
+    inputs = [all(kind == "W" for (kind, _), _ in base) for base in bases]
+    return FamilyPlan(bases=len(bases), columns=tuple(columns),
+                      inputs=np.array([i for i, only in enumerate(inputs) if only], dtype=int),
+                      states=np.array([i for i, only in enumerate(inputs) if not only], dtype=int),
+                      pair_base=np.array([bases.index(key) for key, _ in pairs]),
+                      pair_target=np.array([index(target) for _, target in pairs]),
+                      out_slot=tuple(f.out_slot - 1 for f in families),
+                      scale=np.array([f.scale for f in families])[:, None, None],
+                      pair=np.array([pairs.index(pair) for pair in family_pairs]))
 
 
 def slot_norms(X, n: int) -> np.ndarray:
@@ -217,6 +279,26 @@ def _twice_identity(d: int) -> np.ndarray:
     return eye2
 
 
+@lru_cache(maxsize=None)
+def _ones(d: int) -> np.ndarray:
+    ones = np.ones(d)
+    ones.flags.writeable = False
+    return ones
+
+
+# k! as floats, the values that dividing a float by math.factorial(k) converts it to; a theta of
+# at most 1/2 stops at degree 14
+_FACTORIALS = tuple(float(math.factorial(k)) for k in range(17))
+
+
+def _taylor_degree(theta: float) -> int:
+    """The least m >= 1 with theta^m / (m+1)! <= 2^-53, for 0 <= theta <= 1/2."""
+    m = 1
+    while theta ** m / _FACTORIALS[m + 1] > 2.0 ** -53:
+        m += 1
+    return m
+
+
 def _expm1_batch(mats: np.ndarray) -> np.ndarray:
     """e^M - I for each matrix of a (..., d, d) stack, by scaling and squaring.
 
@@ -235,7 +317,7 @@ def _expm1_batch(mats: np.ndarray) -> np.ndarray:
     """
     mats = np.asarray(mats, dtype=float)
     d = mats.shape[-1]
-    colsums = np.ones(d) @ np.abs(mats)
+    colsums = _ones(d) @ np.abs(mats)
     theta = float(colsums.max(initial=0.0))
     if not theta <= 2.0 ** 59:  # some row is not finite or too large
         norms = colsums.max(axis=-1, initial=0.0)
@@ -244,17 +326,14 @@ def _expm1_batch(mats: np.ndarray) -> np.ndarray:
         mats = np.where(ok[..., None, None], mats, np.nan)
     s = math.ceil(math.log2(theta)) + 1 if theta > 0.5 else 0
     theta *= 2.0 ** -s
-    m = 1
-    while theta ** m / math.factorial(m + 1) > 2.0 ** -53:
-        m += 1
-    table = _taylor_blocks(m)
+    table = _taylor_blocks(_taylor_degree(theta))
     blocks, q = table.shape
     powers = np.empty((q,) + mats.shape)  # X, ..., X^q, the power first
     np.multiply(mats, 2.0 ** -s, out=powers[0])
     for i in range(1, q):
         np.matmul(powers[i - 1], powers[0], out=powers[i])
     # at degree 1 the table is [[1]] and the polynomial X itself
-    sums = powers if m == 1 else (table @ powers.reshape(q, -1)).reshape((blocks,) + mats.shape)
+    sums = powers if q == 1 else (table @ powers.reshape(q, -1)).reshape((blocks,) + mats.shape)
     out = sums[-1]
     for j in range(blocks - 2, -1, -1):
         out = powers[-1] @ out
@@ -307,10 +386,8 @@ class WordSeriesSystem:
         self.chain = chain
         self.projections = ChainProjections(algebra, self.chain)
         self._plan = word_plan([t.word.letters for t in self.terms])
-        self._pairs = [(tuple(sorted(f.base.items())), f.target) for f in self.families]
-        self._keys = list(dict.fromkeys(key for key, _ in self._pairs))
-        self._input_keys = [key for key in self._keys if all(k == "W" for (k, _), _ in key)]
-        self._input_flows = (None, {})  # one-entry memo: shared input row -> its input-only flows
+        self._families = family_plan(self.families, self.n)
+        self._input_flows = (None, None)  # one-entry memo: shared input row -> its input-only flows
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -348,8 +425,11 @@ class WordSeriesSystem:
         W is either one stacked input shared by the batch, kept as a single
         row so that flows whose base holds only input letters are computed
         once, and again only when W differs from the last shared input, or a
-        (B, r*d) stack.  Families with the same base share one flow, taken as
-        e^{ad_base} - I; those that also share a target share one product.
+        (B, r*d) stack.  The family bases are formed by one gather of the
+        letters they name and share one ``ad_many``; families with the same
+        base share one flow, taken as e^{ad_base} - I, and those that also
+        share a target share one product.  Every other flow of a batch gets its
+        own kernel call, so each takes the Taylor degree of its own rows.
         """
         return self._update(np.asarray(X, dtype=float), np.asarray(W, dtype=float))
 
@@ -366,27 +446,38 @@ class WordSeriesSystem:
         words = evaluate_words(self.algebra, self._plan, letter_vals)
         for t in self.terms:
             out += t.coeff[np.newaxis, :, np.newaxis] * words[t.word.letters][:, np.newaxis, :]
-
-        def ad(key) -> np.ndarray:
-            return self.algebra.ad_many(sum(wgt * letter_vals(l) for l, wgt in key))
-
-        def single_flows(keys) -> dict:
-            return dict(zip(keys, _expm1_batch(np.concatenate([ad(k) for k in keys]))[:, None])) if keys else {}
-
-        # On one row the kernel cost is nearly all Python overhead, so the single-row flows
-        # (every flow of a scalar step, the input-only flows under a shared W, memoised on
-        # W's bytes) share one call.  A multi-row flow keeps its own: stacked with another
-        # base its rows would take the Taylor degree of the larger norm (the tiny X2 rows
-        # behind the O(1) X1 + W1 rows of the example-6.1 equilibrium search).
-        shared = B != 1 and Ws.shape[0] == 1
-        if shared and self._input_flows[0] != W.tobytes():
-            self._input_flows = (W.tobytes(), single_flows(self._input_keys))
-        flows = single_flows(self._keys) if B == 1 else dict(self._input_flows[1]) if shared else {}
-        flows.update((key, _expm1_batch(ad(key))) for key in self._keys if key not in flows)
-        prods = {pair: (flows[pair[0]] @ letter_vals(pair[1])[..., None])[..., 0]
-                 for pair in dict.fromkeys(self._pairs)}
-        for f, pair in zip(self.families, self._pairs):
-            out[:, f.out_slot - 1, :] += f.scale * prods[pair]
+        plan = self._families
+        if plan is None or not B:  # an empty batch has no row to take input-only flows from
+            return out.reshape(X.shape)
+        vals = np.empty((self.n + self.r, B, self.d))  # the letter values, state slots first
+        vals[:self.n] = Xs.swapaxes(0, 1)
+        vals[self.n:] = Ws.swapaxes(0, 1)  # a shared input row repeated over the batch
+        bases = np.zeros((plan.bases, B, self.d))
+        for letters, weights, named in plan.columns:  # 0 + b_1 v_1 + b_2 v_2 + ..., as ``sum`` adds
+            np.add(bases, vals[letters] * weights, out=bases, where=named)
+        ads = self.algebra.ad_many(bases)  # (bases, B, d, d)
+        # On one row the kernel cost is nearly all Python overhead, so the flows of a scalar
+        # step share one call, and so do the input-only flows under a shared W, memoised on
+        # W's bytes.  A multi-row flow keeps its own: stacked with another base its rows would
+        # take the Taylor degree of the larger norm (the tiny X2 rows behind the O(1) X1 + W1
+        # rows of the example-6.1 equilibrium search).
+        if B == 1:
+            flows = _expm1_batch(ads[:, 0])[:, None]
+        else:
+            flows = np.empty(ads.shape)  # C order: ``ads`` is a transposed view
+            own = range(len(ads))
+            if Ws.shape[0] == 1 and plan.inputs.size:
+                if self._input_flows[0] != W.tobytes():
+                    self._input_flows = (W.tobytes(), _expm1_batch(ads[plan.inputs, 0]))
+                flows[plan.inputs] = self._input_flows[1][:, None]
+                own = plan.states
+            for i in own:
+                flows[i] = _expm1_batch(ads[i])
+        # C-contiguous stacks, so each (d, d) @ (d, 1) product takes the BLAS call it takes alone
+        prods = (flows[plan.pair_base] @ vals[plan.pair_target, ..., None])[..., 0]
+        slots = out.swapaxes(0, 1)
+        for slot, part in zip(plan.out_slot, plan.scale * prods[plan.pair]):  # in family order
+            slots[slot] += part
         return out.reshape(X.shape)
 
     def simulate(self, X0, signal: ExoSignal, k_max: int) -> Trajectory:

@@ -192,9 +192,16 @@ def builtin_scenario(name: str, seed: int = 0, horizon: Optional[int] = None) ->
 _require = partial(json_field, error=ScenarioError, noun="scenario field")
 
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+
+
 def _finite(key: str, value, scalar: bool = False):
     """``value`` as a float array (a float when ``scalar``); a ScenarioError naming
-    the field unless it is numeric and finite (``json`` accepts NaN and Infinity)."""
+    the field unless it is numeric and finite (``json`` accepts NaN and Infinity).
+    A JSON ``true`` or ``false`` anywhere in it is no number."""
+    if _has_bool(value):
+        raise ScenarioError(f"scenario field {key!r} has wrong type (bool)")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):

@@ -699,6 +699,18 @@ def test_check_when_every_start_diverges(tmp_path, capsys, name):
     ({"horizon": "x"}, "'horizon' has wrong type (str)"),
     ({"route": 5}, "'route' has wrong type (int)"),
     ({"r": True}, "'r' has wrong type (bool)"),  # once a TypeError in the certificate's signal norm
+    # each of these once ran as 1.0 and exited 0
+    ({"families": [{"out_slot": 1, "scale": True, "base": {"X1": 1.0}, "target": "X1"}]},
+     "'families[0].scale' has wrong type (bool)"),
+    ({"families": [{"out_slot": 1, "scale": 1.0, "base": {"X1": True}, "target": "X1"}]},
+     "'families[0].base' has wrong type (bool)"),
+    ({"terms": [{"letters": ["X1", "W1"], "coeff": [True]}]}, "'terms[0].coeff' has wrong type (bool)"),
+    ({"radius": True}, "'radius' has wrong type (bool)"),
+    ({"M": True}, "'M' has wrong type (bool)"),
+    ({"A": [[0.5, 0.0, 0.0], [0.0, True, 0.0], [0.0, 0.0, 0.5]]}, "'A' has wrong type (bool)"),
+    ({"x0": [1.0, False, 0.0]}, "'x0' has wrong type (bool)"),
+    ({"signal": {"kind": "geometric", "base": [0.1, 0.0, 0.0], "ratio": True}},
+     "'signal.ratio' has wrong type (bool)"),
 ])
 def test_wrong_json_type_exits_2(tmp_path, capsys, breakage, message):
     # before these checks each ended in an AttributeError, TypeError or ValueError traceback
@@ -708,6 +720,18 @@ def test_wrong_json_type_exits_2(tmp_path, capsys, breakage, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: scenario field {message}\n"
+
+
+def test_repeated_base_letter_exits_2(tmp_path, capsys):
+    # "X1" and "X01" name one letter; the base once kept the last weight, {X1: 2.0}, and
+    # check exited 0 on a system other than the one written
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(NONFINITE_BASE | {"families": [
+        {"out_slot": 1, "scale": 0.5, "base": {"X1": 1.0, "X01": 2.0}, "target": "W1"}]}))
+    assert run(["check", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: families[0]: family base repeats letter X1\n"
 
 
 @pytest.mark.parametrize("algebra,message", [

@@ -803,6 +803,14 @@ def test_invariance_violation_blocks_quotient():
         bad.quotient_system(1)
 
 
+def test_family_base_refuses_a_repeated_letter():
+    # two spellings of one letter once merged silently, the last weight winning
+    for base, letter in (({"X1": 1.0, "X01": 2.0}, "X1"), ({("W", 2): 1.0, "W2": -1.0}, "W2")):
+        with pytest.raises(SystemSpecError, match=f"family base repeats letter {letter}$"):
+            AdjointFamily(1, 1.0, base, "X1")
+    assert AdjointFamily(1, 1.0, {"X1": 1.0, "X2": 2.0}, "X1").base == {("X", 1): 1.0, ("X", 2): 2.0}
+
+
 def test_system_spec_validation():
     alg = heisenberg()
     with pytest.raises(SystemSpecError):
@@ -919,3 +927,79 @@ def test_input_flow_memo_and_shared_products_are_exact():
                   -np.zeros(sys_.r * sys_.d)):
             got, ref = sys_.evaluate_batch(X, W), reference_update(sys_, X, W)
             assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def unread_input_system():
+    """Families and a term over W1 and W2 of three input slots: nothing reads W3."""
+    alg = upper_triangular6()
+    return WordSeriesSystem(alg, 2, 3, 0.1 * np.eye(12), terms=[
+        Term(Word((("X", 1), ("W", 1))), np.array([0.2, -0.1]))], families=[
+        AdjointFamily(1, 0.5, {"W1": 1.0}, "X1"),
+        AdjointFamily(2, -0.3, {"X2": 1.0, "W2": 0.5}, "X1"),
+        AdjointFamily(1, 0.2, {"X1": 1.0}, "W2"),
+    ], invariance_ideal=derived_algebra(alg))
+
+
+def test_a_letter_no_base_reads_stays_out_of_the_map():
+    # the bases are gathered from the letters they name, so a non-finite input slot that
+    # nothing reads reaches no row
+    sys_ = unread_input_system()
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((6, sys_.state_dim))
+    W = rng.standard_normal((6, sys_.r * sys_.d))
+    W[:, 12:] = 0.0
+    clean = sys_.evaluate_batch(X, W)
+    for bad in (np.inf, -np.inf, np.nan):
+        dirty = W.copy()
+        dirty[::2, 12:] = bad
+        np.testing.assert_array_equal(sys_.evaluate_batch(X, dirty), clean)
+        np.testing.assert_array_equal(sys_.evaluate(X[0], dirty[0]), sys_.evaluate(X[0], W[0]))
+
+
+def test_a_nonfinite_state_row_leaves_the_input_flow_memo_alone():
+    rng = np.random.default_rng(13)
+    for make in (ex61_system, unread_input_system):
+        X = rng.standard_normal((5, make().state_dim))
+        w = rng.standard_normal(make().r * make().d)
+        for bad in (np.inf, -np.inf, np.nan):
+            sys_ = make()
+            poisoned = X.copy()
+            poisoned[0] = bad  # the row that the input-only flows are taken from
+            with np.errstate(invalid="ignore", over="ignore"):
+                first = sys_.evaluate_batch(poisoned, w)
+            assert not np.isfinite(first[0]).any()
+            np.testing.assert_array_equal(first[1:], make().evaluate_batch(X[1:], w))
+            # the next batch under w reuses the memo
+            np.testing.assert_array_equal(sys_.evaluate_batch(X, w), make().evaluate_batch(X, w))
+
+
+def test_a_scalar_step_takes_one_ad_and_one_flow_call(monkeypatch):
+    # example 6.1: four distinct bases, five families, one ad_many and one kernel call a step
+    sys61 = ex61_system()
+    ads, flows = [], []
+    real_ad, real_flow = sys61.algebra.ad_many, dynamics._expm1_batch
+    monkeypatch.setattr(sys61.algebra, "ad_many", lambda X: ads.append(np.shape(X)) or real_ad(X))
+    monkeypatch.setattr(dynamics, "_expm1_batch", lambda M: flows.append(np.shape(M)) or real_flow(M))
+    sys61.evaluate(EX61_X0, np.tile(np.arange(6.0), 2))
+    assert ads == [(4, 1, 6)] and flows == [(4, 6, 6)]
+
+
+def old_taylor_degree(theta):
+    """The degree loop of the flow kernel before its factorials were cached."""
+    m = 1
+    while theta ** m / math.factorial(m + 1) > 2.0 ** -53:
+        m += 1
+    return m
+
+
+def test_taylor_degree_matches_the_factorial_loop():
+    # the kernel scales theta to at most 1/2, where the degree is 14
+    top = old_taylor_degree(0.5)
+    assert top == 14
+    for m in range(1, top + 1):
+        # past this theta the degree exceeds m
+        threshold = (2.0 ** -53 * math.factorial(m + 1)) ** (1 / m)
+        for theta in (np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 1.0)):
+            assert dynamics._taylor_degree(float(theta)) == old_taylor_degree(float(theta))
+    for theta in [0.0, 5e-324, 1e-300, 0.5, *np.random.default_rng(14).uniform(0.0, 0.5, 200)]:
+        assert dynamics._taylor_degree(float(theta)) == old_taylor_degree(float(theta))

@@ -16,10 +16,10 @@ product per suffix and one ``ad_many`` per leading letter a call.  The families 
 one gather of the letters each base names, takes one ``ad_many`` over the stacked bases, and
 one product per distinct (base, target) pair.  Each flow is e^{ad_base} - I from
 ``_expm1_batch`` (scaling and squaring around a Taylor polynomial of degree m evaluated by
-Paterson-Stockmeyer, about 2 sqrt(m) products), applied to the target directly; a scalar step
-makes one kernel call for all its flows, and a batch reuses the input-only flows of the last
-shared input (a one-entry memo).  Maps act on stacked vectors slot by slot
-(``quotient._slotwise``), and the linear part induced on a quotient is
+Paterson-Stockmeyer, about 2 sqrt(m) products; a nearly nilpotent stack is not scaled), applied
+to the target directly; a scalar step makes one kernel call for all its flows, and a batch
+reuses the input-only flows of the last shared input (a one-entry memo).  Maps act on stacked
+vectors slot by slot (``quotient._slotwise``), and the linear part induced on a quotient is
 ``quotient.induced_map``, which rejects an A that moves a chain ideal off itself by more than
 ``quotient.invariance_bound``.
 
@@ -28,6 +28,7 @@ The norm on stacked states is the sum of per-slot Euclidean norms, ``slot_norms`
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -139,13 +140,14 @@ class FamilyPlan:
     from 0 as ``sum`` would, one column at a time: column k holds each base's (k+1)-th letter
     and weight, and ``named`` masks the bases that have one (a shorter base repeats its first
     letter there, masked off).  ``inputs`` and ``states`` index the bases of input letters
-    only and the others.  Pair p, a distinct (base, target), applies the flow of base
-    ``pair_base[p]`` to letter ``pair_target[p]``; family i adds ``scale[i]`` times pair
-    ``pair[i]`` into state slot ``out_slot[i]`` (0-based).
+    only and the others, whose columns alone are ``state_columns``.  Pair p, a distinct (base,
+    target), applies the flow of base ``pair_base[p]`` to letter ``pair_target[p]``; family i
+    adds ``scale[i]`` times pair ``pair[i]`` into state slot ``out_slot[i]`` (0-based).
     """
 
     bases: int
     columns: tuple  # (letters, weights, named) per column
+    state_columns: tuple
     inputs: np.ndarray
     states: np.ndarray
     pair_base: np.ndarray
@@ -173,14 +175,24 @@ def family_plan(families: Sequence[AdjointFamily], n: int) -> Optional[FamilyPla
                         np.array([weight for _, weight in cells])[:, None, None],
                         np.array([k < len(base) for base in bases])[:, None, None]))
     inputs = [all(kind == "W" for (kind, _), _ in base) for base in bases]
+    states = [i for i, only in enumerate(inputs) if not only]
     return FamilyPlan(bases=len(bases), columns=tuple(columns),
+                      state_columns=tuple(tuple(a[states] for a in column) for column in columns),
                       inputs=np.array([i for i, only in enumerate(inputs) if only], dtype=int),
-                      states=np.array([i for i, only in enumerate(inputs) if not only], dtype=int),
+                      states=np.array(states, dtype=int),
                       pair_base=np.array([bases.index(key) for key, _ in pairs]),
                       pair_target=np.array([index(target) for _, target in pairs]),
                       out_slot=tuple(f.out_slot - 1 for f in families),
                       scale=np.array([f.scale for f in families])[:, None, None],
                       pair=np.array([pairs.index(pair) for pair in family_pairs]))
+
+
+def _bases(columns: tuple, vals: np.ndarray) -> np.ndarray:
+    """The bases that a ``FamilyPlan``'s ``columns`` name, over the rows of the stacked letter values."""
+    bases = np.zeros((len(columns[0][0]),) + vals.shape[1:])
+    for letters, weights, named in columns:  # 0 + b_1 v_1 + b_2 v_2 + ..., as ``sum`` adds
+        np.add(bases, vals[letters] * weights, out=bases, where=named)
+    return bases
 
 
 def slot_norms(X, n: int) -> np.ndarray:
@@ -286,17 +298,24 @@ def _ones(d: int) -> np.ndarray:
     return ones
 
 
-# k! as floats, the values that dividing a float by math.factorial(k) converts it to; a theta of
-# at most 1/2 stops at degree 14
-_FACTORIALS = tuple(float(math.factorial(k)) for k in range(17))
+# k! as floats, the values that dividing a float by math.factorial(k) converts it to
+_FACTORIALS = tuple(float(math.factorial(k)) for k in range(18))
+
+
+def _degree_bound(m: int) -> float:
+    """The largest float theta with theta**m / (m+1)! <= 2^-53: the degree rule's threshold."""
+    t = (2.0 ** -53 * _FACTORIALS[m + 1]) ** (1 / m) * (1 + 2.0 ** -49)  # a few ulps above it
+    while t ** m / _FACTORIALS[m + 1] > 2.0 ** -53:
+        t = math.nextafter(t, 0.0)
+    return t
+
+
+_DEGREE_BOUNDS = tuple(_degree_bound(m) for m in range(1, 17))
 
 
 def _taylor_degree(theta: float) -> int:
-    """The least m >= 1 with theta^m / (m+1)! <= 2^-53, for 0 <= theta <= 1/2."""
-    m = 1
-    while theta ** m / _FACTORIALS[m + 1] > 2.0 ** -53:
-        m += 1
-    return m
+    """The least m >= 1 with theta^m / (m+1)! <= 2^-53, for 0 <= theta; 17 past degree 16."""
+    return bisect.bisect_left(_DEGREE_BOUNDS, theta) + 1
 
 
 def _expm1_batch(mats: np.ndarray) -> np.ndarray:
@@ -314,23 +333,44 @@ def _expm1_batch(mats: np.ndarray) -> np.ndarray:
     E <- E (E + 2I) then undoes the scaling.  A row that is not finite or
     would need more than 60 squarings gives NaN and leaves the scaling of the
     other rows alone.
+
+    The 1-norm overstates what a nearly nilpotent stack, the ``ad`` of an ideal-valued input,
+    needs.  When s > 3, the scaled X^3 gives alpha = max(||X^3||^(1/3), (||X^3|| theta)^(1/4)) >=
+    max(||X^3||^(1/3), ||X^4||^(1/4)) over the unmasked rows, unscaled, and by Al-Mohy and Higham
+    (SIAM J. Matrix Anal. Appl. 31 (2009) 970-989, Thm 4.2, p = 3) the Taylor tail past degree
+    m >= 5 is at most sum_{k>m} alpha^k/k!: the least such m <= 16 with alpha^m/(m+1)! <= 2^-53
+    keeps it near 2^-53 alpha <= 2^-53 ||X||, the scaled rule's accuracy.  If that degree takes
+    fewer products than the s squarings, the stack is evaluated unscaled (its powers rescaled by
+    2^(ks)); every other stack keeps the scaled rule's s, m and bits.  A strictly triangular
+    pattern is nilpotent, a polynomial series that no norm needs squarings for; at index 3 (``ad``
+    of the derived algebra of ``upper_triangular6``, or of Heisenberg) alpha = 0 and m = 5.
     """
     mats = np.asarray(mats, dtype=float)
     d = mats.shape[-1]
     colsums = _ones(d) @ np.abs(mats)
-    theta = float(colsums.max(initial=0.0))
+    theta, ok = float(colsums.max(initial=0.0)), True
     if not theta <= 2.0 ** 59:  # some row is not finite or too large
         norms = colsums.max(axis=-1, initial=0.0)
         ok = norms <= 2.0 ** 59  # False for inf and NaN too
         theta = float(norms.max(initial=0.0, where=ok))
         mats = np.where(ok[..., None, None], mats, np.nan)
     s = math.ceil(math.log2(theta)) + 1 if theta > 0.5 else 0
-    theta *= 2.0 ** -s
-    table = _taylor_blocks(_taylor_degree(theta))
-    blocks, q = table.shape
-    powers = np.empty((q,) + mats.shape)  # X, ..., X^q, the power first
+    m = _taylor_degree(theta * 2.0 ** -s)
+    powers = np.empty((math.isqrt(m - 1) + 1,) + mats.shape)  # X, ..., X^q, the power first
     np.multiply(mats, 2.0 ** -s, out=powers[0])
-    for i in range(1, q):
+    for i in range(1, min(len(powers), 3)):
+        np.matmul(powers[i - 1], powers[0], out=powers[i])
+    if s > 3:  # an unscaled polynomial of degree >= 5 takes at least 3 products
+        cube_norm = float((_ones(d) @ np.abs(powers[2])).max(axis=-1).max(initial=0.0, where=ok)) * 8.0 ** s
+        unscaled = max(5, _taylor_degree(max(cube_norm ** (1 / 3), (cube_norm * theta) ** 0.25)))
+        if unscaled <= 16 and sum(_taylor_blocks(unscaled).shape) - 2 < s:
+            powers[1:3] *= np.array([4.0, 8.0]).reshape((2,) + (1,) * mats.ndim) ** s
+            powers[0] = mats
+            s, m = 0, unscaled
+    table = _taylor_blocks(m)
+    blocks, q = table.shape
+    powers = powers[:q]
+    for i in range(3, q):
         np.matmul(powers[i - 1], powers[0], out=powers[i])
     # at degree 1 the table is [[1]] and the polynomial X itself
     sums = powers if q == 1 else (table @ powers.reshape(q, -1)).reshape((blocks,) + mats.shape)
@@ -452,33 +492,30 @@ class WordSeriesSystem:
         vals = np.empty((self.n + self.r, B, self.d))  # the letter values, state slots first
         vals[:self.n] = Xs.swapaxes(0, 1)
         vals[self.n:] = Ws.swapaxes(0, 1)  # a shared input row repeated over the batch
-        bases = np.zeros((plan.bases, B, self.d))
-        for letters, weights, named in plan.columns:  # 0 + b_1 v_1 + b_2 v_2 + ..., as ``sum`` adds
-            np.add(bases, vals[letters] * weights, out=bases, where=named)
-        ads = self.algebra.ad_many(bases)  # (bases, B, d, d)
         # On one row the kernel cost is nearly all Python overhead, so the flows of a scalar
-        # step share one call, and so do the input-only flows under a shared W, memoised on
-        # W's bytes.  A multi-row flow keeps its own: stacked with another base its rows would
-        # take the Taylor degree of the larger norm (the tiny X2 rows behind the O(1) X1 + W1
-        # rows of the example-6.1 equilibrium search).
+        # step share one call, and so do the input-only flows under a shared W, taken from its
+        # one row and memoised on W's bytes.  A multi-row flow keeps its own: stacked with
+        # another base its rows would take the Taylor degree of the larger norm (the tiny X2
+        # rows behind the O(1) X1 + W1 rows of the example-6.1 equilibrium search).
+        shared = B > 1 and Ws.shape[0] == 1 and plan.inputs.size
+        if shared and self._input_flows[0] != W.tobytes():
+            ads = self.algebra.ad_many(_bases(plan.columns, vals[:, :1]))
+            self._input_flows = (W.tobytes(), _expm1_batch(ads[plan.inputs, 0]))
+        ads = self.algebra.ad_many(_bases(plan.state_columns if shared else plan.columns, vals))
         if B == 1:
             flows = _expm1_batch(ads[:, 0])[:, None]
         else:
-            flows = np.empty(ads.shape)  # C order: ``ads`` is a transposed view
-            own = range(len(ads))
-            if Ws.shape[0] == 1 and plan.inputs.size:
-                if self._input_flows[0] != W.tobytes():
-                    self._input_flows = (W.tobytes(), _expm1_batch(ads[plan.inputs, 0]))
+            flows = np.empty((plan.bases,) + ads.shape[1:])  # C order: ``ads`` is a transposed view
+            if shared:
                 flows[plan.inputs] = self._input_flows[1][:, None]
-                own = plan.states
-            for i in own:
-                flows[i] = _expm1_batch(ads[i])
+            for i, ad in zip(plan.states if shared else range(plan.bases), ads):
+                flows[i] = _expm1_batch(ad)
         # C-contiguous stacks, so each (d, d) @ (d, 1) product takes the BLAS call it takes alone
         prods = (flows[plan.pair_base] @ vals[plan.pair_target, ..., None])[..., 0]
-        slots = out.swapaxes(0, 1)
+        slots = np.ascontiguousarray(out.swapaxes(0, 1))  # slot-major: a copy unless B == 1
         for slot, part in zip(plan.out_slot, plan.scale * prods[plan.pair]):  # in family order
             slots[slot] += part
-        return out.reshape(X.shape)
+        return slots.swapaxes(0, 1).reshape(X.shape)
 
     def simulate(self, X0, signal: ExoSignal, k_max: int) -> Trajectory:
         """``k_max`` steps from X0 under ``signal``: the batch of one of ``simulate_batch``."""
@@ -490,7 +527,8 @@ class WordSeriesSystem:
         A run stops at its first non-finite input or state, or at a state entry past 1e100:
         it ends at the last good state, ``first_bad_index`` being the index of the bad one, and
         the other runs go on.  With adjoint families a run can differ from its batch of one in
-        the last bits, since the rows of a flow share one scaling of the flow kernel.
+        the last bits, since the rows of a flow share the flow kernel's choices: one scaling and
+        Taylor degree, or one unscaled degree when their power norms allow it.
         """
         if k_max < 0:
             raise SystemSpecError("horizon must be nonnegative")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -392,6 +393,107 @@ def test_expm1_batch_nonfinite_rows():
             fx = sys61.evaluate_batch(x, W)
         assert not np.isfinite(fx[2]).all()
         np.testing.assert_array_equal(fx[keep], sys61.evaluate_batch(x[keep], W))
+
+
+def scaled_ads(alg, coords, norm):
+    """``ad`` of each coordinate row, scaled to the induced 1-norm ``norm``."""
+    ads = alg.ad_many(coords)
+    return ads * (norm / np.abs(ads).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+def counted_kernel(monkeypatch):
+    """Record each Taylor table the flow kernel takes (by degree) and count its squarings."""
+    degrees, squarings = [], [0]
+    blocks, twice = dynamics._taylor_blocks, dynamics._twice_identity
+    monkeypatch.setattr(dynamics, "_taylor_blocks", lambda m: degrees.append(m) or blocks(m))
+    monkeypatch.setattr(dynamics, "_twice_identity",
+                        lambda d: squarings.__setitem__(0, squarings[0] + 1) or twice(d))
+    return degrees, squarings
+
+
+def nearly_nilpotent_stacks(rng):
+    """``ad`` stacks of nilpotent and nearly nilpotent elements, 4 rows each, by name."""
+    ut, n5, h = upper_triangular6(), nilpotent_upper(5), heisenberg()
+    derived = rng.standard_normal((4, 3)) @ derived_algebra(ut).onb.T
+    diagonal = np.zeros((4, 6))
+    diagonal[:, :3] = 1e-4 * rng.standard_normal((4, 3))
+    stacks = {}
+    for norm in (0.75, 26.0, 1e3, 1e6):
+        stacks[f"derived-{norm:g}"] = scaled_ads(ut, derived, norm)
+        stacks[f"n5-{norm:g}"] = scaled_ads(n5, rng.standard_normal((4, n5.dim)), norm)
+        stacks[f"heisenberg-{norm:g}"] = scaled_ads(h, rng.standard_normal((4, 3)), norm)
+        # an ideal-valued part and a small diagonal one: the X1 + W1 base of example 6.1
+        for small in (1.0, 1e-6):
+            stacks[f"near{small:g}-{norm:g}"] = ut.ad_many(
+                derived / np.abs(derived).sum(axis=1)[:, None] * norm / 2 + small * diagonal)
+    dense = _random_with_norms(rng, [26.0])
+    stacks["mixed"] = np.concatenate([stacks["derived-26"][:3], dense])
+    return stacks
+
+
+def test_expm1_batch_power_norm_rule_matches_mpmath(monkeypatch):
+    degrees, squarings = counted_kernel(monkeypatch)
+    for name, stack in nearly_nilpotent_stacks(np.random.default_rng(15)).items():
+        together = _expm1_batch(stack)
+        for M, E in zip(stack, together):
+            ref = mpmath_expm1(M)
+            for got in (E, _expm1_batch(M[None])[0]):
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref), name
+        # ad of the derived algebra of upper_triangular6 cubes to 0 and of Heisenberg squares
+        # to 0: past the 1-norm 4 they take degree 5 unscaled, where scaling took s >= 6
+        del degrees[:]
+        squarings[0] = 0
+        _expm1_batch(stack)
+        if name.startswith(("derived", "heisenberg")) and not name.endswith("-0.75"):
+            assert degrees[-1] == 5 and squarings[0] == 0, name  # the last table is the one used
+        if name == "near1e-06-1000":  # a diagonal of 1e-10: unscaled at a degree past q = 3
+            assert degrees[-1] == 12 and squarings[0] == 0
+    # a dense row takes the whole stack back to the scaled rule: theta = 26 scales by 2^-6
+    assert squarings[0] == 6
+
+
+def test_example_61_simulation_skips_most_squarings(monkeypatch):
+    # the scaled rule takes 11,856 squarings over these 2000 steps (theta about 26, s = 6)
+    _, squarings = counted_kernel(monkeypatch)
+    sc = builtin_scenario("example-6.1", horizon=2000)
+    traj = sc.system.simulate(sc.x0, sc.signal, 2000)
+    assert not traj.diverged and squarings[0] <= 1000
+
+
+def test_dense_stacks_keep_the_scaled_rule(monkeypatch):
+    degrees, squarings = counted_kernel(monkeypatch)
+    rng = np.random.default_rng(16)
+    for norm in [0.75, 1.0, 1.2, 2.0, 3.0, 4.5, 10.0, 26.0, 40.0, 100.0, 300.0]:
+        for rows in (1, 4, 100):
+            mats = _random_with_norms(rng, [norm] * rows)
+            theta = float(np.abs(mats).sum(axis=-2).max())
+            s = math.ceil(math.log2(theta)) + 1
+            del degrees[:]
+            squarings[0] = 0
+            _expm1_batch(mats)
+            assert (squarings[0], degrees) == (s, [old_taylor_degree(theta * 2.0 ** -s)]), (norm, rows)
+
+
+def test_a_bad_row_beside_nilpotent_rows_leaves_them_alone(monkeypatch):
+    stacks = nearly_nilpotent_stacks(np.random.default_rng(17))
+    rows = np.concatenate([stacks["derived-26"], stacks["derived-1e+06"]])
+    _, squarings = counted_kernel(monkeypatch)
+    for bad in (np.inf, -np.inf, np.nan, 1e300):
+        mats = np.insert(rows, 5, rows[0], axis=0)
+        mats[5, 4, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _expm1_batch(mats)
+        assert not np.isfinite(out[5]).any() and squarings[0] == 0  # the bad row is masked off
+        np.testing.assert_array_equal(np.delete(out, 5, axis=0), _expm1_batch(rows))
+
+
+def test_degree_bounds_are_the_degree_loop_to_16():
+    # the power-norm rule reads degrees up to 16, past the scaled rule's 14
+    for m, bound in enumerate(dynamics._DEGREE_BOUNDS, start=1):
+        assert old_taylor_degree(bound) == m and old_taylor_degree(np.nextafter(bound, 1.0)) == m + 1
+        for theta in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, 1.0)):
+            assert dynamics._taylor_degree(float(theta)) == old_taylor_degree(float(theta))
 
 
 def test_eval_multilinearity():

@@ -9,17 +9,13 @@ W_j, plus optional adjoint-flow families contributing the bracket part of
 scale * e^{ad_base}(target).  The linear part of a family (its l = 0 term)
 belongs in A, not in the family.
 
-There is one update map, ``evaluate`` being a batch of one of ``evaluate_batch``: the
-terms go through ``quotient.evaluate_words`` on a plan of their suffixes made once, one
-product per suffix and one ``ad_many`` per leading letter a call.  The families run off a
-``FamilyPlan`` of index arrays made once per system: a call forms every distinct base with
-one gather of the letters each base names, takes one ``ad_many`` over the stacked bases, and
-one product per distinct (base, target) pair.  Each flow is e^{ad_base} - I from
+There is one update map, ``evaluate`` being a batch of one of ``evaluate_batch``.  A system
+compiles once what a step reads (the terms' ``quotient.word_plan`` over letter indices, each
+term's coefficient shaped (1, n, 1), and the families' ``FamilyPlan``), so a call makes only the
+numpy calls of its arithmetic; ``_update`` lists them.  Each flow is e^{ad_base} - I from
 ``_expm1_batch`` (scaling and squaring around a Taylor polynomial of degree m evaluated by
-Paterson-Stockmeyer, about 2 sqrt(m) products; a nearly nilpotent stack is not scaled), applied
-to the target directly; a scalar step makes one kernel call for all its flows, and a batch
-reuses the input-only flows of the last shared input (a one-entry memo).  Maps act on stacked
-vectors slot by slot (``quotient._slotwise``), and the linear part induced on a quotient is
+Paterson-Stockmeyer; a nearly nilpotent stack is not scaled).  Maps act on stacked vectors slot
+by slot (``quotient._slotwise``), and the linear part induced on a quotient is
 ``quotient.induced_map``, which rejects an A that moves a chain ideal off itself by more than
 ``quotient.invariance_bound``.
 
@@ -131,67 +127,84 @@ class AdjointFamily:
         return all(kind == "X" for kind, _ in self.base)
 
 
+def _letter_index(letter: Letter, n: int) -> int:
+    """A letter's row in a step's letter values, state slots first: X_j is j - 1, W_j n + j - 1."""
+    return letter[1] - 1 if letter[0] == "X" else n + letter[1] - 1
+
+
 @dataclass(frozen=True)
 class FamilyPlan:
     """The adjoint families of a system as index arrays, made once per system.
 
-    A letter is an index into a step's stacked letter values, state slots first: X_j is j - 1
-    and W_j is n + j - 1.  Each of the ``bases`` distinct bases, its letters sorted, is summed
-    from 0 as ``sum`` would, one column at a time: column k holds each base's (k+1)-th letter
-    and weight, and ``named`` masks the bases that have one (a shorter base repeats its first
-    letter there, masked off).  ``inputs`` and ``states`` index the bases of input letters
-    only and the others, whose columns alone are ``state_columns``.  Pair p, a distinct (base,
-    target), applies the flow of base ``pair_base[p]`` to letter ``pair_target[p]``; family i
-    adds ``scale[i]`` times pair ``pair[i]`` into state slot ``out_slot[i]`` (0-based).
-    """
+    The ``bases`` distinct bases, letters sorted, are summed from 0 as ``sum`` would, a letter of
+    each at a time: ``columns`` holds the ``_runs`` of (k, base) cells as (bases, (k+1)-th letters,
+    weights or None when all are 1.0).  ``inputs`` and ``states`` index the bases of input letters
+    only and the others, whose runs alone are ``state_columns``.  Pair p, a distinct (base,
+    target), applies flow ``pair_base[p]`` (p when None) to letter ``pair_target[p]``.  Part j is
+    ``scale[j]`` times pair ``pair[j]``; (slots, a, b) in ``adds`` adds parts a..b-1 into those
+    state slots, so that each slot takes its families' parts in family order."""
 
     bases: int
-    columns: tuple  # (letters, weights, named) per column
+    columns: tuple
     state_columns: tuple
     inputs: np.ndarray
     states: np.ndarray
-    pair_base: np.ndarray
+    pair_base: Optional[np.ndarray]
     pair_target: np.ndarray
-    out_slot: tuple
     scale: np.ndarray
     pair: np.ndarray
+    adds: tuple
+
+
+def _runs(cells: list) -> list:
+    """Sorted (k, i) cells as runs of consecutive i at one k: (slice of the i, positions a, b)."""
+    starts = [j for j, (k, i) in enumerate(cells) if not j or cells[j - 1] != (k, i - 1)]
+    return [(slice(cells[a][1], cells[b - 1][1] + 1), a, b) for a, b in zip(starts, starts[1:] + [len(cells)])]
+
+
+def _base_columns(bases: list, n: int) -> tuple:
+    """The ``FamilyPlan.columns`` of bases, each a sorted tuple of (letter, weight)."""
+    cells = sorted((k, i) for i, base in enumerate(bases) for k in range(len(base)))
+    columns = []
+    for sel, a, b in _runs(cells) or [(slice(0, 0), 0, 0)]:  # first every base's first letter, even of none
+        letters, weights = zip(*[bases[i][k] for k, i in cells[a:b]]) if b > a else ((), ())
+        columns.append((sel, np.array([_letter_index(letter, n) for letter in letters], dtype=int),
+                        None if set(weights) <= {1.0} else np.array(weights)[:, None, None]))
+    return tuple(columns)
 
 
 def family_plan(families: Sequence[AdjointFamily], n: int) -> Optional[FamilyPlan]:
     """The ``FamilyPlan`` of the families of a system with n state slots; None for no family."""
     if not families:
         return None
-
-    def index(letter: Letter) -> int:
-        return letter[1] - 1 if letter[0] == "X" else n + letter[1] - 1
-
     keys = [tuple(sorted(f.base.items())) for f in families]
     family_pairs = [(key, f.target) for key, f in zip(keys, families)]
     bases, pairs = list(dict.fromkeys(keys)), list(dict.fromkeys(family_pairs))
-    columns = []
-    for k in range(max(map(len, bases))):
-        cells = [base[k] if k < len(base) else (base[0][0], 1.0) for base in bases]
-        columns.append((np.array([index(letter) for letter, _ in cells]),
-                        np.array([weight for _, weight in cells])[:, None, None],
-                        np.array([k < len(base) for base in bases])[:, None, None]))
     inputs = [all(kind == "W" for (kind, _), _ in base) for base in bases]
     states = [i for i, only in enumerate(inputs) if not only]
-    return FamilyPlan(bases=len(bases), columns=tuple(columns),
-                      state_columns=tuple(tuple(a[states] for a in column) for column in columns),
+    pair_base = [bases.index(key) for key, _ in pairs]
+    # each family after the earlier ones of its slot, the k-th of every slot at once
+    ranked = sorted((sum(g.out_slot == f.out_slot for g in families[:i]), f.out_slot - 1, i)
+                    for i, f in enumerate(families))
+    return FamilyPlan(bases=len(bases), columns=_base_columns(bases, n),
+                      state_columns=_base_columns([bases[i] for i in states], n),
                       inputs=np.array([i for i, only in enumerate(inputs) if only], dtype=int),
                       states=np.array(states, dtype=int),
-                      pair_base=np.array([bases.index(key) for key, _ in pairs]),
-                      pair_target=np.array([index(target) for _, target in pairs]),
-                      out_slot=tuple(f.out_slot - 1 for f in families),
-                      scale=np.array([f.scale for f in families])[:, None, None],
-                      pair=np.array([pairs.index(pair) for pair in family_pairs]))
+                      pair_base=None if pair_base == list(range(len(bases))) else np.array(pair_base),
+                      pair_target=np.array([_letter_index(target, n) for _, target in pairs]),
+                      scale=np.array([families[i].scale for *_, i in ranked])[:, None, None],
+                      pair=np.array([pairs.index(family_pairs[i]) for *_, i in ranked]),
+                      adds=tuple(_runs([(k, slot) for k, slot, _ in ranked])))
 
 
 def _bases(columns: tuple, vals: np.ndarray) -> np.ndarray:
-    """The bases that a ``FamilyPlan``'s ``columns`` name, over the rows of the stacked letter values."""
-    bases = np.zeros((len(columns[0][0]),) + vals.shape[1:])
-    for letters, weights, named in columns:  # 0 + b_1 v_1 + b_2 v_2 + ..., as ``sum`` adds
-        np.add(bases, vals[letters] * weights, out=bases, where=named)
+    """The bases that a ``FamilyPlan``'s ``columns`` name over the rows of the stacked letter
+    values: 0 + b_1 v_1 + b_2 v_2 + ..., as ``sum`` adds."""
+    (_, letters, weights), *rest = columns
+    bases = vals[letters] if weights is None else vals[letters] * weights
+    bases += 0.0  # 0 + b_1 v_1 turns -0.0 into 0.0
+    for sel, letters, weights in rest:
+        bases[sel] += vals[letters] if weights is None else vals[letters] * weights
     return bases
 
 
@@ -321,29 +334,27 @@ def _taylor_degree(theta: float) -> int:
 def _expm1_batch(mats: np.ndarray) -> np.ndarray:
     """e^M - I for each matrix of a (..., d, d) stack, by scaling and squaring.
 
-    One scaling 2^-s brings the largest induced 1-norm theta of the stack to
-    at most 1/2, and the Taylor degree m is the least with theta^(m+1)/(m+1)!
-    <= 2^-53 theta, which keeps every row's relative error near rounding level.
-    The polynomial sum_{k=1..m} X^k/k! is evaluated by Paterson-Stockmeyer: with
-    q = ceil(sqrt(m)), the powers X, ..., X^q are formed once, one GEMM of the
-    cached table of 1/k! against the stacked powers gives every block
-    sum_{i=1..q} X^i/(jq+i)!, and Horner's rule in X^q adds the blocks up,
-    about 2 sqrt(m) products in all.  Each column of that GEMM is one matrix
-    entry of one row, so no row's values depend on another's.
-    E <- E (E + 2I) then undoes the scaling.  A row that is not finite or
-    would need more than 60 squarings gives NaN and leaves the scaling of the
-    other rows alone.
+    One scaling 2^-s brings the largest induced 1-norm theta of the stack to at most 1/2, and
+    the Taylor degree m is the least with theta^(m+1)/(m+1)! <= 2^-53 theta, which keeps every
+    row's relative error near rounding level.  sum_{k=1..m} X^k/k! is evaluated by
+    Paterson-Stockmeyer: with q = ceil(sqrt(m)), the powers X, ..., X^q once, one GEMM of the
+    cached 1/k! table against them for every block sum_{i=1..q} X^i/(jq+i)!, and Horner's rule
+    in X^q; a GEMM column is one entry of one row, so no row's values depend on another's.
+    E <- E (E + 2I) undoes the scaling.  A row that is not finite or would need more than 60
+    squarings gives NaN and is left out of the others' maxima (taken unmasked when every row is
+    finite).  A call forms only what its rules read: |M| and its column sums, the powers up
+    to X^q, X^3's column sums when s > 3, one GEMM, and the Horner products and squarings.
 
     The 1-norm overstates what a nearly nilpotent stack, the ``ad`` of an ideal-valued input,
     needs.  When s > 3, the scaled X^3 gives alpha = max(||X^3||^(1/3), (||X^3|| theta)^(1/4)) >=
-    max(||X^3||^(1/3), ||X^4||^(1/4)) over the unmasked rows, unscaled, and by Al-Mohy and Higham
-    (SIAM J. Matrix Anal. Appl. 31 (2009) 970-989, Thm 4.2, p = 3) the Taylor tail past degree
-    m >= 5 is at most sum_{k>m} alpha^k/k!: the least such m <= 16 with alpha^m/(m+1)! <= 2^-53
-    keeps it near 2^-53 alpha <= 2^-53 ||X||, the scaled rule's accuracy.  If that degree takes
-    fewer products than the s squarings, the stack is evaluated unscaled (its powers rescaled by
-    2^(ks)); every other stack keeps the scaled rule's s, m and bits.  A strictly triangular
-    pattern is nilpotent, a polynomial series that no norm needs squarings for; at index 3 (``ad``
-    of the derived algebra of ``upper_triangular6``, or of Heisenberg) alpha = 0 and m = 5.
+    max(||X^3||^(1/3), ||X^4||^(1/4)), unscaled, and by Al-Mohy and Higham (SIAM J. Matrix Anal.
+    Appl. 31 (2009) 970-989, Thm 4.2, p = 3) the Taylor tail past degree m >= 5 is at most
+    sum_{k>m} alpha^k/k!: the least such m <= 16 with alpha^m/(m+1)! <= 2^-53 keeps it near
+    2^-53 ||X||, the scaled rule's accuracy.  If that degree takes fewer products than the s
+    squarings, the stack is evaluated unscaled, X^2 and X^3 rescaled in place by 4^s and 8^s;
+    every other stack keeps the scaled rule's s, m and bits.  A strictly triangular pattern is
+    nilpotent: at index 3 (``ad`` of the derived algebra of ``upper_triangular6``, or of
+    Heisenberg) alpha = 0 and m = 5.
     """
     mats = np.asarray(mats, dtype=float)
     d = mats.shape[-1]
@@ -361,10 +372,12 @@ def _expm1_batch(mats: np.ndarray) -> np.ndarray:
     for i in range(1, min(len(powers), 3)):
         np.matmul(powers[i - 1], powers[0], out=powers[i])
     if s > 3:  # an unscaled polynomial of degree >= 5 takes at least 3 products
-        cube_norm = float((_ones(d) @ np.abs(powers[2])).max(axis=-1).max(initial=0.0, where=ok)) * 8.0 ** s
+        cubes = _ones(d) @ np.abs(powers[2])
+        cube_norm = float(cubes.max() if ok is True else cubes.max(axis=-1).max(initial=0.0, where=ok)) * 8.0 ** s
         unscaled = max(5, _taylor_degree(max(cube_norm ** (1 / 3), (cube_norm * theta) ** 0.25)))
         if unscaled <= 16 and sum(_taylor_blocks(unscaled).shape) - 2 < s:
-            powers[1:3] *= np.array([4.0, 8.0]).reshape((2,) + (1,) * mats.ndim) ** s
+            powers[1] *= 4.0 ** s
+            powers[2] *= 8.0 ** s
             powers[0] = mats
             s, m = 0, unscaled
     table = _taylor_blocks(m)
@@ -425,7 +438,10 @@ class WordSeriesSystem:
         self.nilindex = len(chain) - 1
         self.chain = chain
         self.projections = ChainProjections(algebra, self.chain)
-        self._plan = word_plan([t.word.letters for t in self.terms])
+        words = [tuple(_letter_index(letter, self.n) for letter in t.word.letters) for t in self.terms]
+        self._plan = word_plan(words)
+        self._terms = [(self._plan[0].index(w), t.coeff[None, :, None])  # (word's position, coeff as (1, n, 1))
+                       for t, w in zip(self.terms, words)]
         self._families = family_plan(self.families, self.n)
         self._input_flows = (None, None)  # one-entry memo: shared input row -> its input-only flows
 
@@ -460,43 +476,33 @@ class WordSeriesSystem:
         return self._update(X[None], W)[0]
 
     def evaluate_batch(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """The update map over a (B, n*d) batch of states.
-
-        W is either one stacked input shared by the batch, kept as a single
-        row so that flows whose base holds only input letters are computed
-        once, and again only when W differs from the last shared input, or a
-        (B, r*d) stack.  The family bases are formed by one gather of the
-        letters they name and share one ``ad_many``; families with the same
-        base share one flow, taken as e^{ad_base} - I, and those that also
-        share a target share one product.  Every other flow of a batch gets its
-        own kernel call, so each takes the Taylor degree of its own rows.
-        """
+        """The update map over a (B, n*d) batch of states, under one stacked input shared by
+        the batch, kept as a single row, or a (B, r*d) stack (see ``_update``)."""
         return self._update(np.asarray(X, dtype=float), np.asarray(W, dtype=float))
 
     def _update(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        B = X.shape[0]
-        Xs = X.reshape(B, self.n, self.d)
-        Ws = W.reshape(W.shape[0] if W.ndim > 1 else 1, self.r, self.d)
-        out = (X @ self.A.T).reshape(B, self.n, self.d)
-
-        def letter_vals(letter: Letter) -> np.ndarray:
-            kind, j = letter
-            return Xs[:, j - 1, :] if kind == "X" else Ws[:, j - 1, :]
-
-        words = evaluate_words(self.algebra, self._plan, letter_vals)
-        for t in self.terms:
-            out += t.coeff[np.newaxis, :, np.newaxis] * words[t.word.letters][:, np.newaxis, :]
+        """One step of B rows, in the numpy calls of its arithmetic only: the product A X; per
+        leading letter one ``ad_many``, per suffix one product, per term a multiply and an add;
+        per run of base letters a gather, one ``ad_many``, the flows, per distinct (base, target)
+        one product, and per run of slots one add.  A scalar step takes its flows in one kernel
+        call (on one row its cost is nearly all Python overhead); a batch one per flow of state
+        letters, since a stack's rows share its Taylor degree (the tiny X2 rows behind the O(1)
+        X1 + W1 rows of the example-6.1 search), and the input-only flows of a shared input row
+        once, memoised on W's bytes."""
+        B, n, d = X.shape[0], self.n, self.d
+        Xs = X.reshape(B, n, d)
+        Ws = W.reshape(W.shape[0] if W.ndim > 1 else 1, self.r, d)
+        out = (X @ self.A.T).reshape(B, n, d)
+        if self._terms:  # the letters are the slots of X and W, state slots first
+            words = evaluate_words(self.algebra, self._plan, [*Xs.swapaxes(0, 1), *Ws.swapaxes(0, 1)])
+            for i, coeff in self._terms:
+                out += coeff * words[i][:, None, :]
         plan = self._families
         if plan is None or not B:  # an empty batch has no row to take input-only flows from
             return out.reshape(X.shape)
-        vals = np.empty((self.n + self.r, B, self.d))  # the letter values, state slots first
-        vals[:self.n] = Xs.swapaxes(0, 1)
-        vals[self.n:] = Ws.swapaxes(0, 1)  # a shared input row repeated over the batch
-        # On one row the kernel cost is nearly all Python overhead, so the flows of a scalar
-        # step share one call, and so do the input-only flows under a shared W, taken from its
-        # one row and memoised on W's bytes.  A multi-row flow keeps its own: stacked with
-        # another base its rows would take the Taylor degree of the larger norm (the tiny X2
-        # rows behind the O(1) X1 + W1 rows of the example-6.1 equilibrium search).
+        vals = np.empty((n + self.r, B, d))  # the letter values, state slots first
+        vals[:n] = Xs.swapaxes(0, 1)
+        vals[n:] = Ws.swapaxes(0, 1)  # a shared input row repeated over the batch
         shared = B > 1 and Ws.shape[0] == 1 and plan.inputs.size
         if shared and self._input_flows[0] != W.tobytes():
             ads = self.algebra.ad_many(_bases(plan.columns, vals[:, :1]))
@@ -511,10 +517,12 @@ class WordSeriesSystem:
             for i, ad in zip(plan.states if shared else range(plan.bases), ads):
                 flows[i] = _expm1_batch(ad)
         # C-contiguous stacks, so each (d, d) @ (d, 1) product takes the BLAS call it takes alone
-        prods = (flows[plan.pair_base] @ vals[plan.pair_target, ..., None])[..., 0]
+        pair_flows = flows if plan.pair_base is None else flows[plan.pair_base]
+        prods = (pair_flows @ vals[plan.pair_target, ..., None])[..., 0]
+        parts = plan.scale * prods[plan.pair]
         slots = np.ascontiguousarray(out.swapaxes(0, 1))  # slot-major: a copy unless B == 1
-        for slot, part in zip(plan.out_slot, plan.scale * prods[plan.pair]):  # in family order
-            slots[slot] += part
+        for sel, a, b in plan.adds:  # each slot's parts in family order
+            slots[sel] += parts[a:b]
         return slots.swapaxes(0, 1).reshape(X.shape)
 
     def simulate(self, X0, signal: ExoSignal, k_max: int) -> Trajectory:
@@ -526,9 +534,10 @@ class WordSeriesSystem:
 
         A run stops at its first non-finite input or state, or at a state entry past 1e100:
         it ends at the last good state, ``first_bad_index`` being the index of the bad one, and
-        the other runs go on.  With adjoint families a run can differ from its batch of one in
-        the last bits, since the rows of a flow share the flow kernel's choices: one scaling and
-        Taylor degree, or one unscaled degree when their power norms allow it.
+        the other runs go on; one reduction tests a step, and only a failed test builds the mask.
+        With adjoint families a run can differ from its batch of one in the last bits, since the
+        rows of a flow share the flow kernel's choices: one scaling and Taylor degree, or one
+        unscaled degree when their power norms allow it.
         """
         if k_max < 0:
             raise SystemSpecError("horizon must be nonnegative")
@@ -553,9 +562,8 @@ class WordSeriesSystem:
                 if not rows.size:
                     break
                 nxt = self._update(X, W[live, k])
-                good = np.abs(nxt) <= 1e100  # False for inf and NaN too
-                if not good.all():
-                    good = good.all(axis=1)
+                if not np.abs(nxt).max(initial=0.0) <= 1e100:  # max propagates NaN
+                    good = (np.abs(nxt) <= 1e100).all(axis=1)  # False for inf and NaN too
                     ends[rows[~good]] = k
                     rows = live = rows[good]
                     nxt = nxt[good]
@@ -686,10 +694,12 @@ class WordSeriesSystem:
                 xs = rng.standard_normal((starts, self.state_dim)) * max(self.radius, 1.0)
                 for _ in range(iters):
                     fx = self.evaluate_batch(xs, w)
-                    good = np.abs(fx).max(axis=1, initial=0.0) < 1e30  # False for inf and NaN too
-                    if not good.all():  # a start that goes bad leaves the search
+                    if not np.abs(fx).max(initial=0.0) < 1e30:  # a start that goes bad leaves the search
+                        good = np.abs(fx).max(axis=1, initial=0.0) < 1e30  # False for inf and NaN too
                         xs, fx = xs[good], fx[good]
-                    xs = xs + 0.5 * (fx - xs)
+                    fx -= xs  # xs + 0.5 (fx - xs), in place
+                    fx *= 0.5
+                    xs += fx
                     if not len(xs):
                         break
                 surviving.append(len(xs))

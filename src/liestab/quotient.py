@@ -13,7 +13,7 @@ the levels of a chain are nested and share one set of coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -227,22 +227,25 @@ class ChainProjections:
         return len(self.contexts)
 
 
-def word_plan(words) -> list:
-    """The distinct suffixes of two or more letters of the words, sorted by length and then by
-    letters: the order is free of the hash seed, and each suffix follows its inner bracket."""
-    return sorted({tuple(w[i:]) for w in words for i in range(len(w) - 1)}, key=lambda s: (len(s), s))
+def word_plan(words) -> tuple:
+    """Letter sequences compiled once: their distinct suffixes of two or more letters, sorted by
+    length, then letters (free of the hash seed, each after its inner bracket); their distinct
+    leading letters; per suffix, the positions of its lead and inner suffix (None: two letters), its last letter."""
+    suffixes = sorted({tuple(w[i:]) for w in words for i in range(len(w) - 1)}, key=lambda s: (len(s), s))
+    leads = tuple(dict.fromkeys(s[0] for s in suffixes))
+    steps = tuple((leads.index(s[0]), suffixes.index(s[1:]) if len(s) > 2 else None, s[-1]) for s in suffixes)
+    return tuple(suffixes), leads, steps
 
 
-def evaluate_words(algebra: LieAlgebra, plan: list, value: Callable) -> dict:
-    """Each suffix of a ``word_plan`` mapped to its right-nested bracket of ``value(letter)``
-    elements or row stacks (broadcast): one ``ad_many`` per leading letter and one product per
-    suffix, the arithmetic of ``bracket_many``, so a word has the bits of its own chain."""
-    ads, vals = {}, {}
-    for s in plan:
-        if s[0] not in ads:
-            ads[s[0]] = algebra.ad_many(value(s[0]))
-        inner = vals[s[1:]] if len(s) > 2 else value(s[1])
-        vals[s] = (ads[s[0]] @ inner[..., None])[..., 0]
+def evaluate_words(algebra: LieAlgebra, plan: tuple, values) -> list:
+    """The right-nested bracket of each suffix of a ``word_plan``, in its order, the letters read
+    as ``values[letter]``, elements or row stacks (broadcast): one ``ad_many`` per leading letter
+    and one product per suffix, the arithmetic of ``bracket_many``, so a word has the bits of
+    its own chain."""
+    ads = [algebra.ad_many(values[letter]) for letter in plan[1]]
+    vals = []
+    for lead, inner, last in plan[2]:
+        vals.append((ads[lead] @ (values[last] if inner is None else vals[inner])[..., None])[..., 0])
     return vals
 
 
@@ -252,8 +255,8 @@ def bracket_word(algebra: LieAlgebra, letters: Sequence[np.ndarray]) -> np.ndarr
     letters = [np.asarray(y, dtype=float) for y in letters]
     if not letters:
         raise ValueError("a word needs at least one letter")
-    word = tuple(range(len(letters)))
-    return evaluate_words(algebra, word_plan([word]), letters.__getitem__).get(word, letters[0])
+    words = evaluate_words(algebra, word_plan([range(len(letters))]), letters)
+    return words[-1] if words else letters[0]
 
 
 def layered_word_residual(proj: ChainProjections, letters: Sequence[np.ndarray],

@@ -264,10 +264,11 @@ def forcing_norms(sys: WordSeriesSystem, states: np.ndarray, signal: ExoSignal,
              "W": signal.values(K).reshape(K, sys.r, sys.d)}
     terms = [t for t in sys.all_terms() if t.word.length <= level]
     vals = {(k, j): slots[k][:, j - 1] @ filt.T for k, j in dict.fromkeys(l for t in terms for l in t.word.letters)}
-    words = evaluate_words(sys.algebra, word_plan([t.word.letters for t in terms]), vals.__getitem__)
+    plan = word_plan([t.word.letters for t in terms])
+    words = evaluate_words(sys.algebra, plan, vals)
     acc = np.zeros((K, sys.n, ctx.quotient_dim))
     for t in terms:
-        acc += t.coeff[:, None] * (words[t.word.letters] @ ctx.P.T)[:, None]
+        acc += t.coeff[:, None] * (words[plan[0].index(t.word.letters)] @ ctx.P.T)[:, None]
     return slot_norms(acc.reshape(K, -1), sys.n)
 
 

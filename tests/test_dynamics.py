@@ -315,7 +315,7 @@ def test_expm1_batch_matches_mpmath():
     assert _expm1_batch(np.zeros((2, 0, 0))).shape == (2, 0, 0)
 
 
-def reference_expm1_batch(mats):
+def term_by_term_expm1(mats):
     """``_expm1_batch`` with its Taylor polynomial summed one term at a time, each term the
     previous one times the scaled matrix over its index: the same scaling, degree and squarings."""
     mats = np.asarray(mats, dtype=float)
@@ -365,11 +365,11 @@ def test_expm1_batch_stays_near_the_term_by_term_sum():
     rng = np.random.default_rng(10)
     for norm in [1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0, 3.0, 10.0, 40.0, 100.0]:
         mats = _random_with_norms(rng, [norm] * 100)
-        got, ref = _expm1_batch(mats), reference_expm1_batch(mats)
+        got, ref = _expm1_batch(mats), term_by_term_expm1(mats)
         diff = np.linalg.norm(got - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
         assert diff.max() <= 1e-15 * max(1.0, norm), norm
     for M in _random_with_norms(rng, DEGREE_NORMS):  # one degree a call
-        got, ref = _expm1_batch(M[None])[0], reference_expm1_batch(M[None])[0]
+        got, ref = _expm1_batch(M[None])[0], term_by_term_expm1(M[None])[0]
         assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
@@ -486,6 +486,97 @@ def test_a_bad_row_beside_nilpotent_rows_leaves_them_alone(monkeypatch):
             out = _expm1_batch(mats)
         assert not np.isfinite(out[5]).any() and squarings[0] == 0  # the bad row is masked off
         np.testing.assert_array_equal(np.delete(out, 5, axis=0), _expm1_batch(rows))
+
+
+def reference_expm1_batch(mats):
+    """The flow kernel before its per-call trims, verbatim but for the ``dynamics.`` prefix of its
+    helpers (so that ``counted_kernel`` counts its tables and squarings too): an array power
+    rescaled X^2 and X^3, and the cube norm took masked row maxima even with no row masked."""
+    mats = np.asarray(mats, dtype=float)
+    d = mats.shape[-1]
+    colsums = dynamics._ones(d) @ np.abs(mats)
+    theta, ok = float(colsums.max(initial=0.0)), True
+    if not theta <= 2.0 ** 59:  # some row is not finite or too large
+        norms = colsums.max(axis=-1, initial=0.0)
+        ok = norms <= 2.0 ** 59  # False for inf and NaN too
+        theta = float(norms.max(initial=0.0, where=ok))
+        mats = np.where(ok[..., None, None], mats, np.nan)
+    s = math.ceil(math.log2(theta)) + 1 if theta > 0.5 else 0
+    m = dynamics._taylor_degree(theta * 2.0 ** -s)
+    powers = np.empty((math.isqrt(m - 1) + 1,) + mats.shape)  # X, ..., X^q, the power first
+    np.multiply(mats, 2.0 ** -s, out=powers[0])
+    for i in range(1, min(len(powers), 3)):
+        np.matmul(powers[i - 1], powers[0], out=powers[i])
+    if s > 3:  # an unscaled polynomial of degree >= 5 takes at least 3 products
+        cube_norm = float((dynamics._ones(d) @ np.abs(powers[2])).max(axis=-1).max(initial=0.0, where=ok)) * 8.0 ** s
+        unscaled = max(5, dynamics._taylor_degree(max(cube_norm ** (1 / 3), (cube_norm * theta) ** 0.25)))
+        if unscaled <= 16 and sum(dynamics._taylor_blocks(unscaled).shape) - 2 < s:
+            powers[1:3] *= np.array([4.0, 8.0]).reshape((2,) + (1,) * mats.ndim) ** s
+            powers[0] = mats
+            s, m = 0, unscaled
+    table = dynamics._taylor_blocks(m)
+    blocks, q = table.shape
+    powers = powers[:q]
+    for i in range(3, q):
+        np.matmul(powers[i - 1], powers[0], out=powers[i])
+    # at degree 1 the table is [[1]] and the polynomial X itself
+    sums = powers if q == 1 else (table @ powers.reshape(q, -1)).reshape((blocks,) + mats.shape)
+    out = sums[-1]
+    for j in range(blocks - 2, -1, -1):
+        out = powers[-1] @ out
+        out += sums[j]
+    for _ in range(s):
+        out = out @ (out + dynamics._twice_identity(d))
+    return out
+
+
+def kernel_corpus(rng):
+    """Flow-kernel inputs by name: dense stacks at 1-norms 1e-17 to 1e3; ``ad`` of the derived
+    algebras of ``upper_triangular6`` and ``nilpotent_upper(5)`` at 26 and 1e6; example 6.1's
+    X1 + W1, a derived part and a diagonal of 1e-4; each in 1, 4 and 100 rows; rows of inf,
+    -inf, NaN and 1e300 among good rows; and the ``nearly_nilpotent_stacks``, whose smallest
+    diagonals go unscaled with X^3 not 0."""
+    ut, n5 = upper_triangular6(), nilpotent_upper(5)
+    corpus = {f"near-{name}": stack for name, stack in nearly_nilpotent_stacks(rng).items()}
+    for rows in (1, 4, 100):
+        for norm in (1e-17, 1e-9, 1e-3, 0.3, 0.75, 2.0, 4.5, 26.0, 1e3):
+            corpus[f"dense-{rows}-{norm:g}"] = _random_with_norms(rng, [norm] * rows)
+        for name, alg in (("uptri", ut), ("n5", n5)):
+            onb = derived_algebra(alg).onb
+            coords = rng.standard_normal((rows, onb.shape[1])) @ onb.T
+            for norm in (26.0, 1e6):
+                corpus[f"{name}-derived-{rows}-{norm:g}"] = scaled_ads(alg, coords, norm)
+        x1w1 = 5.0 * rng.standard_normal((rows, 3)) @ derived_algebra(ut).onb.T
+        x1w1[:, :3] += 1e-4 * rng.standard_normal((rows, 3))
+        corpus[f"ex61-{rows}"] = ut.ad_many(x1w1)
+    for bad in (np.inf, -np.inf, np.nan, 1e300):
+        for name in ("dense-4-26", "uptri-derived-4-1e+06", "ex61-100"):
+            mats = np.insert(corpus[name], 2, corpus[name][0], axis=0)
+            mats[2, 1, 3] = bad
+            corpus[f"{name}-{bad:g}"] = mats
+    return corpus
+
+
+def test_expm1_batch_keeps_the_bits_and_squarings_of_its_reference(monkeypatch):
+    degrees, squarings = counted_kernel(monkeypatch)
+    unscaled = scaled = 0
+    for name, stack in kernel_corpus(np.random.default_rng(18)).items():
+        runs = []
+        for kernel in (_expm1_batch, reference_expm1_batch):
+            del degrees[:]
+            squarings[0] = 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                runs.append((kernel(stack), list(degrees), squarings[0]))
+        (got, got_degrees, got_squarings), (want, want_degrees, want_squarings) = runs
+        assert np.array_equal(got, want, equal_nan=True), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+        assert (got_degrees, got_squarings) == (want_degrees, want_squarings), name
+        if name.startswith(("uptri", "n5")):
+            unscaled += got_squarings == 0
+        scaled += got_squarings > 0
+    # the corpus takes both rules: the derived stacks go unscaled, the large dense ones do not
+    assert unscaled >= 12 and scaled >= 12
 
 
 def test_degree_bounds_are_the_degree_loop_to_16():
@@ -727,6 +818,19 @@ def test_simulate_matches_the_step_loop_on_the_builtins():
         sc = builtin_scenario(name)
         assert_same_run(trajectory_fields(sc.system.simulate(sc.x0, sc.signal, sc.horizon)),
                         reference_simulate(sc.system, sc.x0, sc.signal, sc.horizon))
+
+
+def test_the_long_trajectory_run_keeps_the_bits_of_the_step_loop(monkeypatch):
+    # the benchmark's 2000 steps, most of whose flows take the unscaled power-norm path, against
+    # one ``evaluate`` call a step, under the flow kernel and under its reference
+    sc = builtin_scenario("example-6.1", horizon=2000)
+    got = trajectory_fields(sc.system.simulate(sc.x0, sc.signal, 2000))
+    assert not got[3] and got[0].shape == (2001, 12)
+    for kernel in (_expm1_batch, reference_expm1_batch):
+        monkeypatch.setattr(dynamics, "_expm1_batch", kernel)
+        want = reference_simulate(sc.system, sc.x0, sc.signal, 2000)
+        assert_same_run(got, want)
+        assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))
 
 
 def test_exo_signal_kinds():

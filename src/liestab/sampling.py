@@ -1,8 +1,8 @@
 """Bridges between continuous-time group flows and discrete-time algebra maps.
 
 Covers the matrix exponential (the update map's flow kernel ``_expm1_batch``), the principal
-logarithm (the exact Mercator series on unipotent input; scipy, imported on first use,
-otherwise), the zero-order-hold step-invariant transform for input-affine invariant flows,
+logarithm (inverse scaling and squaring in numpy alone; the exact Mercator series on unipotent
+input), the zero-order-hold step-invariant transform for input-affine invariant flows,
 Baker-Campbell-Hausdorff composition in a nilpotent structure-constant algebra (exact;
 refused elsewhere, where the series is infinite), the closed-form adjoint flow, and the
 bundled Heisenberg tracking-error system.
@@ -25,6 +25,19 @@ class PrincipalLogUndefined(ValueError):
     pass
 
 
+class LogNotConverged(ValueError):
+    """``logm`` reached a cap: 64 square roots, or 100 Denman-Beavers steps for one root."""
+
+
+def _spectrum(G, who: str):
+    """Finite square G, its eigenvalues, and which are zero: at most 1e-14 of the largest."""
+    G = np.asarray(G, dtype=float)
+    if G.ndim != 2 or G.shape[0] != G.shape[1] or not np.isfinite(G).all():
+        raise ValueError(f"{who} needs a square matrix of finite entries, no NaN or inf")
+    eig = np.linalg.eigvals(G)
+    return G, eig, np.abs(eig) <= 1e-14 * np.abs(eig).max(initial=0.0)
+
+
 def expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential I + (e^M - I), the latter from the update map's flow kernel
     ``_expm1_batch`` (scaling and squaring; exact up to rounding on nilpotent input)."""
@@ -35,49 +48,51 @@ def expm(M: np.ndarray) -> np.ndarray:
 
 
 def logm(G: np.ndarray) -> np.ndarray:
-    """Principal matrix logarithm.
-
-    Raises PrincipalLogUndefined when an eigenvalue lies on the closed
-    negative real axis (including 0), where the principal branch does not
-    exist.  Unipotent matrices use the exact finite Mercator series, others scipy's.
-    """
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise ValueError("logm needs a square matrix")
-    m = G.shape[0]
-    eig = np.linalg.eigvals(G)
-    bad = (np.abs(eig) < 1e-14) | ((eig.real < 0) & (np.abs(eig.imag) <= 1e-14 * np.abs(eig.real)))
-    if np.any(bad):
-        raise PrincipalLogUndefined(
-            f"eigenvalues {eig[bad]} lie on the closed negative real axis")
-    N = G - np.eye(m)
-    if np.all(np.tril(N) == 0.0) or np.all(np.triu(N) == 0.0):  # strictly triangular
-        out = np.zeros_like(N)
-        term = np.eye(m)
-        for j in range(1, m):
-            term = term @ N
-            out = out + ((-1) ** (j + 1)) * term / j
-        return out
-    import scipy.linalg  # here, not at module load: importing it costs more than liestab
-    L = scipy.linalg.logm(G)
-    if np.iscomplexobj(L):
-        if np.max(np.abs(L.imag)) > 1e-9:
-            raise PrincipalLogUndefined("logarithm came out non-real")
-        L = L.real
-    return L
+    """Principal matrix logarithm by inverse scaling and squaring (Al-Mohy and Higham, SIAM J.
+    Sci. Comput. 34 (2012) C153-C169); PrincipalLogUndefined when an eigenvalue lies on the
+    closed negative real axis, zero included.  Unless N = G - I is strictly triangular (N^dim = 0,
+    so the series is exact at degree dim - 1), Y = G / 2^e, e the rounded mean log2 |eigenvalue|,
+    becomes its k-th Denman-Beavers square root, Y, Z <- (Y + Z^-1)/2, (Z + Y^-1)/2 from Z = I,
+    each stopped by a step under 1e-9 |Y|_1 (quadratic convergence), until theta = |Y - I|_1 <= 1/4.
+    The Mercator series of log(I + N), N = Y - I, then runs to the least degree m whose tail bound
+    theta^(m+1) / ((m+1)(1 - theta)) is at most 2^-53 theta; times 2^k, plus e log(2) I."""
+    G, eig, zero = _spectrum(G, "logm")
+    if np.any(bad := zero | ((eig.real < 0) & (np.abs(eig.imag) <= 1e-14 * np.abs(eig.real)))):
+        raise PrincipalLogUndefined(f"eigenvalues {eig[bad]} lie on the closed negative real axis")
+    I = np.eye(len(G))
+    N, k, shift, degree = G - I, 0, 0.0, len(G) - 1
+    if np.any(np.tril(N)) and np.any(np.triu(N)):
+        e = round(np.linalg.slogdet(G)[1] / (len(G) * math.log(2)))
+        Y, shift = np.ldexp(G, -e), e * math.log(2)
+        while not (theta := np.linalg.norm(Y - I, 1)) <= 0.25:  # a NaN norm runs to a cap
+            if k == 64:
+                raise LogNotConverged("G - I not within 1/4 after 64 square roots")
+            Z, k = I, k + 1
+            for _ in range(100):
+                Y, Z, prev = (Y + np.linalg.inv(Z)) / 2, (Z + np.linalg.inv(Y)) / 2, Y
+                if np.linalg.norm(Y - prev, 1) <= 1e-9 * np.linalg.norm(Y, 1):
+                    break
+            else:
+                raise LogNotConverged("no square root within 100 Denman-Beavers steps")
+        N = Y - I
+        degree = next(m for m in range(1, 64) if theta ** m <= 2.0 ** -53 * (m + 1) * (1 - theta))
+    out, term = np.zeros_like(N), I
+    for j in range(1, degree + 1):
+        term = term @ N
+        out = out + ((-1) ** (j + 1)) * term / j
+    return out * 2.0 ** k + shift * I
 
 
 @dataclass
 class GroupElement:
-    """Invertible matrix with an optional link to algebra coordinates."""
+    """Invertible matrix (by ``logm``'s scale-free floor), optionally linked to an algebra."""
 
     matrix: np.ndarray
     algebra: Optional[LieAlgebra] = None
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        det = np.linalg.det(self.matrix)
-        if abs(det) < 1e-300:
+        self.matrix, _, zero = _spectrum(self.matrix, "group element")
+        if zero.any():
             raise ValueError("group element must be invertible")
 
     def log_coords(self) -> np.ndarray:
@@ -86,9 +101,8 @@ class GroupElement:
             raise ValueError("no algebra link with a matrix representation")
         L = logm(self.matrix)
         rep = self.algebra.matrix_rep.reshape(self.algebra.dim, -1)
-        coords, residual, _, _ = np.linalg.lstsq(rep.T, L.reshape(-1), rcond=None)
-        recon = rep.T @ coords
-        if np.linalg.norm(recon - L.reshape(-1)) > 1e-8 * max(1.0, np.linalg.norm(L)):
+        coords = np.linalg.lstsq(rep.T, L.reshape(-1), rcond=None)[0]
+        if np.linalg.norm(rep.T @ coords - L.reshape(-1)) > 1e-8 * max(1.0, np.linalg.norm(L)):
             raise ValueError("log of group element does not lie in the algebra span")
         return coords
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 from liestab.algebra import (LieAlgebra, _units, abelian, heisenberg, is_nilpotent,
                              realized_algebra, upper_triangular6)
-from liestab.sampling import (GroupElement, PrincipalLogUndefined, TRACKING_A, adjoint_flow_step,
-                              bch_coefficient_table, bch_compose,
+from liestab.sampling import (GroupElement, LogNotConverged, PrincipalLogUndefined, TRACKING_A,
+                              adjoint_flow_step, bch_coefficient_table, bch_compose,
                               expm, heisenberg_tracking_system, logm, step_invariant,
                               tracking_bch_step, tracking_group_step, tracking_signal, tracking_state)
 
@@ -40,7 +41,7 @@ def test_expm_matches_scipy():
 
 
 def test_expm_loads_no_scipy():
-    # the flow kernel of the update map serves every square input; scipy is left to logm
+    # the flow kernel of the update map serves every square input; the runtime needs numpy alone
     probe = """
 import sys
 import numpy as np
@@ -73,11 +74,100 @@ def test_logm_domain_errors():
         logm(np.diag([-1.0, 2.0]))
     with pytest.raises(PrincipalLogUndefined):
         logm(np.diag([0.0, 1.0]))
+    with pytest.raises(PrincipalLogUndefined):
+        logm(np.diag([1.0, 1e-15]))  # zero to working precision beside 1
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            logm(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
+def se2_element(angle, tx, ty):
+    return expm(np.array([[0.0, -angle, tx], [angle, 0.0, ty], [0.0, 0.0, 0.0]]))
+
+
+def test_logm_matches_scipy():
+    import scipy.linalg
+    rng = np.random.default_rng(10)
+    cases = []
+    for _ in range(200):
+        X = rng.standard_normal((4, 4))
+        cases.append(expm(X * rng.uniform(0.05, 2.0) / np.linalg.norm(X)))  # |X|_F <= 2
+    cases += [se2_element(a, *rng.uniform(-5.0, 5.0, 2)) for a in np.linspace(-3.0, 3.0, 25) if a]
+    cases += [expm(np.triu(rng.standard_normal((3, 3)))) for _ in range(100)]
+    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    unipotent = expm(Q @ np.triu(rng.standard_normal((4, 4)), 1) @ Q.T)  # not triangular: roots
+    cases.append(unipotent)
+    with warnings.catch_warnings():  # scipy's residual estimate flags one triangular case
+        warnings.simplefilter("ignore", RuntimeWarning)
+        wants = [scipy.linalg.logm(G) for G in cases]
+    for G, want in zip(cases, wants):
+        assert np.linalg.norm(logm(G) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def reference_mercator(G):
+    """``logm`` on strictly triangular G - I before inverse scaling and squaring: the finite
+    Mercator series, one term at a time."""
+    m = G.shape[0]
+    N = G - np.eye(m)
+    out = np.zeros_like(N)
+    term = np.eye(m)
+    for j in range(1, m):
+        term = term @ N
+        out = out + ((-1) ** (j + 1)) * term / j
+    return out
+
+
+def test_logm_keeps_mercator_bits_on_strictly_triangular():
+    rng = np.random.default_rng(11)
+    for m in range(1, 8):
+        for scale in (1e-3, 1.0, 50.0):
+            N = np.triu(scale * rng.standard_normal((m, m)), 1)
+            for G in (np.eye(m) + N, np.eye(m) + N.T, expm(N)):
+                assert logm(G).tobytes() == reference_mercator(G).tobytes()
+
+
+def test_logm_runs_without_scipy():
+    probe = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy now fails
+import numpy as np
+from liestab.sampling import expm, logm
+X = 0.5 * np.random.default_rng(0).standard_normal((4, 4))
+S = np.array([[0.0, -2.5, 1.0], [2.5, 0.0, -0.5], [0.0, 0.0, 0.0]])
+print([bool(np.linalg.norm(logm(expm(A)) - A) <= 1e-12 * np.linalg.norm(A)) for A in (S, X)])
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["[True,", "True]"]
+
+
+def test_logm_domain_is_scale_free():
+    # eigenvalues are judged against the largest modulus, so log(c G) = log(G) + log(c) I
+    G = se2_element(0.7, 1.0, -2.0) @ np.diag([1.0, 1.0, 2.0])
+    for c in (1e-15, 1e15):
+        want = logm(G) + np.log(c) * np.eye(3)
+        assert np.linalg.norm(logm(c * G) - want) <= 1e-13 * np.linalg.norm(want)
+    np.testing.assert_allclose(logm(1e-15 * np.eye(2)), np.log(1e-15) * np.eye(2), rtol=1e-15)
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    np.testing.assert_allclose(logm(1e-20 * rot), np.log(1e-20) * np.eye(2) + np.pi / 2 * rot,
+                               rtol=1e-14, atol=0)
+
+
+def test_logm_cap_raises_named_error():
+    # the log's off-diagonal entry is about 7e29: more than 64 square roots from 1/4
+    with pytest.raises(LogNotConverged, match="64 square roots"):
+        logm(np.array([[1.0, 1e30], [0.0, 2.0]]))
 
 
 def test_group_element():
     with pytest.raises(ValueError):
         GroupElement(np.zeros((2, 2)))
+    for bad in (np.inf, np.nan):  # det inf passed; NaN warned, then failed in log_coords
+        with pytest.raises(ValueError, match="finite"):
+            GroupElement(np.diag([1.0, bad, 1.0]))
+    tiny = GroupElement(1e-110 * np.eye(3))  # its determinant underflows to 0
+    np.testing.assert_allclose(logm(tiny.matrix), np.log(1e-110) * np.eye(3), rtol=1e-15)
     alg = heisenberg()
     x = np.array([0.3, -0.2, 0.5])
     g = GroupElement(expm(alg.to_matrix(x)), alg)

@@ -299,8 +299,10 @@ class LieAlgebra:
     # -- basic operations ------------------------------------------------
 
     def ad_many(self, X) -> np.ndarray:
-        """ad_X for each element of a coordinate stack; no input checks (row j of X C2 is [X, e_j])."""
-        X = np.asarray(X, dtype=float)
+        """ad_X for each element of a coordinate stack, complex for complex input and float64
+        otherwise; no input checks (row j of X C2 is [X, e_j])."""
+        X = np.asarray(X)
+        X = X.astype(np.promote_types(X.dtype, float), copy=False)
         return (X @ self._C2).reshape(X.shape[:-1] + (self.dim, self.dim)).swapaxes(-1, -2)
 
     def bracket_many(self, X, Y) -> np.ndarray:

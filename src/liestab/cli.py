@@ -27,7 +27,7 @@ import numpy as np
 
 from . import stability
 from .algebra import is_nilpotent, is_solvable
-from .dynamics import MIN_REMAINDER_ORDER, NONLINEAR_INVARIANCE_TOL
+from .dynamics import NONLINEAR_INVARIANCE_TOL
 from .quotient import invariance_bound
 from .scenarios import (BUILTINS, Scenario, ScenarioError, builtin_scenario, ideal_valued_samples,
                         load_scenario, write_json, write_trajectory_csv, write_trajectory_json)
@@ -77,7 +77,7 @@ def cmd_check(sc: Scenario, outdir: Path, seed: int) -> int:
                            "finite": bool(np.isfinite(majorant))},
               "equilibrium": {k: v for k, v in eq.items() if k != "violations"}
               | {"violation_count": len(eq["violations"])},
-              "invariance": inv, "jacobian": {k: v for k, v in jac.items() if k != "worst"}}
+              "invariance": inv, "jacobian": jac}
     write_json(outdir / f"check-{sc.name}.json", report)
     for label, good, why in [
             ("series majorant finite", np.isfinite(majorant), lambda: f"value {majorant:.6g} at radius {radius:.6g}"),
@@ -110,17 +110,7 @@ def _invariance_failure(inv: dict, A) -> str:
 
 
 def _jacobian_failure(jac: dict) -> str:
-    """The least rounding floor if no step resolves A, else the axis error of largest ratio to its
-    rounding floor if one is off, else the order."""
-    if "resolution" in jac["worst"]:
-        floor, bound = jac["worst"]["resolution"]
-        return f"no step resolves A: rounding floor {floor:.3e} (bound {bound:.3e})"
-    if "axis" in jac["worst"]:
-        err, floor = jac["worst"]["axis"]
-        return f"axis error {err:.3e} (floor {floor:.3e})"
-    err, floor = jac["worst"]["direction"]
-    return (f"observed order {jac['observed_order']:.3g} (bound {MIN_REMAINDER_ORDER:g}); "
-            f"directional error {err:.3e} (floor {floor:.3e})")
+    return f"state error {jac['state_error']:.3e}, input error {jac['input_error']:.3e} (bound {jac['bound']:.3e})"
 
 
 def _route(sc: Scenario) -> str:

@@ -17,7 +17,9 @@ numpy calls of its arithmetic; ``_update`` lists them.  Each flow is e^{ad_base}
 Paterson-Stockmeyer; a nearly nilpotent stack is not scaled).  Maps act on stacked vectors slot
 by slot (``quotient._slotwise``), and the linear part induced on a quotient is
 ``quotient.induced_map``, which rejects an A that moves a chain ideal off itself by more than
-``quotient.invariance_bound``.
+``quotient.invariance_bound``.  The map keeps its input's dtype: ``linearization`` takes the
+Jacobians at (0, W) by one complex step over every axis, and ``jacobian_report`` compares them at
+the origin with (A, 0).
 
 The norm on stacked states is the sum of per-slot Euclidean norms, ``slot_norms``.
 """
@@ -38,8 +40,6 @@ from .quotient import (ChainProjections, _slotwise, evaluate_words, induced_map,
 
 Letter = tuple  # ("X", j) or ("W", j), 1-based slots
 NONLINEAR_INVARIANCE_TOL = 1e-9  # invariance_report: the map's off-ideal part, relative to max(1, ||F||)
-MIN_REMAINDER_ORDER = 1.9  # jacobian_report: the least observed order of the linearization's remainder
-RESOLUTION_FLOOR = 1e-3  # jacobian_report: a step resolves A when its floors are below this times max(1, ||A||_F)
 
 
 class SystemSpecError(ValueError):
@@ -343,7 +343,8 @@ def _expm1_batch(mats: np.ndarray) -> np.ndarray:
     E <- E (E + 2I) undoes the scaling.  A row that is not finite or would need more than 60
     squarings gives NaN and is left out of the others' maxima (taken unmasked when every row is
     finite).  A call forms only what its rules read: |M| and its column sums, the powers up
-    to X^q, X^3's column sums when s > 3, one GEMM, and the Horner products and squarings.
+    to X^q, X^3's column sums when s > 3, one GEMM, and the Horner products and squarings.  A
+    complex stack stays complex, its rules reading the moduli (``WordSeriesSystem.linearization``).
 
     The 1-norm overstates what a nearly nilpotent stack, the ``ad`` of an ideal-valued input,
     needs.  When s > 3, the scaled X^3 gives alpha = max(||X^3||^(1/3), (||X^3|| theta)^(1/4)) >=
@@ -356,7 +357,8 @@ def _expm1_batch(mats: np.ndarray) -> np.ndarray:
     nilpotent: at index 3 (``ad`` of the derived algebra of ``upper_triangular6``, or of
     Heisenberg) alpha = 0 and m = 5.
     """
-    mats = np.asarray(mats, dtype=float)
+    mats = np.asarray(mats)
+    mats = mats.astype(np.promote_types(mats.dtype, float), copy=False)
     d = mats.shape[-1]
     colsums = _ones(d) @ np.abs(mats)
     theta, ok = float(colsums.max(initial=0.0)), True
@@ -367,7 +369,7 @@ def _expm1_batch(mats: np.ndarray) -> np.ndarray:
         mats = np.where(ok[..., None, None], mats, np.nan)
     s = math.ceil(math.log2(theta)) + 1 if theta > 0.5 else 0
     m = _taylor_degree(theta * 2.0 ** -s)
-    powers = np.empty((math.isqrt(m - 1) + 1,) + mats.shape)  # X, ..., X^q, the power first
+    powers = np.empty((math.isqrt(m - 1) + 1,) + mats.shape, dtype=mats.dtype)  # X, ..., X^q, the power first
     np.multiply(mats, 2.0 ** -s, out=powers[0])
     for i in range(1, min(len(powers), 3)):
         np.matmul(powers[i - 1], powers[0], out=powers[i])
@@ -500,7 +502,7 @@ class WordSeriesSystem:
         plan = self._families
         if plan is None or not B:  # an empty batch has no row to take input-only flows from
             return out.reshape(X.shape)
-        vals = np.empty((n + self.r, B, d))  # the letter values, state slots first
+        vals = np.empty((n + self.r, B, d), dtype=np.promote_types(X.dtype, W.dtype))  # letters, states first
         vals[:n] = Xs.swapaxes(0, 1)
         vals[n:] = Ws.swapaxes(0, 1)  # a shared input row repeated over the batch
         shared = B > 1 and Ws.shape[0] == 1 and plan.inputs.size
@@ -511,7 +513,7 @@ class WordSeriesSystem:
         if B == 1:
             flows = _expm1_batch(ads[:, 0])[:, None]
         else:
-            flows = np.empty((plan.bases,) + ads.shape[1:])  # C order: ``ads`` is a transposed view
+            flows = np.empty((plan.bases,) + ads.shape[1:], dtype=ads.dtype)  # C order: ``ads`` is a transposed view
             if shared:
                 flows[plan.inputs] = self._input_flows[1][:, None]
             for i, ad in zip(plan.states if shared else range(plan.bases), ads):
@@ -715,66 +717,43 @@ class WordSeriesSystem:
                 "surviving_starts": surviving,
                 "ok": structural and not violations}
 
-    def jacobian_report(self, h_steps: Sequence[float] = (1e-2, 1e-3, 1e-4),
-                        seed: int = 0) -> dict:
-        """Central finite-difference linearization at the origin versus A.
+    def linearization(self, W) -> tuple:
+        """The state and input Jacobians (J_X, J_W) of the update map at (0, W), by complex step.
 
-        Coordinate-axis differences recover the Jacobian itself (for slot
-        words they are exact: a bracket word needs two active letters and an
-        axis perturbation activates one).  The quadratic convergence rate of
-        the remainder is measured along 8 random joint state/input directions,
-        where words of length >= 3 contribute; systems whose series stops at
-        quadratic words are exact there too and report no order.  The difference quotient
-        D of a probe p is exact when its error is below its rounding floor 1e-12 max(1,
-        ||A||_F, max ||F(+-h p)|| / h): the words at +-h p cancel in D only up to rounding
-        of ||F(+-h p)|| / h.  ``worst`` holds the (error, floor) of largest ratio of each kind
-        of probe (axis, direction) with an error on or above its floor.  A step resolves A when
-        every probe's floor there is below RESOLUTION_FLOOR max(1, ||A||_F); with no such step
-        the report is not ok, and ``worst["resolution"]`` holds the least step's largest floor
-        and that bound.
+        Column k of (J_X, J_W) is Im F(i h e_k) / h over the (n + r) d joint state and input
+        axes, the input rows offset by W, all in one ``_update`` call.  It takes no difference of
+        nearby values, so nothing cancels: the error is rounding plus the O(h^2) of the third
+        derivative, and h = 2^-100, a power of two, divides exactly (Squire and Trapp, SIAM
+        Rev. 40 (1998) 110-112; through the flow kernel, Al-Mohy and Higham, Numer. Algorithms
+        53 (2010) 133-148).
         """
-        h_steps = sorted(h_steps, reverse=True)
-        nd, rd = self.state_dim, self.r * self.d
-        rng = np.random.default_rng(seed)
-        dirs = rng.standard_normal((8, nd + rd))  # row i: (v_i, w_i)
-        # probes +h and -h times: every state axis, every input axis, every direction
-        probes = np.concatenate([np.eye(nd + rd), dirs])
-        exact_d = np.concatenate([self.A.T, np.zeros((rd, nd)), dirs[:, :nd] @ self.A.T])  # D of each probe
-        x_err, w_err, Ds, Fs = [], [], [], []
-        with np.errstate(over="ignore", invalid="ignore"):  # a map past the float range: NaN fails
-            for h in h_steps:
-                X = np.concatenate([h * probes, -h * probes])
-                F = self._update(X[:, :nd], X[:, nd:])
-                D = (F[:len(probes)] - F[len(probes):]) / (2 * h)
-                x_err.append(float(np.linalg.norm(D[:nd].T - self.A)))
-                w_err.append(float(np.linalg.norm(D[nd:nd + rd])))
-                Ds.append(D)
-                Fs.append(F)
-            errs = np.linalg.norm(np.array(Ds) - exact_d, axis=2)  # (step, probe)
-            reach = np.hypot.reduce(np.array(Fs), axis=2).reshape(len(h_steps), 2, -1).max(axis=1)  # max ||F(+-h p)||
-            scale = max(1.0, float(np.linalg.norm(self.A)))
-            floors = 1e-12 * np.maximum(scale, reach / np.array(h_steps)[:, None])
-            below, worst = errs < floors, {}  # NaN fails
-            step_floors = floors.max(axis=1)
-            if not (step_floors < RESOLUTION_FLOOR * scale).any():  # NaN fails
-                worst["resolution"] = [float(np.fmin.reduce(step_floors)), RESOLUTION_FLOOR * scale]
-            for part, cols in (("axis", np.s_[:, :nd + rd]), ("direction", np.s_[:, nd + rd:])):
-                if not below[cols].all():
-                    e, f = errs[cols].ravel(), floors[cols].ravel()
-                    i = (e / f).argmax()  # a NaN ratio counts as the largest
-                    worst[part] = [float(e[i]), float(f[i])]
-        axes_ok, exact = "axis" not in worst, "direction" not in worst
-        dir_err = errs[:, nd + rd:].max(axis=1, initial=0.0).tolist()
-        order = None
-        if not exact:
-            logs_h = np.log(np.asarray(h_steps))
-            logs_e = np.log(np.maximum(np.asarray(dir_err), 1e-300))
-            order = float(np.polyfit(logs_h, logs_e, 1)[0])
-        ok = axes_ok and (exact or (order is not None and order >= MIN_REMAINDER_ORDER)) \
-            and "resolution" not in worst
-        return {"h_steps": list(h_steps), "state_errors": x_err, "input_errors": w_err,
-                "directional_errors": dir_err, "observed_order": order,
-                "exact": exact, "ok": ok, "worst": worst}
+        h, nd = 2.0 ** -100, self.state_dim
+        W = np.asarray(W, dtype=float).reshape(-1)
+        if W.shape != (self.r * self.d,):
+            raise SystemSpecError("input stack has wrong length")
+        steps = np.eye(nd + W.size) * (1j * h)
+        steps[:, nd:] += W
+        with np.errstate(over="ignore", invalid="ignore"):  # a map past the float range: NaN
+            J = self._update(steps[:, :nd], steps[:, nd:]).imag.T / h
+        return J[:, :nd], J[:, nd:]
+
+    def jacobian_report(self) -> dict:
+        """The linearization at the origin, ``linearization`` at W = 0, against (A, 0).
+
+        It is (A, 0) for every valid system: a word has two letters or more, and a family has no
+        l = 0 term.  At the origin a step i h e_k makes every letter a multiple of one axis, whose
+        brackets vanish, so only A's product rounds, and h A underflows for entries below 2^-922.
+        ``state_error`` ||J_X - A||_F and ``input_error`` ||J_W||_F pass when at most ``bound``
+        = nd (2^-53 ||A||_F + 2^-975): the product's rounding, and each entry of h A off by at
+        most 2^-1075, 2^-975 once divided by h.  The derivative leaves no remainder to fit, so
+        ``exact`` is ``ok`` and ``observed_order`` is None.
+        """
+        J_X, J_W = self.linearization(np.zeros(self.r * self.d))
+        state_error, input_error = float(np.linalg.norm(J_X - self.A)), float(np.linalg.norm(J_W))
+        bound = self.state_dim * (2.0 ** -53 * float(np.linalg.norm(self.A)) + 2.0 ** -975)
+        ok = state_error <= bound and input_error <= bound  # NaN fails
+        return {"ok": ok, "exact": ok, "observed_order": None, "state_error": state_error,
+                "input_error": input_error, "bound": bound}
 
     # -- quotient dynamics ----------------------------------------------------
 

@@ -27,7 +27,7 @@ from . import sampling
 
 ROUTES = ("auto", "nilpotent", "solvable", "deadbeat")
 MAX_HORIZON = 10 ** 6  # steps; a simulation stores (horizon + 1) * n * d floats up front
-MAX_INPUTS = 100  # input slots "r"; the Jacobian check probes all (n + r) * d axes at once
+MAX_INPUTS = 100  # input slots "r"; the linearization steps all (n + r) * d axes in one complex batch
 
 
 class ScenarioError(ValueError):

@@ -125,42 +125,6 @@ def reference_equilibrium_report(sys_, seed=0, starts=100, iters=300):
             "ok": structural and not violations}
 
 
-def reference_jacobian_report(sys_, h_steps=(1e-2, 1e-3, 1e-4), directions=8, seed=0):
-    """``jacobian_report`` one probe per ``evaluate`` call (the loops the batch replaced), each
-    difference quotient judged against its floor 1e-12 max(1, ||A||_F, max ||F(+-h p)|| / h)."""
-    h_steps = sorted(h_steps, reverse=True)
-    nd, rd = sys_.state_dim, sys_.r * sys_.d
-    scale = max(1.0, float(np.linalg.norm(sys_.A)))
-    rng = np.random.default_rng(seed)
-    dirs = [(rng.standard_normal(nd), rng.standard_normal(rd)) for _ in range(directions)]
-    axes = [(e, np.zeros(rd)) for e in np.eye(nd)] + [(np.zeros(nd), e) for e in np.eye(rd)]
-    x_err, w_err, dir_err = [], [], []
-    judged = {"axis": [], "direction": []}  # (error, floor) of each probe, h by h
-    for h in h_steps:
-        J = np.zeros((nd, nd + rd))
-        for part, probes in (("axis", axes), ("direction", dirs)):
-            for i, (v, w) in enumerate(probes):
-                plus, minus = sys_.evaluate(h * v, h * w), sys_.evaluate(-h * v, -h * w)
-                diff = (plus - minus) / (2 * h)
-                if part == "axis":
-                    J[:, i] = diff
-                reach = float(max(np.linalg.norm(plus), np.linalg.norm(minus))) / h
-                judged[part].append((float(np.linalg.norm(diff - sys_.A @ v)), 1e-12 * max(scale, reach)))
-        x_err.append(float(np.linalg.norm(J[:, :nd] - sys_.A)))
-        w_err.append(float(np.linalg.norm(J[:, nd:])))
-        dir_err.append(max(e for e, _ in judged["direction"][-directions:]))
-    worst = {part: list(max(pairs, key=lambda p: p[0] / p[1]))
-             for part, pairs in judged.items() if not all(e < f for e, f in pairs)}
-    axes_ok, exact = "axis" not in worst, "direction" not in worst
-    order = None
-    if not exact:
-        order = float(np.polyfit(np.log(h_steps), np.log(np.maximum(dir_err, 1e-300)), 1)[0])
-    ok = axes_ok and (exact or (order is not None and order >= 1.9))
-    return {"h_steps": list(h_steps), "state_errors": x_err, "input_errors": w_err,
-            "directional_errors": dir_err, "observed_order": order,
-            "exact": exact, "ok": ok, "worst": worst}
-
-
 def reference_invariance_report(sys_, seed=0, nonlinear_samples=20, tol=1e-10):
     """``invariance_report`` one sample per ``evaluate`` call."""
     rng = np.random.default_rng(seed)
@@ -450,6 +414,47 @@ def test_expm1_batch_power_norm_rule_matches_mpmath(monkeypatch):
             assert degrees[-1] == 12 and squarings[0] == 0
     # a dense row takes the whole stack back to the scaled rule: theta = 26 scales by 2^-6
     assert squarings[0] == 6
+
+
+def mpmath_frechet_expm(M, E):
+    """The Frechet derivative of expm at M along E: the top right block of expm([[M, E], [0, M]])."""
+    d = len(M)
+    with mpmath.workdps(50):
+        big = mpmath.expm(mpmath.matrix(np.block([[M, E], [np.zeros_like(M), M]]).tolist()))
+        return np.array(big.tolist(), dtype=float)[:d, d:]
+
+
+def test_expm1_batch_complex_step_is_the_frechet_derivative(monkeypatch):
+    # Im e^(M + i h E) / h is the derivative along E up to O(h^2), on each of the kernel's rules
+    degrees, squarings = counted_kernel(monkeypatch)
+    rng = np.random.default_rng(17)
+    nilpotent = nearly_nilpotent_stacks(rng)
+    stacks = {"scaled": (_random_with_norms(rng, [3.0, 40.0]), lambda: squarings[0] > 0),
+              "power-norm": (np.concatenate([nilpotent["derived-26"], nilpotent["near1e-06-1000"][:2]]),
+                             lambda: squarings[0] == 0 and degrees[-1] > 1),
+              "degree-1": (_random_with_norms(rng, [DEGREE_NORMS[0]] * 2), lambda: degrees[-1] == 1)}
+    h = 2.0 ** -100
+    for name, (stack, rule_taken) in stacks.items():
+        E = rng.standard_normal(stack.shape)
+        del degrees[:]
+        squarings[0] = 0
+        flows = _expm1_batch(stack + 1j * h * E)
+        assert flows.dtype == np.complex128 and rule_taken(), name
+        for M, e, got in zip(stack, E, flows.imag / h):
+            ref = mpmath_frechet_expm(M, e)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+
+def test_the_update_map_keeps_float64_for_real_input():
+    alg = heisenberg()
+    for X in ([[1, 0, 0]], np.array([[1, 0, 0]]), np.array([[1, 0, 0]], dtype=np.float32)):
+        assert alg.ad_many(X).dtype == np.float64
+    assert alg.ad_many(np.array([[1j, 0, 0]])).dtype == np.complex128
+    sys_ = ex61_system()
+    rows = np.random.default_rng(5).standard_normal((3, sys_.state_dim))
+    W = np.zeros(sys_.r * sys_.d)
+    assert sys_._update(rows, W).dtype == np.float64
+    assert sys_._update(rows[:1], W).dtype == np.float64
 
 
 def test_example_61_simulation_skips_most_squarings(monkeypatch):
@@ -921,14 +926,38 @@ def test_equilibrium_report():
 
 
 def test_jacobian_report():
-    rep = heisenberg_tracking_system().jacobian_report()
-    assert rep["ok"] and rep["exact"]
-    rep = ex61_system().jacobian_report()
-    assert rep["ok"] and rep["observed_order"] >= 1.9
-    assert max(rep["input_errors"]) < 1e-12
-    lin = WordSeriesSystem(abelian(3), 1, 1, np.diag([0.5, 0.2, 0.1]))
-    rep = lin.jacobian_report(h_steps=(1.0, 1e-3))
-    assert rep["exact"]
+    # a word has two letters or more, so the complex step meets A's product alone at the origin
+    for sys_ in (heisenberg_tracking_system(), ex61_system(),
+                 WordSeriesSystem(abelian(3), 1, 1, np.diag([0.5, 0.2, 0.1]))):
+        bound = sys_.state_dim * (2.0 ** -53 * np.linalg.norm(sys_.A) + 2.0 ** -975)
+        assert sys_.jacobian_report() == {"ok": True, "exact": True, "observed_order": None,
+                                          "state_error": 0.0, "input_error": 0.0, "bound": bound}
+    # h A underflows to 0 below 2^-922, within the bound's 2^-975 an entry
+    tiny = WordSeriesSystem(abelian(3), 1, 1, np.diag([5e-301, 2e-301, 1e-301]))
+    rep = tiny.jacobian_report()
+    assert rep["ok"] and rep["state_error"] == np.linalg.norm(tiny.A) and rep["input_error"] == 0.0
+
+
+def central_jacobian(sys_, W, h=1e-6):
+    """(J_X, J_W) at (0, W) by central differences, one ``evaluate`` per probe."""
+    nd, rd = sys_.state_dim, sys_.r * sys_.d
+    cols = [(sys_.evaluate(h * e[:nd], W + h * e[nd:]) - sys_.evaluate(-h * e[:nd], W - h * e[nd:])) / (2 * h)
+            for e in np.eye(nd + rd)]
+    J = np.array(cols).T
+    return J[:, :nd], J[:, nd:]
+
+
+@pytest.mark.parametrize("name", ["example-4.1", "example-6.1", "heisenberg-deadbeat",
+                                  "uptri-deadbeat", "sweep-d15"])
+def test_linearization_at_an_input_matches_central_differences(name):
+    # the random input of the seed-3 equilibrium search, where the map is not linear in X
+    sys_ = sweep_system(6) if name == "sweep-d15" else builtin_scenario(name).system
+    W = 0.5 * np.random.default_rng(3).standard_normal(sys_.r * sys_.d)
+    for got, ref in zip(sys_.linearization(W), central_jacobian(sys_, W)):
+        assert got.dtype == np.float64 and got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-7 * np.linalg.norm(ref)
+    with pytest.raises(SystemSpecError):
+        sys_.linearization(W[:1])
 
 
 def test_quotient_system_levels():
@@ -1037,7 +1066,6 @@ def test_system_spec_validation():
 def test_batched_reports_match_per_probe_loops(name):
     sys_ = sweep_system(6) if name == "sweep-d15" else builtin_scenario(name).system
     for seed in (0, 3):
-        assert_same_report(sys_.jacobian_report(seed=seed), reference_jacobian_report(sys_, seed=seed))
         assert_same_report(sys_.invariance_report(seed=seed), reference_invariance_report(sys_, seed=seed))
         # a commuting-square residual is rounding noise (up to ~1e-13 on example-6.1),
         # and its last digits follow the flow kernel's scaling, which a batch shares

@@ -17,9 +17,10 @@ numpy calls of its arithmetic; ``_update`` lists them.  Each flow is e^{ad_base}
 Paterson-Stockmeyer; a nearly nilpotent stack is not scaled).  Maps act on stacked vectors slot
 by slot (``quotient._slotwise``), and the linear part induced on a quotient is
 ``quotient.induced_map``, which rejects an A that moves a chain ideal off itself by more than
-``quotient.invariance_bound``.  The map keeps its input's dtype: ``linearization`` takes the
-Jacobians at (0, W) by one complex step over every axis, and ``jacobian_report`` compares them at
-the origin with (A, 0).
+``quotient.invariance_bound``; ``invariance_report`` proves every chain level invariant under the
+map from that bound and the words' state letters, evaluating nothing.  The map keeps its input's
+dtype: ``linearization`` takes the Jacobians at (0, W) by one complex step over every axis, in
+chunks of ``LINEARIZATION_ENTRIES``, and ``jacobian_report`` compares them at the origin with (A, 0).
 
 The norm on stacked states is the sum of per-slot Euclidean norms, ``slot_norms``.
 """
@@ -36,10 +37,10 @@ import numpy as np
 
 from .algebra import LieAlgebra, Subspace, derived_algebra, is_nilpotent, lower_central_series
 from .quotient import (ChainProjections, _slotwise, evaluate_words, induced_map, invariance_bound,
-                       invariance_residual, off_ideal_part, quotient_algebra, word_plan)
+                       invariance_residual, quotient_algebra, word_plan)
 
 Letter = tuple  # ("X", j) or ("W", j), 1-based slots
-NONLINEAR_INVARIANCE_TOL = 1e-9  # invariance_report: the map's off-ideal part, relative to max(1, ||F||)
+LINEARIZATION_ENTRIES = 2 ** 18  # linearization: the entries of one call's steps or flow stacks
 
 
 class SystemSpecError(ValueError):
@@ -642,36 +643,24 @@ class WordSeriesSystem:
         return (all(t.word.state_letter_count >= 1 for t in self.terms)
                 and all(f.has_state_words_only() for f in self.families))
 
-    def invariance_report(self, seed: int = 0) -> dict:
-        """Invariance of every chain level under A and under the full map (20 samples a level).
+    def invariance_report(self) -> dict:
+        """Invariance of every chain level h_i under the map, decided by the paper's theorem.
 
-        ``overflow_level`` is the first level at which a sampled map value is not finite, else None.
+        The system's ideal contains [g, g], so it is an ideal of g; by Jacobi so is every term of
+        its lower central series, and of the series of g.  A word with a state letter in h_i
+        therefore lands in h_i, and so does a family whose target is a state letter, or whose
+        base letters are all state letters.  So the map keeps every h_i, and nothing is sampled,
+        when ``state_letters`` holds and each level's ``linear_residual``, how far A moves h_i
+        off itself (``invariance_residual``), is at most ``bound``.
         """
-        rng = np.random.default_rng(seed)
-        levels = []
-        ok = True
-        overflow = None
-        with np.errstate(over="ignore", invalid="ignore"):  # a map past the float range: NaN fails
-            for idx, ctx in enumerate(self.projections.contexts):
-                sub = ctx.ideal
-                if sub.dim == 0:
-                    levels.append({"level": idx + 1, "dim": 0, "linear_residual": 0.0,
-                                   "nonlinear_residual": 0.0})
-                    continue
-                lin = invariance_residual(sub, self.A)
-                ok = ok and lin <= invariance_bound(self.A)
-                # one draw per sample, its state coordinates first: the draws of a per-sample loop
-                draws = rng.standard_normal((20, self.n * sub.dim + self.r * self.d))
-                y = self._update(_slotwise(sub.onb, draws[:, :self.n * sub.dim], self.n),
-                                 draws[:, self.n * sub.dim:])
-                if overflow is None and not np.isfinite(y).all():
-                    overflow = idx + 1
-                off = np.linalg.norm(off_ideal_part(sub, y, self.n), axis=1)
-                nl = float((off / np.maximum(1.0, np.linalg.norm(y, axis=1))).max(initial=0.0))
-                levels.append({"level": idx + 1, "dim": sub.dim, "linear_residual": lin,
-                               "nonlinear_residual": nl})
-                ok = ok and nl < NONLINEAR_INVARIANCE_TOL
-        return {"ok": ok and overflow is None, "levels": levels, "overflow_level": overflow}
+        bound = invariance_bound(self.A)
+        levels = [{"level": idx + 1, "dim": ctx.ideal.dim,  # a zero ideal: no slot to divide by
+                   "linear_residual": invariance_residual(ctx.ideal, self.A) if ctx.ideal.dim else 0.0}
+                  for idx, ctx in enumerate(self.projections.contexts)]
+        state_letters = self.structural_state_letter_ok()
+        ok = state_letters and all(lv["linear_residual"] <= bound for lv in levels)
+        return {"ok": ok, "kind": "proof", "state_letters": state_letters, "bound": bound,
+                "levels": levels}
 
     def equilibrium_report(self, seed: int = 0, starts: int = 100,
                            iters: int = 300) -> dict:
@@ -721,20 +710,25 @@ class WordSeriesSystem:
         """The state and input Jacobians (J_X, J_W) of the update map at (0, W), by complex step.
 
         Column k of (J_X, J_W) is Im F(i h e_k) / h over the (n + r) d joint state and input
-        axes, the input rows offset by W, all in one ``_update`` call.  It takes no difference of
-        nearby values, so nothing cancels: the error is rounding plus the O(h^2) of the third
-        derivative, and h = 2^-100, a power of two, divides exactly (Squire and Trapp, SIAM
-        Rev. 40 (1998) 110-112; through the flow kernel, Al-Mohy and Higham, Numer. Algorithms
-        53 (2010) 133-148).
+        axes, the input rows offset by W, in ``_update`` calls of LINEARIZATION_ENTRIES //
+        (d max(d, n + r)) rows, a row holding (n + r) d steps and d^2 entries of each flow, so
+        a call's temporaries stay bounded whatever r.  It takes no difference of nearby values, so nothing
+        cancels: the error is rounding plus the O(h^2) of the third derivative, and h = 2^-100,
+        a power of two, divides exactly (Squire and Trapp, SIAM Rev. 40 (1998) 110-112; through
+        the flow kernel, Al-Mohy and Higham, Numer. Algorithms 53 (2010) 133-148).
         """
         h, nd = 2.0 ** -100, self.state_dim
         W = np.asarray(W, dtype=float).reshape(-1)
         if W.shape != (self.r * self.d,):
             raise SystemSpecError("input stack has wrong length")
-        steps = np.eye(nd + W.size) * (1j * h)
-        steps[:, nd:] += W
+        axes = nd + W.size
+        rows = max(1, LINEARIZATION_ENTRIES // max(1, self.d * max(self.d, self.n + self.r)))
+        J = np.empty((nd, axes))
         with np.errstate(over="ignore", invalid="ignore"):  # a map past the float range: NaN
-            J = self._update(steps[:, :nd], steps[:, nd:]).imag.T / h
+            for k in range(0, axes, rows):
+                steps = np.eye(min(rows, axes - k), axes, k) * (1j * h)
+                steps[:, nd:] += W
+                J[:, k:k + rows] = self._update(steps[:, :nd], steps[:, nd:]).imag.T / h
         return J[:, :nd], J[:, nd:]
 
     def jacobian_report(self) -> dict:

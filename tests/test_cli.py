@@ -605,27 +605,29 @@ CHECK_PASS_LINES = {"[PASS] series majorant finite", "[PASS] unique equilibrium 
                     "[PASS] chain invariance", "[PASS] linearization matches A"}
 
 
-def assert_one_failed_check(stdout, line):
-    lines = stdout.splitlines()
-    assert [ln for ln in lines if ln.startswith("[FAIL]")] == [line]
-    assert len(lines) == 4 and set(lines) - {line} <= CHECK_PASS_LINES
+def assert_failed_checks(stdout, failed):
+    """The four check lines: the [FAIL] lines of ``failed``, one a line, and [PASS] otherwise."""
+    lines, failed = stdout.splitlines(), failed.splitlines()
+    assert [ln for ln in lines if ln.startswith("[FAIL]")] == failed
+    assert len(lines) == 4 and set(lines) - set(failed) <= CHECK_PASS_LINES
 
 
 @pytest.mark.parametrize("breakage,line", [
     ({"A": [[0.5, 0.0, 3e-10], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]},  # A moves h3 off itself, too little
      "[FAIL] chain invariance: level 2 linear residual 3.000e-10 (bound 1.000e-10)"),  # for the map's bound
     ({"r": 2, "terms": [{"letters": ["W1", "W2"], "coeff": [1.0]}], "signal": {"kind": "zero"}},
-     "[FAIL] unique equilibrium (structural + search): a word without a state letter"),
+     "[FAIL] unique equilibrium (structural + search): a word without a state letter\n"
+     "[FAIL] chain invariance: a word without a state letter"),  # [W1, W2] lands in h3, unproven
     ({"A": np.eye(3).tolist(), "terms": []},  # every state is a fixed point
      "[FAIL] unique equilibrium (structural + search): 200 violations, smallest residual 0.000e+00"),
     ({"A": [[0.3, 0.0, 0.2], [0.0, 0.3, 0.0], [0.0, 0.0, 0.3]]},  # A moves the centre h3 off itself
-     "[FAIL] chain invariance: level 2 nonlinear residual 3.633e-01 (bound 1e-09)"),
+     "[FAIL] chain invariance: level 2 linear residual 2.000e-01 (bound 1.000e-10)"),
 ])
 def test_a_failed_check_states_what_failed_and_by_how_much(tmp_path, capsys, breakage, line):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(NONFINITE_BASE | breakage))
     assert run(["check", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert_one_failed_check(capsys.readouterr().out, line)
+    assert_failed_checks(capsys.readouterr().out, line)
 
 
 def test_check_calls_an_infinite_series_majorant_an_overflow(tmp_path, capsys):
@@ -636,24 +638,32 @@ def test_check_calls_an_infinite_series_majorant_an_overflow(tmp_path, capsys):
     assert run(["check", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert_one_failed_check(captured.out, "[FAIL] series majorant finite: value inf at radius 1e+308")
+    assert_failed_checks(captured.out, "[FAIL] series majorant finite: value inf at radius 1e+308")
 
 
 def test_check_names_a_map_that_overflows(tmp_path, capsys):
-    # the ideal is invariant, but the word's values at unit-size samples leave the float range;
-    # once "[FAIL] chain invariance: level 1 nonlinear residual nan (bound 1e-09)", exit 1
+    # the series majorant alone decides: at M = 1 its finite value 1.000000000001e308 proves the map
+    # finite on the ball (the exit 3 of sampled invariance came from samples outside it); at M = 2
+    # it is infinite.  At the origin, where the linearization is taken, the word vanishes
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(NONFINITE_BASE | {"terms": [{"letters": ["X1", "W1"], "coeff": [1e308]}]}))
-    out = tmp_path / "out"
-    assert run(["check", "--scenario", str(path), "--out", str(out)]) == 3
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    # at unit-size samples the map overflows; at the origin, where the linearization is taken, the
-    # word vanishes
-    assert [ln for ln in captured.out.splitlines() if ln.startswith("[FAIL]")] == [
-        "[FAIL] chain invariance: the map overflows at level 1 (a sampled value is not finite)"]
-    inv = json.loads((out / "check-nf.json").read_text())["invariance"]
-    assert inv["overflow_level"] == 1 and not inv["ok"]
+    terms = [{"letters": ["X1", "W1"], "coeff": [1e308]}]
+    for M, code, failed in [(1.0, 0, ""), (2.0, 3, "[FAIL] series majorant finite: value inf at radius 2")]:
+        path.write_text(json.dumps(NONFINITE_BASE | {"terms": terms, "M": M}))
+        assert run(["check", "--scenario", str(path), "--out", str(tmp_path / "out")]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert_failed_checks(captured.out, failed)
+    assert json.loads((tmp_path / "out" / "check-nf.json").read_text())["majorant"]["value"] == np.inf
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_check_proves_invariance_without_the_seed(tmp_path, name):
+    # the invariance block is a proof from the words and A, so no seed reaches it
+    blocks = []
+    for seed in ("0", "3"):
+        assert run(["check", "--builtin", name, "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+        blocks.append(json.loads((tmp_path / seed / f"check-{name}.json").read_text())["invariance"])
+    assert blocks[0] == blocks[1] and blocks[0]["kind"] == "proof" and blocks[0]["ok"]
 
 
 @pytest.mark.parametrize("change,line", [
@@ -668,7 +678,7 @@ def test_a_failed_linearization_states_its_margin(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(WordSeriesSystem, "jacobian_report",
                         lambda self: report(self) | change | {"ok": False, "exact": False})
     assert run(["check", "--builtin", "example-4.1", "--out", str(tmp_path)]) == 1
-    assert_one_failed_check(capsys.readouterr().out, line)
+    assert_failed_checks(capsys.readouterr().out, line)
 
 
 @pytest.mark.parametrize("name", ["example-6.1", "uptri-deadbeat"])

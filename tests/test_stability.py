@@ -11,7 +11,7 @@ from liestab.sampling import heisenberg_tracking_system, tracking_signal, tracki
 from liestab.scenarios import (BUILTINS, builtin_scenario, ex61_signal, ex61_system,
                                heisenberg_deadbeat_system, ideal_valued_samples,
                                uptri_deadbeat_system)
-from liestab.quotient import adapted_norm, induced_map
+from liestab.quotient import adapted_norm, induced_map, is_ideal
 from liestab.stability import (ENVELOPE_POWERS, CertificateRejected, HypothesisError,
                                block_sum_norm, certify_nilpotent, certify_solvable,
                                deadbeat_envelope, deadbeat_horizon, deadbeat_verified, fit_envelope,
@@ -388,6 +388,13 @@ def bench_sweep_case(m):
     rng = np.random.default_rng([0, m])
     rng.standard_normal(sys_.d)
     return sys_, ExoSignal("samples", 1, sys_.d, samples=0.05 * rng.uniform(-1.0, 1.0, (64, sys_.d)))
+
+
+@pytest.mark.parametrize("case", [*sorted(BUILTINS), *(f"sweep-m{m}" for m in range(4, 11))])
+def test_every_chain_level_is_an_ideal(case):
+    # the hypothesis of the theorem by which invariance_report proves the chain invariant
+    sys_ = bench_sweep_case(int(case[7:]))[0] if case.startswith("sweep") else builtin_scenario(case).system
+    assert all(is_ideal(sys_.algebra, sub) for sub in sys_.chain.ideals)
 
 
 def test_sweep_certificate_is_finite_up_to_d66():

@@ -5,8 +5,9 @@
 # leaving the repository as it was), runs this checkout's .github/builtin-outputs.sh on BASE's
 # src/ into OUTDIR/base and on this checkout's src/ into OUTDIR/head, and reports each file that
 # differs: for a .json or .csv file, how many numbers changed and the largest relative change
-# |a - b| / max(|a|, |b|) (and any difference that is not a number); for any other file, its
-# `diff`.  Exits 1 if the trees differ or either run fails its own checks, 0 if they are identical.
+# |a - b| / max(|a|, |b|) (and any difference that is not a number), then, when at most 10
+# numbers changed, each as `path: old -> new` (a .json key path, or a .csv row.column); for any
+# other file, its `diff`.  Exits 1 if the trees differ or either run fails its own checks, 0 if they are identical.
 set -eu
 if [ $# -ne 2 ]; then echo "usage: $0 BASE OUTDIR" >&2; exit 2; fi
 here=$(cd "$(dirname "$0")/.." && pwd)
@@ -71,17 +72,20 @@ for old in sorted(p for p in base.rglob("*") if p.is_file()):
         subprocess.run(["diff", str(old), str(new)])
         continue
     a, b = cells(old), cells(new)
-    changed, worst, other = 0, 0.0, len(a) != len(b)
+    changed, worst, other = [], 0.0, len(a) != len(b)
     for (wa, va), (wb, vb) in zip(a, b):
         x, y = number(va), number(vb)
         if wa != wb or x is None or y is None:
             other = other or wa != wb or va != vb
         elif x != y and not (math.isnan(x) and math.isnan(y)):
-            changed += 1
+            changed.append(f"  {'.'.join(map(str, wa))}: {va} -> {vb}")
             big = max(abs(x), abs(y))
             worst = max(worst, abs(x - y) / big if math.isfinite(big) else math.inf)
-    print(f"{rel}: {changed} of {sum(number(v) is not None for _, v in a)} numbers changed,"
+    print(f"{rel}: {len(changed)} of {sum(number(v) is not None for _, v in a)} numbers changed,"
           f" largest relative change {worst:.2g}" + ("; other values or structure differ" if other else ""))
+    if len(changed) <= 10:
+        for line in changed:
+            print(line)
 for new in sorted(p for p in head.rglob("*") if p.is_file()):
     if not (base / new.relative_to(head)).is_file():
         print(f"{new.relative_to(head)}: only in head")

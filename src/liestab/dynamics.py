@@ -15,12 +15,12 @@ term's coefficient shaped (1, n, 1), and the families' ``FamilyPlan``), so a cal
 numpy calls of its arithmetic; ``_update`` lists them.  Each flow is e^{ad_base} - I from
 ``_expm1_batch`` (scaling and squaring around a Taylor polynomial of degree m evaluated by
 Paterson-Stockmeyer; a nearly nilpotent stack is not scaled).  Maps act on stacked vectors slot
-by slot (``quotient._slotwise``), and the linear part induced on a quotient is
-``quotient.induced_map``, which rejects an A that moves a chain ideal off itself by more than
-``quotient.invariance_bound``; ``invariance_report`` proves every chain level invariant under the
-map from that bound and the words' state letters, evaluating nothing.  The map keeps its input's
-dtype: ``linearization`` takes the Jacobians at (0, W) by one complex step over every axis, in
-chunks of ``LINEARIZATION_ENTRIES``, and ``jacobian_report`` compares them at the origin with (A, 0).
+by slot (``quotient._slotwise``).  A system writes A once in its chain's flag coordinates, ``A_flag``,
+whose ``quotient.level_block`` is each level's induced linear part and invariance residual;
+``invariance_report`` proves every chain level invariant under the map from the residuals within
+``quotient.invariance_bound`` and the words' state letters, evaluating nothing.  The map keeps its
+input's dtype: ``linearization`` takes the Jacobians at (0, W) by one complex step over every axis,
+in chunks of ``LINEARIZATION_ENTRIES``, and ``jacobian_report`` compares them at the origin with (A, 0).
 
 The norm on stacked states is the sum of per-slot Euclidean norms, ``slot_norms``.
 """
@@ -36,8 +36,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import LieAlgebra, Subspace, derived_algebra, is_nilpotent, lower_central_series
-from .quotient import (ChainProjections, _slotwise, evaluate_words, induced_map, invariance_bound,
-                       invariance_residual, quotient_algebra, word_plan)
+from .quotient import (ChainProjections, InvarianceViolation, _slotwise, evaluate_words, flag_coordinates,
+                       invariance_bound, level_block, quotient_algebra, word_plan)
 
 Letter = tuple  # ("X", j) or ("W", j), 1-based slots
 LINEARIZATION_ENTRIES = 2 ** 18  # linearization: the entries of one call's steps or flow stacks
@@ -262,13 +262,6 @@ class ExoSignal:
                 return float(slot_norms(self.samples, self.r).max()), 1.0
             return float(slot_norms(self.base, self.r)), max(self.ratio, 1.0)
 
-    def projected(self, P: np.ndarray) -> "ExoSignal":
-        if self.kind == "samples":
-            return ExoSignal("samples", self.r, P.shape[0],
-                             samples=_slotwise(P, self.samples, self.r))
-        return ExoSignal("geometric", self.r, P.shape[0],
-                         base=_slotwise(P, self.base, self.r), ratio=self.ratio)
-
 
 @dataclass
 class Trajectory:
@@ -441,6 +434,7 @@ class WordSeriesSystem:
         self.nilindex = len(chain) - 1
         self.chain = chain
         self.projections = ChainProjections(algebra, self.chain)
+        self.A_flag = flag_coordinates(self.projections.flag, self.A, self.n)  # every level's blocks of A
         words = [tuple(_letter_index(letter, self.n) for letter in t.word.letters) for t in self.terms]
         self._plan = word_plan(words)
         self._terms = [(self._plan[0].index(w), t.coeff[None, :, None])  # (word's position, coeff as (1, n, 1))
@@ -572,7 +566,8 @@ class WordSeriesSystem:
                     nxt = nxt[good]
                 states[live, k + 1] = X = nxt
             norms = slot_norms(states, self.n)  # inf for an X0 past the float range
-            qnorms = np.stack([slot_norms(_slotwise(ctx.P, states, self.n), self.n)
+            flagged = _slotwise(self.projections.flag, states, self.n).reshape(B, k_max + 1, self.n, self.d)
+            qnorms = np.stack([np.linalg.norm(flagged[..., :ctx.quotient_dim], axis=-1).sum(axis=-1)
                                for ctx in self.projections.contexts], axis=2)
         return [Trajectory(states[b, :e + 1], norms[b, :e + 1], qnorms[b, :e + 1], diverged=e < k_max,
                            first_bad_index=e + 1 if e < k_max else None)
@@ -651,11 +646,11 @@ class WordSeriesSystem:
         therefore lands in h_i, and so does a family whose target is a state letter, or whose
         base letters are all state letters.  So the map keeps every h_i, and nothing is sampled,
         when ``state_letters`` holds and each level's ``linear_residual``, how far A moves h_i
-        off itself (``invariance_residual``), is at most ``bound``.
+        off itself (the residual of ``quotient.level_block``), is at most ``bound``.
         """
         bound = invariance_bound(self.A)
-        levels = [{"level": idx + 1, "dim": ctx.ideal.dim,  # a zero ideal: no slot to divide by
-                   "linear_residual": invariance_residual(ctx.ideal, self.A) if ctx.ideal.dim else 0.0}
+        levels = [{"level": idx + 1, "dim": ctx.ideal.dim,
+                   "linear_residual": level_block(self.A_flag, ctx.quotient_dim)[1]}
                   for idx, ctx in enumerate(self.projections.contexts)]
         state_letters = self.structural_state_letter_ok()
         ok = state_letters and all(lv["linear_residual"] <= bound for lv in levels)
@@ -676,8 +671,7 @@ class WordSeriesSystem:
         rng = np.random.default_rng(seed)
         structural = self.structural_state_letter_ok()
         lin_margin = _min_singular(np.eye(self.state_dim) - self.A)
-        ctx0 = self.projections[0]  # unchecked: invariance_report judges the ideal
-        A0 = _slotwise(ctx0.P, _slotwise(ctx0.P, self.A, self.n).T, self.n).T
+        A0 = level_block(self.A_flag, self.projections[0].quotient_dim)[0]  # invariance_report judges it
         q_margin = _min_singular(np.eye(A0.shape[0]) - A0)
         violations, surviving = [], []
         with np.errstate(over="ignore", invalid="ignore"):  # a start past the float range leaves
@@ -754,13 +748,14 @@ class WordSeriesSystem:
     def quotient_system(self, level: int) -> "WordSeriesSystem":
         """Induced system on the quotient modulo chain ideal ``level`` + 1.
 
-        Words and families are shared; only the algebra, the linear part
-        (``induced_map``), and the invariance chain are pushed through the
-        projection.  Raises InvarianceViolation if A does not preserve the
-        factored subspace.
+        Words and families are shared; only the algebra, the linear part (a ``level_block``
+        of ``A_flag``), and the invariance chain are pushed through the projection.  Raises
+        InvarianceViolation if A moves the factored ideal off itself past ``invariance_bound``.
         """
         ctx = self.projections[level]
-        Abar = induced_map(ctx, self.A)
+        Abar, resid = level_block(self.A_flag, ctx.quotient_dim)
+        if resid > invariance_bound(self.A):
+            raise InvarianceViolation(resid)
         proj_ideal = Subspace(ctx.P @ self.ideal.onb) if self.ideal.dim else Subspace.zero(ctx.quotient_dim)
         return WordSeriesSystem(quotient_algebra(ctx), self.n, self.r, Abar, self.terms, self.families,
                                 invariance_ideal=proj_ideal, radius=self.radius,

@@ -7,7 +7,9 @@ exactly the identity, the quotient norm inf_{v in V} ||x + v|| equals
 ||P x||_2, P.T has unit operator norm, and P.T @ P is the orthogonal projector
 onto the complement.  A chain of ideals is a flag, and one orthonormal basis Q adapted to it
 (``flag_basis``) serves all its levels: a level is its ideal and P, the leading rows of Q.T, so
-the levels of a chain are nested and share one set of coordinates.
+the levels of a chain are nested and share one set of coordinates.  A map A written once in them,
+Q.T A Q slot by slot (``flag_coordinates``), holds every level's induced map and invariance
+residual as two of its blocks (``level_block``): A keeps the levels when it is block-triangular.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class QuotientContext:
     """The quotient modulo an ideal: the ideal and the projection P.
 
     P is the (q, d) canonical projection in complement coordinates, q = d - dim V: the leading
-    q rows of the ``flag_basis`` of V alone (of the whole chain for a chain level);
+    q rows of ``flag``, the ``flag_basis`` Q.T of V alone (of the whole chain for a chain level);
     P.T is its minimum-norm right inverse, the embedding of the quotient.
     """
 
@@ -64,7 +66,8 @@ class QuotientContext:
             raise ValueError("ideal ambient dimension does not match algebra")
         self.algebra = algebra
         self.ideal = ideal
-        self.P = (flag_basis([ideal], algebra.dim) if _flag is None else _flag)[:algebra.dim - ideal.dim]
+        self.flag = flag_basis([ideal], algebra.dim) if _flag is None else _flag  # the whole Q.T
+        self.P = self.flag[:algebra.dim - ideal.dim]
 
     @property
     def quotient_dim(self) -> int:
@@ -88,33 +91,36 @@ def _slotwise(M: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     return (X.reshape(*lead, k, M.shape[1]) @ M.T).reshape(*lead, k * M.shape[0])
 
 
-def off_ideal_part(ideal: Subspace, Y: np.ndarray, k: int) -> np.ndarray:
-    """Stacked vectors (last axis, k slots) minus their slot-wise projection onto the ideal."""
-    return Y - _slotwise(ideal.onb, _slotwise(ideal.onb.T, Y, k), k)
+def flag_coordinates(flag: np.ndarray, A, n: int) -> np.ndarray:
+    """kron(I_n, Q.T) A kron(I_n, Q) for ``flag`` = Q.T as an (n, d, n, d) array: A on n stacked
+    slots in the flag's coordinates, each level of the flag a pair of its blocks (``level_block``)."""
+    d = flag.shape[0]
+    return _slotwise(flag, _slotwise(flag, A, n).T, n).T.reshape(n, d, n, d)
 
 
-def invariance_residual(ideal: Subspace, A: np.ndarray) -> float:
-    """|| A B - B B^T A B || with B = kron(I_n, onb), n slots read off A's shape: how far
-    A moves the ideal, taken in every slot, off itself (0 for the zero ideal)."""
-    n = A.shape[0] // ideal.ambient_dim
-    return float(np.linalg.norm(off_ideal_part(ideal, _slotwise(ideal.onb.T, A, n).T, n)))
+def level_block(F: np.ndarray, q: int) -> tuple:
+    """(Abar, residual) of the flag level with q leading coordinates of F = ``flag_coordinates``:
+    F[:, :q, :, :q] as an (n q, n q) matrix, kron(I, P) A kron(I, P.T) for P = Q.T[:q], and
+    ||F[:, :q, :, q:]||_F, exactly ||(I - B B^T) A B||_F for any orthonormal basis B of the level's
+    ideal h in every slot, since I - B B^T = kron(I, P.T P): how far A moves h off itself."""
+    n = F.shape[0]
+    return F[:, :q, :, :q].reshape(n * q, n * q), float(np.linalg.norm(F[:, :q, :, q:]))
 
 
 def invariance_bound(A) -> float:
-    """The largest ``invariance_residual`` that counts as invariant: INVARIANCE_TOL * max(1, ||A||)."""
+    """The largest ``level_block`` residual that counts as invariant: INVARIANCE_TOL * max(1, ||A||)."""
     return INVARIANCE_TOL * max(1.0, float(np.linalg.norm(A)))
 
 
 def induced_map(ctx: QuotientContext, A) -> np.ndarray:
-    """kron(I_n, P) A kron(I_n, P.T): the unique map with Abar kron(I_n, P) = kron(I_n, P) A
-    on n stacked slots (n read off A's shape; one slot for a d x d map).  InvarianceViolation
-    unless A preserves the ideal in every slot within ``invariance_bound(A)``."""
+    """The Abar with Abar kron(I_n, P) = kron(I_n, P) A, n slots read off A's shape: the ``level_block``
+    of A in ctx's own flag.  InvarianceViolation unless its residual is within ``invariance_bound(A)``."""
     A = np.asarray(A, dtype=float)
-    resid = invariance_residual(ctx.ideal, A)
+    n = A.shape[0] // max(1, ctx.algebra.dim)  # a 0 x 0 map on a 0-dimensional algebra: any n
+    Abar, resid = level_block(flag_coordinates(ctx.flag, A, n), ctx.quotient_dim)
     if resid > invariance_bound(A):
         raise InvarianceViolation(resid)
-    n = A.shape[0] // ctx.algebra.dim
-    return _slotwise(ctx.P, _slotwise(ctx.P, A, n).T, n).T
+    return Abar
 
 
 def is_ideal(algebra: LieAlgebra, sub: Subspace) -> bool:
@@ -208,17 +214,17 @@ class ChainProjections:
 
     Level i factors out the (i+1)-th ideal of the chain; the final level
     factors out the zero subspace, so its projection is an isometry onto the
-    whole space.  Every level reads its P off the chain's one ``flag_basis`` Q.T:
-    P_i is its leading d - dim h_i rows, so the levels are nested, P_{i-1} the
-    leading rows of P_i, and share one set of coordinates.
+    whole space.  Every level reads its P off the chain's one ``flag_basis`` Q.T,
+    ``flag``: P_i is its leading d - dim h_i rows, so the levels are nested, P_{i-1}
+    the leading rows of P_i, and share one set of coordinates.
     """
 
     def __init__(self, algebra: LieAlgebra, chain: IdealChain):
         if not chain.terminated:
             raise ValueError("chain must terminate at the zero subspace")
         self.algebra = algebra
-        flag = flag_basis(chain.ideals, algebra.dim)
-        self.contexts = [QuotientContext(algebra, s, flag) for s in chain.ideals]
+        self.flag = flag_basis(chain.ideals, algebra.dim)
+        self.contexts = [QuotientContext(algebra, s, self.flag) for s in chain.ideals]
 
     def __getitem__(self, i: int) -> QuotientContext:
         return self.contexts[i]

@@ -27,7 +27,7 @@ from . import sampling
 
 ROUTES = ("auto", "nilpotent", "solvable", "deadbeat")
 MAX_HORIZON = 10 ** 6  # steps; a simulation stores (horizon + 1) * n * d floats up front
-MAX_INPUTS = 100  # input slots "r"; the linearization steps all (n + r) * d axes in one complex batch
+MAX_INPUTS = 100  # input slots "r": bounds every r * d input stack and the (n + r) * d linearization axes
 
 
 class ScenarioError(ValueError):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import is_nilpotent
 from .dynamics import ExoSignal, Trajectory, WordSeriesSystem, slot_norms
-from .quotient import (InvarianceViolation, _slotwise, adapted_norm, evaluate_words, induced_map,
+from .quotient import (_slotwise, adapted_norm, evaluate_words, invariance_bound, level_block,
                        spectral_radius, word_plan)
 
 
@@ -197,11 +197,9 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
     Lambda_levels, lambda_levels, sigma_levels = [], [], []
     gamma_levels, alpha_levels = [], []
     for i in range(1, p + 1):
-        try:
-            Abar = induced_map(sys.projections[i], sys.A)
-        except InvarianceViolation as exc:
-            raise HypothesisError(f"A does not preserve chain level {i + 1} "
-                                  f"(residual {exc.residual:.3e})") from None
+        Abar, resid = level_block(sys.A_flag, sys.projections[i].quotient_dim)
+        if resid > invariance_bound(sys.A):
+            raise HypothesisError(f"A does not preserve chain level {i + 1} (residual {resid:.3e})")
         rho_i = spectral_radius(Abar)
         Lam_i = rho_i + (i / (p + 1.0)) * epsilon
         if Lam_i <= rho_i:  # the epsilon share rounds away; power_envelope_constant needs a rate above rho_i

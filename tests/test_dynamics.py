@@ -13,12 +13,13 @@ from liestab.algebra import (abelian, derived_algebra, heisenberg, nilpotent_upp
 from liestab.dynamics import (AdjointFamily, ExoSignal,
                               SystemSpecError, Term, Word, WordSeriesSystem,
                               _expm1_batch, _min_singular, parse_letter)
-from liestab.quotient import (InvarianceViolation, _slotwise, induced_map, invariance_residual,
-                              off_ideal_part)
+from liestab.quotient import InvarianceViolation, _slotwise, induced_map, level_block
 from liestab.sampling import (expm, heisenberg_tracking_system, tracking_signal,
                               tracking_state)
-from liestab.scenarios import (EX61_X0, builtin_scenario, ex61_signal, ex61_system,
+from liestab.scenarios import (BUILTINS, EX61_X0, builtin_scenario, ex61_signal, ex61_system,
                                heisenberg_deadbeat_system, uptri_deadbeat_system)
+from liestab.stability import HypothesisError, certify_nilpotent
+from test_stability import bench_sweep_case
 
 
 def tracking_error_step(e, w):
@@ -139,6 +140,11 @@ def reference_commuting_square_residual(sys_, level, samples=100, seed=0, scale=
         rhs = qsys.evaluate(_slotwise(P, x, sys_.n), _slotwise(P, w, sys_.r))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
+
+
+def projected_signal(sig, P, K):
+    """The first K inputs of ``sig``, each slot projected by P, as a samples signal."""
+    return ExoSignal("samples", sig.r, P.shape[0], samples=_slotwise(P, sig.values(K), sig.r))
 
 
 def sweep_system(m):
@@ -580,7 +586,7 @@ def test_zero_dimensional_system():
     assert q.evaluate(np.zeros(0), np.zeros(0)).shape == (0,)
     assert q.evaluate_batch(np.zeros((4, 0)), np.zeros(0)).shape == (4, 0)
     assert q.evaluate_batch(np.zeros((4, 0)), np.zeros((4, 0))).shape == (4, 0)
-    traj = q.simulate(np.zeros(0), sc.signal.projected(sc.system.projections[0].P), 5)
+    traj = q.simulate(np.zeros(0), projected_signal(sc.signal, sc.system.projections[0].P, 5), 5)
     assert not traj.diverged and traj.states.shape == (6, 0)
     assert np.all(traj.norms == 0.0) and traj.quotient_norms.shape == (6, len(q.projections))
     eq = q.equilibrium_report(starts=5, iters=3)
@@ -1007,7 +1013,7 @@ def test_quotient_simulation_matches_projection():
     for level in (0, 1, 2):
         ctx = sys61.projections[level]
         qsys = sys61.quotient_system(level)
-        qsig = sig.projected(ctx.P)
+        qsig = projected_signal(sig, ctx.P, 40)
         lift = np.kron(np.eye(sys61.n), ctx.P)
         qtraj = qsys.simulate(lift @ EX61_X0, qsig, 40)
         np.testing.assert_allclose(qtraj.states, traj.states @ lift.T, atol=1e-8)
@@ -1028,14 +1034,26 @@ def test_slotwise_matches_kron_lifts():
         np.testing.assert_allclose(_slotwise(ctx.P, X, n), X @ lift_p.T, atol=1e-14)
         np.testing.assert_allclose(induced_map(ctx, sys61.A), lift_p @ sys61.A @ lift_i,
                                    atol=1e-14)
-    rot = WordSeriesSystem(heisenberg(), 2, 1, np.kron(np.eye(2), [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0],
-                                                                   [-1.0, 0.0, 0.0]]))
-    for sys_ in (sys61, rot):  # rot moves the centre of the Heisenberg algebra off itself
-        for sub in sys_.chain.ideals:
-            B = np.kron(np.eye(sys_.n), sub.onb)
-            img = sys_.A @ B
-            assert invariance_residual(sub, sys_.A) == pytest.approx(
-                np.linalg.norm(img - B @ (B.T @ img)), abs=1e-14)
+    # every level's induced map and invariance residual, read off the flag-coordinate A: the map
+    # bit for bit the two slot-wise P products, the residual ||(I - B B^T) A B||_F with B built by kron
+    rot = WordSeriesSystem(heisenberg(), 2, 1, 0.5 * np.kron(np.eye(2), [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+                                                                         [-1.0, 0.0, 0.0]]))
+    systems = [builtin_scenario(name).system for name in sorted(BUILTINS)]
+    systems += [bench_sweep_case(m)[0] for m in range(4, 13)]
+    for sys_ in systems + [rot]:  # rot moves the centre of the Heisenberg algebra off itself
+        n, A = sys_.n, sys_.A
+        for ctx in sys_.projections.contexts:
+            Abar, resid = level_block(sys_.A_flag, ctx.quotient_dim)
+            assert np.array_equal(Abar, _slotwise(ctx.P, _slotwise(ctx.P, A, n).T, n).T), (sys_.name, sys_.d)
+            B = np.kron(np.eye(n), ctx.ideal.onb)
+            img = A @ B
+            assert resid == pytest.approx(np.linalg.norm(img - B @ (B.T @ img)),
+                                          rel=0, abs=1e-14 * max(1.0, np.linalg.norm(A)))
+    resid = level_block(rot.A_flag, rot.projections[1].quotient_dim)[1]
+    with pytest.raises(InvarianceViolation):
+        induced_map(rot.projections[1], rot.A)
+    with pytest.raises(HypothesisError, match=rf"^A does not preserve chain level 2 \(residual {resid:.3e}\)$"):
+        certify_nilpotent(rot, ExoSignal.zero(1, 3), M=1.0)
 
 
 def test_invariance_violation_blocks_quotient():
@@ -1076,12 +1094,13 @@ def test_update_keeps_every_chain_level(name):
     sys_ = five_system(name)
     for seed in (0, 3):
         rng = np.random.default_rng(seed)
-        for sub in sys_.chain.ideals:
+        for ctx in sys_.projections.contexts:
+            sub = ctx.ideal
             if sub.dim == 0:
                 continue
             X = _slotwise(sub.onb, rng.standard_normal((20, sys_.n * sub.dim)), sys_.n)
             Y = sys_.evaluate_batch(X, rng.standard_normal((20, sys_.r * sys_.d)))
-            off = np.linalg.norm(off_ideal_part(sub, Y, sys_.n), axis=1)
+            off = np.linalg.norm(_slotwise(ctx.P, Y, sys_.n), axis=1)  # ||P y||: y's part off the level
             assert np.all(off <= 1e-9 * np.maximum(1.0, np.linalg.norm(Y, axis=1))), (seed, sub.dim)
 
 

@@ -2,9 +2,10 @@
 
 An algebra of dimension d is stored as a read-only rank-3 tensor C with
 [e_i, e_j] = sum_k C[i, j, k] e_k; every bracket goes through one contraction,
-``LieAlgebra.ad_many`` (one matmul against C as a (d, d*d) matrix): ``bracket_many``
-applies ad_x to y row by row, and all pairs [u_i, v_j] of two column bases U, V
-are ``ad_many(U.T) @ V``, one GEMM.  Elements are coordinate vectors of length d.
+``LieAlgebra.ad_many`` (one matmul against C as a (d, d*d) matrix, one per non-zero
+part of a complex stack): ``bracket_many`` applies ad_x to y row by row, and all pairs
+[u_i, v_j] of two column bases U, V are ``ad_many(U.T) @ V``, one GEMM.  Elements are
+coordinate vectors of length d.
 Subspaces are column spans.  The module provides span-of-brackets machinery (a
 pair stack rank-revealed through the SVD of its d x d R factor), the derived and
 lower central series, the solvable/nilpotent predicates, and a proven bound mu with
@@ -31,6 +32,7 @@ REP_TOL = 1e-10
 RANK_TOL = 1e-10  # relative singular-value cutoff for all span/rank decisions
 MU_GUARD = 1e-12  # least relative rounding guard of bracket_constant and jacobi_bound
 _UNIT_ROUNDOFF = 2.0 ** -53
+_FLOAT = np.dtype(float)  # ad_many's real path: no promotion to look up
 
 
 def _gram_guard(d: int, n: int) -> float:
@@ -300,10 +302,23 @@ class LieAlgebra:
 
     def ad_many(self, X) -> np.ndarray:
         """ad_X for each element of a coordinate stack, complex for complex input and float64
-        otherwise; no input checks (row j of X C2 is [X, e_j])."""
+        otherwise; no input checks (row j of X C2 is [X, e_j]).  C is real, so ad(Re X + i Im X)
+        = ad(Re X) + i ad(Im X): a complex stack takes one real GEMM per part with a non-zero
+        entry (NaN and inf count), written into one complex result.  Those are the products a
+        complex GEMM forms, at half its flops or a quarter when one part is zero, so an entry
+        with one non-zero term keeps its bits and the others agree to rounding.  The steps of
+        ``WordSeriesSystem.linearization`` at (0, W) give their state letters no real part."""
         X = np.asarray(X)
-        X = X.astype(np.promote_types(X.dtype, float), copy=False)
-        return (X @ self._C2).reshape(X.shape[:-1] + (self.dim, self.dim)).swapaxes(-1, -2)
+        if X.dtype is not _FLOAT:
+            X = X.astype(np.promote_types(X.dtype, float), copy=False)
+        if X.dtype.kind == "c":
+            XC = np.zeros(X.shape[:-1] + self._C2.shape[1:], dtype=X.dtype)
+            for part, into in ((X.real, XC.real), (X.imag, XC.imag)):
+                if part.any():
+                    np.matmul(part, self._C2, out=into)
+        else:
+            XC = X @ self._C2
+        return XC.reshape(X.shape[:-1] + (self.dim, self.dim)).swapaxes(-1, -2)
 
     def bracket_many(self, X, Y) -> np.ndarray:
         """[X, Y] = ad_X Y row by row over broadcast leading axes; no input checks.  All

@@ -20,7 +20,10 @@ whose ``quotient.level_block`` is each level's induced linear part and invarianc
 ``invariance_report`` proves every chain level invariant under the map from the residuals within
 ``quotient.invariance_bound`` and the words' state letters, evaluating nothing.  The map keeps its
 input's dtype: ``linearization`` takes the Jacobians at (0, W) by one complex step over every axis,
-in chunks of ``LINEARIZATION_ENTRIES``, and ``jacobian_report`` compares them at the origin with (A, 0).
+in chunks of ``LINEARIZATION_ENTRIES`` that count the flow kernel's stacks, and ``jacobian_report``
+compares them at the origin with (A, 0).  A step's state letters are i h e_k or 0, purely imaginary,
+and ``ad_many`` takes one real GEMM per non-zero part of a complex stack, so a word led by a state
+letter, or a flow of state letters only, costs one real GEMM, not a complex one.
 
 The norm on stacked states is the sum of per-slot Euclidean norms, ``slot_norms``.
 """
@@ -41,6 +44,7 @@ from .quotient import (ChainProjections, InvarianceViolation, _slotwise, evaluat
 
 Letter = tuple  # ("X", j) or ("W", j), 1-based slots
 LINEARIZATION_ENTRIES = 2 ** 18  # linearization: the entries of one call's steps or flow stacks
+_KERNEL_STACKS = 12  # (rows, d, d) stacks an _expm1_batch call holds at its peak: powers, block sums, products
 
 
 class SystemSpecError(ValueError):
@@ -705,18 +709,22 @@ class WordSeriesSystem:
 
         Column k of (J_X, J_W) is Im F(i h e_k) / h over the (n + r) d joint state and input
         axes, the input rows offset by W, in ``_update`` calls of LINEARIZATION_ENTRIES //
-        (d max(d, n + r)) rows, a row holding (n + r) d steps and d^2 entries of each flow, so
-        a call's temporaries stay bounded whatever r.  It takes no difference of nearby values, so nothing
-        cancels: the error is rounding plus the O(h^2) of the third derivative, and h = 2^-100,
-        a power of two, divides exactly (Squire and Trapp, SIAM Rev. 40 (1998) 110-112; through
-        the flow kernel, Al-Mohy and Higham, Numer. Algorithms 53 (2010) 133-148).
+        (d max(s d, n + r)) rows, a row holding (n + r) d steps and s stacks of d^2 entries: s
+        is 1 without families, and with them a gathered ``ad`` and a flow per base and the
+        flow kernel's 12 (``_KERNEL_STACKS``), so a call's temporaries stay bounded whatever r
+        and whatever Taylor degree the input needs.  It takes no difference of nearby values, so
+        nothing cancels: the error is rounding plus the O(h^2) of the third derivative, and
+        h = 2^-100, a power of two, divides exactly (Squire and Trapp, SIAM Rev. 40 (1998)
+        110-112; through the flow kernel, Al-Mohy and Higham, Numer. Algorithms 53 (2010)
+        133-148).
         """
         h, nd = 2.0 ** -100, self.state_dim
         W = np.asarray(W, dtype=float).reshape(-1)
         if W.shape != (self.r * self.d,):
             raise SystemSpecError("input stack has wrong length")
         axes = nd + W.size
-        rows = max(1, LINEARIZATION_ENTRIES // max(1, self.d * max(self.d, self.n + self.r)))
+        stacks = 1 if self._families is None else 2 * self._families.bases + _KERNEL_STACKS
+        rows = max(1, LINEARIZATION_ENTRIES // max(1, self.d * max(stacks * self.d, self.n + self.r)))
         J = np.empty((nd, axes))
         with np.errstate(over="ignore", invalid="ignore"):  # a map past the float range: NaN
             for k in range(0, axes, rows):

@@ -242,4 +242,4 @@ def test_criterion_9_structural_properties():
     for sys_ in (heisenberg_tracking_system(), ex61_system()):
         for level in range(len(sys_.projections)):
             ok &= sys_.commuting_square_residual(level, samples=100, seed=3) < 1e-9
-    _report(9, "input-only rejection, Jacobian order >= 1.9, commuting squares < 1e-9", ok)
+    _report(9, "input-only rejection, exact Jacobian linearization, commuting squares < 1e-9", ok)

@@ -312,6 +312,45 @@ def test_bracket_many_matches_reference_einsum():
         np.testing.assert_allclose(alg.ad_many(X), np.einsum("bi,ijk->bkj", X, alg.C), rtol=0, atol=1e-13)
 
 
+def complex_gemm_ad(alg, X):
+    """ad_many's complex reference: the complex GEMM of X against a complex copy of C."""
+    XC = X @ alg.C.reshape(alg.dim, -1).astype(complex)
+    return XC.reshape(X.shape[:-1] + (alg.dim, alg.dim)).swapaxes(-1, -2)
+
+
+def test_ad_many_of_a_complex_stack_skips_zero_parts_and_propagates_non_finite_entries():
+    rng = np.random.default_rng(6)
+    for alg in kernel_cases():
+        d = alg.dim
+        X = np.empty((6, d), dtype=complex)
+        X.real, X.imag = -0.0, rng.standard_normal((6, d))  # a part of zeros, signed
+        got = alg.ad_many(X)
+        assert got.dtype == complex and not got.real.any() and got.shape == (6, d, d)
+        assert np.array_equal(got.imag, alg.ad_many(X.imag)) and np.array_equal(got, complex_gemm_ad(alg, X))
+        X.real, X.imag = rng.standard_normal((6, d)), 0.0
+        assert np.array_equal(alg.ad_many(X).real, alg.ad_many(X.real)) and not alg.ad_many(X).imag.any()
+        X.imag = rng.standard_normal((6, d))  # both parts: the complex GEMM's products, summed alike
+        ref = complex_gemm_ad(alg, X)
+        assert np.abs(alg.ad_many(X) - ref).max() <= 4 * 2.0 ** -52 * np.abs(ref).max()
+        assert not alg.ad_many(np.zeros((2, d), dtype=complex)).any()
+        # a part holding NaN or inf is non-zero: a row with one comes back not finite, the others as before
+        X[1, 0], X[2, d - 1] = complex(np.nan, 1.0), complex(-np.inf, 0.0)
+        X[3].real, X[3, 0] = 0.0, complex(0.0, np.inf)
+        X[4].real, X[4, d - 1] = -0.0, complex(-0.0, np.nan)
+        with np.errstate(invalid="ignore"):
+            got, ref = alg.ad_many(X), complex_gemm_ad(alg, X)
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(got), finite) and not finite[1:5].any() and finite[[0, 5]].all()
+        assert np.abs(got[finite] - ref[finite]).max() <= 4 * 2.0 ** -52 * np.abs(ref[finite]).max()
+        for bad in (complex(np.nan, 0.0), complex(0.0, -np.inf)):  # a part whose one non-zero is bad
+            Y = np.zeros((2, d), dtype=complex)
+            Y[0, 0] = bad
+            with np.errstate(invalid="ignore"):
+                got, ref = alg.ad_many(Y), complex_gemm_ad(alg, Y)
+            assert np.array_equal(np.isfinite(got), np.isfinite(ref)) and not np.isfinite(got[0]).any()
+            assert not got[1].any()
+
+
 def test_subspace_bracket_and_quotient_match_einsum_formulas():
     rng = np.random.default_rng(5)
     for alg in kernel_cases():

@@ -19,6 +19,7 @@ from liestab.sampling import (expm, heisenberg_tracking_system, tracking_signal,
 from liestab.scenarios import (BUILTINS, EX61_X0, builtin_scenario, ex61_signal, ex61_system,
                                heisenberg_deadbeat_system, uptri_deadbeat_system)
 from liestab.stability import HypothesisError, certify_nilpotent
+from test_algebra import complex_gemm_ad
 from test_stability import bench_sweep_case
 
 
@@ -956,6 +957,27 @@ def test_linearization_does_not_depend_on_its_chunks(monkeypatch, name):
     assert np.linalg.norm(np.hstack(sys_.linearization(W)) - whole) <= 1e-12 * np.linalg.norm(whole)
 
 
+@pytest.mark.parametrize("case", [*sorted(BUILTINS), *(f"sweep-m{m}" for m in range(4, 11))])
+def test_ad_many_of_every_linearization_step_is_the_complex_gemm(monkeypatch, case):
+    # one real GEMM per non-zero part forms the complex GEMM's products: at the origin every
+    # entry has one non-zero term and keeps its bits, at the seed-3 input the sums agree to rounding
+    sys_ = bench_sweep_case(int(case[7:]))[0] if case.startswith("sweep") else builtin_scenario(case).system
+    alg, stacks = sys_.algebra, []
+    ad_many = alg.ad_many
+    monkeypatch.setattr(alg, "ad_many", lambda X: (stacks.append(X), ad_many(X))[1])
+    for W in (np.zeros(sys_.r * sys_.d), 0.5 * np.random.default_rng(3).standard_normal(sys_.r * sys_.d)):
+        stacks.clear()
+        sys_.linearization(W)
+        assert stacks and all(X.dtype == complex for X in stacks)
+        for X in stacks:
+            got, ref = ad_many(X), complex_gemm_ad(alg, X)
+            assert got.shape == ref.shape and got.strides == ref.strides
+            if W.any():
+                assert np.linalg.norm(got - ref) <= 4 * 2.0 ** -52 * np.linalg.norm(ref)
+            else:
+                assert got.tobytes() == ref.tobytes()
+
+
 def test_linearization_memory_is_bounded(monkeypatch):
     # d = 45 and r = 20: 945 axes, which one call took at once, holding about 120 MB at the origin
     alg = nilpotent_upper(10)
@@ -964,14 +986,19 @@ def test_linearization_memory_is_bounded(monkeypatch):
                             families=[AdjointFamily(1, 0.2, {"X1": 1.0, "W1": 1.0}, "X1")])
     rows, update = [], sys_._update
     monkeypatch.setattr(sys_, "_update", lambda X, W: (rows.append(len(X)), update(X, W))[1])
-    tracemalloc.start()
-    try:
-        J_X, J_W = sys_.linearization(np.zeros(sys_.r * sys_.d))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32e6 and rows == [129] * 7 + [42]  # 2^18 // 45^2 rows a call
-    assert np.array_equal(J_X, sys_.A) and not J_W.any()  # at the origin, (A, 0) as one call gives
+    # at the seed-3 input, where the flows are not tiny, calls of 129 rows held 59 MB
+    for W in (np.zeros(sys_.r * sys_.d), 0.5 * np.random.default_rng(3).standard_normal(sys_.r * sys_.d)):
+        rows.clear()
+        tracemalloc.start()
+        try:
+            J_X, J_W = sys_.linearization(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2^18 // (45 (2 + 12) 45) rows a call: a base's ad and flow and the kernel's 12 stacks
+        assert peak < 32e6 and rows == [9] * 105
+        if not W.any():  # at the origin, (A, 0) as one call gives
+            assert np.array_equal(J_X, sys_.A) and not J_W.any()
 
 
 def test_quotient_system_levels():

@@ -6,9 +6,10 @@ An algebra of dimension d is stored as a read-only rank-3 tensor C with
 part of a complex stack): ``bracket_many`` applies ad_x to y row by row, and all pairs
 [u_i, v_j] of two column bases U, V are ``ad_many(U.T) @ V``, one GEMM.  Elements are
 coordinate vectors of length d.
-Subspaces are column spans.  The module provides span-of-brackets machinery (a
-pair stack rank-revealed through the SVD of its d x d R factor), the derived and
-lower central series, the solvable/nilpotent predicates, and a proven bound mu with
+Subspaces are column spans; one that is a coordinate subspace, as its non-zero rows reveal,
+has exact identity columns for its basis (``orthonormal_basis``).  The module provides
+span-of-brackets machinery (a pair stack rank-revealed through the SVD of its d x d R factor),
+the derived and lower central series, the solvable/nilpotent predicates, and a proven bound mu with
 ||[x, y]|| <= mu ||x|| ||y||, the least of three closed forms (two unfoldings of C and,
 given a matrix realization, its Gram matrix with the sqrt 2 commutator bound; see
 ``bracket_constant``), each computed once per algebra, which is immutable.
@@ -68,7 +69,13 @@ def orthonormal_basis(vectors: np.ndarray) -> np.ndarray:
     of over 1000 entries (below that the QR costs more than it saves), loses its exactly-zero
     columns (stack stack^T stays) and, if still wider than tall, is reduced to its d x d R^T
     (Chan's R-SVD): stack^T = Q R with Q orthonormal gives stack = R^T Q^T, so R^T has the
-    stack's singular values and left singular vectors, and the same rank."""
+    stack's singular values and left singular vectors, and the same rank.
+
+    When the decomposed matrix has exactly r non-zero rows, r its rank, the basis is those r
+    identity columns, ascending: the span lies in their coordinate subspace, and r singular
+    values above the cutoff make its dimension at least r, so it is that subspace, whatever
+    rotation of it the SVD returns.  The rows of R^T are the stack's (Householder maps a zero
+    column of stack^T to a zero column of R, exactly), so the reduction keeps the rule."""
     mat = np.asarray(vectors, dtype=float)
     if mat.ndim == 2 and mat.shape[1] > mat.shape[0] and mat.size > 1000:
         mat = mat[:, mat.any(axis=0)]
@@ -80,7 +87,8 @@ def orthonormal_basis(vectors: np.ndarray) -> np.ndarray:
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((mat.shape[0], 0))
     r = int(np.sum(s > RANK_TOL * s[0]))
-    return u[:, :r]
+    rows = np.flatnonzero(mat.any(axis=1))
+    return np.eye(mat.shape[0])[:, rows] if rows.size == r else u[:, :r]
 
 
 class Subspace:

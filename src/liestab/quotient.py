@@ -39,14 +39,14 @@ def flag_basis(ideals: Sequence[Subspace], d: int) -> np.ndarray:
     Deepest subspace first, then the whole space, each S with orthonormal basis B adds exactly
     dim S minus the j columns so far, no rank revealed: B times the trailing right singular
     vectors of Q.T B past the j-th, which span its null space, so they lie in S orthogonal to Q
-    (the first S takes the left singular vectors of B, which round an axis basis to exact axes).
+    (the first S takes B itself, exact axes when S is a coordinate subspace: ``orthonormal_basis``).
     A new column gets the sign that makes its largest entry positive, and the new columns are
     sorted by the axis of that entry: an axis-aligned chain gets its axes, ascending within each
-    step."""
+    step, and Q is a permutation."""
     rows = np.zeros((0, d))
     for B in [s.onb for s in reversed(ideals)] + [np.eye(d)]:
         if (k := B.shape[1] - len(rows)) > 0:
-            new = np.linalg.svd(rows @ B)[2][-k:] @ B.T if len(rows) else np.linalg.svd(B, full_matrices=False)[0].T
+            new = np.linalg.svd(rows @ B)[2][-k:] @ B.T if len(rows) else B.T
             top = np.abs(new).argmax(axis=1)
             new = new * np.sign(new[np.arange(k), top])[:, None]
             rows = np.concatenate([new[top.argsort(kind="stable")], rows])

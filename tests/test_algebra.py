@@ -460,11 +460,39 @@ def test_zero_columns_leave_the_span_and_small_stacks_alone(monkeypatch):
     assert got.shape[1] == ref.shape[1] == 20
     np.testing.assert_allclose(got @ got.T, ref @ ref.T, rtol=0, atol=1e-12)
     assert orthonormal_basis(np.zeros((20, 200))).shape == (20, 0)
-    # at most 1000 entries the stack goes to the SVD as it is, zero columns and all
+    # at most 1000 entries the stack goes to the SVD as it is, zero columns and all: bit for bit
+    # at rank 2, where the rows outnumber the rank; at full rank the span is all of R^d
     for shape in ((6, 36), (10, 100), (3, 300)):
         small = rng.standard_normal(shape)
         small[:, ::3] = 0.0
-        assert np.array_equal(orthonormal_basis(small), plain_svd_basis(small)), shape
+        got, ref = orthonormal_basis(small), plain_svd_basis(small)
+        np.testing.assert_allclose(got @ got.T, ref @ ref.T, rtol=0, atol=1e-12)
+        low = rng.standard_normal((shape[0], 2)) @ small[:2]
+        assert np.array_equal(orthonormal_basis(low), plain_svd_basis(low)), shape
+    assert qr_widths == [nonzero]
+
+
+def test_exact_axes_where_the_nonzero_rows_number_the_rank():
+    rng = np.random.default_rng(31)
+    # full rank, through the plain SVD and through the R-SVD: the identity
+    for shape in ((5, 3 * 5), (8, 200)):
+        assert np.array_equal(orthonormal_basis(rng.standard_normal(shape)), np.eye(shape[0])), shape
+    # rank 3 on rows 1, 4 and 6 of 9, narrow and wide (zero columns mixed in): those axes
+    for width in (6, 300):
+        stack = np.zeros((9, width))
+        stack[[1, 4, 6], ::2] = rng.standard_normal((3, (width + 1) // 2))
+        assert np.array_equal(orthonormal_basis(stack), np.eye(9)[:, [1, 4, 6]]), width
+    # e1 + e2 spans no coordinate plane: two non-zero rows, rank 1, the singular vector
+    line = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
+    got = orthonormal_basis(line)
+    assert np.array_equal(got, plain_svd_basis(line)) and got.shape == (3, 1)
+    np.testing.assert_allclose(got @ got.T, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]], rtol=0, atol=1e-15)
+    # [g, g] of a rotated Heisenberg algebra: rank 1 with no zero row, left to the SVD bit for bit
+    rot = rotated(heisenberg(), rng)
+    full = rot.ad_many(np.eye(3)).swapaxes(0, 1).reshape(3, -1)
+    assert full.any(axis=1).all()
+    got = orthonormal_basis(full)
+    assert np.array_equal(got, plain_svd_basis(full)) and got.shape == (3, 1)
 
 
 def test_jacobi_residual_matches_einsum_formula():

@@ -390,11 +390,37 @@ def bench_sweep_case(m):
     return sys_, ExoSignal("samples", 1, sys_.d, samples=0.05 * rng.uniform(-1.0, 1.0, (64, sys_.d)))
 
 
-@pytest.mark.parametrize("case", [*sorted(BUILTINS), *(f"sweep-m{m}" for m in range(4, 11))])
+CHAIN_CASES = [*sorted(BUILTINS), *(f"sweep-m{m}" for m in range(4, 15))]
+
+
+def chain_case_system(case):
+    return bench_sweep_case(int(case[7:]))[0] if case.startswith("sweep") else builtin_scenario(case).system
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES)
 def test_every_chain_level_is_an_ideal(case):
     # the hypothesis of the theorem by which invariance_report proves the chain invariant
-    sys_ = bench_sweep_case(int(case[7:]))[0] if case.startswith("sweep") else builtin_scenario(case).system
+    sys_ = chain_case_system(case)
     assert all(is_ideal(sys_.algebra, sub) for sub in sys_.chain.ideals)
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES)
+def test_axis_aligned_chain_ideals_are_exact_axes(case):
+    # every ideal of these chains spans a coordinate subspace (its projector is a 0/1 diagonal
+    # up to rounding) and comes back as those identity columns, so the flag is a signed
+    # permutation and P_i selects q_i axes: a LAPACK that rotated a degenerate singular
+    # subspace would leave more non-zeros
+    sys_ = chain_case_system(case)
+    d = sys_.d
+    for sub in sys_.chain.ideals:
+        proj = sub.projector()
+        axes = np.round(np.diag(proj))
+        np.testing.assert_allclose(proj, np.diag(axes), rtol=0, atol=1e-12)
+        assert np.array_equal(sub.onb, np.eye(d)[:, axes == 1.0])
+    flag = sys_.projections.flag
+    assert (np.count_nonzero(flag, axis=1) == 1).all() and (np.abs(flag).sum(axis=1) == 1.0).all()
+    for ctx in sys_.projections:
+        assert np.count_nonzero(ctx.P) == ctx.quotient_dim
 
 
 def test_sweep_certificate_is_finite_up_to_d66():

@@ -198,7 +198,8 @@ def cmd_deadbeat(sc: Scenario, outdir: Path, seed: int) -> int:
     status = "PASS" if verify["ok"] else "FAIL"
     print(f"[{status}] deadbeat horizon {cert.horizon} "
           f"(per level: {cert.per_level}); worst residual {verify['worst_final']:.3e}")
-    return EXIT_PASS if verify["ok"] else EXIT_HYPOTHESIS
+    # a run stopped early (a state past 1e100) leaves an infinite worst residual
+    return EXIT_PASS if verify["ok"] else EXIT_DIVERGED if verify["worst_final"] == np.inf else EXIT_HYPOTHESIS
 
 
 def main(argv=None) -> int:

@@ -76,10 +76,13 @@ def power_envelope_constant(A: np.ndarray, rate: float, block: int) -> float:
     at most 1 too and no error compounds over q.  A vanished power (0 / 0 included) stops
     the scan, a nonzero norm over an underflowed rate^m is an infinite ratio, and a power
     past the float range gives inf.  Without a stop, the adapted-norm tail closes the bound.
+    The rate must exceed rho(A), and only the tail solves for rho(A) to check it: at a rate in
+    (0, rho(A)] no power contracts, as N(A^k) >= rho(A)^k, so the scan ends there, in an
+    overflowed power's inf, or, where A^k and rate^k underflow to 0 at the same k, in a 0 / 0
+    stop whose sigma such a rate does not earn.  A rate at or below 0 is refused first.
     """
     A = np.asarray(A, dtype=float)
-    rho = spectral_radius(A)
-    if rate <= rho:
+    if rate <= 0:  # a negative rate^k would read as a contraction
         raise ValueError("rate must exceed the spectral radius")
     sigma, P = 1.0, np.eye(A.shape[0])
     for k in range(1, ENVELOPE_POWERS + 1):
@@ -92,6 +95,9 @@ def power_envelope_constant(A: np.ndarray, rate: float, block: int) -> float:
         if ratio <= 1.0 - ENVELOPE_GUARD:  # A^k contracts: every later power is covered
             return sigma
         sigma = max(sigma, ratio)
+    rho = spectral_radius(A)
+    if rate <= rho:
+        raise ValueError("rate must exceed the spectral radius")
     kappa = adapted_norm(A, rate - rho).condition()  # N(A^k) <= N(A^cap) kappa sqrt(nb) rate^(k-cap)
     return max(sigma, ratio * math.sqrt(A.shape[0] // block) * kappa)
 
@@ -168,7 +174,13 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
     carry a certified geometric envelope (beta, s).  Checks the spectral
     threshold rho(A) < s^{p(1-p)/2}, then assembles the rate ladder, the
     power-envelope constants, and the forcing gains into the end-to-end
-    envelope (alpha_p, lambda_p).
+    envelope (alpha_p, lambda_p).  Each level's rho_i is one eigenvalue solve,
+    and the top one is rho(A): level p factors the zero ideal, so its block is
+    A in the orthonormal flag basis, an orthogonal similarity of A.  So rho_A
+    agrees with ``spectral_radius(A)`` only up to A's eigenvalue conditioning
+    (a defective eigenvalue of a k x k Jordan block moves by about eps^(1/k)),
+    though bit for bit on the builtins and the sweep, whose flags are signed
+    permutations.
     """
     if not M >= 0:  # the radius of the ball of initial states (NaN fails too)
         raise HypothesisError(f"M must be nonnegative, got {M}")
@@ -181,7 +193,9 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
         raise HypothesisError("nilpotent certificate requires a state letter in every word")
     beta, s = signal.envelope()
     s = max(s, 1.0)
-    rho_A = spectral_radius(sys.A)
+    blocks = [level_block(sys.A_flag, sys.projections[i].quotient_dim) for i in range(1, p + 1)]
+    rhos = [spectral_radius(Abar) for Abar, _ in blocks]
+    rho_A = rhos[-1]
     threshold = s ** (p * (1 - p) / 2.0)
     if rho_A >= threshold:
         raise CertificateRejected(
@@ -196,11 +210,9 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
     # quotient levels: level i factors the (i+1)-th chain ideal
     Lambda_levels, lambda_levels, sigma_levels = [], [], []
     gamma_levels, alpha_levels = [], []
-    for i in range(1, p + 1):
-        Abar, resid = level_block(sys.A_flag, sys.projections[i].quotient_dim)
+    for i, ((Abar, resid), rho_i) in enumerate(zip(blocks, rhos), 1):
         if resid > invariance_bound(sys.A):
             raise HypothesisError(f"A does not preserve chain level {i + 1} (residual {resid:.3e})")
-        rho_i = spectral_radius(Abar)
         Lam_i = rho_i + (i / (p + 1.0)) * epsilon
         if Lam_i <= rho_i:  # the epsilon share rounds away; power_envelope_constant needs a rate above rho_i
             raise CertificateRejected(f"level {i}: rho_{i} + {i}/{p + 1} epsilon rounds to rho_{i} = "
@@ -313,7 +325,7 @@ def certify_solvable(sys: WordSeriesSystem, signal: ExoSignal, horizon: int = 20
                 "diverged": traj.diverged}
     if traj.norms[0] == 0:
         notes.append("the simulated run starts at the origin, so it shows no decay")
-    decayed = 0 < traj.norms[0] and not traj.diverged and traj.norms[-1] <= 1e-4 * max(1.0, traj.norms[0])
+    decayed = 0 < traj.norms[0] and not traj.diverged and traj.norms[-1] <= 1e-4 * traj.norms[0]
     with np.errstate(over="ignore"):  # a distance past the float range is an overflow verdict
         resid = slot_norms(_slotwise(sys.projections[0].P, signal.values(horizon + 1), sys.r), sys.r)  # off the ideal
     res_max = float(resid.max())
@@ -373,7 +385,9 @@ def deadbeat_verified(sys: WordSeriesSystem, cert: DeadbeatCertificate,
     """Simulation companion: final and per-level states vanish at their horizons.
 
     Each of the ``runs`` runs draws its initial state and then its signal from
-    one generator; the runs are simulated together as one batch.
+    one generator; the runs are simulated together as one batch.  A run that stops before
+    its horizon verifies nothing it did not reach: its final state and every level it
+    stopped short of count as inf.
     """
     rng = np.random.default_rng(seed)
     draws = [(rng.standard_normal(sys.state_dim), signal_factory(rng)) for _ in range(runs)]
@@ -381,9 +395,10 @@ def deadbeat_verified(sys: WordSeriesSystem, cert: DeadbeatCertificate,
     worst_final = 0.0
     worst_levels = [0.0] * len(cert.per_level)
     for traj in sys.simulate_batch(X0s, [signal for _, signal in draws], cert.horizon + 2):
-        worst_final = max(worst_final, float(traj.norms[cert.horizon:].max()))
+        worst_final = max(worst_final, math.inf if traj.diverged else float(traj.norms[cert.horizon:].max()))
         for i, ki in enumerate(cert.per_level):
-            worst_levels[i] = max(worst_levels[i], float(traj.quotient_norms[ki:, i].max()))
+            reached = traj.quotient_norms[ki:, i]
+            worst_levels[i] = max(worst_levels[i], float(reached.max()) if reached.size else math.inf)
     return {"ok": worst_final < tol and all(v < tol for v in worst_levels),
             "worst_final": worst_final, "worst_levels": worst_levels}
 

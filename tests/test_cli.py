@@ -84,6 +84,26 @@ def test_deadbeat_command(tmp_path):
     assert payload["verified"]["ok"]
 
 
+@pytest.mark.parametrize("command", ["deadbeat", "certify"])
+def test_deadbeat_run_past_1e100_exits_3(tmp_path, capsys, command):
+    # heisenberg-deadbeat's A with word coefficients of 1e300: the verification runs stop early
+    path = tmp_path / "hot.json"
+    path.write_text(json.dumps({
+        "name": "hot", "algebra": "heisenberg", "n": 1, "r": 1,
+        "A": builtin_scenario("heisenberg-deadbeat").system.A.tolist(),
+        "terms": [{"letters": ["X1", "W1"], "coeff": [1e300]},
+                  {"letters": ["W1", "X1", "W1"], "coeff": [1e300]}],
+        "signal": {"kind": "zero"}, "x0": [1.0, 0.0, 0.0], "route": "deadbeat"}))
+    out = tmp_path / "out"
+    assert run([command, "--scenario", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().out == "[FAIL] deadbeat horizon 5 (per level: [0, 2, 5]); worst residual inf\n"
+    payload = json.loads((out / "deadbeat-hot.json").read_text())
+    assert payload["verified"] == {"ok": False, "worst_final": float("inf"),
+                                   "worst_levels": [0.0, float("inf"), float("inf")]}
+    assert run(["deadbeat", "--builtin", "heisenberg-deadbeat", "--out", str(out)]) == 0
+    assert sorted(payload) == sorted(json.loads((out / "deadbeat-heisenberg-deadbeat.json").read_text()))
+
+
 def test_exit_codes(tmp_path):
     out = tmp_path / "out"
     bad = tmp_path / "bad.json"

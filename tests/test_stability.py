@@ -2,13 +2,14 @@ import functools
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
 from liestab.algebra import LieAlgebra, abelian, bracket_constant, heisenberg, nilpotent_upper
 from liestab.dynamics import ExoSignal, Term, Trajectory, Word, WordSeriesSystem
 from liestab.sampling import heisenberg_tracking_system, tracking_signal, tracking_state
-from liestab.scenarios import (BUILTINS, builtin_scenario, ex61_signal, ex61_system,
+from liestab.scenarios import (BUILTINS, EX61_X0, builtin_scenario, ex61_signal, ex61_system,
                                heisenberg_deadbeat_system, ideal_valued_samples,
                                uptri_deadbeat_system)
 from liestab.quotient import adapted_norm, induced_map, is_ideal
@@ -17,6 +18,7 @@ from liestab.stability import (ENVELOPE_POWERS, CertificateRejected, HypothesisE
                                deadbeat_envelope, deadbeat_horizon, deadbeat_verified, fit_envelope,
                                forcing_gain, forcing_norms, power_envelope_constant,
                                spectral_radius)
+from test_algebra import rotated
 from test_quotient import reference_complement_basis
 
 
@@ -460,6 +462,88 @@ def test_certificates_stop_before_the_stein_tail(monkeypatch):
         assert certify_nilpotent(sys_, signal, M=M).consistent, sys_.d
 
 
+def test_certificate_solves_one_eigenvalue_problem_per_level(monkeypatch):
+    # rho_A is the top rung's radius, and power_envelope_constant solves nothing before its tail
+    solves = []
+
+    def counting(M):
+        solves.append(M.shape)
+        return spectral_radius(M)
+
+    monkeypatch.setattr("liestab.stability.spectral_radius", counting)
+    sc = builtin_scenario("example-4.1")
+    for (sys_, signal, M), p in [((sc.system, sc.signal, sc.M), 2), (bench_sweep_case(6) + (1.0,), 5)]:
+        solves.clear()
+        assert certify_nilpotent(sys_, signal, M=M).nilindex == p
+        assert solves == [(sys_.n * ctx.quotient_dim,) * 2 for ctx in sys_.projections.contexts[1:]]
+
+
+def test_certificate_rho_A_is_the_spectral_radius_of_A():
+    # the flag of every chain here is a permutation, so the top rung is A's radius bit for bit
+    sc = builtin_scenario("example-4.1")
+    cases = [(sc.system, sc.signal, sc.M)] + [bench_sweep_case(m) + (1.0,) for m in range(4, 15)]
+    for sys_, signal, M in cases:
+        assert certify_nilpotent(sys_, signal, M=M).rho_A == spectral_radius(sys_.A), sys_.d
+
+
+def mp_spectral_radius(A):
+    with mpmath.workdps(50):
+        return float(max(abs(ev) for ev in mpmath.eig(mpmath.matrix(A.tolist()), left=False, right=False)))
+
+
+def test_certificate_rho_A_on_rotated_chains():
+    # the chain of a rotated algebra is no coordinate flag; A is lower triangular in that flag,
+    # so it keeps every chain ideal, and its top rung meets a 50-digit radius of A itself
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for alg in (heisenberg(), nilpotent_upper(4)):
+        for trial in range(8):
+            rot, n = rotated(alg, rng), 1 + trial % 2
+            flag = WordSeriesSystem(rot, n, 1, np.zeros((n * rot.dim,) * 2)).projections.flag
+            F = 0.3 * rng.standard_normal((n, rot.dim, n, rot.dim))
+            F *= np.tril(np.ones((rot.dim, rot.dim)))[None, :, None, :]
+            for i in range(rot.dim):  # the diagonal blocks set the spectrum, inside the unit disc
+                F[:, i, :, i] = rng.uniform(-0.8, 0.8, (n, n)) / n
+            lift = np.kron(np.eye(n), flag)
+            A = lift.T @ F.reshape(n * rot.dim, -1) @ lift
+            sys_ = WordSeriesSystem(rot, n, 1, A)
+            rho_A = certify_nilpotent(sys_, ExoSignal.zero(1, rot.dim), M=1.0).rho_A
+            ref = mp_spectral_radius(A)
+            worst = max(worst, abs(rho_A - ref) / ref, abs(spectral_radius(A) - ref) / ref)
+    assert worst <= 1e-13
+
+
+def test_certificate_rho_A_of_a_defective_A_on_rotated_chains():
+    # a nilpotent A with a Jordan block of size k: rho_A and spectral_radius(A) each err from 0 by
+    # up to about eps^(1/k) ||A||, each in its own basis, so they differ on that scale, not 1e-13's
+    rng = np.random.default_rng(5)
+    eps = np.finfo(float).eps
+    for alg in (heisenberg(), heisenberg(), nilpotent_upper(4), nilpotent_upper(4)):
+        rot = rotated(alg, rng)
+        d = rot.dim
+        flag = WordSeriesSystem(rot, 1, 1, np.zeros((d, d))).projections.flag
+        F = np.diag(rng.uniform(0.5, 1.5, d - 1), -1)  # one Jordan chain of length d down the flag
+        cases = [(flag.T @ F @ flag, d)]
+        if d == 3:  # triangular in the user's basis: its own eigvals give 0 exactly
+            z = flag[-1]  # the centre
+            A = np.zeros((3, 3))
+            A[2, :2] = (z[1], -z[0])  # A z = 0 and A^2 = 0
+            cases.append((A, 2))
+            assert spectral_radius(A) == 0
+        for A, k in cases:
+            rho_A = certify_nilpotent(WordSeriesSystem(rot, 1, 1, A), ExoSignal.zero(1, d), M=1.0).rho_A
+            scale = np.linalg.norm(A, 2) * eps ** (1 / k)
+            assert max(rho_A, spectral_radius(A)) <= scale, (d, k)
+
+
+def test_power_envelope_constant_refuses_a_rate_at_or_below_rho():
+    # the tail refuses a positive rate; a negative rate^k would otherwise pass as a contraction
+    A = np.array([[0.5, 1.0], [0.0, 0.25]])
+    for rate in (0.5, 0.4, 0.0, -0.4):
+        with pytest.raises(ValueError, match="rate must exceed the spectral radius"):
+            power_envelope_constant(A, rate, 1)
+
+
 def reference_rate_maximum(lambda_prev, s, level):
     """max of lambda_prev^q s^(l-q) over 2 <= l <= level, 1 <= q <= l, by the double loop
     ``forcing_gain`` used before its closed-form rate check."""
@@ -557,6 +641,18 @@ def test_solvable_certificate():
         certify_solvable(bad, sc.signal)
 
 
+def test_solvable_evidence_is_relative_to_the_initial_norm():
+    # decay is judged against the start, here of norm 5.6e-6: neither a run of no step nor one
+    # that grows to 1.3e-5 shows any
+    for horizon in (0, 5):
+        rep = certify_solvable(ex61_system(), ex61_signal(0), horizon=horizon, x0=EX61_X0 * 1e-6)
+        assert rep.verdict == "conditional-pass-no-evidence", horizon
+        assert rep.evidence["final_norm"] >= rep.evidence["initial_norm"] == pytest.approx(5.56e-6, rel=1e-3)
+    # the same start decays by far more than 1e-4 over 200 steps
+    rep = certify_solvable(ex61_system(), ex61_signal(0), horizon=200, x0=EX61_X0 * 1e-6)
+    assert rep.verdict == "conditional-pass"
+
+
 def reference_ideal_residuals(sys_, signal, horizon):
     """``certify_solvable``'s signal-to-ideal distances, one step and one slot at a time."""
     ctx0 = sys_.projections[0]
@@ -631,9 +727,13 @@ def reference_deadbeat_verified(sys_, cert, signal_factory, runs=100, seed=0, to
         x0 = rng.standard_normal(sys_.state_dim)
         sig = signal_factory(rng)
         traj = sys_.simulate(x0, sig, cert.horizon + 2)
-        worst_final = max(worst_final, float(traj.norms[cert.horizon:].max()))
+        if traj.diverged:  # a run stopped early: its final state and the levels it missed are inf
+            worst_final = math.inf
+        else:
+            worst_final = max(worst_final, float(traj.norms[cert.horizon:].max()))
         for i, ki in enumerate(cert.per_level):
-            worst_levels[i] = max(worst_levels[i], float(traj.quotient_norms[ki:, i].max()))
+            reached = traj.quotient_norms[ki:, i]
+            worst_levels[i] = max(worst_levels[i], float(reached.max()) if reached.size else math.inf)
     return {"ok": worst_final < tol and all(v < tol for v in worst_levels),
             "worst_final": worst_final, "worst_levels": worst_levels}
 
@@ -674,6 +774,18 @@ def test_batched_deadbeat_runs_match_the_per_run_loops(make):
         env = deadbeat_envelope(sys_, cert, factory, M=5.0, decay=0.5, seed=seed)
         alpha, ok = reference_deadbeat_envelope(sys_, cert, factory, M=5.0, decay=0.5, seed=seed)
         assert (env.alpha, env.details["verified_on_fresh_samples"]) == (alpha, ok)
+
+
+def test_deadbeat_verification_fails_a_run_that_stops_early():
+    # heisenberg-deadbeat's A with word coefficients of 1e300: every run passes 1e100 at step 1
+    sys_ = WordSeriesSystem(heisenberg(), 1, 1, heisenberg_deadbeat_system().A,
+                            terms=[Term(Word((("X", 1), ("W", 1))), np.array([1e300])),
+                                   Term(Word((("W", 1), ("X", 1), ("W", 1))), np.array([1e300]))])
+    cert = deadbeat_horizon(sys_)
+    factory = lambda rng: ideal_valued_samples(sys_, cert.horizon + 3, rng)
+    res = deadbeat_verified(sys_, cert, factory, runs=20)
+    assert res == {"ok": False, "worst_final": math.inf, "worst_levels": [0.0, math.inf, math.inf]}
+    assert res == reference_deadbeat_verified(sys_, cert, factory, runs=20)
 
 
 def reference_ideal_valued_samples(sys_, count, rng):

@@ -160,9 +160,6 @@ class AdaptedNorm:
     spectral_radius: float
     certified_norm: float
 
-    def vector_norm(self, x) -> float:
-        return float(np.linalg.norm(self.inverse @ np.asarray(x, dtype=float)))
-
     def operator_norm(self, M) -> float:
         return float(np.linalg.norm(self.inverse @ np.asarray(M, dtype=float) @ self.transform, 2))
 

@@ -2,10 +2,9 @@
 
 Covers the matrix exponential (the update map's flow kernel ``_expm1_batch``), the principal
 logarithm (inverse scaling and squaring in numpy alone; the exact Mercator series on unipotent
-input), the zero-order-hold step-invariant transform for input-affine invariant flows,
-Baker-Campbell-Hausdorff composition in a nilpotent structure-constant algebra (exact;
-refused elsewhere, where the series is infinite), the closed-form adjoint flow, and the
-bundled Heisenberg tracking-error system.
+input), Baker-Campbell-Hausdorff composition in a nilpotent structure-constant algebra (exact;
+refused elsewhere, where the series is infinite), and the bundled Heisenberg tracking-error
+system with its group-side step.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -107,25 +106,6 @@ class GroupElement:
         return coords
 
 
-def step_invariant(alg: LieAlgebra, generators: Sequence[np.ndarray], u: Sequence[float],
-                   T: float) -> GroupElement:
-    """Exact one-period factor exp(T * sum_i B_i u_i) of a ZOH-driven invariant flow.
-
-    Under zero-order hold the input-affine generator is constant on the hold
-    interval, so the interval integral is exactly T * A(u) and the sampled
-    flow advances by its exponential.
-    """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if len(generators) != u.shape[0]:
-        raise ValueError("one input channel per generator")
-    if alg.matrix_rep is None:
-        raise ValueError("step-invariant factor needs a matrix representation")
-    coords = np.zeros(alg.dim)
-    for B, ui in zip(generators, u):
-        coords = coords + ui * np.asarray(B, dtype=float)
-    return GroupElement(expm(T * alg.to_matrix(coords)), alg)
-
-
 # -- Baker-Campbell-Hausdorff ------------------------------------------------
 
 
@@ -203,16 +183,6 @@ def bch_compose(alg: LieAlgebra, X, Y, order: int) -> np.ndarray:
     return coeffs @ vals[rows]
 
 
-# -- adjoint flow --------------------------------------------------------------
-
-
-def adjoint_flow_step(alg: LieAlgebra, A, T: float, X) -> np.ndarray:
-    """One sampled step X -> e^{ad_{T A}} X of the flow X' = [A, X], through the
-    update map's flow kernel e^{ad} - I (exact on nilpotent algebras)."""
-    X = np.asarray(X, dtype=float).reshape(-1)
-    return X + _expm1_batch(alg.ad(T * np.asarray(A, dtype=float).reshape(-1))[None])[0] @ X
-
-
 # -- bundled Heisenberg tracking example ---------------------------------------
 
 TRACKING_GAIN = np.array([[-0.75, 0.25, 0.0],
@@ -281,14 +251,3 @@ def tracking_group_step(e, w: float) -> np.ndarray:
     prod = (expm(alg.to_matrix(2 * w * V)) @ expm(alg.to_matrix(u))
             @ expm(alg.to_matrix(-w * V)) @ expm(alg.to_matrix(e)))
     return GroupElement(prod, alg).log_coords()
-
-
-def tracking_bch_step(e, w: float) -> np.ndarray:
-    """Same step composed on the algebra via order-2 BCH (exact, nilindex 2)."""
-    alg = heisenberg()
-    e = np.asarray(e, dtype=float).reshape(-1)
-    u = TRACKING_GAIN @ e - TRACKING_FEEDFORWARD * w
-    V = TRACKING_REFERENCE_DIRECTION
-    z = bch_compose(alg, 2 * w * V, u, 2)
-    z = bch_compose(alg, z, -w * V, 2)
-    return bch_compose(alg, z, e, 2)

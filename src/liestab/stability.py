@@ -18,8 +18,8 @@ import numpy as np
 
 from .algebra import is_nilpotent
 from .dynamics import ExoSignal, Trajectory, WordSeriesSystem, slot_norms
-from .quotient import (_slotwise, adapted_norm, evaluate_words, invariance_bound, level_block,
-                       spectral_radius, word_plan)
+from .quotient import (_slotwise, adapted_norm, evaluate_words, level_block, spectral_radius,
+                       word_plan)
 
 
 class HypothesisError(ValueError):
@@ -33,6 +33,18 @@ class CertificateRejected(Exception):
         super().__init__(f"{reason} (margin {margin:.6g})")
         self.reason = reason
         self.margin = margin
+
+
+def _require_invariance(sys: WordSeriesSystem) -> None:
+    """HypothesisError unless ``sys.invariance_report()`` holds, the decision ``liestab check``
+    prints: every certificate route needs the origin fixed and A to keep every chain level."""
+    inv = sys.invariance_report()
+    if not inv["state_letters"]:  # else the origin is no equilibrium, and the gains miss words
+        raise HypothesisError("certificate requires a state letter in every word")
+    for lv in inv["levels"]:
+        if lv["linear_residual"] > inv["bound"]:
+            raise HypothesisError(f"A does not preserve chain level {lv['level']} "
+                                  f"(residual {lv['linear_residual']:.3e})")
 
 
 def block_sum_norm(M: np.ndarray, block: int):
@@ -170,9 +182,9 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
                       epsilon: Optional[float] = None) -> NilpotentCertificate:
     """Semiglobal exponential stability certificate on a nilpotent algebra.
 
-    Requires the invariance ideal to be the whole algebra and the signal to
-    carry a certified geometric envelope (beta, s).  Checks the spectral
-    threshold rho(A) < s^{p(1-p)/2}, then assembles the rate ladder, the
+    Requires the invariance ideal to be the whole algebra, kept with its chain
+    (``_require_invariance``), and a certified geometric signal envelope (beta, s).  Checks
+    the spectral threshold rho(A) < s^{p(1-p)/2}, then assembles the rate ladder, the
     power-envelope constants, and the forcing gains into the end-to-end
     envelope (alpha_p, lambda_p).  Each level's rho_i is one eigenvalue solve,
     and the top one is rho(A): level p factors the zero ideal, so its block is
@@ -189,12 +201,11 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
         raise HypothesisError("algebra is not nilpotent")
     if sys.ideal.dim != sys.algebra.dim:
         raise HypothesisError("nilpotent certificate requires the invariance ideal to be the whole algebra")
-    if not sys.structural_state_letter_ok():  # else the origin is no equilibrium; the gains miss words
-        raise HypothesisError("nilpotent certificate requires a state letter in every word")
+    _require_invariance(sys)
     beta, s = signal.envelope()
     s = max(s, 1.0)
-    blocks = [level_block(sys.A_flag, sys.projections[i].quotient_dim) for i in range(1, p + 1)]
-    rhos = [spectral_radius(Abar) for Abar, _ in blocks]
+    blocks = [level_block(sys.A_flag, sys.projections[i].quotient_dim)[0] for i in range(1, p + 1)]
+    rhos = [spectral_radius(Abar) for Abar in blocks]
     rho_A = rhos[-1]
     threshold = s ** (p * (1 - p) / 2.0)
     if rho_A >= threshold:
@@ -210,9 +221,7 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
     # quotient levels: level i factors the (i+1)-th chain ideal
     Lambda_levels, lambda_levels, sigma_levels = [], [], []
     gamma_levels, alpha_levels = [], []
-    for i, ((Abar, resid), rho_i) in enumerate(zip(blocks, rhos), 1):
-        if resid > invariance_bound(sys.A):
-            raise HypothesisError(f"A does not preserve chain level {i + 1} (residual {resid:.3e})")
+    for i, (Abar, rho_i) in enumerate(zip(blocks, rhos), 1):
         Lam_i = rho_i + (i / (p + 1.0)) * epsilon
         if Lam_i <= rho_i:  # the epsilon share rounds away; power_envelope_constant needs a rate above rho_i
             raise CertificateRejected(f"level {i}: rho_{i} + {i}/{p + 1} epsilon rounds to rho_{i} = "
@@ -304,14 +313,15 @@ def certify_solvable(sys: WordSeriesSystem, signal: ExoSignal, horizon: int = 20
                      x0: Optional[np.ndarray] = None) -> SolvableReport:
     """Conditional global attractivity / GAS certificate on a solvable algebra.
 
-    Checks that the linear part is Schur and that the signal converges into
-    the invariance ideal, then pairs the verdict with simulation evidence.
+    Checks the chain (``_require_invariance``), that the linear part is Schur, and that the
+    signal converges into the invariance ideal, then pairs the verdict with simulation evidence.
     The admissible input amplitude has no closed form; the certificate is
     explicitly conditional on the input being small enough, and the evidence
     section reports the observed decay; a run from the origin is no evidence.
     A signal whose distance from the ideal is not finite gives the verdict ``overflow``.
     The algebra is solvable: a system's ideal is nilpotent and contains [g, g].
     """
+    _require_invariance(sys)
     rho_A = spectral_radius(sys.A)
     if rho_A >= 1.0:
         raise CertificateRejected(f"linear part is not Schur (rho = {rho_A:.6g})",
@@ -364,10 +374,11 @@ class DeadbeatCertificate:
 def deadbeat_horizon(sys: WordSeriesSystem) -> DeadbeatCertificate:
     """Finite-time convergence horizon for a nilpotent linear part.
 
-    Requires rho(A) <= 1e-10 and expects ideal-valued inputs.  The
-    level-i horizon is n (i dim g - sum_{j<=i} dim h^(j)); with one state slot
-    this is the plain dimension count i dim g - sum dim h^(j).
+    Requires the chain kept (``_require_invariance``, checked first) and rho(A) <= 1e-10,
+    and expects ideal-valued inputs.  The level-i horizon is n (i dim g - sum_{j<=i} dim h^(j));
+    with one state slot this is the plain dimension count i dim g - sum dim h^(j).
     """
+    _require_invariance(sys)
     rho = spectral_radius(sys.A)
     if rho > 1e-10:
         raise HypothesisError(f"deadbeat requires rho(A) = 0; got {rho:.3e}")

@@ -165,6 +165,41 @@ def test_certify_non_invariant_A_is_a_hypothesis_error(tmp_path, capsys):
     assert json.loads((out / "certificate-noninv.json").read_text())["verdict"] == "hypothesis-error"
 
 
+def test_certify_solvable_non_invariant_A_is_a_hypothesis_error(tmp_path, capsys):
+    # t6 feeds t1, so A moves the derived ideal off itself: check fails the chain, and the
+    # solvable route once issued a conditional pass on it
+    A = 0.5 * np.eye(6)
+    A[0, 5] = 0.3
+    path = tmp_path / "feed.json"
+    path.write_text(json.dumps({
+        "name": "feed", "algebra": "upper-triangular-6", "n": 1, "r": 1, "A": A.tolist(),
+        "ideal": "derived", "route": "solvable", "terms": [{"letters": ["X1", "W1"], "coeff": [0.5]}],
+        "signal": {"kind": "geometric", "base": [0.0, 0.0, 0.0, 1.0, 0.0, 0.0], "ratio": 0.9},
+        "x0": [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]}))
+    out = tmp_path / "out"
+    assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ("[FAIL] hypothesis error: A does not preserve chain level 1 "
+                                       "(residual 3.000e-01)\n")
+    assert json.loads((out / "certificate-feed.json").read_text())["verdict"] == "hypothesis-error"
+
+
+@pytest.mark.parametrize("command", ["deadbeat", "certify"])
+def test_deadbeat_non_invariant_A_is_a_hypothesis_error(tmp_path, capsys, command):
+    # a nilpotent A that maps h3 to h1: the horizon theorem's chain does not exist, so no
+    # horizon is stated (once "horizon 5" with a worst residual of 2.9)
+    path = tmp_path / "tilt.json"
+    path.write_text(json.dumps({
+        "name": "tilt", "algebra": "heisenberg", "n": 1, "r": 1,
+        "A": [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        "terms": [{"letters": ["X1", "W1"], "coeff": [0.6]},
+                  {"letters": ["W1", "X1", "W1"], "coeff": [-0.3]}],
+        "signal": {"kind": "zero"}, "x0": [1.0, 0.0, 0.0], "route": "deadbeat"}))
+    out = tmp_path / "out"
+    assert run([command, "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "[FAIL] A does not preserve chain level 2 (residual 1.000e+00)\n"
+    assert json.loads((out / "deadbeat-tilt.json").read_text())["verdict"] == "hypothesis-error"
+
+
 def test_check_passes_an_exact_linearization_of_a_large_A(tmp_path, capsys):
     # once A h / h rounded to errors near 2e-12 at ||A|| = 1e4; the complex step reads A exactly
     A = [[0.5, 1e4, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]

@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liestab.algebra import (LieAlgebra, _units, abelian, heisenberg, is_nilpotent,
-                             realized_algebra, upper_triangular6)
+from liestab.algebra import (_units, abelian, heisenberg, is_nilpotent, realized_algebra,
+                             upper_triangular6)
 from liestab.sampling import (GroupElement, LogNotConverged, PrincipalLogUndefined, TRACKING_A,
-                              adjoint_flow_step, bch_coefficient_table, bch_compose,
-                              expm, heisenberg_tracking_system, logm, step_invariant,
-                              tracking_bch_step, tracking_group_step, tracking_signal, tracking_state)
+                              TRACKING_FEEDFORWARD, TRACKING_GAIN, TRACKING_REFERENCE_DIRECTION,
+                              bch_coefficient_table, bch_compose, expm, heisenberg_tracking_system,
+                              logm, tracking_group_step, tracking_signal, tracking_state)
 
 
 def test_expm_logm_basics():
@@ -177,42 +177,12 @@ def test_group_element():
 
 
 def test_step_invariant_factors():
+    # under zero-order hold one period advances by exp(T A(u)); k periods chain to exp(k T A(u))
     alg = heisenberg()
-    gens = [alg.basis_vector("h1"), alg.basis_vector("h2"), alg.basis_vector("h3")]
-    ident = step_invariant(alg, gens, [0.0, 0.0, 0.0], T=1.0)
-    np.testing.assert_allclose(ident.matrix, np.eye(3), atol=0)
     u = np.array([0.4, -1.2, 0.7])
-    factor = step_invariant(alg, gens, u, T=1.0)
-    np.testing.assert_allclose(factor.matrix, expm(alg.to_matrix(u)), atol=1e-14)
-    np.testing.assert_allclose(factor.log_coords(), u, atol=1e-12)
-    # chaining k identical factors equals one factor over k periods
+    factor = GroupElement(expm(alg.to_matrix(u)), alg)
     chained = np.linalg.multi_dot([factor.matrix] * 4)
-    np.testing.assert_allclose(chained, step_invariant(alg, gens, u, T=4.0).matrix,
-                               atol=1e-12)
-
-
-def se2_algebra():
-    B1 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    B2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    B3 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    C = np.zeros((3, 3, 3))
-    C[0, 1, 2] = 1.0   # [rot, x-shift] = y-shift
-    C[1, 0, 2] = -1.0
-    C[0, 2, 1] = -1.0  # [rot, y-shift] = -x-shift
-    C[2, 0, 1] = 1.0
-    return LieAlgebra(C, labels=["r", "x", "y"], matrix_rep=[B1, B2, B3], name="se2")
-
-
-def test_step_invariant_planar_rigid_body():
-    alg = se2_algebra()
-    gens = [alg.basis_vector("r"), alg.basis_vector("x"), alg.basis_vector("y")]
-    u = np.array([0.9, 1.5, -0.3])
-    T = 0.25
-    factor = step_invariant(alg, gens, u, T)
-    np.testing.assert_allclose(factor.matrix,
-                               expm(T * (u[0] * alg.matrix_rep[0]
-                                         + u[1] * alg.matrix_rep[1]
-                                         + u[2] * alg.matrix_rep[2])), atol=1e-14)
+    np.testing.assert_allclose(chained, expm(4.0 * alg.to_matrix(u)), atol=1e-12)
 
 
 def test_bch_low_orders_match_printed_series():
@@ -320,13 +290,13 @@ def test_bch_refuses_non_nilpotent():
 
 
 def test_adjoint_flow_step():
+    # one sampled step X -> e^{ad_{T A}} X of the flow X' = [A, X]
     alg = heisenberg()
     # commuting pair: flow leaves the state alone
     x = alg.element(h1=1, h3=2)
-    np.testing.assert_allclose(adjoint_flow_step(alg, alg.basis_vector("h3"), 1.0, x),
-                               x, atol=0)
+    np.testing.assert_allclose(expm(alg.ad(alg.basis_vector("h3"))) @ x, x, atol=0)
     # one bracket survives: h2 -> h2 + [h1, h2] = h2 - h3
-    out = adjoint_flow_step(alg, alg.basis_vector("h1"), 1.0, alg.basis_vector("h2"))
+    out = expm(alg.ad(alg.basis_vector("h1"))) @ alg.basis_vector("h2")
     np.testing.assert_allclose(out, alg.element(h2=1, h3=-1), atol=1e-15)
 
 
@@ -337,7 +307,7 @@ def test_adjoint_flow_matches_conjugation():
     for _ in range(100):
         a = rng.standard_normal(6) * 0.5
         x = rng.standard_normal(6)
-        flowed = adjoint_flow_step(ut, a, 1.0, x)
+        flowed = expm(ut.ad(a)) @ x
         conj = expm(ut.to_matrix(a)) @ ut.to_matrix(x) @ expm(-ut.to_matrix(a))
         rep = ut.matrix_rep.reshape(6, -1)
         coords = np.linalg.lstsq(rep.T, conj.reshape(-1), rcond=None)[0]
@@ -351,8 +321,8 @@ def test_adjoint_flow_semigroup_property():
     for _ in range(30):
         a = rng.standard_normal(6) * 0.4
         x = rng.standard_normal(6)
-        one = adjoint_flow_step(ut, a, 0.7, adjoint_flow_step(ut, a, 0.3, x))
-        two = adjoint_flow_step(ut, a, 1.0, x)
+        one = expm(ut.ad(0.7 * a)) @ (expm(ut.ad(0.3 * a)) @ x)
+        two = expm(ut.ad(a)) @ x
         assert np.linalg.norm(one - two) < 1e-10
 
 
@@ -386,13 +356,16 @@ def test_tracking_group_vs_word_system():
 
 
 def test_tracking_bch_step_matches_group_and_word_system():
-    # the sampled-data claim: the order-2 BCH composition is the exact error step
+    # the sampled-data claim: the order-2 BCH composition is the exact error step (nilindex 2)
+    alg, V = heisenberg(), TRACKING_REFERENCE_DIRECTION
     sys41 = heisenberg_tracking_system()
     rng = np.random.default_rng(8)
     for _ in range(200):
         e = rng.standard_normal(3) * 2
         w = rng.standard_normal()
-        bch = tracking_bch_step(e, w)
+        u = TRACKING_GAIN @ e - TRACKING_FEEDFORWARD * w
+        z = bch_compose(alg, bch_compose(alg, 2 * w * V, u, 2), -w * V, 2)
+        bch = bch_compose(alg, z, e, 2)
         for other in (tracking_group_step(e, w),
                       sys41.evaluate(tracking_state(e), w * np.array([1.0, 2.0, 3.0]))[:3]):
             assert np.linalg.norm(bch - other) <= 1e-12 * np.linalg.norm(other)

@@ -80,7 +80,7 @@ def cmd_check(sc: Scenario, outdir: Path, seed: int) -> int:
     for label, good, why in [
             ("series majorant finite", np.isfinite(majorant), lambda: f"value {majorant:.6g} at radius {radius:.6g}"),
             ("unique equilibrium (structural + search)", eq["ok"], lambda: _equilibrium_failure(eq)),
-            ("chain invariance", inv["ok"], lambda: _invariance_failure(inv)),
+            ("chain invariance", inv["ok"], sys_.invariance_refusal),
             ("linearization matches A", jac["ok"], lambda: _jacobian_failure(jac))]:
         print(f"[PASS] {label}" if good else f"[FAIL] {label}: {why()}")
     if not np.isfinite(majorant):  # M and the radius are finite: an overflow
@@ -94,16 +94,15 @@ def _equilibrium_failure(eq: dict) -> str:
             else "a word without a state letter")
 
 
-def _invariance_failure(inv: dict) -> str:
-    """A word or family without a state letter, else the level of largest linear residual."""
-    if not inv["state_letters"]:
-        return "a word without a state letter"
-    lin = max(inv["levels"], key=lambda lv: lv["linear_residual"])
-    return f"level {lin['level']} linear residual {lin['linear_residual']:.3e} (bound {inv['bound']:.3e})"
-
-
 def _jacobian_failure(jac: dict) -> str:
     return f"state error {jac['state_error']:.3e}, input error {jac['input_error']:.3e} (bound {jac['bound']:.3e})"
+
+
+def _refuse(path: Path, exc: stability.HypothesisError) -> int:
+    """Every route's hypothesis refusal: the ``hypothesis-error`` JSON file and one [FAIL] line."""
+    write_json(path, {"verdict": "hypothesis-error", "reason": str(exc)})
+    print(f"[FAIL] hypothesis error: {exc}")
+    return EXIT_HYPOTHESIS
 
 
 def _route(sc: Scenario) -> str:
@@ -143,10 +142,7 @@ def cmd_certify(sc: Scenario, outdir: Path, seed: int, epsilon=None) -> int:
         print(f"[FAIL] certificate rejected: {exc.reason} (margin {exc.margin:+.6g})")
         return EXIT_HYPOTHESIS
     except stability.HypothesisError as exc:
-        payload = {"verdict": "hypothesis-error", "reason": str(exc)}
-        write_json(outdir / f"certificate-{sc.name}.json", payload)
-        print(f"[FAIL] hypothesis error: {exc}")
-        return EXIT_HYPOTHESIS
+        return _refuse(outdir / f"certificate-{sc.name}.json", exc)
     payload["scenario"] = sc.name
     payload["route"] = route
     write_json(outdir / f"certificate-{sc.name}.json", payload)
@@ -185,10 +181,7 @@ def cmd_deadbeat(sc: Scenario, outdir: Path, seed: int) -> int:
     try:
         cert = stability.deadbeat_horizon(sc.system)
     except stability.HypothesisError as exc:
-        write_json(outdir / f"deadbeat-{sc.name}.json",
-                    {"verdict": "hypothesis-error", "reason": str(exc)})
-        print(f"[FAIL] {exc}")
-        return EXIT_HYPOTHESIS
+        return _refuse(outdir / f"deadbeat-{sc.name}.json", exc)
     verify = stability.deadbeat_verified(
         sc.system, cert,
         lambda rng: ideal_valued_samples(sc.system, cert.horizon + 3, rng),

@@ -16,9 +16,9 @@ numpy calls of its arithmetic; ``_update`` lists them.  Each flow is e^{ad_base}
 ``_expm1_batch`` (scaling and squaring around a Taylor polynomial of degree m evaluated by
 Paterson-Stockmeyer; a nearly nilpotent stack is not scaled).  Maps act on stacked vectors slot
 by slot (``quotient._slotwise``).  A system writes A once in its chain's flag coordinates, ``A_flag``,
-whose ``quotient.level_block`` is each level's induced linear part and invariance residual;
-``invariance_report`` proves every chain level invariant under the map from the residuals within
-``quotient.invariance_bound`` and the words' state letters, evaluating nothing.  The map keeps its
+and reads each level's induced linear part and invariance residual off it once, ``level_blocks``; from
+those and the words' state letters ``invariance_refusal`` decides, evaluating nothing, whether every
+chain level is invariant under the map, the ``ok`` of ``invariance_report``.  The map keeps its
 input's dtype: ``linearization`` takes the Jacobians at (0, W) by one complex step over every axis,
 in chunks of ``LINEARIZATION_ENTRIES`` that count the flow kernel's stacks, and ``jacobian_report``
 compares them at the origin with (A, 0).  A step's state letters are i h e_k or 0, purely imaginary,
@@ -33,7 +33,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -124,12 +124,6 @@ class AdjointFamily:
 
     def base_weight_l1(self) -> float:
         return float(sum(abs(v) for v in self.base.values()))
-
-    def has_state_words_only(self) -> bool:
-        """True when every expanded word contains a state letter."""
-        if self.target[0] == "X":
-            return True
-        return all(kind == "X" for kind, _ in self.base)
 
 
 def _letter_index(letter: Letter, n: int) -> int:
@@ -638,9 +632,14 @@ class WordSeriesSystem:
     # -- structural and numerical checks -------------------------------------
 
     def structural_state_letter_ok(self) -> bool:
-        """Every stored word and every family word contains a state letter."""
+        """Every stored word and every family word contains a state letter: a family's words do when
+        its target is a state letter or all its base letters are."""
         return (all(t.word.state_letter_count >= 1 for t in self.terms)
-                and all(f.has_state_words_only() for f in self.families))
+                and all(f.target[0] == "X" or all(k == "X" for k, _ in f.base) for f in self.families))
+
+    # each chain level's (Abar, residual) off A_flag, read once; entry i is modulo h_{i+1}, as projections[i]
+    level_blocks = cached_property(lambda self: tuple(level_block(self.A_flag, ctx.quotient_dim)
+                                                      for ctx in self.projections.contexts))
 
     def invariance_report(self) -> dict:
         """Invariance of every chain level h_i under the map, decided by the paper's theorem.
@@ -650,16 +649,24 @@ class WordSeriesSystem:
         therefore lands in h_i, and so does a family whose target is a state letter, or whose
         base letters are all state letters.  So the map keeps every h_i, and nothing is sampled,
         when ``state_letters`` holds and each level's ``linear_residual``, how far A moves h_i
-        off itself (the residual of ``quotient.level_block``), is at most ``bound``.
+        off itself (``level_blocks[L - 1]``'s residual for level L), is at most ``bound``.
         """
-        bound = invariance_bound(self.A)
-        levels = [{"level": idx + 1, "dim": ctx.ideal.dim,
-                   "linear_residual": level_block(self.A_flag, ctx.quotient_dim)[1]}
-                  for idx, ctx in enumerate(self.projections.contexts)]
-        state_letters = self.structural_state_letter_ok()
-        ok = state_letters and all(lv["linear_residual"] <= bound for lv in levels)
-        return {"ok": ok, "kind": "proof", "state_letters": state_letters, "bound": bound,
+        levels = [{"level": i, "dim": ctx.ideal.dim, "linear_residual": resid}
+                  for i, (ctx, (_, resid)) in enumerate(zip(self.projections.contexts, self.level_blocks), 1)]
+        return {"ok": self.invariance_refusal() is None, "kind": "proof",
+                "state_letters": self.structural_state_letter_ok(), "bound": invariance_bound(self.A),
                 "levels": levels}
+
+    def invariance_refusal(self) -> Optional[str]:
+        """Why ``invariance_report`` fails, None when it holds: a word without a state letter, else the
+        first level whose residual is not within the bound.  ``check`` prints it; certificates raise it."""
+        if not self.structural_state_letter_ok():
+            return "a word without a state letter"
+        bound = invariance_bound(self.A)
+        for i, (_, resid) in enumerate(self.level_blocks, 1):
+            if not resid <= bound:
+                return f"A does not preserve chain level {i} (residual {resid:.3e}, bound {bound:.3e})"
+        return None
 
     def equilibrium_report(self, seed: int = 0, starts: int = 100,
                            iters: int = 300) -> dict:
@@ -675,7 +682,7 @@ class WordSeriesSystem:
         rng = np.random.default_rng(seed)
         structural = self.structural_state_letter_ok()
         lin_margin = _min_singular(np.eye(self.state_dim) - self.A)
-        A0 = level_block(self.A_flag, self.projections[0].quotient_dim)[0]  # invariance_report judges it
+        A0 = self.level_blocks[0][0]  # invariance_report judges it
         q_margin = _min_singular(np.eye(A0.shape[0]) - A0)
         violations, surviving = [], []
         with np.errstate(over="ignore", invalid="ignore"):  # a start past the float range leaves
@@ -756,14 +763,15 @@ class WordSeriesSystem:
     def quotient_system(self, level: int) -> "WordSeriesSystem":
         """Induced system on the quotient modulo chain ideal ``level`` + 1.
 
-        Words and families are shared; only the algebra, the linear part (a ``level_block``
-        of ``A_flag``), and the invariance chain are pushed through the projection.  Raises
-        InvarianceViolation if A moves the factored ideal off itself past ``invariance_bound``.
+        Words and families are shared; only the algebra, the linear part (``level_blocks[level]``), and
+        the invariance chain are pushed through the projection.  Raises ValueError unless 0 <= level <= p,
+        and InvarianceViolation if A moves the factored ideal off itself past ``invariance_bound``.
         """
-        ctx = self.projections[level]
-        Abar, resid = level_block(self.A_flag, ctx.quotient_dim)
-        if resid > invariance_bound(self.A):
+        self.projections.levels(level, first=0)
+        Abar, resid = self.level_blocks[level]
+        if not resid <= invariance_bound(self.A):  # NaN fails, as in invariance_refusal
             raise InvarianceViolation(resid)
+        ctx = self.projections[level]
         proj_ideal = Subspace(ctx.P @ self.ideal.onb) if self.ideal.dim else Subspace.zero(ctx.quotient_dim)
         return WordSeriesSystem(quotient_algebra(ctx), self.n, self.r, Abar, self.terms, self.families,
                                 invariance_ideal=proj_ideal, radius=self.radius,

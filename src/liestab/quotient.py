@@ -229,6 +229,12 @@ class ChainProjections:
     def __len__(self) -> int:
         return len(self.contexts)
 
+    def levels(self, level: Optional[int] = None, first: int = 1) -> range:
+        """Levels ``first``..p, or ``level`` alone; ValueError for a level outside that range."""
+        if level is not None and not first <= level < len(self):
+            raise ValueError(f"level must be in {first}..{len(self) - 1}, got {level}")
+        return range(first, len(self)) if level is None else range(level, level + 1)
+
 
 def word_plan(words) -> tuple:
     """Letter sequences compiled once: their distinct suffixes of two or more letters, sorted by
@@ -275,11 +281,10 @@ def layered_word_residual(proj: ChainProjections, letters: Sequence[np.ndarray],
     """
     alg = proj.algebra
     letters = [np.asarray(y, dtype=float) for y in letters]
-    levels = range(1, len(proj)) if level is None else [level]
     filt0 = proj[0].P.T @ proj[0].P
     eye = np.eye(alg.dim)
     worst = 0.0
-    for i in levels:
+    for i in proj.levels(level):
         filt = proj[i - 1].P.T @ proj[i - 1].P
         lhs = proj[i].P @ bracket_word(alg, letters)
         total = bracket_word(alg, [filt @ y for y in letters])
@@ -294,9 +299,8 @@ def layered_word_residual(proj: ChainProjections, letters: Sequence[np.ndarray],
 def collapse_identity_residual(proj: ChainProjections, level: Optional[int] = None) -> float:
     """Residual of F_0 F_{i-1} = F_0 with F_i = P_i.T P_i (matrix norm)."""
     filt0 = proj[0].P.T @ proj[0].P
-    levels = range(1, len(proj)) if level is None else [level]
     worst = 0.0
-    for i in levels:
+    for i in proj.levels(level):
         diff = filt0 @ (proj[i - 1].P.T @ proj[i - 1].P) - filt0
         worst = max(worst, float(np.linalg.norm(diff)))
     return worst

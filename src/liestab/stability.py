@@ -18,8 +18,7 @@ import numpy as np
 
 from .algebra import is_nilpotent
 from .dynamics import ExoSignal, Trajectory, WordSeriesSystem, slot_norms
-from .quotient import (_slotwise, adapted_norm, evaluate_words, level_block, spectral_radius,
-                       word_plan)
+from .quotient import _slotwise, adapted_norm, evaluate_words, spectral_radius, word_plan
 
 
 class HypothesisError(ValueError):
@@ -36,15 +35,10 @@ class CertificateRejected(Exception):
 
 
 def _require_invariance(sys: WordSeriesSystem) -> None:
-    """HypothesisError unless ``sys.invariance_report()`` holds, the decision ``liestab check``
-    prints: every certificate route needs the origin fixed and A to keep every chain level."""
-    inv = sys.invariance_report()
-    if not inv["state_letters"]:  # else the origin is no equilibrium, and the gains miss words
-        raise HypothesisError("certificate requires a state letter in every word")
-    for lv in inv["levels"]:
-        if lv["linear_residual"] > inv["bound"]:
-            raise HypothesisError(f"A does not preserve chain level {lv['level']} "
-                                  f"(residual {lv['linear_residual']:.3e})")
+    """HypothesisError with ``sys.invariance_refusal()``, as ``liestab check`` prints it: every certificate
+    route needs the origin fixed (a state letter in every word) and A to keep every chain level."""
+    if reason := sys.invariance_refusal():
+        raise HypothesisError(reason)
 
 
 def block_sum_norm(M: np.ndarray, block: int):
@@ -204,8 +198,7 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
     _require_invariance(sys)
     beta, s = signal.envelope()
     s = max(s, 1.0)
-    blocks = [level_block(sys.A_flag, sys.projections[i].quotient_dim)[0] for i in range(1, p + 1)]
-    rhos = [spectral_radius(Abar) for Abar in blocks]
+    rhos = [spectral_radius(Abar) for Abar, _ in sys.level_blocks[1:]]
     rho_A = rhos[-1]
     threshold = s ** (p * (1 - p) / 2.0)
     if rho_A >= threshold:
@@ -221,7 +214,7 @@ def certify_nilpotent(sys: WordSeriesSystem, signal: ExoSignal, M: float,
     # quotient levels: level i factors the (i+1)-th chain ideal
     Lambda_levels, lambda_levels, sigma_levels = [], [], []
     gamma_levels, alpha_levels = [], []
-    for i, (Abar, rho_i) in enumerate(zip(blocks, rhos), 1):
+    for i, ((Abar, _), rho_i) in enumerate(zip(sys.level_blocks[1:], rhos), 1):
         Lam_i = rho_i + (i / (p + 1.0)) * epsilon
         if Lam_i <= rho_i:  # the epsilon share rounds away; power_envelope_constant needs a rate above rho_i
             raise CertificateRejected(f"level {i}: rho_{i} + {i}/{p + 1} epsilon rounds to rho_{i} = "
@@ -274,8 +267,9 @@ def forcing_norms(sys: WordSeriesSystem, states: np.ndarray, signal: ExoSignal,
     u_level collects every word of length <= level, its letters filtered
     through P_{level-1}.T P_{level-1}, projected by P_level, weighted by the
     word coefficients; the per-step norm is the sum of slot norms.  Each distinct
-    letter is filtered once, and the words go through one ``evaluate_words`` plan.
+    letter is filtered once, and the words go through one ``evaluate_words`` plan; level is 1..p.
     """
+    sys.projections.levels(level)
     ctx = sys.projections[level]
     filt = sys.projections[level - 1].P.T @ sys.projections[level - 1].P
     K = states.shape[0]

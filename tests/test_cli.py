@@ -161,7 +161,7 @@ def test_certify_non_invariant_A_is_a_hypothesis_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().out == ("[FAIL] hypothesis error: A does not preserve chain level 2 "
-                                       "(residual 2.000e-01)\n")
+                                       "(residual 2.000e-01, bound 1.000e-10)\n")
     assert json.loads((out / "certificate-noninv.json").read_text())["verdict"] == "hypothesis-error"
 
 
@@ -179,7 +179,7 @@ def test_certify_solvable_non_invariant_A_is_a_hypothesis_error(tmp_path, capsys
     out = tmp_path / "out"
     assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().out == ("[FAIL] hypothesis error: A does not preserve chain level 1 "
-                                       "(residual 3.000e-01)\n")
+                                       "(residual 3.000e-01, bound 1.261e-10)\n")
     assert json.loads((out / "certificate-feed.json").read_text())["verdict"] == "hypothesis-error"
 
 
@@ -196,8 +196,33 @@ def test_deadbeat_non_invariant_A_is_a_hypothesis_error(tmp_path, capsys, comman
         "signal": {"kind": "zero"}, "x0": [1.0, 0.0, 0.0], "route": "deadbeat"}))
     out = tmp_path / "out"
     assert run([command, "--scenario", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr().out == "[FAIL] A does not preserve chain level 2 (residual 1.000e+00)\n"
+    assert capsys.readouterr().out == ("[FAIL] hypothesis error: A does not preserve chain level 2 "
+                                       "(residual 1.000e+00, bound 1.000e-10)\n")
     assert json.loads((out / "deadbeat-tilt.json").read_text())["verdict"] == "hypothesis-error"
+
+
+def test_check_and_every_certificate_route_refuse_the_same_level(tmp_path, capsys):
+    # A moves h2 off itself by 1e-9 (E2_4 into E1_2) and h3 by 0.5 (E1_4 into E1_3): check once named
+    # the level of largest residual, 3, and the certificates the first level past the bound, 2
+    alg = nilpotent_upper(4)
+    A = 0.5 * np.eye(alg.dim)
+    at = alg.labels.index
+    A[at("E1_2"), at("E2_4")] = 1e-9
+    A[at("E1_3"), at("E1_4")] = 0.5
+    reason = "A does not preserve chain level 2 (residual 1.000e-09, bound 1.323e-10)"
+    out = tmp_path / "out"
+    for route in ("nilpotent", "solvable", "deadbeat"):
+        (tmp_path / f"{route}.json").write_text(json.dumps({
+            "name": route, "algebra": algebra_to_dict(alg), "n": 1, "r": 1, "A": A.tolist(),
+            "terms": [{"letters": ["X1", "W1"], "coeff": [0.1]}], "route": route}))
+    assert run(["check", "--scenario", str(tmp_path / "nilpotent.json"), "--out", str(out)]) == 1
+    assert_failed_checks(capsys.readouterr().out, f"[FAIL] chain invariance: {reason}")
+    for command, route, written in [("certify", "nilpotent", "certificate"), ("certify", "solvable", "certificate"),
+                                    ("certify", "deadbeat", "deadbeat"), ("deadbeat", "nilpotent", "deadbeat")]:
+        assert run([command, "--scenario", str(tmp_path / f"{route}.json"), "--out", str(out)]) == 1
+        assert capsys.readouterr().out == f"[FAIL] hypothesis error: {reason}\n"
+        assert json.loads((out / f"{written}-{route}.json").read_text()) == {"verdict": "hypothesis-error",
+                                                                            "reason": reason}
 
 
 def test_check_passes_an_exact_linearization_of_a_large_A(tmp_path, capsys):
@@ -668,15 +693,15 @@ def assert_failed_checks(stdout, failed):
 
 
 @pytest.mark.parametrize("breakage,line", [
-    ({"A": [[0.5, 0.0, 3e-10], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]},  # A moves h3 off itself, too little
-     "[FAIL] chain invariance: level 2 linear residual 3.000e-10 (bound 1.000e-10)"),  # for the map's bound
+    ({"A": [[0.5, 0.0, 3e-10], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]},  # A moves h3 off itself, a little
+     "[FAIL] chain invariance: A does not preserve chain level 2 (residual 3.000e-10, bound 1.000e-10)"),
     ({"r": 2, "terms": [{"letters": ["W1", "W2"], "coeff": [1.0]}], "signal": {"kind": "zero"}},
      "[FAIL] unique equilibrium (structural + search): a word without a state letter\n"
      "[FAIL] chain invariance: a word without a state letter"),  # [W1, W2] lands in h3, unproven
     ({"A": np.eye(3).tolist(), "terms": []},  # every state is a fixed point
      "[FAIL] unique equilibrium (structural + search): 200 violations, smallest residual 0.000e+00"),
     ({"A": [[0.3, 0.0, 0.2], [0.0, 0.3, 0.0], [0.0, 0.0, 0.3]]},  # A moves the centre h3 off itself
-     "[FAIL] chain invariance: level 2 linear residual 2.000e-01 (bound 1.000e-10)"),
+     "[FAIL] chain invariance: A does not preserve chain level 2 (residual 2.000e-01, bound 1.000e-10)"),
 ])
 def test_a_failed_check_states_what_failed_and_by_how_much(tmp_path, capsys, breakage, line):
     path = tmp_path / "broken.json"

@@ -13,12 +13,13 @@ from liestab.algebra import (abelian, derived_algebra, heisenberg, nilpotent_upp
 from liestab.dynamics import (AdjointFamily, ExoSignal,
                               SystemSpecError, Term, Word, WordSeriesSystem,
                               _expm1_batch, _min_singular, parse_letter)
-from liestab.quotient import InvarianceViolation, _slotwise, induced_map, level_block
+from liestab.quotient import (InvarianceViolation, _slotwise, collapse_identity_residual, induced_map,
+                              invariance_bound, layered_word_residual, level_block)
 from liestab.sampling import (expm, heisenberg_tracking_system, tracking_signal,
                               tracking_state)
 from liestab.scenarios import (BUILTINS, EX61_X0, builtin_scenario, ex61_signal, ex61_system,
                                heisenberg_deadbeat_system, uptri_deadbeat_system)
-from liestab.stability import HypothesisError, certify_nilpotent
+from liestab.stability import HypothesisError, certify_nilpotent, forcing_norms
 from test_algebra import complex_gemm_ad
 from test_stability import bench_sweep_case
 
@@ -1079,7 +1080,9 @@ def test_slotwise_matches_kron_lifts():
     resid = level_block(rot.A_flag, rot.projections[1].quotient_dim)[1]
     with pytest.raises(InvarianceViolation):
         induced_map(rot.projections[1], rot.A)
-    with pytest.raises(HypothesisError, match=rf"^A does not preserve chain level 2 \(residual {resid:.3e}\)$"):
+    bound = invariance_bound(rot.A)
+    with pytest.raises(HypothesisError,
+                       match=rf"^A does not preserve chain level 2 \(residual {resid:.3e}, bound {bound:.3e}\)$"):
         certify_nilpotent(rot, ExoSignal.zero(1, 3), M=1.0)
 
 
@@ -1089,6 +1092,26 @@ def test_invariance_violation_blocks_quotient():
     bad = WordSeriesSystem(alg, 1, 1, rot)
     with pytest.raises(InvarianceViolation):
         bad.quotient_system(1)
+
+
+def test_a_level_outside_the_chain_is_refused():
+    # a negative level once wrapped round: quotient_system(-1) built the level-p system, named
+    # ".../level-1", commuting_square_residual(-1) returned 0.0, and forcing_norms at level 0 or -1 zeros
+    sc = builtin_scenario("example-4.1")
+    sys_, p = sc.system, len(sc.system.projections) - 1
+    states = sys_.simulate(sc.x0, sc.signal, 5).states
+    letters = list(np.random.default_rng(0).standard_normal((3, sys_.d)))
+    for level in (-1, p + 1):
+        for call in (sys_.quotient_system, sys_.commuting_square_residual):
+            with pytest.raises(ValueError, match=rf"^level must be in 0\.\.{p}, got {level}$"):
+                call(level)
+    for level in (-1, 0, p + 1):
+        for call in (lambda: forcing_norms(sys_, states, sc.signal, level),
+                     lambda: layered_word_residual(sys_.projections, letters, level),
+                     lambda: collapse_identity_residual(sys_.projections, level)):
+            with pytest.raises(ValueError, match=rf"^level must be in 1\.\.{p}, got {level}$"):
+                call()
+    assert sys_.quotient_system(p).name.endswith(f"/level{p}")  # the top level itself is valid
 
 
 def test_family_base_refuses_a_repeated_letter():

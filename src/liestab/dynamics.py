@@ -665,25 +665,59 @@ class WordSeriesSystem:
         bound = invariance_bound(self.A)
         for i, (_, resid) in enumerate(self.level_blocks, 1):
             if not resid <= bound:
-                return f"A does not preserve chain level {i} (residual {resid:.3e}, bound {bound:.3e})"
+                return str(InvarianceViolation(i, resid, bound))
         return None
 
-    def equilibrium_report(self, seed: int = 0, starts: int = 100,
-                           iters: int = 300) -> dict:
-        """Falsification search for nonzero fixed points, plus structural facts.
+    def equilibrium_report(self, seed: int = 0, starts: int = 100, iters: int = 300) -> dict:
+        """Is the origin the map's only fixed point?  A proof for every input where one holds, else
+        ``equilibrium_search``.
 
-        Cannot prove uniqueness; reports structural state-letter coverage,
-        invertibility margins of I - A (full and on the top quotient, where the
-        dynamics are linear), and any fixed point with small residual and non-small
-        norm of the 1/2-damped iteration under a zero and a random input, each of whose
-        ``iters`` steps is one ``evaluate_batch`` call on the starts not yet past 1e30.
-        ``surviving_starts`` counts, per input, the starts still searched after the last step.
+        The proof (``kind: "proof"``, ``inputs: "all"``) holds when the chain is g's own lower central
+        series g = h_1, h_{i+1} = [g, h_i], ``invariance_refusal`` is None, and on every level i the
+        graded block D_i of A on h_i / h_{i+1}, ``A_flag[:, q_{i-1}:q_i, :, q_{i-1}:q_i]`` with q_i the
+        coordinates modulo h_{i+1}, has a ``margin`` sigma_min(I - D_i) above its rounding ``bound``.
+        Take any input and a fixed point X, which lies in h_1.  If X lies in h_i, every word has a state
+        letter in h_i and its other letters in g, so it lands in [g, h_i] = h_{i+1}, an ideal; so does
+        every family term ad(B)^l T / l!, l >= 1, whose target T or whole base B is state letters.  A
+        keeps h_i: its blocks above the graded ones are the invariance residuals, within the bound.  So
+        modulo h_{i+1} the graded part of X satisfies X_i = D_i X_i, hence X_i = 0 and X lies in h_{i+1};
+        after the last level, X = 0.  The bound is u (2 d^2 ||A||_F + (m + 1) ||I - D_i||_F), u = 2^-53,
+        D_i of size m: the flag product, two products of inner dimension d with an orthonormal Q whose
+        |Q| has 2-norm at most ||Q||_F = sqrt d, moves D_i by at most 2 d^2 u ||A||_F (by nothing on an
+        exact flag, a permutation), the subtraction from I by u ||I - D_i||_F, and the SVD a singular
+        value by about m u ||I - D_i||_F; a singular value moves by at most the 2-norm of a perturbation
+        (Weyl), so a margin above the bound proves 1 no eigenvalue of D_i.  The proof evaluates nothing.
+
+        Both kinds report the structural state-letter coverage and the invertibility margins of I - A,
+        in full and on the quotient modulo h_1 (where the dynamics are linear; 0 x 0 on g's own series).
+        """
+        structural = self.structural_state_letter_ok()
+        A0 = self.level_blocks[0][0]  # invariance_report judges it
+        facts = {"structural_ok": structural,
+                 "linear_margin": _min_singular(np.eye(self.state_dim) - self.A),
+                 "quotient_linear_margin": _min_singular(np.eye(A0.shape[0]) - A0)}
+        if self.ideal.dim == self.d and self.invariance_refusal() is None:
+            q = [ctx.quotient_dim for ctx in self.projections.contexts]
+            norm_A, levels = float(np.linalg.norm(self.A)), []
+            for i, (a, b) in enumerate(zip(q, q[1:]), 1):
+                m = self.n * (b - a)
+                I_D = np.eye(m) - self.A_flag[:, a:b, :, a:b].reshape(m, m)
+                bound = 2.0 ** -53 * (2 * self.d ** 2 * norm_A + (m + 1) * float(np.linalg.norm(I_D)))
+                levels.append({"level": i, "margin": _min_singular(I_D), "bound": bound})
+            if all(lv["margin"] > lv["bound"] for lv in levels):  # NaN fails
+                return {"kind": "proof", "inputs": "all", **facts, "levels": levels, "ok": True}
+        search = self.equilibrium_search(seed, starts, iters)
+        return {"kind": "search", **facts, **search, "ok": structural and not search["violations"]}
+
+    def equilibrium_search(self, seed: int = 0, starts: int = 100, iters: int = 300) -> dict:
+        """Falsification search for nonzero fixed points: it cannot prove uniqueness.
+
+        Reports any fixed point with small residual and non-small norm of the 1/2-damped iteration
+        under a zero and a random input, each of whose ``iters`` steps is one ``evaluate_batch``
+        call on the starts not yet past 1e30.  ``surviving_starts`` counts, per input, the starts
+        still searched after the last step.
         """
         rng = np.random.default_rng(seed)
-        structural = self.structural_state_letter_ok()
-        lin_margin = _min_singular(np.eye(self.state_dim) - self.A)
-        A0 = self.level_blocks[0][0]  # invariance_report judges it
-        q_margin = _min_singular(np.eye(A0.shape[0]) - A0)
         violations, surviving = [], []
         with np.errstate(over="ignore", invalid="ignore"):  # a start past the float range leaves
             for w in [np.zeros(self.r * self.d), rng.standard_normal(self.r * self.d) * 0.5]:
@@ -704,12 +738,7 @@ class WordSeriesSystem:
                 for x, resid, nrm in zip(xs, resids, norms):
                     if resid < 1e-8 and nrm > 1e-4:
                         violations.append({"norm": float(nrm), "residual": float(resid), "point": x.tolist()})
-        return {"structural_ok": structural,
-                "linear_margin": lin_margin,
-                "quotient_linear_margin": q_margin,
-                "violations": violations,
-                "surviving_starts": surviving,
-                "ok": structural and not violations}
+        return {"violations": violations, "surviving_starts": surviving}
 
     def linearization(self, W) -> tuple:
         """The state and input Jacobians (J_X, J_W) of the update map at (0, W), by complex step.
@@ -765,12 +794,13 @@ class WordSeriesSystem:
 
         Words and families are shared; only the algebra, the linear part (``level_blocks[level]``), and
         the invariance chain are pushed through the projection.  Raises ValueError unless 0 <= level <= p,
-        and InvarianceViolation if A moves the factored ideal off itself past ``invariance_bound``.
+        and InvarianceViolation, naming chain level ``level`` + 1, if A moves the factored ideal off itself
+        past ``invariance_bound``.
         """
         self.projections.levels(level, first=0)
         Abar, resid = self.level_blocks[level]
-        if not resid <= invariance_bound(self.A):  # NaN fails, as in invariance_refusal
-            raise InvarianceViolation(resid)
+        if not resid <= (bound := invariance_bound(self.A)):  # NaN fails, as in invariance_refusal
+            raise InvarianceViolation(level + 1, resid, bound)
         ctx = self.projections[level]
         proj_ideal = Subspace(ctx.P @ self.ideal.onb) if self.ideal.dim else Subspace.zero(ctx.quotient_dim)
         return WordSeriesSystem(quotient_algebra(ctx), self.n, self.r, Abar, self.terms, self.families,

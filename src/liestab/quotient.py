@@ -25,11 +25,12 @@ INVARIANCE_TOL = 1e-10
 
 
 class InvarianceViolation(ValueError):
-    """Raised when a map does not preserve the subspace being factored out."""
+    """Raised when a map moves the chain level being factored out off itself by more than
+    ``invariance_bound``; its words are ``WordSeriesSystem.invariance_refusal``'s."""
 
-    def __init__(self, residual: float):
-        super().__init__(f"subspace is not invariant under the map (residual {residual:.3e})")
-        self.residual = residual
+    def __init__(self, level: int, residual: float, bound: float):
+        super().__init__(f"A does not preserve chain level {level} (residual {residual:.3e}, bound {bound:.3e})")
+        self.level, self.residual, self.bound = level, residual, bound
 
 
 def flag_basis(ideals: Sequence[Subspace], d: int) -> np.ndarray:
@@ -58,14 +59,17 @@ class QuotientContext:
 
     P is the (q, d) canonical projection in complement coordinates, q = d - dim V: the leading
     q rows of ``flag``, the ``flag_basis`` Q.T of V alone (of the whole chain for a chain level);
-    P.T is its minimum-norm right inverse, the embedding of the quotient.
+    P.T is its minimum-norm right inverse, the embedding of the quotient.  ``level`` numbers the
+    ideal in its chain, h_1 first: 1 for an ideal alone.
     """
 
-    def __init__(self, algebra: LieAlgebra, ideal: Subspace, _flag: Optional[np.ndarray] = None):
+    def __init__(self, algebra: LieAlgebra, ideal: Subspace, _flag: Optional[np.ndarray] = None,
+                 _level: int = 1):
         if ideal.ambient_dim != algebra.dim:
             raise ValueError("ideal ambient dimension does not match algebra")
         self.algebra = algebra
         self.ideal = ideal
+        self.level = _level
         self.flag = flag_basis([ideal], algebra.dim) if _flag is None else _flag  # the whole Q.T
         self.P = self.flag[:algebra.dim - ideal.dim]
 
@@ -118,8 +122,8 @@ def induced_map(ctx: QuotientContext, A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     n = A.shape[0] // max(1, ctx.algebra.dim)  # a 0 x 0 map on a 0-dimensional algebra: any n
     Abar, resid = level_block(flag_coordinates(ctx.flag, A, n), ctx.quotient_dim)
-    if resid > invariance_bound(A):
-        raise InvarianceViolation(resid)
+    if not resid <= (bound := invariance_bound(A)):  # NaN fails, as in invariance_refusal
+        raise InvarianceViolation(ctx.level, resid, bound)
     return Abar
 
 
@@ -221,7 +225,7 @@ class ChainProjections:
             raise ValueError("chain must terminate at the zero subspace")
         self.algebra = algebra
         self.flag = flag_basis(chain.ideals, algebra.dim)
-        self.contexts = [QuotientContext(algebra, s, self.flag) for s in chain.ideals]
+        self.contexts = [QuotientContext(algebra, s, self.flag, level) for level, s in enumerate(chain.ideals, 1)]
 
     def __getitem__(self, i: int) -> QuotientContext:
         return self.contexts[i]

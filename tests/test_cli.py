@@ -681,8 +681,41 @@ def test_check_searches_600_batches_of_100_rows(tmp_path, monkeypatch):
     assert rows == [100] * 600
 
 
-CHECK_PASS_LINES = {"[PASS] series majorant finite", "[PASS] unique equilibrium (structural + search)",
-                    "[PASS] chain invariance", "[PASS] linearization matches A"}
+def test_check_proves_the_equilibrium_unique_on_gs_own_series(tmp_path, monkeypatch, capsys):
+    # example-4.1 and heisenberg-deadbeat use g's own lower central series, and no graded block of A
+    # has eigenvalue 1: a proof for every input, with no evaluate_batch call; the two builtins on an
+    # ideal chain still search, 600 calls of 100 rows
+    rows = {}
+
+    def scenario(*args, **kwargs):
+        sc = builtin_scenario(*args, **kwargs)
+        batch, calls = sc.system.evaluate_batch, rows.setdefault(sc.name, [])
+        monkeypatch.setattr(sc.system, "evaluate_batch", lambda X, W: (calls.append(len(X)), batch(X, W))[1])
+        return sc
+
+    monkeypatch.setattr(cli, "builtin_scenario", scenario)
+    for name in sorted(BUILTINS):
+        assert run(["check", "--builtin", name, "--seed", "0", "--out", str(tmp_path)]) == 0
+        eq = json.loads((tmp_path / f"check-{name}.json").read_text())["equilibrium"]
+        proved = name in ("example-4.1", "heisenberg-deadbeat")
+        assert eq["kind"] == ("proof" if proved else "search") and eq["ok"]
+        assert ("[PASS] unique equilibrium (proof)" in capsys.readouterr().out) == proved
+        assert rows[name] == ([] if proved else [100] * 600)
+        assert ("violation_count" in eq) != proved
+
+
+def test_check_searches_where_a_graded_block_has_eigenvalue_one(tmp_path):
+    # A = I: every state is a fixed point, the proof does not hold, and the search reports them
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(NONFINITE_BASE | {"A": np.eye(3).tolist(), "terms": []}))
+    assert run(["check", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    eq = json.loads((tmp_path / "out" / "check-nf.json").read_text())["equilibrium"]
+    assert eq["kind"] == "search" and eq["violation_count"] == 200 and eq["surviving_starts"] == [100, 100]
+
+
+CHECK_PASS_LINES = {"[PASS] series majorant finite", "[PASS] unique equilibrium (proof)",
+                    "[PASS] unique equilibrium (structural + search)", "[PASS] chain invariance",
+                    "[PASS] linearization matches A"}
 
 
 def assert_failed_checks(stdout, failed):

@@ -20,7 +20,7 @@ from liestab.sampling import (expm, heisenberg_tracking_system, tracking_signal,
 from liestab.scenarios import (BUILTINS, EX61_X0, builtin_scenario, ex61_signal, ex61_system,
                                heisenberg_deadbeat_system, uptri_deadbeat_system)
 from liestab.stability import HypothesisError, certify_nilpotent, forcing_norms
-from test_algebra import complex_gemm_ad
+from test_algebra import complex_gemm_ad, rotated
 from test_stability import bench_sweep_case
 
 
@@ -121,7 +121,8 @@ def reference_equilibrium_report(sys_, seed=0, starts=100, iters=300):
         for x, resid, nrm in zip(xs, resids, norms):
             if resid < 1e-8 and nrm > 1e-4:
                 violations.append({"norm": float(nrm), "residual": float(resid), "point": x.tolist()})
-    return {"structural_ok": structural,
+    return {"kind": "search",
+            "structural_ok": structural,
             "linear_margin": lin_margin,
             "quotient_linear_margin": q_margin,
             "violations": violations,
@@ -907,9 +908,11 @@ def test_equilibrium_report():
     fam_bad = WordSeriesSystem(alg, 1, 2, 0.5 * np.eye(3),
                                families=[AdjointFamily(1, 1.0, {"W1": 1.0}, "W2")])
     assert not fam_bad.structural_state_letter_ok()
-    # linear map with a fixed-point subspace is caught by the search
+    # linear map with a fixed-point subspace: its graded block has eigenvalue 1, so no proof, and
+    # the search catches it
     loop = WordSeriesSystem(abelian(2), 1, 1, np.diag([1.0, 0.4]))
     rep = loop.equilibrium_report(starts=30, iters=200)
+    assert rep["kind"] == "search"
     assert rep["violations"]
     assert not rep["ok"]
 
@@ -1090,8 +1093,10 @@ def test_invariance_violation_blocks_quotient():
     alg = heisenberg()
     rot = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
     bad = WordSeriesSystem(alg, 1, 1, rot)
-    with pytest.raises(InvarianceViolation):
-        bad.quotient_system(1)
+    with pytest.raises(InvarianceViolation) as exc:
+        bad.quotient_system(1)  # modulo h_2: A moves h_2 off itself
+    assert str(exc.value) == bad.invariance_refusal() == \
+        "A does not preserve chain level 2 (residual 1.000e+00, bound 1.732e-10)"
 
 
 def test_a_level_outside_the_chain_is_refused():
@@ -1189,13 +1194,25 @@ def counted_batches(sys_) -> list:
     return rows
 
 
+# g's own lower central series and no graded block of A with eigenvalue 1: the report is a proof
+PROVED_CASES = {"all-diverging", "example-4.1", "heisenberg-deadbeat"}
+
+
 @pytest.mark.parametrize("name", sorted(EQUILIBRIUM_CASES))
 def test_equilibrium_search_matches_the_masked_loop(name):
     for seed in (0, 3):
         sys_ = EQUILIBRIUM_CASES[name]()
+        ref = reference_equilibrium_report(EQUILIBRIUM_CASES[name](), seed=seed)
+        report = sys_.equilibrium_report(seed=seed)
+        if name in PROVED_CASES:
+            assert report["kind"] == "proof" and report["ok"] and "violations" not in report
+            assert {k: report[k] for k in ("structural_ok", "linear_margin", "quotient_linear_margin")} \
+                == {k: ref[k] for k in ("structural_ok", "linear_margin", "quotient_linear_margin")}
+        else:
+            assert report == ref
         rows = counted_batches(sys_)
-        got = sys_.equilibrium_report(seed=seed)
-        assert got == reference_equilibrium_report(EQUILIBRIUM_CASES[name](), seed=seed)
+        got = sys_.equilibrium_search(seed=seed)  # the fallback alone, on every case
+        assert got == {k: ref[k] for k in ("violations", "surviving_starts")}
         assert bool(got["violations"]) == (name == "loop")
         # at seed 0 the cases exercise what they are named for: violations, dropped
         # starts, the early stop; at seed 3 every start of example-6.1, uptri-deadbeat
@@ -1206,6 +1223,78 @@ def test_equilibrium_search_matches_the_masked_loop(name):
             assert len(rows) < 600 and rows[-1] > 0
         elif seed == 0:
             assert rows == [100] * 600
+
+
+def flag_triangular_system(sys_, rng, scale):
+    """``sys_`` with a random A that keeps every chain level: drawn in the chain's flag
+    coordinates, entries N(0, scale^2 / (n d)) on and below the graded blocks and zeros above
+    them, then written back in the system's basis."""
+    n, d = sys_.n, sys_.d
+    q = [ctx.quotient_dim for ctx in sys_.projections.contexts]
+    piece = np.searchsorted(q, np.arange(d), side="right")  # the graded level of each flag coordinate
+    F = scale / np.sqrt(n * d) * rng.standard_normal((n, d, n, d))
+    F *= (piece[:, None] >= piece[None, :])[None, :, None, :]  # h_j's coordinates map into h_j
+    flag = sys_.projections.flag
+    A = np.einsum("ka,skul,lb->saub", flag, F, flag).reshape(n * d, n * d)
+    return WordSeriesSystem(sys_.algebra, n, sys_.r, A, sys_.terms, sys_.families, radius=sys_.radius)
+
+
+def own_series_systems(rng):
+    """Systems on g's own lower central series: the benchmark's sweep at m = 4 to 10, the two
+    own-series builtins, and random flag-triangular A on them, on exact and on rotated flags."""
+    heis = rotated(heisenberg(), rng)
+    rotated_heis = WordSeriesSystem(heis, 2, 1, 0.5 * np.eye(6),
+                                    terms=[Term(Word((("X", 1), ("W", 1))), np.array([0.25, -0.1])),
+                                           Term(Word((("X", 2), ("X", 1), ("W", 1))), np.array([0.0, 0.2]))])
+    bases = [builtin_scenario("example-4.1").system, heisenberg_deadbeat_system(), sweep_system(4),
+             sweep_system(5), rotated_heis]
+    return ([bench_sweep_case(m)[0] for m in range(4, 11)] + bases[:2]
+            + [flag_triangular_system(base, rng, scale) for base in bases for scale in (0.5, 2.0)])
+
+
+def test_where_the_proof_holds_the_search_finds_no_fixed_point():
+    # the search stays reachable as the fallback; where the proof holds it must agree, at every
+    # seed, on contracting maps whose starts settle at the origin and on growing ones
+    for sys_ in own_series_systems(np.random.default_rng(41)):
+        rows = counted_batches(sys_)
+        rep = sys_.equilibrium_report()
+        assert rep["kind"] == "proof" and rep["inputs"] == "all" and rep["ok"] and rows == []
+        assert len(rep["levels"]) == sys_.nilindex
+        assert all(lv["margin"] > lv["bound"] for lv in rep["levels"])
+        for seed in range(4):
+            assert sys_.equilibrium_search(seed=seed)["violations"] == []
+
+
+def test_proof_margins_are_read_straight_off_A_on_exact_flags():
+    # a permutation flag copies A's entries: D_i is A on the axes of h_i / h_{i+1}, slot by slot
+    checked = 0
+    for sys_ in own_series_systems(np.random.default_rng(43)):
+        flag = sys_.projections.flag
+        if not (np.isin(flag, (0.0, 1.0)).all() and (flag.sum(axis=0) == 1).all()):
+            continue  # a rotated flag
+        axes = flag.argmax(axis=1)  # flag coordinate k is axis axes[k]
+        n, d = sys_.n, sys_.d
+        A4 = sys_.A.reshape(n, d, n, d)
+        q = [ctx.quotient_dim for ctx in sys_.projections.contexts]
+        levels = sys_.equilibrium_report()["levels"]
+        for lv, a, b in zip(levels, q[:-1], q[1:], strict=True):
+            m = n * (b - a)
+            D = A4[:, axes[a:b]][:, :, :, axes[a:b]].reshape(m, m)
+            assert lv["margin"] == _min_singular(np.eye(m) - D)
+        checked += 1
+    assert checked == 17  # all but the two rotated Heisenberg systems
+
+
+def test_a_graded_eigenvalue_one_falls_back_to_the_search():
+    # A = I on Heisenberg without words (every state a fixed point, the CLI's case) and the loop's
+    # fixed-point axis: a graded block with eigenvalue 1 has margin 0, so the report is the search,
+    # and it finds the fixed points
+    identity = WordSeriesSystem(heisenberg(), 1, 1, np.eye(3))
+    for sys_ in (identity, EQUILIBRIUM_CASES["loop"]()):
+        rows = counted_batches(sys_)
+        rep = sys_.equilibrium_report()
+        assert rep["kind"] == "search" and not rep["ok"] and len(rep["violations"]) == 200
+        assert rows == [100] * 600
 
 
 def test_update_takes_one_ad_per_leading_letter(monkeypatch):

@@ -76,7 +76,9 @@ def orthonormal_basis(vectors: np.ndarray) -> np.ndarray:
     values above the cutoff make its dimension at least r, so it is that subspace, whatever
     rotation of it the SVD returns.  The rows of R^T are the stack's (Householder maps a zero
     column of stack^T to a zero column of R, exactly), so the reduction keeps the rule.  The rule
-    reads the singular values alone; the vectors are computed only where it does not fire."""
+    reads the singular values alone, and only when the non-zero rows are no more than the columns,
+    which bound the rank; the vectors are computed only where it does not fire, so a stack that
+    passes that count but not the rule (rank-deficient off the exact axes) pays for both SVDs."""
     mat = np.asarray(vectors, dtype=float)
     if mat.ndim == 2 and mat.shape[1] > mat.shape[0] and mat.size > 1000:
         mat = mat[:, mat.any(axis=0)]
@@ -84,12 +86,11 @@ def orthonormal_basis(vectors: np.ndarray) -> np.ndarray:
             mat = np.linalg.qr(mat.T, mode="r").T
     if mat.ndim != 2 or mat.shape[1] == 0:
         return np.zeros((mat.shape[0], 0))
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((mat.shape[0], 0))
     rows = np.flatnonzero(mat.any(axis=1))
-    if rows.size == int(np.sum(s > RANK_TOL * s[0])):
-        return np.eye(mat.shape[0])[:, rows]
+    if rows.size <= mat.shape[1]:  # a zero stack is the rule's rank-0 case
+        s = np.linalg.svd(mat, compute_uv=False)
+        if rows.size == int(np.sum(s > RANK_TOL * s.max(initial=0.0))):
+            return np.eye(mat.shape[0])[:, rows]
     u, s, _ = np.linalg.svd(mat, full_matrices=False)  # the vectors, and the rank from their own values
     return u[:, :int(np.sum(s > RANK_TOL * s[0]))]
 

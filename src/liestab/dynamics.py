@@ -673,39 +673,46 @@ class WordSeriesSystem:
         ``equilibrium_search``.
 
         The proof (``kind: "proof"``, ``inputs: "all"``) holds when the chain is g's own lower central
-        series g = h_1, h_{i+1} = [g, h_i], ``invariance_refusal`` is None, and on every level i the
-        graded block D_i of A on h_i / h_{i+1}, ``A_flag[:, q_{i-1}:q_i, :, q_{i-1}:q_i]`` with q_i the
-        coordinates modulo h_{i+1}, has a ``margin`` sigma_min(I - D_i) above its rounding ``bound``.
+        series g = h_1, h_{i+1} = [g, h_i], ``invariance_refusal`` is None, A keeps every h_i, and
+        ``linear_margin`` sigma_min(I - A) is above its rounding ``bound``.  A keeps the chain when the
+        blocks of ``A_flag`` above the graded ones, A on h_j modulo h_i for j > i, vanish.  On a flag
+        that is a permutation they are copies of A's entries and must be exactly 0.  On any other flag
+        their norm must be at most e = 2 d^2 u ||A||_F, u = 2^-53, what the flag product can round
+        (two products of inner dimension d with an orthonormal Q, whose |Q| has 2-norm at most
+        sqrt d), so the proof is for an A' within 2e of A that keeps the chain.  The invariance
+        tolerance is not enough: inputs are unbounded, and under a large enough input a word [X, W]
+        turns a residual of any size into a nonzero fixed point.
+
         Take any input and a fixed point X, which lies in h_1.  If X lies in h_i, every word has a state
         letter in h_i and its other letters in g, so it lands in [g, h_i] = h_{i+1}, an ideal; so does
         every family term ad(B)^l T / l!, l >= 1, whose target T or whole base B is state letters.  A
-        keeps h_i: its blocks above the graded ones are the invariance residuals, within the bound.  So
-        modulo h_{i+1} the graded part of X satisfies X_i = D_i X_i, hence X_i = 0 and X lies in h_{i+1};
-        after the last level, X = 0.  The bound is u (2 d^2 ||A||_F + (m + 1) ||I - D_i||_F), u = 2^-53,
-        D_i of size m: the flag product, two products of inner dimension d with an orthonormal Q whose
-        |Q| has 2-norm at most ||Q||_F = sqrt d, moves D_i by at most 2 d^2 u ||A||_F (by nothing on an
-        exact flag, a permutation), the subtraction from I by u ||I - D_i||_F, and the SVD a singular
-        value by about m u ||I - D_i||_F; a singular value moves by at most the 2-norm of a perturbation
-        (Weyl), so a margin above the bound proves 1 no eigenvalue of D_i.  The proof evaluates nothing.
+        keeps h_i, and modulo h_{i+1} it acts on X's graded part X_i as the graded block D_i of A on
+        h_i / h_{i+1}; so X_i = D_i X_i.  I - A is block triangular in the flag with the I - D_i on its
+        diagonal, so (I - D_i)^-1 is a diagonal block of (I - A)^-1, and sigma_min(I - D_i) >=
+        sigma_min(I - A) > 0.  Hence X_i = 0 and X lies in h_{i+1}; after the last level, X = 0.  The
+        bound is u (m + 1) ||I - A||_F + 2e, m = n d: the subtraction from I moves I - A by
+        u ||I - A||_F, the SVD a singular value by about m u ||I - A||_F, and A' is 2e from A; a
+        singular value moves by at most the 2-norm of a perturbation (Weyl).  The proof evaluates
+        nothing.
 
         Both kinds report the structural state-letter coverage and the invertibility margins of I - A,
         in full and on the quotient modulo h_1 (where the dynamics are linear; 0 x 0 on g's own series).
         """
         structural = self.structural_state_letter_ok()
         A0 = self.level_blocks[0][0]  # invariance_report judges it
-        facts = {"structural_ok": structural,
-                 "linear_margin": _min_singular(np.eye(self.state_dim) - self.A),
+        I_A = np.eye(self.state_dim) - self.A
+        facts = {"structural_ok": structural, "linear_margin": _min_singular(I_A),
                  "quotient_linear_margin": _min_singular(np.eye(A0.shape[0]) - A0)}
         if self.ideal.dim == self.d and self.invariance_refusal() is None:
             q = [ctx.quotient_dim for ctx in self.projections.contexts]
-            norm_A, levels = float(np.linalg.norm(self.A)), []
-            for i, (a, b) in enumerate(zip(q, q[1:]), 1):
-                m = self.n * (b - a)
-                I_D = np.eye(m) - self.A_flag[:, a:b, :, a:b].reshape(m, m)
-                bound = 2.0 ** -53 * (2 * self.d ** 2 * norm_A + (m + 1) * float(np.linalg.norm(I_D)))
-                levels.append({"level": i, "margin": _min_singular(I_D), "bound": bound})
-            if all(lv["margin"] > lv["bound"] for lv in levels):  # NaN fails
-                return {"kind": "proof", "inputs": "all", **facts, "levels": levels, "ok": True}
+            piece = np.searchsorted(q, np.arange(self.d), side="right")  # the level of each flag coordinate
+            off = self.A_flag.transpose(1, 3, 0, 2)[piece[:, None] < piece]  # the blocks above the graded ones
+            exact = np.isin(self.projections.flag, (0.0, 1.0)).all()  # a permutation: A_flag copies A
+            e = 0.0 if exact else 2.0 ** -52 * self.d ** 2 * float(np.linalg.norm(self.A))
+            bound = 2.0 ** -53 * (self.state_dim + 1) * float(np.linalg.norm(I_A)) + 2 * e
+            kept = not off.any() if exact else np.linalg.norm(off) <= e  # NaN fails both
+            if kept and facts["linear_margin"] > bound:
+                return {"kind": "proof", "inputs": "all", **facts, "bound": bound, "ok": True}
         search = self.equilibrium_search(seed, starts, iters)
         return {"kind": "search", **facts, **search, "ok": structural and not search["violations"]}
 

@@ -59,17 +59,14 @@ class QuotientContext:
 
     P is the (q, d) canonical projection in complement coordinates, q = d - dim V: the leading
     q rows of ``flag``, the ``flag_basis`` Q.T of V alone (of the whole chain for a chain level);
-    P.T is its minimum-norm right inverse, the embedding of the quotient.  ``level`` numbers the
-    ideal in its chain, h_1 first: 1 for an ideal alone.
+    P.T is its minimum-norm right inverse, the embedding of the quotient.
     """
 
-    def __init__(self, algebra: LieAlgebra, ideal: Subspace, _flag: Optional[np.ndarray] = None,
-                 _level: int = 1):
+    def __init__(self, algebra: LieAlgebra, ideal: Subspace, _flag: Optional[np.ndarray] = None):
         if ideal.ambient_dim != algebra.dim:
             raise ValueError("ideal ambient dimension does not match algebra")
         self.algebra = algebra
         self.ideal = ideal
-        self.level = _level
         self.flag = flag_basis([ideal], algebra.dim) if _flag is None else _flag  # the whole Q.T
         self.P = self.flag[:algebra.dim - ideal.dim]
 
@@ -116,14 +113,15 @@ def invariance_bound(A) -> float:
     return INVARIANCE_TOL * max(1.0, float(np.linalg.norm(A)))
 
 
-def induced_map(ctx: QuotientContext, A) -> np.ndarray:
+def induced_map(ctx: QuotientContext, A, level: int = 1) -> np.ndarray:
     """The Abar with Abar kron(I_n, P) = kron(I_n, P) A, n slots read off A's shape: the ``level_block``
-    of A in ctx's own flag.  InvarianceViolation unless its residual is within ``invariance_bound(A)``."""
+    of A in ctx's own flag.  InvarianceViolation, naming ctx's ideal chain level ``level``, unless its
+    residual is within ``invariance_bound(A)``."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0] // max(1, ctx.algebra.dim)  # a 0 x 0 map on a 0-dimensional algebra: any n
     Abar, resid = level_block(flag_coordinates(ctx.flag, A, n), ctx.quotient_dim)
     if not resid <= (bound := invariance_bound(A)):  # NaN fails, as in invariance_refusal
-        raise InvarianceViolation(ctx.level, resid, bound)
+        raise InvarianceViolation(level, resid, bound)
     return Abar
 
 
@@ -225,7 +223,7 @@ class ChainProjections:
             raise ValueError("chain must terminate at the zero subspace")
         self.algebra = algebra
         self.flag = flag_basis(chain.ideals, algebra.dim)
-        self.contexts = [QuotientContext(algebra, s, self.flag, level) for level, s in enumerate(chain.ideals, 1)]
+        self.contexts = [QuotientContext(algebra, s, self.flag) for s in chain.ideals]
 
     def __getitem__(self, i: int) -> QuotientContext:
         return self.contexts[i]

@@ -713,6 +713,20 @@ def test_check_searches_where_a_graded_block_has_eigenvalue_one(tmp_path):
     assert eq["kind"] == "search" and eq["violation_count"] == 200 and eq["surviving_starts"] == [100, 100]
 
 
+def test_check_fails_a_fixed_point_behind_an_invariance_residual(tmp_path, capsys):
+    # A moves h_2 off itself by 1e-7, within the invariance tolerance, and its graded blocks have no
+    # eigenvalue 1, yet (2e-7, 0, 1) is a fixed point: no proof, and the search fails the check
+    eps, delta = 1e-7, 1e-3
+    A = [[0.5, 0.0, eps], [0.0, 0.5, 0.0], [delta / (2 * eps), 0.0, 1.0 - delta]]
+    path = tmp_path / "residual.json"
+    path.write_text(json.dumps(NONFINITE_BASE | {"A": A, "terms": []}))
+    assert run(["check", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    eq = json.loads((tmp_path / "out" / "check-nf.json").read_text())["equilibrium"]
+    assert eq["kind"] == "search" and eq["violation_count"] > 0 and not eq["ok"]
+    out = capsys.readouterr().out
+    assert "[PASS] chain invariance" in out and "[FAIL] unique equilibrium (structural + search)" in out
+
+
 CHECK_PASS_LINES = {"[PASS] series majorant finite", "[PASS] unique equilibrium (proof)",
                     "[PASS] unique equilibrium (structural + search)", "[PASS] chain invariance",
                     "[PASS] linearization matches A"}

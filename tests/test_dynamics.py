@@ -1259,14 +1259,14 @@ def test_where_the_proof_holds_the_search_finds_no_fixed_point():
         rows = counted_batches(sys_)
         rep = sys_.equilibrium_report()
         assert rep["kind"] == "proof" and rep["inputs"] == "all" and rep["ok"] and rows == []
-        assert len(rep["levels"]) == sys_.nilindex
-        assert all(lv["margin"] > lv["bound"] for lv in rep["levels"])
+        assert rep["linear_margin"] > rep["bound"]
         for seed in range(4):
             assert sys_.equilibrium_search(seed=seed)["violations"] == []
 
 
-def test_proof_margins_are_read_straight_off_A_on_exact_flags():
-    # a permutation flag copies A's entries: D_i is A on the axes of h_i / h_{i+1}, slot by slot
+def test_proof_margin_bounds_every_graded_block_on_exact_flags():
+    # a permutation flag copies A's entries: D_i is A on the axes of h_i / h_{i+1}, slot by slot, the
+    # blocks above them are exact zeros, and sigma_min(I - A) is at most every sigma_min(I - D_i)
     checked = 0
     for sys_ in own_series_systems(np.random.default_rng(43)):
         flag = sys_.projections.flag
@@ -1276,13 +1276,40 @@ def test_proof_margins_are_read_straight_off_A_on_exact_flags():
         n, d = sys_.n, sys_.d
         A4 = sys_.A.reshape(n, d, n, d)
         q = [ctx.quotient_dim for ctx in sys_.projections.contexts]
-        levels = sys_.equilibrium_report()["levels"]
-        for lv, a, b in zip(levels, q[:-1], q[1:], strict=True):
+        rep = sys_.equilibrium_report()
+        assert rep["kind"] == "proof" and rep["linear_margin"] == _min_singular(np.eye(n * d) - sys_.A)
+        for a, b in zip(q[:-1], q[1:]):
             m = n * (b - a)
+            assert not A4[:, axes[:a]][:, :, :, axes[a:b]].any()  # h_i / h_{i+1} into earlier levels
             D = A4[:, axes[a:b]][:, :, :, axes[a:b]].reshape(m, m)
-            assert lv["margin"] == _min_singular(np.eye(m) - D)
+            assert rep["linear_margin"] <= _min_singular(np.eye(m) - D) + rep["bound"]
         checked += 1
     assert checked == 17  # all but the two rotated Heisenberg systems
+
+
+def test_a_residual_within_the_invariance_tolerance_is_no_proof():
+    # Heisenberg without words, A = [[0.5, 0, eps], [0, 0.5, 0], [c, 0, 1 - delta]]: A moves h_2 =
+    # span(h3) off itself by eps = 1e-7, within invariance_bound (5e-7), and the graded blocks 0.5 I
+    # and 1 - delta have margins 0.5 and 1e-3; yet c = delta / (2 eps) makes (2 eps, 0, 1) a fixed
+    # point.  A proof that read the graded blocks alone would claim uniqueness; the report searches
+    # and finds the fixed points
+    eps, delta = 1e-7, 1e-3
+    A = np.array([[0.5, 0.0, eps], [0.0, 0.5, 0.0], [delta / (2 * eps), 0.0, 1.0 - delta]])
+    sys_ = WordSeriesSystem(heisenberg(), 1, 1, A)
+    assert sys_.invariance_refusal() is None
+    rep = sys_.equilibrium_report()
+    assert rep["kind"] == "search" and not rep["ok"] and rep["violations"]
+    # with 1/2 in place of 1 - delta, I - A is invertible (margin 5e-5); but the word [X1, W1] feeds
+    # the residual back: under the input -(1/2 - 2 eps c) / (2 eps) h2, far outside the search's
+    # draws, (2 eps, 0, 1) is again a fixed point, so no proof for every input may be claimed
+    c = delta / (2 * eps)
+    sys_ = WordSeriesSystem(heisenberg(), 1, 1, np.array([[0.5, 0.0, eps], [0.0, 0.5, 0.0], [c, 0.0, 0.5]]),
+                            terms=[Term(Word((("X", 1), ("W", 1))), np.array([1.0]))])
+    X, W = np.array([2 * eps, 0.0, 1.0]), np.array([0.0, -(0.5 - 2 * eps * c) / (2 * eps), 0.0])
+    assert np.array_equal(sys_.evaluate_batch(X[None], W)[0], X)
+    rep = sys_.equilibrium_report()
+    assert sys_.invariance_refusal() is None and rep["linear_margin"] > 1e-5
+    assert rep["kind"] == "search"
 
 
 def test_a_graded_eigenvalue_one_falls_back_to_the_search():

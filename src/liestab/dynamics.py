@@ -18,7 +18,8 @@ Paterson-Stockmeyer; a nearly nilpotent stack is not scaled).  Maps act on stack
 by slot (``quotient._slotwise``).  A system writes A once in its chain's flag coordinates, ``A_flag``,
 and reads each level's induced linear part and invariance residual off it once, ``level_blocks``; from
 those and the words' state letters ``invariance_refusal`` decides, evaluating nothing, whether every
-chain level is invariant under the map, the ``ok`` of ``invariance_report``.  The map keeps its
+chain level is invariant under the map, the ``ok`` of ``invariance_report``, by ``quotient.invariance_bound``,
+the one rule that the equilibrium proof and every certificate also read.  The map keeps its
 input's dtype: ``linearization`` takes the Jacobians at (0, W) by one complex step over every axis,
 in chunks of ``LINEARIZATION_ENTRIES`` that count the flow kernel's stacks, and ``jacobian_report``
 compares them at the origin with (A, 0).  A step's state letters are i h e_k or 0, purely imaginary,
@@ -640,6 +641,8 @@ class WordSeriesSystem:
     # each chain level's (Abar, residual) off A_flag, read once; entry i is modulo h_{i+1}, as projections[i]
     level_blocks = cached_property(lambda self: tuple(level_block(self.A_flag, ctx.quotient_dim)
                                                       for ctx in self.projections.contexts))
+    # the largest residual by which A keeps a level: ``quotient.invariance_bound`` in the chain's flag, once
+    residual_bound = cached_property(lambda self: invariance_bound(self.projections.flag, self.A))
 
     def invariance_report(self) -> dict:
         """Invariance of every chain level h_i under the map, decided by the paper's theorem.
@@ -654,7 +657,7 @@ class WordSeriesSystem:
         levels = [{"level": i, "dim": ctx.ideal.dim, "linear_residual": resid}
                   for i, (ctx, (_, resid)) in enumerate(zip(self.projections.contexts, self.level_blocks), 1)]
         return {"ok": self.invariance_refusal() is None, "kind": "proof",
-                "state_letters": self.structural_state_letter_ok(), "bound": invariance_bound(self.A),
+                "state_letters": self.structural_state_letter_ok(), "bound": self.residual_bound,
                 "levels": levels}
 
     def invariance_refusal(self) -> Optional[str]:
@@ -662,38 +665,31 @@ class WordSeriesSystem:
         first level whose residual is not within the bound.  ``check`` prints it; certificates raise it."""
         if not self.structural_state_letter_ok():
             return "a word without a state letter"
-        bound = invariance_bound(self.A)
         for i, (_, resid) in enumerate(self.level_blocks, 1):
-            if not resid <= bound:
-                return str(InvarianceViolation(i, resid, bound))
+            if not resid <= self.residual_bound:
+                return str(InvarianceViolation(i, resid, self.residual_bound))
         return None
 
     def equilibrium_report(self, seed: int = 0, starts: int = 100, iters: int = 300) -> dict:
         """Is the origin the map's only fixed point?  A proof for every input where one holds, else
         ``equilibrium_search``.
 
-        The proof (``kind: "proof"``, ``inputs: "all"``) holds when the chain is g's own lower central
-        series g = h_1, h_{i+1} = [g, h_i], ``invariance_refusal`` is None, A keeps every h_i, and
-        ``linear_margin`` sigma_min(I - A) is above its rounding ``bound``.  A keeps the chain when the
-        blocks of ``A_flag`` above the graded ones, A on h_j modulo h_i for j > i, vanish.  On a flag
-        that is a permutation they are copies of A's entries and must be exactly 0.  On any other flag
-        their norm must be at most e = 2 d^2 u ||A||_F, u = 2^-53, what the flag product can round
-        (two products of inner dimension d with an orthonormal Q, whose |Q| has 2-norm at most
-        sqrt d), so the proof is for an A' within 2e of A that keeps the chain.  The invariance
-        tolerance is not enough: inputs are unbounded, and under a large enough input a word [X, W]
-        turns a residual of any size into a nonzero fixed point.
+        The proof (``kind: "proof"``, ``inputs: "all"``) holds when the chain is g's own lower central series
+        g = h_1, h_{i+1} = [g, h_i], ``invariance_refusal`` is None, so each level residual is at most
+        e = ``quotient.invariance_bound`` (0 on a permutation flag), and ``linear_margin`` sigma_min(I - A) is above
+        its rounding ``bound``.  The blocks of ``A_flag`` above the graded ones, A on h_j modulo h_i for j > i, are
+        the union of the p level residual blocks, of norm at most sqrt(p) e, and A_flag is within e of Q.T A Q: the
+        proof is for an A' that keeps the chain exactly, (1 + sqrt p) e from A.
 
-        Take any input and a fixed point X, which lies in h_1.  If X lies in h_i, every word has a state
-        letter in h_i and its other letters in g, so it lands in [g, h_i] = h_{i+1}, an ideal; so does
-        every family term ad(B)^l T / l!, l >= 1, whose target T or whole base B is state letters.  A
-        keeps h_i, and modulo h_{i+1} it acts on X's graded part X_i as the graded block D_i of A on
-        h_i / h_{i+1}; so X_i = D_i X_i.  I - A is block triangular in the flag with the I - D_i on its
-        diagonal, so (I - D_i)^-1 is a diagonal block of (I - A)^-1, and sigma_min(I - D_i) >=
-        sigma_min(I - A) > 0.  Hence X_i = 0 and X lies in h_{i+1}; after the last level, X = 0.  The
-        bound is u (m + 1) ||I - A||_F + 2e, m = n d: the subtraction from I moves I - A by
-        u ||I - A||_F, the SVD a singular value by about m u ||I - A||_F, and A' is 2e from A; a
-        singular value moves by at most the 2-norm of a perturbation (Weyl).  The proof evaluates
-        nothing.
+        Take any input and a fixed point X, which lies in h_1.  If X lies in h_i, every word has a state letter in
+        h_i and its other letters in g, so it lands in [g, h_i] = h_{i+1}, an ideal; so does every family term
+        ad(B)^l T / l!, l >= 1, whose target T or whole base B is state letters.  A' keeps h_i, and modulo h_{i+1}
+        it acts on X's graded part X_i as the graded block D_i of A' on h_i / h_{i+1}; so X_i = D_i X_i.  I - A' is
+        block triangular in the flag with the I - D_i on its diagonal, so (I - D_i)^-1 is a diagonal block of
+        (I - A')^-1, and sigma_min(I - D_i) >= sigma_min(I - A') > 0.  Hence X_i = 0 and X lies in h_{i+1}; after
+        the last level, X = 0.  The bound is u (m + 1) ||I - A||_F + (1 + sqrt p) e, m = n d: the subtraction from
+        I moves I - A by u ||I - A||_F, the SVD a singular value by about m u ||I - A||_F, and A' is (1 + sqrt p) e
+        from A; a singular value moves by at most the 2-norm of a perturbation (Weyl).  The proof evaluates nothing.
 
         Both kinds report the structural state-letter coverage and the invertibility margins of I - A,
         in full and on the quotient modulo h_1 (where the dynamics are linear; 0 x 0 on g's own series).
@@ -704,14 +700,9 @@ class WordSeriesSystem:
         facts = {"structural_ok": structural, "linear_margin": _min_singular(I_A),
                  "quotient_linear_margin": _min_singular(np.eye(A0.shape[0]) - A0)}
         if self.ideal.dim == self.d and self.invariance_refusal() is None:
-            q = [ctx.quotient_dim for ctx in self.projections.contexts]
-            piece = np.searchsorted(q, np.arange(self.d), side="right")  # the level of each flag coordinate
-            off = self.A_flag.transpose(1, 3, 0, 2)[piece[:, None] < piece]  # the blocks above the graded ones
-            exact = np.isin(self.projections.flag, (0.0, 1.0)).all()  # a permutation: A_flag copies A
-            e = 0.0 if exact else 2.0 ** -52 * self.d ** 2 * float(np.linalg.norm(self.A))
-            bound = 2.0 ** -53 * (self.state_dim + 1) * float(np.linalg.norm(I_A)) + 2 * e
-            kept = not off.any() if exact else np.linalg.norm(off) <= e  # NaN fails both
-            if kept and facts["linear_margin"] > bound:
+            e = (1 + math.sqrt(self.nilindex)) * self.residual_bound
+            bound = 2.0 ** -53 * (self.state_dim + 1) * float(np.linalg.norm(I_A)) + e
+            if facts["linear_margin"] > bound:
                 return {"kind": "proof", "inputs": "all", **facts, "bound": bound, "ok": True}
         search = self.equilibrium_search(seed, starts, iters)
         return {"kind": "search", **facts, **search, "ok": structural and not search["violations"]}
@@ -802,14 +793,14 @@ class WordSeriesSystem:
         Words and families are shared; only the algebra, the linear part (``level_blocks[level]``), and
         the invariance chain are pushed through the projection.  Raises ValueError unless 0 <= level <= p,
         and InvarianceViolation, naming chain level ``level`` + 1, if A moves the factored ideal off itself
-        past ``invariance_bound``.
+        past ``residual_bound``.  Modulo h_1 (level 0) h_1 is 0, not the rank of a rotated chain's rounding.
         """
         self.projections.levels(level, first=0)
         Abar, resid = self.level_blocks[level]
-        if not resid <= (bound := invariance_bound(self.A)):  # NaN fails, as in invariance_refusal
-            raise InvarianceViolation(level + 1, resid, bound)
+        if not resid <= self.residual_bound:  # NaN fails, as in invariance_refusal
+            raise InvarianceViolation(level + 1, resid, self.residual_bound)
         ctx = self.projections[level]
-        proj_ideal = Subspace(ctx.P @ self.ideal.onb) if self.ideal.dim else Subspace.zero(ctx.quotient_dim)
+        proj_ideal = Subspace(ctx.P @ self.ideal.onb) if level else Subspace.zero(ctx.quotient_dim)
         return WordSeriesSystem(quotient_algebra(ctx), self.n, self.r, Abar, self.terms, self.families,
                                 invariance_ideal=proj_ideal, radius=self.radius,
                                 name=f"{self.name}/level{level}" if self.name else "")

@@ -9,7 +9,8 @@ onto the complement.  A chain of ideals is a flag, and one orthonormal basis Q a
 (``flag_basis``) serves all its levels: a level is its ideal and P, the leading rows of Q.T, so
 the levels of a chain are nested and share one set of coordinates.  A map A written once in them,
 Q.T A Q slot by slot (``flag_coordinates``), holds every level's induced map and invariance
-residual as two of its blocks (``level_block``): A keeps the levels when it is block-triangular.
+residual as two of its blocks (``level_block``): A keeps the levels when it is block-triangular,
+by the one rule of ``invariance_bound``: residuals exactly 0 on a permutation Q, else within its rounding.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import LieAlgebra, Subspace, IdealChain, subspace_bracket
-
-INVARIANCE_TOL = 1e-10
+from .algebra import RANK_TOL, LieAlgebra, Subspace, IdealChain, subspace_bracket
 
 
 class InvarianceViolation(ValueError):
@@ -103,30 +102,37 @@ def level_block(F: np.ndarray, q: int) -> tuple:
     """(Abar, residual) of the flag level with q leading coordinates of F = ``flag_coordinates``:
     F[:, :q, :, :q] as an (n q, n q) matrix, kron(I, P) A kron(I, P.T) for P = Q.T[:q], and
     ||F[:, :q, :, q:]||_F, exactly ||(I - B B^T) A B||_F for any orthonormal basis B of the level's
-    ideal h in every slot, since I - B B^T = kron(I, P.T P): how far A moves h off itself."""
-    n = F.shape[0]
-    return F[:, :q, :, :q].reshape(n * q, n * q), float(np.linalg.norm(F[:, :q, :, q:]))
+    ideal h in every slot, since I - B B^T = kron(I, P.T P): how far A moves h off itself, taken over its
+    largest entry, so that entries below 1e-154, whose squares underflow, still count."""
+    n, off = F.shape[0], np.abs(F[:, :q, :, q:])
+    top = float(off.max(initial=0.0))
+    return F[:, :q, :, :q].reshape(n * q, n * q), top and top * float(np.linalg.norm(off / top))
 
 
-def invariance_bound(A) -> float:
-    """The largest ``level_block`` residual that counts as invariant: INVARIANCE_TOL * max(1, ||A||)."""
-    return INVARIANCE_TOL * max(1.0, float(np.linalg.norm(A)))
+def invariance_bound(flag: np.ndarray, A) -> float:
+    """The largest ``level_block`` residual of A in ``flag`` = Q.T by which A keeps the level: 0 when Q is
+    a permutation, whose ``flag_coordinates`` copy A's entries; else e = 2 d^2 u ||A||_F, u = 2^-53, what
+    the flag product can round (two products of inner dimension d with an orthonormal Q, |Q| of 2-norm
+    at most sqrt d), so A is within e of a map that keeps the level."""
+    if ((flag == 0.0) | (flag == 1.0)).all():
+        return 0.0
+    return 2.0 ** -52 * flag.shape[0] ** 2 * float(np.linalg.norm(A))
 
 
-def induced_map(ctx: QuotientContext, A, level: int = 1) -> np.ndarray:
+def induced_map(ctx: QuotientContext, A) -> np.ndarray:
     """The Abar with Abar kron(I_n, P) = kron(I_n, P) A, n slots read off A's shape: the ``level_block``
-    of A in ctx's own flag.  InvarianceViolation, naming ctx's ideal chain level ``level``, unless its
-    residual is within ``invariance_bound(A)``."""
+    of A in ctx's own flag.  InvarianceViolation, naming ctx's ideal chain level 1, unless its
+    residual is within ``invariance_bound``."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0] // max(1, ctx.algebra.dim)  # a 0 x 0 map on a 0-dimensional algebra: any n
     Abar, resid = level_block(flag_coordinates(ctx.flag, A, n), ctx.quotient_dim)
-    if not resid <= (bound := invariance_bound(A)):  # NaN fails, as in invariance_refusal
-        raise InvarianceViolation(level, resid, bound)
+    if not resid <= (bound := invariance_bound(ctx.flag, A)):  # NaN fails, as in invariance_refusal
+        raise InvarianceViolation(1, resid, bound)
     return Abar
 
 
 def is_ideal(algebra: LieAlgebra, sub: Subspace) -> bool:
-    return sub.contains(subspace_bracket(algebra, algebra.full_subspace(), sub), INVARIANCE_TOL)
+    return sub.contains(subspace_bracket(algebra, algebra.full_subspace(), sub))
 
 
 def quotient_algebra(ctx: QuotientContext) -> LieAlgebra:
@@ -134,11 +140,13 @@ def quotient_algebra(ctx: QuotientContext) -> LieAlgebra:
 
     The bracket of cosets is computed through representatives:
     [u, v]_quot = P [P.T u, P.T v]; well-defined exactly when the factored
-    subspace is an ideal.
+    subspace is an ideal.  Constants all within the parent's zero floor RANK_TOL ||C||_F (``subspace_bracket``)
+    are rounding: they are set to 0, where the quotient's own floor, scaled by them, would read a rank.
     """
     if not is_ideal(ctx.algebra, ctx.ideal):
         raise ValueError("cannot form a quotient algebra: subspace is not an ideal")
     Cq = (ctx.P @ ctx.algebra.ad_many(ctx.P) @ ctx.P.T).swapaxes(1, 2)  # [a][c, b] = <P_c, [P_a, P_b]>
+    Cq = Cq if np.abs(Cq).max(initial=0.0) > RANK_TOL * ctx.algebra._frobenius_norm else np.zeros_like(Cq)
     labels = [f"q{i+1}" for i in range(ctx.quotient_dim)]
     return LieAlgebra(Cq, labels=labels, name=f"{ctx.algebra.name}/V" if ctx.algebra.name else "")
 

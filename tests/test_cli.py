@@ -161,7 +161,7 @@ def test_certify_non_invariant_A_is_a_hypothesis_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().out == ("[FAIL] hypothesis error: A does not preserve chain level 2 "
-                                       "(residual 2.000e-01, bound 1.000e-10)\n")
+                                       "(residual 2.000e-01, bound 0.000e+00)\n")
     assert json.loads((out / "certificate-noninv.json").read_text())["verdict"] == "hypothesis-error"
 
 
@@ -179,7 +179,7 @@ def test_certify_solvable_non_invariant_A_is_a_hypothesis_error(tmp_path, capsys
     out = tmp_path / "out"
     assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().out == ("[FAIL] hypothesis error: A does not preserve chain level 1 "
-                                       "(residual 3.000e-01, bound 1.261e-10)\n")
+                                       "(residual 3.000e-01, bound 0.000e+00)\n")
     assert json.loads((out / "certificate-feed.json").read_text())["verdict"] == "hypothesis-error"
 
 
@@ -197,7 +197,7 @@ def test_deadbeat_non_invariant_A_is_a_hypothesis_error(tmp_path, capsys, comman
     out = tmp_path / "out"
     assert run([command, "--scenario", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().out == ("[FAIL] hypothesis error: A does not preserve chain level 2 "
-                                       "(residual 1.000e+00, bound 1.000e-10)\n")
+                                       "(residual 1.000e+00, bound 0.000e+00)\n")
     assert json.loads((out / "deadbeat-tilt.json").read_text())["verdict"] == "hypothesis-error"
 
 
@@ -209,7 +209,7 @@ def test_check_and_every_certificate_route_refuse_the_same_level(tmp_path, capsy
     at = alg.labels.index
     A[at("E1_2"), at("E2_4")] = 1e-9
     A[at("E1_3"), at("E1_4")] = 0.5
-    reason = "A does not preserve chain level 2 (residual 1.000e-09, bound 1.323e-10)"
+    reason = "A does not preserve chain level 2 (residual 1.000e-09, bound 0.000e+00)"
     out = tmp_path / "out"
     for route in ("nilpotent", "solvable", "deadbeat"):
         (tmp_path / f"{route}.json").write_text(json.dumps({
@@ -713,9 +713,9 @@ def test_check_searches_where_a_graded_block_has_eigenvalue_one(tmp_path):
     assert eq["kind"] == "search" and eq["violation_count"] == 200 and eq["surviving_starts"] == [100, 100]
 
 
-def test_check_fails_a_fixed_point_behind_an_invariance_residual(tmp_path, capsys):
-    # A moves h_2 off itself by 1e-7, within the invariance tolerance, and its graded blocks have no
-    # eigenvalue 1, yet (2e-7, 0, 1) is a fixed point: no proof, and the search fails the check
+def test_check_refuses_a_residual_that_hides_a_fixed_point(tmp_path, capsys):
+    # A moves h_2 off itself by 1e-7 on an exact flag, and its graded blocks have no eigenvalue 1, yet
+    # (2e-7, 0, 1) is a fixed point: the chain fails, there is no proof, and the search finds the point
     eps, delta = 1e-7, 1e-3
     A = [[0.5, 0.0, eps], [0.0, 0.5, 0.0], [delta / (2 * eps), 0.0, 1.0 - delta]]
     path = tmp_path / "residual.json"
@@ -723,8 +723,34 @@ def test_check_fails_a_fixed_point_behind_an_invariance_residual(tmp_path, capsy
     assert run(["check", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
     eq = json.loads((tmp_path / "out" / "check-nf.json").read_text())["equilibrium"]
     assert eq["kind"] == "search" and eq["violation_count"] > 0 and not eq["ok"]
-    out = capsys.readouterr().out
-    assert "[PASS] chain invariance" in out and "[FAIL] unique equilibrium (structural + search)" in out
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
+    assert lines[0].startswith("[FAIL] unique equilibrium (structural + search): ")
+    assert lines[1:] == ["[FAIL] chain invariance: A does not preserve chain level 2 "
+                         "(residual 1.000e-07, bound 0.000e+00)"]
+
+
+def test_no_certificate_behind_an_invariance_residual(tmp_path, capsys):
+    # the residual 1e-7 of A on h_2 was once within the tolerance 1e-10 ||A||_F: check passed, and
+    # certify issued alpha = 3.71e11, decay = 0.761 for x0, a fixed point under the word [X1, W1] and
+    # this input, whose trajectory stays at norm 1 and crosses the envelope from step 98 on
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps({
+        "name": "fixed", "algebra": "heisenberg", "n": 1, "r": 1,
+        "A": [[0.5, 0.0, 1e-7], [0.0, 0.5, 0.0], [5000.0, 0.0, 0.5]],
+        "terms": [{"letters": ["X1", "W1"], "coeff": [1.0]}],
+        "signal": {"kind": "geometric", "base": [0.0, -2.495e6, 0.0], "ratio": 1.0},
+        "x0": [2e-7, 0.0, 1.0], "M": 2.0, "route": "nilpotent"}))
+    sc = load_scenario(path)
+    X0, W = np.array(sc.x0), sc.signal.values(1)[0]
+    assert np.array_equal(sc.system.evaluate(X0, W), X0)
+    reason = "A does not preserve chain level 2 (residual 1.000e-07, bound 0.000e+00)"
+    out = tmp_path / "out"
+    assert run(["check", "--scenario", str(path), "--out", str(out)]) == 1
+    assert_failed_checks(capsys.readouterr().out, f"[FAIL] chain invariance: {reason}")
+    assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == f"[FAIL] hypothesis error: {reason}\n"
+    assert json.loads((out / "certificate-fixed.json").read_text()) == {"verdict": "hypothesis-error",
+                                                                       "reason": reason}
 
 
 CHECK_PASS_LINES = {"[PASS] series majorant finite", "[PASS] unique equilibrium (proof)",
@@ -741,14 +767,14 @@ def assert_failed_checks(stdout, failed):
 
 @pytest.mark.parametrize("breakage,line", [
     ({"A": [[0.5, 0.0, 3e-10], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]},  # A moves h3 off itself, a little
-     "[FAIL] chain invariance: A does not preserve chain level 2 (residual 3.000e-10, bound 1.000e-10)"),
+     "[FAIL] chain invariance: A does not preserve chain level 2 (residual 3.000e-10, bound 0.000e+00)"),
     ({"r": 2, "terms": [{"letters": ["W1", "W2"], "coeff": [1.0]}], "signal": {"kind": "zero"}},
      "[FAIL] unique equilibrium (structural + search): a word without a state letter\n"
      "[FAIL] chain invariance: a word without a state letter"),  # [W1, W2] lands in h3, unproven
     ({"A": np.eye(3).tolist(), "terms": []},  # every state is a fixed point
      "[FAIL] unique equilibrium (structural + search): 200 violations, smallest residual 0.000e+00"),
     ({"A": [[0.3, 0.0, 0.2], [0.0, 0.3, 0.0], [0.0, 0.0, 0.3]]},  # A moves the centre h3 off itself
-     "[FAIL] chain invariance: A does not preserve chain level 2 (residual 2.000e-01, bound 1.000e-10)"),
+     "[FAIL] chain invariance: A does not preserve chain level 2 (residual 2.000e-01, bound 0.000e+00)"),
 ])
 def test_a_failed_check_states_what_failed_and_by_how_much(tmp_path, capsys, breakage, line):
     path = tmp_path / "broken.json"

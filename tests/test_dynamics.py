@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from liestab import dynamics
-from liestab.algebra import (abelian, derived_algebra, heisenberg, nilpotent_upper,
+from liestab.algebra import (abelian, derived_algebra, heisenberg, is_nilpotent, nilpotent_upper,
                              upper_triangular6)
 from liestab.dynamics import (AdjointFamily, ExoSignal,
                               SystemSpecError, Term, Word, WordSeriesSystem,
@@ -1083,9 +1084,9 @@ def test_slotwise_matches_kron_lifts():
     resid = level_block(rot.A_flag, rot.projections[1].quotient_dim)[1]
     with pytest.raises(InvarianceViolation):
         induced_map(rot.projections[1], rot.A)
-    bound = invariance_bound(rot.A)
-    with pytest.raises(HypothesisError,
-                       match=rf"^A does not preserve chain level 2 \(residual {resid:.3e}, bound {bound:.3e}\)$"):
+    bound = invariance_bound(rot.projections.flag, rot.A)
+    reason = f"A does not preserve chain level 2 (residual {resid:.3e}, bound {bound:.3e})"
+    with pytest.raises(HypothesisError, match=rf"^{re.escape(reason)}$"):
         certify_nilpotent(rot, ExoSignal.zero(1, 3), M=1.0)
 
 
@@ -1096,7 +1097,7 @@ def test_invariance_violation_blocks_quotient():
     with pytest.raises(InvarianceViolation) as exc:
         bad.quotient_system(1)  # modulo h_2: A moves h_2 off itself
     assert str(exc.value) == bad.invariance_refusal() == \
-        "A does not preserve chain level 2 (residual 1.000e+00, bound 1.732e-10)"
+        "A does not preserve chain level 2 (residual 1.000e+00, bound 0.000e+00)"
 
 
 def test_a_level_outside_the_chain_is_refused():
@@ -1236,7 +1237,8 @@ def flag_triangular_system(sys_, rng, scale):
     F *= (piece[:, None] >= piece[None, :])[None, :, None, :]  # h_j's coordinates map into h_j
     flag = sys_.projections.flag
     A = np.einsum("ka,skul,lb->saub", flag, F, flag).reshape(n * d, n * d)
-    return WordSeriesSystem(sys_.algebra, n, sys_.r, A, sys_.terms, sys_.families, radius=sys_.radius)
+    return WordSeriesSystem(sys_.algebra, n, sys_.r, A, sys_.terms, sys_.families, invariance_ideal=sys_.ideal,
+                            radius=sys_.radius)
 
 
 def own_series_systems(rng):
@@ -1287,29 +1289,73 @@ def test_proof_margin_bounds_every_graded_block_on_exact_flags():
     assert checked == 17  # all but the two rotated Heisenberg systems
 
 
-def test_a_residual_within_the_invariance_tolerance_is_no_proof():
+def test_every_workload_keeps_its_chain_exactly():
+    # the builtins and the benchmark's sweep sit on axis-aligned chains: a permutation flag, whose
+    # invariance bound is 0, and level residuals of exactly 0, so the rule is exact wherever it is timed
+    systems = [builtin_scenario(name).system for name in sorted(BUILTINS)]
+    systems += [bench_sweep_case(m)[0] for m in range(4, 15)]
+    for sys_ in systems:
+        flag = sys_.projections.flag
+        assert np.isin(flag, (0.0, 1.0)).all() and (flag.sum(axis=0) == 1).all(), sys_.name
+        assert [resid for _, resid in sys_.level_blocks] == [0.0] * len(sys_.level_blocks), sys_.name
+        assert invariance_bound(flag, sys_.A) == 0.0 and sys_.invariance_refusal() is None
+
+
+def test_rotated_chains_pass_and_every_quotient_builds():
+    # an A that keeps a rotated chain exactly, rounded once into the user's basis, is within the
+    # flag's rounding bound, and so is every quotient system's A; each level's quotient builds as on
+    # the axis-aligned algebra.  Once the level whose quotient is abelian raised "invariance ideal must
+    # be nilpotent": its constants were rounding noise, in which a floor scaled by the quotient's own
+    # norm read a rank, and a solvable system's quotient modulo its ideal read one in the projected ideal
+    rng = np.random.default_rng(47)
+    for alg in (heisenberg(), nilpotent_upper(4), nilpotent_upper(6), upper_triangular6()):
+        for trial in range(3):
+            rot, n = rotated(alg, rng), 1 + trial % 2
+            ideals = [None, None] if is_nilpotent(alg)[0] else [derived_algebra(rot), derived_algebra(alg)]
+            zero = np.zeros((n * alg.dim,) * 2)
+            base = WordSeriesSystem(rot, n, 1, zero, invariance_ideal=ideals[0])
+            sys_ = flag_triangular_system(base, rng, 0.5)
+            plain = WordSeriesSystem(alg, n, 1, zero, invariance_ideal=ideals[1])
+            assert invariance_bound(sys_.projections.flag, sys_.A) > 0.0 and sys_.invariance_refusal() is None
+            for level in range(len(sys_.projections)):
+                qsys, ref = sys_.quotient_system(level), plain.quotient_system(level)
+                assert (qsys.d, qsys.ideal.dim, qsys.nilindex) == (ref.d, ref.ideal.dim, ref.nilindex), alg.name
+                assert qsys.invariance_refusal() is None, (alg.name, level)
+                if qsys.d and not ref.algebra.C.any():  # abelian: [q, q] = 0
+                    assert not qsys.algebra.C.any() and is_nilpotent(qsys.algebra) == (True, 1)
+
+
+def test_a_level_residual_refuses_the_chain_and_the_proof():
     # Heisenberg without words, A = [[0.5, 0, eps], [0, 0.5, 0], [c, 0, 1 - delta]]: A moves h_2 =
-    # span(h3) off itself by eps = 1e-7, within invariance_bound (5e-7), and the graded blocks 0.5 I
-    # and 1 - delta have margins 0.5 and 1e-3; yet c = delta / (2 eps) makes (2 eps, 0, 1) a fixed
-    # point.  A proof that read the graded blocks alone would claim uniqueness; the report searches
-    # and finds the fixed points
+    # span(h3) off itself by eps = 1e-7, once within the invariance tolerance (5e-7), and the graded
+    # blocks 0.5 I and 1 - delta have margins 0.5 and 1e-3; yet c = delta / (2 eps) makes (2 eps, 0, 1)
+    # a fixed point.  The flag is exact, so the bound is 0: the chain fails, and the report searches and
+    # finds the fixed points
     eps, delta = 1e-7, 1e-3
+    reason = "A does not preserve chain level 2 (residual 1.000e-07, bound 0.000e+00)"
     A = np.array([[0.5, 0.0, eps], [0.0, 0.5, 0.0], [delta / (2 * eps), 0.0, 1.0 - delta]])
     sys_ = WordSeriesSystem(heisenberg(), 1, 1, A)
-    assert sys_.invariance_refusal() is None
+    assert sys_.invariance_refusal() == reason and not sys_.invariance_report()["ok"]
     rep = sys_.equilibrium_report()
     assert rep["kind"] == "search" and not rep["ok"] and rep["violations"]
     # with 1/2 in place of 1 - delta, I - A is invertible (margin 5e-5); but the word [X1, W1] feeds
     # the residual back: under the input -(1/2 - 2 eps c) / (2 eps) h2, far outside the search's
-    # draws, (2 eps, 0, 1) is again a fixed point, so no proof for every input may be claimed
+    # draws, (2 eps, 0, 1) is again a fixed point, so neither a proof nor a certificate may be issued
     c = delta / (2 * eps)
     sys_ = WordSeriesSystem(heisenberg(), 1, 1, np.array([[0.5, 0.0, eps], [0.0, 0.5, 0.0], [c, 0.0, 0.5]]),
                             terms=[Term(Word((("X", 1), ("W", 1))), np.array([1.0]))])
     X, W = np.array([2 * eps, 0.0, 1.0]), np.array([0.0, -(0.5 - 2 * eps * c) / (2 * eps), 0.0])
     assert np.array_equal(sys_.evaluate_batch(X[None], W)[0], X)
     rep = sys_.equilibrium_report()
-    assert sys_.invariance_refusal() is None and rep["linear_margin"] > 1e-5
+    assert sys_.invariance_refusal() == reason and rep["linear_margin"] > 1e-5
     assert rep["kind"] == "search"
+    with pytest.raises(HypothesisError, match=rf"^{re.escape(reason)}$"):
+        certify_nilpotent(sys_, ExoSignal("samples", 1, 3, samples=W[None]), M=2.0)
+    # a residual of 1e-170 squares to 0, and its norm with it: the largest entry stands in
+    A = 0.5 * np.eye(3)
+    A[0, 2] = 1e-170
+    assert WordSeriesSystem(heisenberg(), 1, 1, A).invariance_refusal() == \
+        "A does not preserve chain level 2 (residual 1.000e-170, bound 0.000e+00)"
 
 
 def test_a_graded_eigenvalue_one_falls_back_to_the_search():

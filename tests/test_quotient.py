@@ -262,7 +262,7 @@ def test_induced_map_rejects_non_invariant():
     ctx = heis_ctx()
     rot = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])  # mixes h3 into h1
     with pytest.raises(InvarianceViolation,
-                       match=r"^A does not preserve chain level 1 \(residual 1\.000e\+00, bound 1\.732e-10\)$") as exc:
+                       match=r"^A does not preserve chain level 1 \(residual 1\.000e\+00, bound 0\.000e\+00\)$") as exc:
         induced_map(ctx, rot)
     assert exc.value.level == 1 and exc.value.residual == 1.0
 
